@@ -110,5 +110,6 @@ from .multipliers import (
     translation,
 )
 from .report import CheckResult, ReportBuilder, VerificationReport
+from .structures import Structures
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InvariantViolation, classify, partial_meet
-from .filters import all_filters, filter_generated, filter_join
+from .core import InvariantViolation, partial_meet, subset_key, subsets
+from .filters import filter_generated, filter_join
 from .lattice import FiniteLattice
 from .multipliers import (
     compose,
@@ -25,7 +25,6 @@ from .multipliers import (
     pointwise_meet,
     translation,
 )
-from .closure import all_closure_endos, finitely_generated_ce
 from .report import ReportBuilder, fmt, fset
 
 
@@ -41,9 +40,8 @@ def composite_translation(alg, elems):
     return out
 
 
-def subtraction(alg, f, g, carrier=None):
+def subtraction(alg, f, g, carrier):
     """Least h with g <= f o h, over the closure endomorphism carrier."""
-    carrier = carrier if carrier is not None else all_closure_endos(alg).carrier
     candidates = [h for h in carrier if pointwise_leq(alg, g, compose(f, h))]
     least = [h for h in candidates if all(pointwise_leq(alg, h, k) for k in candidates)]
     if len(least) != 1:
@@ -67,16 +65,17 @@ class AdjointSemilattice:
         return self.carrier.index(tuple(f))
 
 
-def adjoint_semilattice(alg):
+def adjoint_semilattice(ce, fg):
     """Build the adjoint semilattice and re-check its defining laws.
 
-    Checks: the carrier (composites of translations) is every closure
-    endomorphism of a finite algebra; subtraction of translations follows
-    the law  (translation q) - (translation p) = translation (p -> q);
-    translations are closed under subtraction.
+    ce is the closure endomorphism lattice and fg the sorted finitely
+    generated closure endomorphisms of the same algebra.  Checks: the
+    carrier (composites of translations) is every closure endomorphism of a
+    finite algebra; subtraction of translations follows the law
+    (translation q) - (translation p) = translation (p -> q); translations
+    are closed under subtraction.
     """
-    ce = all_closure_endos(alg)
-    fg = finitely_generated_ce(alg)
+    alg = ce.alg
     if list(ce.carrier) != fg:
         raise InvariantViolation("finitely generated closure endomorphisms miss some")
     carrier = ce.carrier
@@ -106,7 +105,7 @@ def adjoint_semilattice(alg):
     )
 
 
-def join_density_report(alg):
+def join_density_report(ctx):
     """Every closure endomorphism is the composite of translations over its kernel.
 
     Over an implication algebra the dual also holds: every closure
@@ -114,14 +113,14 @@ def join_density_report(alg):
     fixpoint set.
     """
     b = ReportBuilder("join-density")
-    ce = all_closure_endos(alg)
+    alg, ce = ctx.alg, ctx.ce
     fails = []
     for f in ce.carrier:
         if composite_translation(alg, kernel(alg, f)) != f:
             fails.append(fmt(map=f, kernel=fset(kernel(alg, f))))
     b.check("translations-over-kernel", fails, detail=f"{len(ce.carrier)} maps")
 
-    if classify(alg).implication_algebra:
+    if ctx.flags.implication_algebra:
         dual_fails = []
         for f in ce.carrier:
             acc = None
@@ -136,11 +135,10 @@ def join_density_report(alg):
     return b.done()
 
 
-def adjoint_iso_report(alg):
+def adjoint_iso_report(ctx):
     """Kernels identify the adjoint semilattice with the finitely generated filters."""
     b = ReportBuilder("adjoint-semilattice")
-    adj = adjoint_semilattice(alg)
-    fl = all_filters(alg)
+    alg, adj, fl = ctx.alg, ctx.adjoint, ctx.filters
     carrier = adj.carrier
     kernels = [kernel(alg, f) for f in carrier]
 
@@ -152,7 +150,7 @@ def adjoint_iso_report(alg):
     b.check(
         "kernel-bijection",
         []
-        if sorted(kernels, key=lambda s: (len(s), sorted(s))) == list(fl.filters)
+        if sorted(kernels, key=subset_key) == list(fl.filters)
         else [fmt(kernels=len(set(kernels)), filters=len(fl.filters))],
     )
     join_fails = []
@@ -174,42 +172,16 @@ def adjoint_iso_report(alg):
 
 
 def compact_elements(lat):
-    """Indices of the compact elements of a finite lattice.
+    """Indices of the compact elements of a finite lattice: all of them.
 
     An element is compact when every subset whose join dominates it has a
     finite subset whose join still dominates it.  Every subset of a finite
-    lattice is itself finite, so compactness is automatic; up to carrier
-    size 14 the quantifier is still evaluated literally, shrinking each
-    covering subset greedily to a witness.  Beyond that the carrier is
-    returned on the strength of the finiteness argument.
+    lattice is itself finite, so it is its own witness.
     """
-    n = lat.size
-    if n > 14:
-        return list(range(n))
-    joins = [lat.bottom] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        joins[mask] = lat.join_table[joins[mask & (mask - 1)]][low]
-    out = []
-    for a in range(n):
-        compact = True
-        for mask in range(1 << n):
-            if not lat.leq[a][joins[mask]]:
-                continue
-            witness = mask
-            for b in range(n):
-                smaller = witness & ~(1 << b)
-                if smaller != witness and lat.leq[a][joins[smaller]]:
-                    witness = smaller
-            if not lat.leq[a][joins[witness]]:
-                compact = False
-                break
-        if compact:
-            out.append(a)
-    return out
+    return list(range(lat.size))
 
 
-def compact_generation_report(alg):
+def compact_generation_report(ctx):
     """The compact elements of the closure endomorphism lattice are all of it.
 
     Over a finite algebra the statement has no bite (every element of a
@@ -217,14 +189,14 @@ def compact_generation_report(alg):
     compact elements and the finitely generated closure endomorphisms agree.
     """
     b = ReportBuilder("compact-generation")
-    ce = all_closure_endos(alg)
+    ce = ctx.ce
     comp = compact_elements(ce.lattice)
     b.check(
         "all-elements-compact",
         [] if comp == list(range(len(ce.carrier))) else [fmt(compact=len(comp), size=len(ce.carrier))],
         detail="finite lattice: compactness is automatic",
     )
-    fg = finitely_generated_ce(alg)
+    fg = ctx.finitely_generated
     b.check(
         "compact-set-is-finitely-generated",
         [] if [ce.carrier[i] for i in comp] == fg else [fmt(compact=len(comp), fg=len(fg))],
@@ -292,15 +264,15 @@ def _extension_checks(alg, ext):
     return fails
 
 
-def minimal_brouwerian_extension(alg):
+def minimal_brouwerian_extension(fl):
     """Implicative semilattice on the finitely generated filters, reverse inclusion.
 
-    Construction re-checks the implicative-semilattice laws, that the
-    principal-filter embedding preserves implication and the unit, and that
-    everything is a finite meet of embedded elements.
+    fl is the filter lattice of the algebra.  Construction re-checks the
+    implicative-semilattice laws, that the principal-filter embedding
+    preserves implication and the unit, and that everything is a finite meet
+    of embedded elements.
     """
-    fl = all_filters(alg)
-    filters = fl.filters
+    alg, filters = fl.alg, fl.filters
     k = len(filters)
     index = {f: i for i, f in enumerate(filters)}
     meet_table = [[index[filter_join(alg, filters[i], filters[j])] for j in range(k)] for i in range(k)]
@@ -331,15 +303,14 @@ def minimal_brouwerian_extension(alg):
     return ext
 
 
-def brouwerian_extension_report(alg):
+def brouwerian_extension_report(ctx):
     b = ReportBuilder("brouwerian-extension")
-    ext = minimal_brouwerian_extension(alg)
+    alg, ext = ctx.alg, ctx.extension
     b.check("implicative-semilattice-laws", _extension_checks(alg, ext),
             detail=f"{len(ext.filters)} filters")
 
     # anti-isomorphic to the adjoint semilattice via the kernel correspondence
-    ce = all_closure_endos(alg)
-    carrier = ce.carrier
+    carrier = ctx.ce.carrier
     by_kernel = {kernel(alg, f): f for f in carrier}
     anti_fails = []
     if set(by_kernel) != set(ext.filters):
@@ -352,7 +323,7 @@ def brouwerian_extension_report(alg):
                     anti_fails.append(fmt(i=fset(ji), j=fset(jj)))
     b.check("anti-isomorphic-to-adjoint", anti_fails)
 
-    if classify(alg).implicative_semilattice:
+    if ctx.flags.implicative_semilattice:
         onto = len(set(ext.embedding)) == len(ext.filters)
         iso_fails = [] if onto else [fmt(embedded=len(set(ext.embedding)), filters=len(ext.filters))]
         for p in alg.elements:
@@ -367,12 +338,11 @@ def brouwerian_extension_report(alg):
     return b.done()
 
 
-def adjoint_ideal_lattice(alg, adj=None):
+def adjoint_ideal_lattice(adj):
     """Lattice of nonempty down-sets of the adjoint semilattice closed under join.
 
     Returns (ideals, lattice); ideals are frozensets of carrier indices.
     """
-    adj = adj if adj is not None else adjoint_semilattice(alg)
     k = len(adj.carrier)
     leq = adj.lattice.leq
     down = [frozenset(j for j in range(k) if leq[j][i]) for i in range(k)]
@@ -390,16 +360,15 @@ def adjoint_ideal_lattice(alg, adj=None):
         for s in found
         if s and all(adj.join_table[i][j] in s for i in s for j in s)
     ]
-    ideals.sort(key=lambda s: (len(s), sorted(s)))
+    ideals.sort(key=subset_key)
     return tuple(ideals), FiniteLattice.from_subsets(ideals)
 
 
-def filter_ideal_bridge_report(alg):
+def filter_ideal_bridge_report(ctx):
     """The filter lattice is isomorphic to the ideal lattice of the adjoint semilattice."""
     b = ReportBuilder("filter-ideal-bridge")
-    adj = adjoint_semilattice(alg)
-    ideals, ilat = adjoint_ideal_lattice(alg, adj)
-    fl = all_filters(alg)
+    ideals, ilat = adjoint_ideal_lattice(ctx.adjoint)
+    fl = ctx.filters
     b.check(
         "ideal-lattice-isomorphic-to-filter-lattice",
         [] if fl.lattice.isomorphism(ilat) is not None else [fmt(ideals=len(ideals), filters=len(fl.filters))],
@@ -408,15 +377,14 @@ def filter_ideal_bridge_report(alg):
     return b.done()
 
 
-def fg_ideal_report(alg):
+def fg_ideal_report(ctx):
     """Over an implication algebra the finitely generated closure endomorphisms
     are downward closed, with the explicit construction of the generating set."""
-    if not classify(alg).implication_algebra:
+    if not ctx.flags.implication_algebra:
         raise ValueError("not an implication algebra")
     b = ReportBuilder("finitely-generated-ideal")
-    ce = all_closure_endos(alg)
-    carrier = ce.carrier
-    fg = set(finitely_generated_ce(alg))
+    alg, carrier = ctx.alg, ctx.ce.carrier
+    fg = set(ctx.finitely_generated)
     b.check(
         "hereditary",
         [
@@ -428,10 +396,8 @@ def fg_ideal_report(alg):
     )
     imp = alg.imp
     q_fails = []
-    n = alg.n
     for f in carrier:
-        for bits in range(1 << n):
-            p = [i for i in range(n) if bits >> i & 1]
+        for p in subsets(alg.n):
             if pointwise_leq(alg, f, composite_translation(alg, p)):
                 q = {imp[f[x]][x] for x in p}
                 if composite_translation(alg, q) != f:

@@ -13,14 +13,12 @@ import json
 import os
 import sys
 
-from .adjoint import adjoint_semilattice, minimal_brouwerian_extension
-from .closure import all_closure_endos, is_isotone
+from .closure import is_isotone
 from .core import (
     FiniteHilbertAlgebra,
     HilbertAxiomError,
     MalformedTableError,
     axiom_violations,
-    classify,
 )
 from .enumeration import (
     EnumerationBound,
@@ -35,8 +33,10 @@ from .files import (
     dump_algebra,
     load_algebra_file,
 )
-from .filters import all_filters, is_monomial
-from .multipliers import all_multipliers, fixpoints, kernel
+from .filters import is_monomial
+from .lattice import cover_pairs
+from .multipliers import fixpoints, kernel
+from .structures import Structures
 from .suites import CROSS_SUITE, resolve_suites, run_catalog_suites, suite_names
 
 OK, SEMANTIC_FAIL, INPUT_ERROR = 0, 1, 2
@@ -49,14 +49,32 @@ def _default_jobs():
         return 1
 
 
-def _load(path):
-    """(algebra-or-None, violations, labels); raises ParseError/MalformedTableError."""
-    table, one, labels = load_algebra_file(path)
-    bad = axiom_violations(table, one)  # raises MalformedTableError on bad shape
-    alg = None if bad else FiniteHilbertAlgebra(table, one)
+class CommandError(Exception):
+    """Ends a command: main prints the message to stderr and returns the code."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+def _read(path):
+    """(table, one, labels, axiom violations); unusable input ends the command."""
+    try:
+        table, one, labels = load_algebra_file(path)
+        bad = axiom_violations(table, one)  # raises MalformedTableError on bad shape
+    except (ParseError, MalformedTableError) as e:
+        raise CommandError(INPUT_ERROR, f"input error: {e}") from None
     if labels is None:
         labels = default_labels(len(table))
-    return alg, bad, labels
+    return table, one, labels, bad
+
+
+def _load(path):
+    """(algebra, labels); a table that fails the axioms ends the command."""
+    table, one, labels, bad = _read(path)
+    if bad:
+        raise CommandError(SEMANTIC_FAIL, str(HilbertAxiomError(bad)))
+    return FiniteHilbertAlgebra(table, one), labels
 
 
 def _fset(members, labels):
@@ -68,21 +86,18 @@ def _fmap(f, labels):
 
 
 def cmd_validate(args):
-    try:
-        alg, bad, labels = _load(args.path)
-    except (ParseError, MalformedTableError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    table, one, labels, bad = _read(args.path)
     if bad:
         for v in bad:
             print(v.render(labels))
         return SEMANTIC_FAIL
-    print(f"valid Hilbert algebra: n={alg.n} one={labels[alg.one]}")
+    print(f"valid Hilbert algebra: n={len(table)} one={labels[one]}")
     return OK
 
 
 def _analyze_payload(alg, labels, args):
-    flags = classify(alg)
+    ctx = Structures(alg)
+    flags = ctx.flags
     out = {
         "size": alg.n,
         "one": labels[alg.one],
@@ -90,20 +105,19 @@ def _analyze_payload(alg, labels, args):
         "implicative_semilattice": flags.implicative_semilattice,
     }
     if args.filters:
-        fl = all_filters(alg)
+        fl = ctx.filters
         out["filters"] = [
             {"members": _fset(j, labels), "monomial": is_monomial(alg, j)}
             for j in fl.filters
         ]
         out["filter_lattice_covers"] = _cover_list(fl.lattice.leq)
     if args.multipliers:
-        mult = all_multipliers(alg)
         out["multipliers"] = [
             {"map": _fmap(f, labels), "isotone": is_isotone(alg, f)}
-            for f in mult.carrier
+            for f in ctx.multipliers.carrier
         ]
     if args.ce:
-        ce = all_closure_endos(alg)
+        ce = ctx.ce
         out["closure_endomorphisms"] = [
             {
                 "map": _fmap(f, labels),
@@ -114,14 +128,14 @@ def _analyze_payload(alg, labels, args):
         ]
         out["ce_lattice_covers"] = _cover_list(ce.lattice.leq)
     if args.adjoint:
-        adj = adjoint_semilattice(alg)
+        adj = ctx.adjoint
         out["adjoint"] = {
             "maps": [_fmap(f, labels) for f in adj.carrier],
             "join": [list(r) for r in adj.join_table],
             "subtraction": [list(r) for r in adj.subtraction_table],
         }
     if args.extension:
-        ext = minimal_brouwerian_extension(alg)
+        ext = ctx.extension
         out["extension"] = {
             "filters": [_fset(j, labels) for j in ext.filters],
             "unit": ext.unit,
@@ -133,15 +147,7 @@ def _analyze_payload(alg, labels, args):
 
 
 def _cover_list(leq):
-    n = len(leq)
-    return [
-        [i, j]
-        for i in range(n)
-        for j in range(n)
-        if i != j
-        and leq[i][j]
-        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
-    ]
+    return [list(pair) for pair in cover_pairs(leq)]
 
 
 def _print_analysis(payload):
@@ -177,14 +183,7 @@ def _print_analysis(payload):
 
 
 def cmd_analyze(args):
-    try:
-        alg, bad, labels = _load(args.path)
-    except (ParseError, MalformedTableError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    if bad:
-        print(HilbertAxiomError(bad), file=sys.stderr)
-        return SEMANTIC_FAIL
+    alg, labels = _load(args.path)
     payload = _analyze_payload(alg, labels, args)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -197,34 +196,34 @@ def _table_json(alg):
     return json.dumps([list(r) for r in alg.imp], separators=(",", ":"))
 
 
+def _input_error(message):
+    return CommandError(INPUT_ERROR, f"input error: {message}")
+
+
+def _enumerate(size, bound):
+    try:
+        return enumerate_algebras(size, bound)
+    except (ValueError, EnumerationBound) as e:
+        raise _input_error(e) from None
+
+
 def cmd_verify(args):
     try:
         names = resolve_suites(args.suite or ["all"])
     except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+        raise _input_error(e) from None
+    if args.jobs < 1:
+        raise _input_error(f"--jobs must be at least 1, got {args.jobs}")
+    if (args.path is None) == (args.enumerate is None):
+        raise _input_error("give exactly one of an algebra file and --enumerate N")
 
     if args.enumerate is not None:
-        try:
-            catalog = enumerate_algebras(args.enumerate)
-        except (ValueError, EnumerationBound) as e:
-            print(f"input error: {e}", file=sys.stderr)
-            return INPUT_ERROR
+        catalog = _enumerate(args.enumerate, SEARCH_BOUND_DEFAULT)
         algebras = catalog.algebras()
         entries = catalog.entries
         header = f"enumerated {len(algebras)} algebra(s) of size {args.enumerate}"
     else:
-        if args.path is None:
-            print("input error: give an algebra file or --enumerate N", file=sys.stderr)
-            return INPUT_ERROR
-        try:
-            alg, bad, _labels = _load(args.path)
-        except (ParseError, MalformedTableError) as e:
-            print(f"input error: {e}", file=sys.stderr)
-            return INPUT_ERROR
-        if bad:
-            print(HilbertAxiomError(bad), file=sys.stderr)
-            return SEMANTIC_FAIL
+        alg, _labels = _load(args.path)
         algebras = [alg]
         entries = None
         header = f"verifying {args.path}"
@@ -282,21 +281,14 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    try:
-        alg, bad, labels = _load(args.path)
-    except (ParseError, MalformedTableError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    if bad:
-        print(HilbertAxiomError(bad), file=sys.stderr)
-        return SEMANTIC_FAIL
+    alg, labels = _load(args.path)
     if args.dot == "hasse":
         text = dot_of_order("hasse", alg.leq, labels)
     elif args.dot == "filters":
-        fl = all_filters(alg)
+        fl = Structures(alg).filters
         text = dot_of_order("filters", fl.lattice.leq, [_fset(j, labels) for j in fl.filters])
     else:
-        ce = all_closure_endos(alg)
+        ce = Structures(alg).ce
         text = dot_of_order("ce", ce.lattice.leq, [_fmap(f, labels) for f in ce.carrier])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -307,11 +299,7 @@ def cmd_export(args):
 
 
 def cmd_enumerate(args):
-    try:
-        catalog = enumerate_algebras(args.size, bound=args.bound)
-    except (ValueError, EnumerationBound) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    catalog = _enumerate(args.size, args.bound)
     n_impl = sum(e.implication_algebra for e in catalog.entries)
     n_semi = sum(e.implicative_semilattice for e in catalog.entries)
     lines = [
@@ -388,7 +376,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as e:
+        print(e, file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

@@ -18,14 +18,14 @@ from itertools import product
 
 from .core import (
     InvariantViolation,
-    classify,
     compatible_meet,
     is_relative_subsemilattice,
     is_subalgebra,
     partial_join,
+    subset_key,
+    subsets,
 )
 from .filters import (
-    all_filters,
     class_of,
     filter_join,
     is_filter,
@@ -34,7 +34,7 @@ from .filters import (
 )
 from .lattice import FiniteLattice
 from .multipliers import (
-    all_multipliers,
+    MapLattice,
     compose,
     constant_one,
     fixpoints,
@@ -146,61 +146,16 @@ def endomorphisms_bruteforce(alg):
 # the lattice of closure endomorphisms
 
 
-class CeLattice:
-    """All closure endomorphisms: composition as join, pointwise meet as meet.
+class CeLattice(MapLattice):
+    """All closure endomorphisms, i.e. the isotone multipliers of ``mult``,
+    with the lattice structure that ``MapLattice`` builds and re-checks."""
 
-    Construction re-checks the facts the lattice structure relies on:
-    closure of the carrier under both operations, and that the pointwise
-    order is a bounded distributive lattice whose join and meet are realized
-    by composition and pointwise meet, with the identity and constant unit
-    map as bounds.
-    """
-
-    def __init__(self, alg, mult=None):
-        self.alg = alg
-        mult = mult if mult is not None else all_multipliers(alg)
-        self.carrier = tuple(f for f in mult.carrier if is_isotone(alg, f))
-        self._index = {f: i for i, f in enumerate(self.carrier)}
-        self.identity_index = self._index[identity_map(alg)]
-        self.top_index = self._index[constant_one(alg)]
-
-        def idx(f, what):
-            i = self._index.get(f)
-            if i is None:
-                raise InvariantViolation(f"closure endomorphisms not closed under {what}: {f}")
-            return i
-
-        self.comp_table = tuple(
-            tuple(idx(compose(f, g), "composition") for g in self.carrier)
-            for f in self.carrier
-        )
-        self.meet_table = tuple(
-            tuple(idx(pointwise_meet(alg, f, g), "pointwise meet") for g in self.carrier)
-            for f in self.carrier
-        )
-        self.lattice = FiniteLattice(
-            [[pointwise_leq(alg, f, g) for g in self.carrier] for f in self.carrier]
-        )
-        if self.lattice.bottom != self.identity_index or self.lattice.top != self.top_index:
-            raise InvariantViolation("bounds are not the identity and constant unit map")
-        if self.lattice.join_table != self.comp_table:
-            raise InvariantViolation("composition does not realize the join")
-        if self.lattice.meet_table != self.meet_table:
-            raise InvariantViolation("pointwise meet does not realize the meet")
-        if not self.lattice.is_distributive:
-            raise InvariantViolation("closure endomorphism lattice is not distributive")
-
-    def __len__(self):
-        return len(self.carrier)
-
-    def __iter__(self):
-        return iter(self.carrier)
-
-    def index(self, f):
-        return self._index[tuple(f)]
+    def __init__(self, alg, mult):
+        carrier = (f for f in mult.carrier if is_isotone(alg, f))
+        super().__init__(alg, carrier, "closure endomorphisms")
 
 
-def all_closure_endos(alg, mult=None):
+def all_closure_endos(alg, mult):
     return CeLattice(alg, mult)
 
 
@@ -259,9 +214,8 @@ def ce_from_monomial_filter(alg, members):
     return f
 
 
-def closure_endos_via_filters(alg, filter_sets=None):
+def closure_endos_via_filters(alg, filter_sets):
     """Second route to the carrier: one closure endomorphism per monomial filter."""
-    filter_sets = filter_sets if filter_sets is not None else all_filters(alg).filters
     return sorted(
         ce_from_monomial_filter(alg, j) for j in filter_sets if is_monomial(alg, j)
     )
@@ -338,14 +292,14 @@ def is_special(alg, members):
     return special_witness(alg, members) is None
 
 
-def special_closure_retracts(alg):
-    n = alg.n
-    out = []
-    for bits in range(1 << n):
-        s = frozenset(i for i in range(n) if bits >> i & 1)
-        if is_special(alg, s) and is_closure_retract(alg, s):
-            out.append(s)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+def special_subsets(alg):
+    """Every special subset, the empty one included, in binary counting order."""
+    return [s for s in subsets(alg.n) if is_special(alg, s)]
+
+
+def special_closure_retracts(alg, special):
+    """The closure retracts among the given special subsets, smallest first."""
+    return sorted((s for s in special if is_closure_retract(alg, s)), key=subset_key)
 
 
 def ce_from_retract(alg, members):
@@ -389,11 +343,10 @@ def cross_meets(alg, s, t):
 # reports
 
 
-def ce_structure_report(alg):
+def ce_structure_report(ctx):
     """Closure of the carrier, lattice structure, and the dual construction route."""
     b = ReportBuilder("ce-structure")
-    mult = all_multipliers(alg)
-    ce = CeLattice(alg, mult)
+    alg, ce = ctx.alg, ctx.ce
     carrier = ce.carrier
     members = set(carrier)
 
@@ -416,7 +369,7 @@ def ce_structure_report(alg):
         [] if ce.lattice.is_distributive else [fmt(size=len(carrier))],
         detail=f"{len(carrier)} closure endomorphisms",
     )
-    via_filters = closure_endos_via_filters(alg)
+    via_filters = closure_endos_via_filters(alg, ctx.filters.filters)
     b.check(
         "isotone-multipliers-equal-monomial-route",
         [] if list(carrier) == via_filters else [fmt(direct=len(carrier), via=len(via_filters))],
@@ -458,10 +411,10 @@ def ce_structure_report(alg):
     return b.done()
 
 
-def isotone_kernel_special_report(alg):
+def isotone_kernel_special_report(ctx):
     """For every multiplier: isotone <=> kernel is a filter <=> fixpoints special."""
     b = ReportBuilder("isotone-kernel-special")
-    mult = all_multipliers(alg)
+    alg, mult = ctx.alg, ctx.multipliers
     fails = []
     for f in mult.carrier:
         iso = is_isotone(alg, f)
@@ -474,11 +427,11 @@ def isotone_kernel_special_report(alg):
     return b.done()
 
 
-def idempotent_composition_report(alg):
+def idempotent_composition_report(ctx):
     """Closure operators among endomorphisms are exactly those whose composite
     with every idempotent endomorphism stays idempotent."""
     b = ReportBuilder("idempotent-composition")
-    endos = search_endomorphisms(alg)
+    alg, endos = ctx.alg, ctx.endomorphisms
     idems = [t for t in endos if is_idempotent(t)]
     fails = []
     for f in endos:
@@ -494,11 +447,10 @@ def idempotent_composition_report(alg):
     return b.done()
 
 
-def kernel_embedding_report(alg):
+def kernel_embedding_report(ctx):
     """The kernel map embeds the closure endomorphisms into the filter lattice."""
     b = ReportBuilder("kernel-embedding")
-    ce = all_closure_endos(alg)
-    fl = all_filters(alg)
+    alg, ce, fl = ctx.alg, ctx.ce, ctx.filters
     carrier = ce.carrier
     kernels = [kernel(alg, f) for f in carrier]
 
@@ -554,10 +506,10 @@ def kernel_embedding_report(alg):
     return b.done()
 
 
-def fixpoint_embedding_report(alg):
+def fixpoint_embedding_report(ctx):
     """The fixpoint map reverses the lattice onto the special closure retracts."""
     b = ReportBuilder("fixpoint-embedding")
-    ce = all_closure_endos(alg)
+    alg, ce = ctx.alg, ctx.ce
     carrier = ce.carrier
     fixes = [fixpoints(alg, f) for f in carrier]
 
@@ -585,7 +537,7 @@ def fixpoint_embedding_report(alg):
             if pointwise_leq(alg, f, g) != (fixpoints(alg, g) <= fixpoints(alg, f))
         ],
     )
-    retracts = special_closure_retracts(alg)
+    retracts = ctx.retracts
     b.check(
         "range-is-special-closure-retracts",
         [] if set(fixes) == set(retracts) else [fmt(fixes=len(set(fixes)), retracts=len(retracts))],
@@ -617,9 +569,8 @@ def fixpoint_embedding_report(alg):
     )
 
     alpha_fails = []
-    for bits in range(1 << alg.n):
-        s = frozenset(i for i in range(alg.n) if bits >> i & 1)
-        if s and is_special(alg, s):
+    for s in ctx.special_subsets:
+        if s:
             if not all(alg.imp[p][x] in s for p in alg.elements for x in s):
                 alpha_fails.append(fmt(subset=fset(s), reason="not translation closed"))
             elif not is_subalgebra(alg, s):
@@ -627,10 +578,7 @@ def fixpoint_embedding_report(alg):
     b.check("special-subsets-translation-closed", alpha_fails)
 
     # explicit duality between monomial filters and special closure retracts
-    fl = all_filters(alg)
-    monomials = sorted(
-        (j for j in fl.filters if is_monomial(alg, j)), key=lambda s: (len(s), sorted(s))
-    )
+    monomials = sorted((j for j in ctx.filters.filters if is_monomial(alg, j)), key=subset_key)
     dual_fails = []
     pair = {kernel(alg, f): fixpoints(alg, f) for f in carrier}
     if set(pair) != set(monomials):
@@ -664,14 +612,12 @@ def fixpoint_embedding_report(alg):
     return b.done()
 
 
-def implication_extras_report(alg):
+def implication_extras_report(ctx):
     """The sharper structure available over an implication algebra."""
-    flags = classify(alg)
-    if not flags.implication_algebra:
+    if not ctx.flags.implication_algebra:
         raise ValueError("not an implication algebra")
     b = ReportBuilder("implication-extras")
-    mult = all_multipliers(alg)
-    ce = CeLattice(alg, mult)
+    alg, mult, ce = ctx.alg, ctx.multipliers, ctx.ce
     carrier = ce.carrier
     imp = alg.imp
 
@@ -776,18 +722,17 @@ def implication_extras_report(alg):
     return b.done()
 
 
-def fixpoint_filter_report(alg):
+def fixpoint_filter_report(ctx):
     """Fixpoint sets are filters exactly over implication algebras.
 
     The same answer must come from all closure endomorphisms, from the
     finitely generated ones, and from the translations alone.
     """
     b = ReportBuilder("fixpoint-filter-characterization")
-    flags = classify(alg)
-    ce = all_closure_endos(alg)
+    alg, flags = ctx.alg, ctx.flags
     routes = {
-        "all": ce.carrier,
-        "finitely-generated": finitely_generated_ce(alg),
+        "all": ctx.ce.carrier,
+        "finitely-generated": ctx.finitely_generated,
         "translations": sorted({translation(alg, p) for p in alg.elements}),
     }
     answers = {"implication-algebra": flags.implication_algebra}

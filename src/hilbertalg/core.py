@@ -214,15 +214,19 @@ def is_subalgebra(alg, members):
     return all(imp[x][y] in members for x in members for y in members)
 
 
+def subsets(n):
+    """Every subset of range(n) as a frozenset, in binary counting order."""
+    return (frozenset(i for i in range(n) if bits >> i & 1) for bits in range(1 << n))
+
+
+def subset_key(s):
+    """Sort key listing element subsets smallest first."""
+    return (len(s), sorted(s))
+
+
 def subalgebras(alg):
     """All subalgebras, smallest first."""
-    n = alg.n
-    out = []
-    for bits in range(1 << n):
-        s = frozenset(i for i in range(n) if bits >> i & 1)
-        if is_subalgebra(alg, s):
-            out.append(s)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return sorted((s for s in subsets(alg.n) if is_subalgebra(alg, s)), key=subset_key)
 
 
 def is_relative_subsemilattice(alg, members):

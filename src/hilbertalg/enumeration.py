@@ -16,18 +16,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 
-from .closure import all_closure_endos, search_endomorphisms
+from .closure import search_endomorphisms
 from .core import (
     FiniteHilbertAlgebra,
     InvariantViolation,
     axiom_violations,
-    classify,
     validate_hilbert,
 )
-from .filters import all_filters
 from .lattice import _rank
-from .multipliers import all_multipliers, compose, identity_map
+from .multipliers import compose, identity_map
 from .report import ReportBuilder, fmt
+from .structures import Structures
 
 SEARCH_BOUND_DEFAULT = 6
 
@@ -218,14 +217,14 @@ class AlgebraCatalog:
 
 
 def catalog_entry(alg):
-    flags = classify(alg)
+    ctx = Structures(alg)  # not kept: an entry holds counts only
     return CatalogEntry(
         algebra=alg,
-        filter_count=len(all_filters(alg)),
-        multiplier_count=len(all_multipliers(alg)),
-        ce_count=len(all_closure_endos(alg)),
-        implication_algebra=flags.implication_algebra,
-        implicative_semilattice=flags.implicative_semilattice,
+        filter_count=len(ctx.filters),
+        multiplier_count=len(ctx.multipliers),
+        ce_count=len(ctx.ce),
+        implication_algebra=ctx.flags.implication_algebra,
+        implicative_semilattice=ctx.flags.implicative_semilattice,
     )
 
 
@@ -396,15 +395,15 @@ def cross_survey_report(entries):
     data = []
     for e in entries:
         alg = e.algebra
+        ctx = Structures(alg)
         mon = endomorphism_monoid(alg)
-        ce = all_closure_endos(alg)
-        ce_idx = frozenset(mon.maps.index(f) for f in ce.carrier)
+        ce_idx = frozenset(mon.maps.index(f) for f in ctx.ce.carrier)
         data.append(
             {
                 "entry": e,
                 "alg": alg,
-                "filters": all_filters(alg).lattice,
-                "adjoint": ce.lattice,
+                "filters": ctx.filters.lattice,
+                "adjoint": ctx.ce.lattice,
                 "monoid": mon,
                 "ce_idx": ce_idx,
             }

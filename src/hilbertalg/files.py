@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+from .lattice import cover_pairs
+
 
 class ParseError(ValueError):
     pass
@@ -34,7 +36,7 @@ def _parse_json(text):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
     n, one, table = doc["size"], doc["one"], doc["table"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("size must be a positive integer")
     if not isinstance(table, list) or len(table) != n:
         raise ParseError(f"table must be a list of {n} rows")
@@ -100,7 +102,8 @@ def dot_digraph(name, node_labels, edges):
     """DOT source for a covering digraph; node and edge order is stable."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, label in enumerate(node_labels):
-        lines.append(f'  n{i} [label="{label}"];')
+        quoted = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{quoted}"];')
     for a, b in sorted(edges):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
@@ -109,13 +112,4 @@ def dot_digraph(name, node_labels, edges):
 
 def dot_of_order(name, leq, node_labels):
     """DOT of the covering relation of a partial order."""
-    n = len(leq)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-        and leq[i][j]
-        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
-    ]
-    return dot_digraph(name, node_labels, edges)
+    return dot_digraph(name, node_labels, cover_pairs(leq))

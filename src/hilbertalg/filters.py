@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InvariantViolation
+from .core import InvariantViolation, subset_key
 from .lattice import FiniteLattice
 
 
@@ -55,10 +55,6 @@ def filter_join(alg, j, k):
     return filter_generated(alg, set(j) | set(k))
 
 
-def _subset_key(s):
-    return (len(s), sorted(s))
-
-
 class FilterLattice:
     """All filters of an algebra, ordered by inclusion.
 
@@ -82,7 +78,7 @@ class FilterLattice:
                 if nxt not in found:
                     found.add(nxt)
                     frontier.append(nxt)
-        self.filters = tuple(sorted(found, key=_subset_key))
+        self.filters = tuple(sorted(found, key=subset_key))
         self._index = {f: i for i, f in enumerate(self.filters)}
         self.lattice = FiniteLattice(
             [[a <= b for b in self.filters] for a in self.filters]

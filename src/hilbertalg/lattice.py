@@ -30,6 +30,19 @@ def is_partial_order(leq):
     return True
 
 
+def cover_pairs(leq):
+    """Pairs (i, j), in row-major order, where j covers i in the order matrix."""
+    n = len(leq)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and leq[i][j]
+        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
+    ]
+
+
 def _rank(keys):
     order = {k: r for r, k in enumerate(sorted(set(keys)))}
     return tuple(order[k] for k in keys)
@@ -101,18 +114,10 @@ class FiniteLattice:
     @cached_property
     def covers(self):
         """covers[i] = indices that cover i (no element strictly between)."""
-        n, leq = self.size, self.leq
-        out = []
-        for i in range(n):
-            row = tuple(
-                j
-                for j in range(n)
-                if i != j
-                and leq[i][j]
-                and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
-            )
-            out.append(row)
-        return tuple(out)
+        out = [[] for _ in range(self.size)]
+        for i, j in cover_pairs(self.leq):
+            out[i].append(j)
+        return tuple(map(tuple, out))
 
     @cached_property
     def is_distributive(self):

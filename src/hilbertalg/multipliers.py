@@ -144,66 +144,48 @@ def multipliers_bruteforce(alg):
     )
 
 
-class MultiplierAlgebra:
-    """Every multiplier of an algebra, with its operation tables.
+class MapLattice:
+    """A sorted carrier of self-maps, closed under composition and pointwise meet.
 
-    ``carrier`` is sorted; ``comp_table``, ``imp_table`` and ``meet_table``
-    give indices of composition, pointwise implication and pointwise meet.
+    ``comp_table`` and ``meet_table`` give carrier indices.  Construction
+    re-checks closure under both operations and that the pointwise order is
+    a bounded distributive lattice with the identity and the constant unit
+    map as bounds, composition as join and pointwise meet as meet.
     """
 
-    def __init__(self, alg):
+    def __init__(self, alg, carrier, what):
         self.alg = alg
-        self.carrier = tuple(search_multipliers(alg))
+        self.what = what
+        self.carrier = tuple(carrier)
         self._index = {f: i for i, f in enumerate(self.carrier)}
-        k = len(self.carrier)
         self.identity_index = self._index[identity_map(alg)]
         self.top_index = self._index[constant_one(alg)]
-
-        def idx(f, what):
-            i = self._index.get(f)
-            if i is None:
-                raise InvariantViolation(f"multipliers not closed under {what}: {f}")
-            return i
-
-        self.comp_table = tuple(
-            tuple(idx(compose(f, g), "composition") for g in self.carrier)
-            for f in self.carrier
-        )
-        self.imp_table = tuple(
-            tuple(idx(pointwise_imp(alg, f, g), "pointwise implication") for g in self.carrier)
-            for f in self.carrier
-        )
-        self.meet_table = tuple(
-            tuple(idx(pointwise_meet(alg, f, g), "pointwise meet") for g in self.carrier)
-            for f in self.carrier
-        )
-        self.lattice = FiniteLattice(
+        self.comp_table = self.op_table(compose, "composition")
+        self.meet_table = self.op_table(lambda f, g: pointwise_meet(alg, f, g), "pointwise meet")
+        self.lattice = lat = FiniteLattice(
             [[pointwise_leq(alg, f, g) for g in self.carrier] for f in self.carrier]
         )
-        self._verify()
-
-    def _verify(self):
-        k = len(self.carrier)
-        lat = self.lattice
         if lat.bottom != self.identity_index or lat.top != self.top_index:
-            raise InvariantViolation("multiplier bounds are not the identity and unit maps")
+            raise InvariantViolation(f"{what}: bounds are not the identity and unit maps")
         if lat.join_table != self.comp_table:
-            raise InvariantViolation("composition is not the multiplier join")
+            raise InvariantViolation(f"{what}: composition is not the join")
         if lat.meet_table != self.meet_table:
-            raise InvariantViolation("pointwise meet is not the multiplier meet")
+            raise InvariantViolation(f"{what}: pointwise meet is not the meet")
         if not lat.is_distributive:
-            raise InvariantViolation("multiplier lattice is not distributive")
-        # complement of f is f -> identity
-        for i in range(k):
-            c = self.imp_table[i][self.identity_index]
-            if self.meet_table[i][c] != self.identity_index:
-                raise InvariantViolation("complement law for meet fails")
-            if self.comp_table[i][c] != self.top_index:
-                raise InvariantViolation("complement law for join fails")
-        # the pointwise implication makes the carrier a bounded implication algebra
-        inner = validate_hilbert(self.imp_table, self.top_index)
-        if not classify(inner).implication_algebra:
-            raise InvariantViolation("multipliers do not form an implication algebra")
+            raise InvariantViolation(f"{what}: lattice is not distributive")
+
+    def op_table(self, op, name):
+        """Carrier indices of op(f, g) for every pair; the carrier must be closed."""
+        table = []
+        for f in self.carrier:
+            row = []
+            for g in self.carrier:
+                h = op(f, g)
+                if h not in self._index:
+                    raise InvariantViolation(f"{self.what} not closed under {name}: {h}")
+                row.append(self._index[h])
+            table.append(tuple(row))
+        return tuple(table)
 
     def __len__(self):
         return len(self.carrier)
@@ -214,6 +196,30 @@ class MultiplierAlgebra:
     def index(self, f):
         return self._index[tuple(f)]
 
+
+class MultiplierAlgebra(MapLattice):
+    """Every multiplier of an algebra, with its operation tables.
+
+    Besides the ``MapLattice`` tables, ``imp_table`` gives pointwise
+    implication; construction also re-checks that the lattice is Boolean and
+    that pointwise implication makes the carrier a bounded implication
+    algebra.
+    """
+
+    def __init__(self, alg):
+        super().__init__(alg, search_multipliers(alg), "multipliers")
+        self.imp_table = self.op_table(lambda f, g: pointwise_imp(alg, f, g), "pointwise implication")
+        # complement of f is f -> identity
+        for i in range(len(self.carrier)):
+            c = self.imp_table[i][self.identity_index]
+            if self.meet_table[i][c] != self.identity_index:
+                raise InvariantViolation("complement law for meet fails")
+            if self.comp_table[i][c] != self.top_index:
+                raise InvariantViolation("complement law for join fails")
+        inner = validate_hilbert(self.imp_table, self.top_index)
+        if not classify(inner).implication_algebra:
+            raise InvariantViolation("multipliers do not form an implication algebra")
+
     def complement(self, f):
         """f -> identity, the Boolean complement."""
         return pointwise_imp(self.alg, f, identity_map(self.alg))
@@ -223,13 +229,12 @@ def all_multipliers(alg):
     return MultiplierAlgebra(alg)
 
 
-def multiplier_orbit(alg, x, mult=None):
+def multiplier_orbit(alg, x, mult):
     """The image set {f(x) : f a multiplier}; always a block."""
-    mult = mult if mult is not None else all_multipliers(alg)
     return frozenset(f[x] for f in mult.carrier)
 
 
-def multiplier_calculus_report(alg, mult=None):
+def multiplier_calculus_report(ctx):
     """Check the pointwise multiplier laws for every pair of multipliers.
 
     The laws, for all multipliers f, g and elements x:
@@ -239,7 +244,7 @@ def multiplier_calculus_report(alg, mult=None):
       (g) gfx = (fx -> x) -> gx       (h) gfx = fgx
       (i) gfx = (fx -> gx) -> gx
     """
-    mult = mult if mult is not None else all_multipliers(alg)
+    alg, mult = ctx.alg, ctx.multipliers
     imp, one = alg.imp, alg.one
     leq = alg.leq
     b = ReportBuilder("multiplier-calculus")

@@ -1,7 +1,9 @@
 """Named verification suites and the machinery to run them, possibly in parallel.
 
-Workers only ever receive plain tables and suite names, and every suite is a
-pure function of the algebra, so reports are identical for any worker count.
+Every suite takes the ``Structures`` context of one algebra, so the suites
+run on an algebra share each structure they build.  Workers only ever
+receive plain tables and suite names, and every suite is a pure function of
+the algebra, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .closure import (
     isotone_kernel_special_report,
     kernel_embedding_report,
 )
-from .core import FiniteHilbertAlgebra, classify
+from .core import FiniteHilbertAlgebra
 from .multipliers import multiplier_calculus_report
 from .report import ReportBuilder
+from .structures import Structures
 
 ALGEBRA_SUITES = {
     "multiplier-calculus": multiplier_calculus_report,
@@ -71,16 +74,16 @@ def resolve_suites(requested):
 
 def run_algebra_suites(alg, names):
     reports = []
-    implication = classify(alg).implication_algebra
+    ctx = Structures(alg)
     for name in names:
         if name == CROSS_SUITE:
             continue
-        if name in IMPLICATION_ONLY and not implication:
+        if name in IMPLICATION_ONLY and not ctx.flags.implication_algebra:
             b = ReportBuilder(name)
             b.skip("precondition", "applies to implication algebras only")
             reports.append(b.done())
             continue
-        reports.append(ALGEBRA_SUITES[name](alg))
+        reports.append(ALGEBRA_SUITES[name](ctx))
     return reports
 
 
@@ -90,9 +93,14 @@ def _worker(payload):
 
 
 def run_catalog_suites(algebras, names, jobs=1):
-    """Per-algebra reports for each algebra, in catalog order."""
+    """Per-algebra reports for each algebra, in catalog order.
+
+    At most one worker process per algebra is started, however large jobs is.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     payloads = [(alg.imp, alg.one, tuple(names)) for alg in algebras]
     if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(_worker, payloads))
     return [_worker(p) for p in payloads]

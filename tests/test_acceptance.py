@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from hilbertalg import (
+    Structures,
     all_closure_endos,
     all_filters,
     all_multipliers,
@@ -49,8 +50,9 @@ def failing(report):
 def run_reports(entries, report_fns):
     bad = []
     for entry in entries:
+        ctx = Structures(entry.algebra)
         for fn in report_fns:
-            for c in failing(fn(entry.algebra)):
+            for c in failing(fn(ctx)):
                 bad.append((entry.algebra.imp, c.name, c.witness))
     return bad
 
@@ -97,11 +99,12 @@ def test_acceptance_6_fixpoint_embedding(catalog5):
 def test_acceptance_7_implication_algebra_suite(catalog5):
     bad = []
     for entry in catalog5:
+        ctx = Structures(entry.algebra)
         if entry.implication_algebra:
             for fn in (implication_extras_report, fg_ideal_report):
-                for c in failing(fn(entry.algebra)):
+                for c in failing(fn(ctx)):
                     bad.append((entry.algebra.imp, c.name, c.witness))
-        for c in failing(fixpoint_filter_report(entry.algebra)):
+        for c in failing(fixpoint_filter_report(ctx)):
             bad.append((entry.algebra.imp, c.name, c.witness))
     impl = sum(1 for e in catalog5 if e.implication_algebra)
     conclude(7, not bad, f"{impl} implication algebras of {len(catalog5)}; failures: {bad[:1]}")
@@ -116,7 +119,7 @@ def test_acceptance_8_adjoint_suite(catalog5):
     )
     for entry in catalog5:
         alg = entry.algebra
-        carrier = all_closure_endos(alg).carrier
+        carrier = Structures(alg).ce.carrier
         for p in alg.elements:
             for q in alg.elements:
                 got = subtraction(alg, translation(alg, p), translation(alg, q), carrier)
@@ -153,6 +156,6 @@ def test_catalog_statistics_are_coherent(catalog5):
     for e in catalog5:
         assert len(all_filters(e.algebra)) == e.filter_count
         assert len(all_multipliers(e.algebra)) == e.multiplier_count
-        assert len(all_closure_endos(e.algebra)) == e.ce_count
+        assert len(all_closure_endos(e.algebra, all_multipliers(e.algebra))) == e.ce_count
         if e.implication_algebra:
             assert e.multiplier_count == e.ce_count

@@ -1,9 +1,8 @@
 import pytest
 
 from hilbertalg import (
+    Structures,
     adjoint_ideal_lattice,
-    adjoint_semilattice,
-    all_closure_endos,
     all_filters,
     compact_elements,
     compose,
@@ -11,7 +10,6 @@ from hilbertalg import (
     constant_one,
     filter_generated,
     identity_map,
-    minimal_brouwerian_extension,
     pointwise_leq,
     subtraction,
     translation,
@@ -56,15 +54,15 @@ def test_composite_translation_determined_by_filter(algebras4):
 
 def test_join_density(algebras4):
     for alg in algebras4:
-        report = join_density_report(alg)
+        report = join_density_report(Structures(alg))
         assert report.ok, report.as_dict()
 
 
 def test_subtraction_examples(tarski3, algebras4):
     a, b = translation(tarski3, 0), translation(tarski3, 1)
-    assert subtraction(tarski3, a, b) == b  # since a -> b = b
+    assert subtraction(tarski3, a, b, Structures(tarski3).ce.carrier) == b  # since a -> b = b
     for alg in algebras4:
-        carrier = all_closure_endos(alg).carrier
+        carrier = Structures(alg).ce.carrier
         eps = identity_map(alg)
         for f in carrier:
             assert subtraction(alg, eps, f, carrier) == f
@@ -75,7 +73,7 @@ def test_subtraction_examples(tarski3, algebras4):
 
 def test_subtraction_residuation(algebras4):
     for alg in algebras4:
-        carrier = all_closure_endos(alg).carrier
+        carrier = Structures(alg).ce.carrier
         for f in carrier:
             for g in carrier:
                 s = subtraction(alg, f, g, carrier)
@@ -87,8 +85,9 @@ def test_subtraction_residuation(algebras4):
 
 def test_adjoint_semilattice_and_translation_law(algebras4):
     for alg in algebras4:
-        adj = adjoint_semilattice(alg)
-        assert list(adj.carrier) == list(all_closure_endos(alg).carrier)
+        ctx = Structures(alg)
+        adj = ctx.adjoint
+        assert list(adj.carrier) == list(ctx.ce.carrier)
         idx = {f: i for i, f in enumerate(adj.carrier)}
         for p in alg.elements:
             for q in alg.elements:
@@ -100,39 +99,39 @@ def test_adjoint_semilattice_and_translation_law(algebras4):
 
 def test_adjoint_iso_report(algebras4):
     for alg in algebras4:
-        report = adjoint_iso_report(alg)
+        report = adjoint_iso_report(Structures(alg))
         assert report.ok, report.as_dict()
 
 
 def test_adjoint_sizes(singleton, godel3):
-    assert len(adjoint_semilattice(singleton)) == 1
-    assert len(adjoint_semilattice(godel3)) == 3
+    assert len(Structures(singleton).adjoint) == 1
+    assert len(Structures(godel3).adjoint) == 3
 
 
 def test_compact_elements(algebras4, godel3):
     for alg in algebras4:
-        ce = all_closure_endos(alg)
-        assert compact_elements(ce.lattice) == list(range(len(ce.carrier)))
-        report = compact_generation_report(alg)
+        ctx = Structures(alg)
+        assert compact_elements(ctx.ce.lattice) == list(range(len(ctx.ce.carrier)))
+        report = compact_generation_report(ctx)
         assert report.ok, report.as_dict()
     # any finite lattice works, e.g. a filter lattice
     assert compact_elements(all_filters(godel3).lattice) == [0, 1, 2]
 
 
 def test_extension_shapes(singleton, godel3, tarski3):
-    assert len(minimal_brouwerian_extension(singleton)) == 1
-    ext = minimal_brouwerian_extension(godel3)
+    assert len(Structures(singleton).extension) == 1
+    ext = Structures(godel3).extension
     assert len(ext) == 3
     # every filter of the chain is principal, so the embedding is onto
     assert sorted(ext.embedding) == [0, 1, 2]
-    ext = minimal_brouwerian_extension(tarski3)
+    ext = Structures(tarski3).extension
     assert len(ext) == 4
     assert len(set(ext.embedding)) == 3
 
 
 def test_extension_implication_restricted_to_embedded(algebras4):
     for alg in algebras4:
-        ext = minimal_brouwerian_extension(alg)
+        ext = Structures(alg).extension
         for p in alg.elements:
             for q in alg.elements:
                 got = ext.imp_table[ext.embedding[p]][ext.embedding[q]]
@@ -141,24 +140,25 @@ def test_extension_implication_restricted_to_embedded(algebras4):
 
 def test_extension_report(algebras4):
     for alg in algebras4:
-        report = brouwerian_extension_report(alg)
+        report = brouwerian_extension_report(Structures(alg))
         assert report.ok, report.as_dict()
 
 
 def test_ideal_lattice_shapes(godel3, tarski3, singleton):
-    ideals, lat = adjoint_ideal_lattice(godel3)
+    ideals, lat = adjoint_ideal_lattice(Structures(godel3).adjoint)
     assert len(ideals) == 3 and all(lat.leq[i][j] for i in range(3) for j in range(3) if i <= j)
-    ideals, lat = adjoint_ideal_lattice(tarski3)
+    ideals, lat = adjoint_ideal_lattice(Structures(tarski3).adjoint)
     assert len(ideals) == 4 and lat.join(1, 2) == 3
-    ideals, _ = adjoint_ideal_lattice(singleton)
+    ideals, _ = adjoint_ideal_lattice(Structures(singleton).adjoint)
     assert len(ideals) == 1
 
 
 def test_filter_ideal_bridge(algebras4):
     for alg in algebras4:
-        report = filter_ideal_bridge_report(alg)
+        ctx = Structures(alg)
+        report = filter_ideal_bridge_report(ctx)
         assert report.ok, report.as_dict()
-        ideals, ilat = adjoint_ideal_lattice(alg)
+        ideals, ilat = adjoint_ideal_lattice(ctx.adjoint)
         assert len(ideals) == len(all_filters(alg))
         assert ilat.isomorphism(all_filters(alg).lattice) is not None
 
@@ -166,7 +166,7 @@ def test_filter_ideal_bridge(algebras4):
 def test_fg_ideal_report(catalog4, godel3):
     for entry in catalog4:
         if entry.implication_algebra:
-            report = fg_ideal_report(entry.algebra)
+            report = fg_ideal_report(Structures(entry.algebra))
             assert report.ok, report.as_dict()
     with pytest.raises(ValueError):
-        fg_ideal_report(godel3)
+        fg_ideal_report(Structures(godel3))

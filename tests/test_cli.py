@@ -162,3 +162,46 @@ def test_verify_timings_are_opt_in(godel3_file, capsys):
     assert main(["verify", godel3_file, "--suite", "join-density", "--json", "--timings"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "elapsed" in doc["algebras"][0]["suites"][0]["checks"][0]
+
+
+def test_export_dot_escapes_labels(tmp_path, godel3, capsys):
+    path = tmp_path / "quoted.json"
+    path.write_text(dump_algebra(godel3, labels=['a"b', "c\\d", "1"]))
+    assert main(["export", str(path), "--dot", "hasse"]) == 0
+    out = capsys.readouterr().out
+    assert 'n0 [label="a\\"b"];' in out
+    assert 'n1 [label="c\\\\d"];' in out
+    assert main(["export", str(path), "--dot", "filters"]) == 0
+    assert '[label="{a\\"b,c\\\\d,1}"];' in capsys.readouterr().out
+
+
+def test_boolean_size_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"size": true, "one": 0, "table": [[0]]}')
+    assert main(["validate", str(path)]) == 2
+    assert "size must be a positive integer" in capsys.readouterr().err
+
+
+def test_verify_file_and_enumerate_is_an_input_error(godel3_file, capsys):
+    assert main(["verify", godel3_file, "--enumerate", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err
+    assert main(["verify"]) == 2
+
+
+def test_verify_refuses_jobs_below_one(godel3_file, capsys):
+    for jobs in ("0", "-3"):
+        assert main(["verify", godel3_file, "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_input_and_axiom_errors_share_one_exit_path(tmp_path, capsys):
+    broken = tmp_path / "broken.txt"
+    broken.write_text("3 2\n2 2 2\n1 2 2\n0 1 2\n")
+    malformed = tmp_path / "bad.json"
+    malformed.write_text('{"size": 2, "one": 1, "table": [[9, 1], [0, 1]]}')
+    for argv in (["analyze"], ["verify"], ["export", "--dot", "hasse"]):
+        assert main(argv[:1] + [str(broken)] + argv[1:]) == 1
+        assert "not a Hilbert algebra" in capsys.readouterr().err
+        assert main(argv[:1] + [str(malformed)] + argv[1:]) == 2
+        assert "input error" in capsys.readouterr().err

@@ -6,7 +6,8 @@ from hilbertalg import (
     NonMonomialFilterError,
     NotClosureRetractError,
     NotSpecialError,
-    all_closure_endos,
+    Structures,
+    all_filters,
     all_multipliers,
     ce_from_monomial_filter,
     ce_from_retract,
@@ -41,6 +42,7 @@ from hilbertalg.closure import (
     isotone_kernel_special_report,
     kernel_embedding_report,
     monomial_roundtrip,
+    special_subsets,
 )
 
 from _oracles import closure_endos_brute, endomorphisms_brute
@@ -73,7 +75,7 @@ def test_characterizations_agree_on_all_maps(algebras4):
 
 def test_named_maps_are_closure_endos(algebras4):
     for alg in algebras4:
-        ce = set(all_closure_endos(alg).carrier)
+        ce = set(Structures(alg).ce.carrier)
         assert identity_map(alg) in ce
         for p in alg.elements:
             assert translation(alg, p) in ce
@@ -81,8 +83,8 @@ def test_named_maps_are_closure_endos(algebras4):
 
 
 def test_ce_carriers(chain2, godel3, tarski3):
-    assert all_closure_endos(chain2).carrier == ((0, 1), (1, 1))
-    godel_ce = all_closure_endos(godel3)
+    assert Structures(chain2).ce.carrier == ((0, 1), (1, 1))
+    godel_ce = Structures(godel3).ce
     assert godel_ce.carrier == ((0, 1, 2), (0, 2, 2), (2, 2, 2))
     # a 3-chain: the order is total
     assert all(
@@ -92,7 +94,7 @@ def test_ce_carriers(chain2, godel3, tarski3):
     )
     # the chain has 4 multipliers but only 3 closure endomorphisms
     assert len(all_multipliers(godel3)) == 4
-    tarski_ce = all_closure_endos(tarski3)
+    tarski_ce = Structures(tarski3).ce
     assert tarski_ce.carrier == ((0, 1, 2), (0, 2, 2), (2, 1, 2), (2, 2, 2))
     assert tarski_ce.lattice.join(1, 2) == 3  # boolean square
 
@@ -111,14 +113,14 @@ def test_tarski3_complement_example(tarski3):
 
 def test_ce_against_direct_definition(algebras4):
     for alg in algebras4:
-        assert list(all_closure_endos(alg).carrier) == closure_endos_brute(alg)
+        assert list(Structures(alg).ce.carrier) == closure_endos_brute(alg)
 
 
 def test_ce_equals_filter_route(algebras4):
     from hilbertalg.closure import closure_endos_via_filters
 
     for alg in algebras4:
-        assert list(all_closure_endos(alg).carrier) == closure_endos_via_filters(alg)
+        assert list(Structures(alg).ce.carrier) == closure_endos_via_filters(alg, all_filters(alg).filters)
 
 
 def test_kernels(godel3, algebras4):
@@ -144,7 +146,7 @@ def test_non_isotone_multiplier_is_rejected(godel3):
 
 def test_isotone_kernel_special_report(algebras4):
     for alg in algebras4:
-        report = isotone_kernel_special_report(alg)
+        report = isotone_kernel_special_report(Structures(alg))
         assert report.ok, report.as_dict()
 
 
@@ -170,20 +172,20 @@ def test_non_closure_endomorphism_fails_idempotent_composite(godel3):
 
 def test_idempotent_composition_report(algebras4):
     for alg in algebras4:
-        report = idempotent_composition_report(alg)
+        report = idempotent_composition_report(Structures(alg))
         assert report.ok, report.as_dict()
 
 
 def test_kernel_embedding_report(algebras4):
     for alg in algebras4:
-        report = kernel_embedding_report(alg)
+        report = kernel_embedding_report(Structures(alg))
         assert report.ok, report.as_dict()
         assert not any(c.status == "skip" for c in report.checks)
 
 
 def test_ce_structure_report(algebras4):
     for alg in algebras4:
-        report = ce_structure_report(alg)
+        report = ce_structure_report(Structures(alg))
         assert report.ok, report.as_dict()
 
 
@@ -253,7 +255,7 @@ def test_cross_meets_examples(godel3, tarski3):
 
 def test_fixpoint_lattice_of_chain_is_dual_chain(godel3):
     fixes = sorted(
-        (fixpoints(godel3, f) for f in all_closure_endos(godel3).carrier),
+        (fixpoints(godel3, f) for f in Structures(godel3).ce.carrier),
         key=lambda s: (len(s), sorted(s)),
     )
     assert fixes == [frozenset({2}), frozenset({0, 2}), frozenset({0, 1, 2})]
@@ -261,13 +263,13 @@ def test_fixpoint_lattice_of_chain_is_dual_chain(godel3):
 
 def test_fixpoint_embedding_report(algebras4):
     for alg in algebras4:
-        report = fixpoint_embedding_report(alg)
+        report = fixpoint_embedding_report(Structures(alg))
         assert report.ok, report.as_dict()
 
 
 def test_special_retract_scan(tarski3):
-    retracts = special_closure_retracts(tarski3)
-    ce = all_closure_endos(tarski3)
+    retracts = special_closure_retracts(tarski3, special_subsets(tarski3))
+    ce = Structures(tarski3).ce
     assert set(retracts) == {fixpoints(tarski3, f) for f in ce.carrier}
 
 
@@ -275,26 +277,26 @@ def test_implication_extras(catalog4, godel3):
     ran = 0
     for entry in catalog4:
         if entry.implication_algebra:
-            report = implication_extras_report(entry.algebra)
+            report = implication_extras_report(Structures(entry.algebra))
             assert report.ok, report.as_dict()
             ran += 1
     assert ran >= 4
     with pytest.raises(ValueError):
-        implication_extras_report(godel3)
+        implication_extras_report(Structures(godel3))
 
 
 def test_fixpoint_filter_characterization(algebras4, godel3, tarski3):
     for alg in algebras4:
-        report = fixpoint_filter_report(alg)
+        report = fixpoint_filter_report(Structures(alg))
         assert report.ok, report.as_dict()
     # explicit instance on the chain: fixpoints of the translation by a
     fa = fixpoints(godel3, translation(godel3, 1))
     assert fa == frozenset({0, 2})
     assert not is_filter(godel3, fa)  # 0 <= a but a is missing
-    for f in all_closure_endos(tarski3).carrier:
+    for f in Structures(tarski3).ce.carrier:
         assert is_filter(tarski3, fixpoints(tarski3, f))
 
 
 def test_finitely_generated_closure_endos(algebras4):
     for alg in algebras4:
-        assert finitely_generated_ce(alg) == list(all_closure_endos(alg).carrier)
+        assert finitely_generated_ce(alg) == list(Structures(alg).ce.carrier)

@@ -1,4 +1,5 @@
 from hilbertalg import (
+    Structures,
     all_multipliers,
     classify,
     compose,
@@ -76,7 +77,7 @@ def test_multiplier_carriers(chain2, godel3, tarski3):
 
 def test_calculus_report(algebras4):
     for alg in algebras4:
-        report = multiplier_calculus_report(alg)
+        report = multiplier_calculus_report(Structures(alg))
         assert report.ok, report.as_dict()
         assert len(report.checks) == 9
 
