@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 semantic failure (axiom or theorem check), 2 input
-error (unreadable, unparsable or structurally malformed files).  Reports are
-rendered deterministically: repeated runs and runs with different --jobs
-values produce byte-identical output (timings are shown only on request).
+error (unreadable, unparsable or structurally malformed files, bad options).
+A reader that closes stdout early ends the command quietly with code 1.
+Reports are rendered deterministically: repeated runs and runs with
+different --jobs values produce byte-identical output (timings are shown
+only on request).
 """
 
 from __future__ import annotations
@@ -40,13 +42,6 @@ from .structures import Structures
 from .suites import CROSS_SUITE, resolve_suites, run_catalog_suites, suite_names
 
 OK, SEMANTIC_FAIL, INPUT_ERROR = 0, 1, 2
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("HILBERTALG_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 class CommandError(Exception):
@@ -207,13 +202,27 @@ def _enumerate(size, bound):
         raise _input_error(e) from None
 
 
+def _jobs(option):
+    """--jobs if given, else HILBERTALG_JOBS, else 1; fewer than one job is an input error."""
+    if option is not None:
+        name, value = "--jobs", option
+    else:
+        name, value = "HILBERTALG_JOBS", os.environ.get("HILBERTALG_JOBS", "1")
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise _input_error(f"{name} must be at least 1, got {value!r}")
+    return jobs
+
+
 def cmd_verify(args):
     try:
         names = resolve_suites(args.suite or ["all"])
     except ValueError as e:
         raise _input_error(e) from None
-    if args.jobs < 1:
-        raise _input_error(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _jobs(args.jobs)
     if (args.path is None) == (args.enumerate is None):
         raise _input_error("give exactly one of an algebra file and --enumerate N")
 
@@ -228,7 +237,7 @@ def cmd_verify(args):
         entries = None
         header = f"verifying {args.path}"
 
-    per_algebra = run_catalog_suites(algebras, names, jobs=args.jobs)
+    per_algebra = run_catalog_suites(algebras, names, jobs=jobs)
 
     cross = None
     if CROSS_SUITE in names:
@@ -355,7 +364,7 @@ def build_parser():
     p.add_argument("--enumerate", type=int, metavar="N")
     p.add_argument("--suite", action="append", metavar="NAME",
                    help=f"all or one of: {', '.join(suite_names())}")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, help="worker processes (default: HILBERTALG_JOBS, else 1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -377,10 +386,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CommandError as e:
         print(e, file=sys.stderr)
         return e.code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); keep the final flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return SEMANTIC_FAIL
 
 
 if __name__ == "__main__":

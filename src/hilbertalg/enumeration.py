@@ -23,7 +23,7 @@ from .core import (
     axiom_violations,
     validate_hilbert,
 )
-from .lattice import _rank
+from .lattice import isomorphism, refine
 from .multipliers import compose, identity_map
 from .report import ReportBuilder, fmt
 from .structures import Structures
@@ -174,23 +174,7 @@ def canonical_form(alg):
 
 def are_isomorphic(a, b):
     """A permutation carrying one algebra onto the other, or None."""
-    if a.n != b.n:
-        return None
-    n = a.n
-    rest_a = [i for i in range(n) if i != a.one]
-    rest_b = [i for i in range(n) if i != b.one]
-    for perm in permutations(rest_b):
-        mapping = [None] * n
-        mapping[a.one] = b.one
-        for src, dst in zip(rest_a, perm):
-            mapping[src] = dst
-        if all(
-            b.imp[mapping[x]][mapping[y]] == mapping[a.imp[x][y]]
-            for x in range(n)
-            for y in range(n)
-        ):
-            return mapping
-    return None
+    return isomorphism(a.imp, refine(a.imp, (a.one,)), b.imp, refine(b.imp, (b.one,)))
 
 
 @dataclass(frozen=True)
@@ -287,95 +271,15 @@ def endomorphism_monoid(alg):
 
 
 def _monoid_colors(m):
-    k = len(m.table)
-    t = m.table
-    colors = []
-    for i in range(k):
-        seen = {}
-        cur, step = i, 0
-        while cur not in seen:
-            seen[cur] = step
-            cur = t[cur][i]
-            step += 1
-        colors.append(
-            (
-                t[i][i] == i,
-                i == m.identity,
-                len(set(t[i])),
-                len({t[j][i] for j in range(k)}),
-                len({t[x][t[i][y]] for x in range(k) for y in range(k)}),
-                step - seen[cur],
-                seen[cur],
-            )
-        )
-    colors = _rank(colors)
-    while True:
-        profile = [
-            (
-                colors[i],
-                tuple(sorted((colors[j], colors[t[i][j]]) for j in range(k))),
-                tuple(sorted((colors[j], colors[t[j][i]]) for j in range(k))),
-            )
-            for i in range(k)
-        ]
-        refined = _rank(profile)
-        if refined == colors:
-            return colors
-        colors = refined
+    return refine(m.table, (m.identity,))
 
 
 def monoid_isomorphism(m1, m2):
     """A composition-preserving bijection of monoids, or None."""
-    k = len(m1.table)
-    if len(m2.table) != k:
+    if len(m1) != len(m2):
         return None
-    c1, c2 = _monoid_colors(m1), _monoid_colors(m2)
-    if sorted(c1) != sorted(c2):
-        return None
-    t1, t2 = m1.table, m2.table
-    candidates = [[j for j in range(k) if c2[j] == c1[i]] for i in range(k)]
-    order = sorted(range(k), key=lambda i: (len(candidates[i]), i))
-    mapping = [None] * k
-    used = [False] * k
-    assigned = []
-
-    def consistent(i, j):
-        for i2 in assigned:
-            j2 = mapping[i2]
-            p = mapping[t1[i][i2]]
-            if p is not None and p != t2[j][j2]:
-                return False
-            p = mapping[t1[i2][i]]
-            if p is not None and p != t2[j2][j]:
-                return False
-        p = mapping[t1[i][i]]
-        if p is not None and p != t2[j][j]:
-            return False
-        return True
-
-    def place(d):
-        if d == k:
-            return all(
-                mapping[t1[i][j]] == t2[mapping[i]][mapping[j]]
-                for i in range(k)
-                for j in range(k)
-            )
-        i = order[d]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            mapping[i] = j
-            used[j] = True
-            if consistent(i, j):
-                assigned.append(i)
-                if place(d + 1):
-                    return True
-                assigned.pop()
-            mapping[i] = None
-            used[j] = False
-        return False
-
-    return mapping if place(0) else None
+    c1 = _monoid_colors(m1)
+    return isomorphism(m1.table, c1, m2.table, c1 if m2 is m1 else _monoid_colors(m2))
 
 
 # ---------------------------------------------------------------------------

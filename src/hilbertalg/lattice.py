@@ -1,9 +1,14 @@
-"""Finite lattices given by an order matrix, with isomorphism testing.
+"""Finite lattices given by an order matrix, and isomorphism of finite operation tables.
 
 Used as the uniform container for filter lattices, closure-endomorphism
-lattices and ideal lattices.  Isomorphism works by iterated colour
-refinement on the order relation followed by class-respecting backtracking;
-anti-isomorphism is isomorphism with the dual.
+lattices and ideal lattices.  ``refine`` and ``isomorphism`` serve every
+isomorphism test of the package: lattices compare their join tables (a
+bijection preserves joins exactly when it preserves the order), an
+anti-isomorphism carries one join table onto the other lattice's meet
+table, and endomorphism monoids and algebras compare their composition and
+implication tables with the identity or the unit marked.  Colour refinement
+splits the elements into classes no isomorphism can mix; an iterative
+backtracking search then maps class onto class.
 """
 
 from __future__ import annotations
@@ -46,6 +51,81 @@ def cover_pairs(leq):
 def _rank(keys):
     order = {k: r for r, k in enumerate(sorted(set(keys)))}
     return tuple(order[k] for k in keys)
+
+
+def refine(table, marked=()):
+    """Stable colouring of the elements of a binary operation table.
+
+    Starts from (marked, idempotent) and splits classes by the multiset of
+    products with every other element, both ways round, until nothing
+    splits.  Isomorphic tables with corresponding marks get equal colours.
+    """
+    n = len(table)
+    columns = list(zip(*table))
+    colors = _rank([(i in marked, table[i][i] == i) for i in range(n)])
+
+    def products(i, line):
+        # each product p of i with j as (colour of j, colour of p, p == i, p == j), packed in an int
+        keys = ((colors[j] * n + colors[p]) * 4 + 2 * (p == i) + (p == j) for j, p in enumerate(line))
+        return tuple(sorted(keys))
+
+    while True:
+        refined = _rank(
+            [(colors[i], products(i, table[i]), products(i, columns[i])) for i in range(n)]
+        )
+        if refined == colors:
+            return colors
+        colors = refined
+
+
+def isomorphism(t1, c1, t2, c2):
+    """A bijection f with f[t1[x][y]] == t2[f[x]][f[y]] for all x, y, or None.
+
+    c1 and c2 are the tables' colourings from ``refine``; f maps each element
+    to one of the same colour.  The depth-first search keeps its own stack
+    of candidate iterators, so the table size is not bounded by the
+    recursion limit, and a bijection is returned only once the whole table
+    has been checked.
+    """
+    n = len(t1)
+    if len(t2) != n or sorted(c1) != sorted(c2):
+        return None
+    candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
+    order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
+    fwd, back = [None] * n, [None] * n
+
+    def consistent(placed):
+        # products already fixed on either side must correspond
+        i = placed[-1]
+        j = fwd[i]
+        for i2 in placed:
+            j2 = fwd[i2]
+            for a, b in ((t1[i][i2], t2[j][j2]), (t1[i2][i], t2[j2][j])):
+                if c1[a] != c2[b] or fwd[a] not in (None, b) or back[b] not in (None, a):
+                    return False
+        return True
+
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        depth = len(stack)
+        i = order[depth - 1]
+        if fwd[i] is not None:
+            back[fwd[i]] = None
+            fwd[i] = None
+        for j in stack[-1]:
+            if back[j] is None:
+                fwd[i], back[j] = j, i
+                if consistent(order[:depth]):
+                    break
+                fwd[i], back[j] = None, None
+        else:
+            stack.pop()
+            continue
+        if depth < n:
+            stack.append(iter(candidates[order[depth]]))
+        elif all(fwd[t1[x][y]] == t2[fwd[x]][fwd[y]] for x in range(n) for y in range(n)):
+            return fwd
+    return None
 
 
 class FiniteLattice:
@@ -135,74 +215,13 @@ class FiniteLattice:
 
     @cached_property
     def _colors(self):
-        n, leq = self.size, self.leq
-        cov = self.covers
-        colors = _rank(
-            [
-                (
-                    sum(leq[j][i] for j in range(n)),
-                    sum(leq[i][j] for j in range(n)),
-                    len(cov[i]),
-                )
-                for i in range(n)
-            ]
-        )
-        while True:
-            profile = [
-                (
-                    colors[i],
-                    tuple(sorted(colors[j] for j in range(n) if leq[i][j])),
-                    tuple(sorted(colors[j] for j in range(n) if leq[j][i])),
-                )
-                for i in range(n)
-            ]
-            refined = _rank(profile)
-            if refined == colors:
-                return colors
-            colors = refined
+        return refine(self.join_table)
 
     def isomorphism(self, other):
         """A bijection preserving the order both ways, or None."""
-        if self.size != other.size:
-            return None
-        ca, cb = self._colors, other._colors
-        if sorted(ca) != sorted(cb):
-            return None
-        n = self.size
-        candidates = [[j for j in range(n) if cb[j] == ca[i]] for i in range(n)]
-        order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
-        la, lb = self.leq, other.leq
-        mapping = [None] * n
-        used = [False] * n
-
-        def place(k):
-            if k == n:
-                return True
-            i = order[k]
-            for j in candidates[i]:
-                if used[j]:
-                    continue
-                ok = True
-                for k2 in range(k):
-                    i2 = order[k2]
-                    j2 = mapping[i2]
-                    if la[i][i2] != lb[j][j2] or la[i2][i] != lb[j2][j]:
-                        ok = False
-                        break
-                if ok:
-                    mapping[i] = j
-                    used[j] = True
-                    if place(k + 1):
-                        return True
-                    mapping[i] = None
-                    used[j] = False
-            return False
-
-        return mapping if place(0) else None
-
-    def is_isomorphic(self, other):
-        return self.isomorphism(other) is not None
+        return isomorphism(self.join_table, self._colors, other.join_table, other._colors)
 
     def anti_isomorphism(self, other):
         """A bijection reversing the order, or None."""
-        return self.isomorphism(other.dual())
+        meet = other.meet_table
+        return isomorphism(self.join_table, self._colors, meet, refine(meet))

@@ -4,7 +4,7 @@ Everything here quantifies over raw product spaces and uses only the
 defining conditions, never the library's search or propagation routines.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from hilbertalg import axiom_violations
 
@@ -73,6 +73,27 @@ def meet_brute(alg, x, y):
             if all(leq[d][c] for d in alg.elements if leq[d][x] and leq[d][y]):
                 best = c
     return best
+
+
+def algebra_isomorphism_brute(a, b):
+    """A unit-fixing permutation carrying a.imp onto b.imp, by scanning all of them."""
+    if a.n != b.n:
+        return None
+    n = a.n
+    rest_a = [i for i in range(n) if i != a.one]
+    rest_b = [i for i in range(n) if i != b.one]
+    for perm in permutations(rest_b):
+        mapping = [None] * n
+        mapping[a.one] = b.one
+        for src, dst in zip(rest_a, perm):
+            mapping[src] = dst
+        if all(
+            b.imp[mapping[x]][mapping[y]] == mapping[a.imp[x][y]]
+            for x in range(n)
+            for y in range(n)
+        ):
+            return mapping
+    return None
 
 
 def valid_tables_brute(n, pin_axiom_cells=True):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hilbertalg
 from hilbertalg import canonical_form, validate_hilbert
 from hilbertalg.cli import main
 from hilbertalg.files import dump_algebra, load_algebra_file
@@ -205,3 +209,34 @@ def test_input_and_axiom_errors_share_one_exit_path(tmp_path, capsys):
         assert "not a Hilbert algebra" in capsys.readouterr().err
         assert main(argv[:1] + [str(malformed)] + argv[1:]) == 2
         assert "input error" in capsys.readouterr().err
+
+
+def test_verify_refuses_bad_jobs_variable(godel3_file, monkeypatch, capsys):
+    for value in ("0", "abc", "-3"):
+        monkeypatch.setenv("HILBERTALG_JOBS", value)
+        assert main(["verify", godel3_file]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: HILBERTALG_JOBS must be at least 1, got '{value}'" in err
+        assert main(["validate", godel3_file]) == 0  # other commands ignore it
+        capsys.readouterr()
+    monkeypatch.setenv("HILBERTALG_JOBS", "2")
+    assert main(["verify", godel3_file, "--suite", "ce-structure"]) == 0
+
+
+def test_closed_stdout_exits_without_traceback():
+    src = os.path.dirname(os.path.dirname(hilbertalg.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilbertalg", "verify", "--enumerate", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import pytest
@@ -18,7 +19,7 @@ from hilbertalg import (
     validate_hilbert,
 )
 
-from _oracles import endomorphisms_brute, valid_tables_brute
+from _oracles import algebra_isomorphism_brute, endomorphisms_brute, valid_tables_brute
 from conftest import GODEL3_TABLE, TARSKI3_TABLE
 
 
@@ -94,6 +95,26 @@ def test_isomorphism_witnesses(godel3, tarski3):
     assert are_isomorphic(godel3, tarski3) is None
 
 
+def test_isomorphism_matches_bruteforce(algebras4):
+    # every catalog algebra up to size 4, and two relabellings of each that move the unit
+    pool = list(algebras4)
+    for alg in algebras4:
+        n = alg.n
+        for mapping in (list(range(n))[::-1], list(range(1, n)) + [0]):
+            pool.append(validate_hilbert(relabel(alg.imp, mapping), mapping[alg.one]))
+    for a in pool:
+        for b in pool:
+            got = are_isomorphic(a, b)
+            assert (got is None) == (algebra_isomorphism_brute(a, b) is None)
+            if got is not None:
+                assert got[a.one] == b.one
+                assert all(
+                    b.imp[got[x]][got[y]] == got[a.imp[x][y]]
+                    for x in a.elements
+                    for y in a.elements
+                )
+
+
 def test_canonical_form_idempotent_and_invariant(catalog4):
     for e in catalog4:
         table = e.algebra.imp
@@ -154,6 +175,32 @@ def test_monoid_isomorphism_between_relabelings(godel3):
     assert monoid_isomorphism(m1, m2) is not None
 
 
+def flat_algebra(n):
+    """The flat algebra: x -> y = y whenever x != y and y != 1."""
+    one = n - 1
+    return validate_hilbert(
+        [[one if x == y or y == one else y for y in range(n)] for x in range(n)], one
+    )
+
+
+def test_monoid_isomorphism_is_not_bounded_by_the_recursion_limit():
+    m = endomorphism_monoid(flat_algebra(5))
+    assert len(m) == 209
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        iso = monoid_isomorphism(m, m)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert iso is not None
+    k = len(m)
+    assert all(
+        iso[m.table[i][j]] == m.table[iso[i]][iso[j]]
+        for i in range(k)
+        for j in range(k)
+    )
+
+
 def test_cross_survey_small(catalog3_sizes):
     entries = [
         e
@@ -162,3 +209,14 @@ def test_cross_survey_small(catalog3_sizes):
     ]
     report = cross_survey_report(entries)
     assert report.ok, report.as_dict()
+
+
+def test_cross_survey_size5(catalog5):
+    report = cross_survey_report([e for e in catalog5 if e.algebra.n == 5])
+    assert report.lines() == [
+        "[PASS] filter-lattice-iff-adjoint (21 algebras, 231 pairs)",
+        "[PASS] monoid-iso-implies-adjoint-iso",
+        "[PASS] monoid-iso-carries-closure-endos",
+        "[PASS] implicative-semilattice-rigidity",
+        "[PASS] isomorphic-algebras-sanity",
+    ]

@@ -1,8 +1,10 @@
+import random
 from itertools import permutations
 
 import pytest
 
 from hilbertalg import FiniteLattice, LatticeError
+from hilbertalg.lattice import isomorphism, refine
 
 
 def from_covers(cover_lists):
@@ -27,17 +29,26 @@ M3 = from_covers([[1, 2, 3], [4], [4], [4], []])
 N5 = from_covers([[1, 3], [2], [4], [4], []])
 
 
-def brute_isomorphism(a, b):
+def brute_isomorphism(a, b, reverse=False):
+    """A bijection preserving (or, with reverse, reversing) the order, by scanning all of them."""
     if a.size != b.size:
         return None
     for perm in permutations(range(a.size)):
         if all(
-            a.leq[i][j] == b.leq[perm[i]][perm[j]]
+            a.leq[i][j] == (b.leq[perm[j]][perm[i]] if reverse else b.leq[perm[i]][perm[j]])
             for i in range(a.size)
             for j in range(a.size)
         ):
             return list(perm)
     return None
+
+
+def pool():
+    lats = [FiniteLattice(m) for m in (CHAIN3, DIAMOND4, M3, N5)]
+    relabeled = FiniteLattice(
+        [[DIAMOND4[[3, 1, 2, 0][i]][[3, 1, 2, 0][j]] for j in range(4)] for i in range(4)]
+    )
+    return lats + [relabeled]
 
 
 def test_chain():
@@ -82,13 +93,9 @@ def test_dual():
 
 
 def test_isomorphism_matches_bruteforce():
-    lats = [FiniteLattice(m) for m in (CHAIN3, DIAMOND4, M3, N5)]
-    relabeled = FiniteLattice(
-        [[DIAMOND4[[3, 1, 2, 0][i]][[3, 1, 2, 0][j]] for j in range(4)] for i in range(4)]
-    )
-    pool = lats + [relabeled]
-    for a in pool:
-        for b in pool:
+    lats = pool()
+    for a in lats:
+        for b in lats:
             got = a.isomorphism(b)
             want = brute_isomorphism(a, b)
             assert (got is None) == (want is None)
@@ -107,6 +114,53 @@ def test_anti_isomorphism():
     n5 = FiniteLattice(N5)
     assert m3.anti_isomorphism(n5) is None
     assert n5.anti_isomorphism(n5) is not None  # pentagon is self-dual
+    lats = pool()
+    for a in lats:
+        for b in lats:
+            got = a.anti_isomorphism(b)
+            assert (got is None) == (brute_isomorphism(a, b, reverse=True) is None)
+            if got is not None:
+                assert all(
+                    a.leq[i][j] == b.leq[got[j]][got[i]]
+                    for i in range(a.size)
+                    for j in range(a.size)
+                )
+
+
+def brute_table_isomorphism(t1, t2):
+    n = len(t1)
+    for perm in permutations(range(n)):
+        if all(perm[t1[x][y]] == t2[perm[x]][perm[y]] for x in range(n) for y in range(n)):
+            return list(perm)
+    return None
+
+
+def test_table_isomorphism_matches_bruteforce():
+    # pairs on which every pairwise check passes for a bijection that is not an isomorphism
+    cases = [
+        (((2, 0, 1), (0, 2, 2), (1, 2, 0)), ((1, 1, 2), (1, 2, 0), (2, 0, 1))),
+        (((2, 2, 1), (0, 2, 2), (1, 0, 0)), ((1, 1, 2), (2, 2, 0), (1, 0, 1))),
+        (((1, 2, 1), (1, 1, 1), (2, 2, 2)), ((2, 2, 1), (1, 1, 1), (2, 2, 2))),
+    ]
+    rng = random.Random(0)
+    for _ in range(2000):
+        # a random table and a relabelling of it, with one cell changed half the time
+        n = rng.randint(1, 4)
+        t1 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        perm = rng.sample(range(n), n)
+        t2 = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                t2[perm[x]][perm[y]] = perm[t1[x][y]]
+        if rng.random() < 0.5:
+            t2[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        cases.append((t1, t2))
+    for t1, t2 in cases:
+        got = isomorphism(t1, refine(t1), t2, refine(t2))
+        assert (got is None) == (brute_table_isomorphism(t1, t2) is None)
+        if got is not None:
+            n = len(t1)
+            assert all(got[t1[x][y]] == t2[got[x]][got[y]] for x in range(n) for y in range(n))
 
 
 def test_singleton_lattice():
