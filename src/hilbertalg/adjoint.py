@@ -16,6 +16,7 @@ from .core import InvariantViolation, partial_meet, subset_key, subsets
 from .filters import filter_generated, filter_join
 from .lattice import FiniteLattice
 from .multipliers import (
+    closed_table,
     compose,
     fixpoints,
     identity_map,
@@ -79,13 +80,11 @@ def adjoint_semilattice(ce, fg):
     if list(ce.carrier) != fg:
         raise InvariantViolation("finitely generated closure endomorphisms miss some")
     carrier = ce.carrier
-    k = len(carrier)
     index = {f: i for i, f in enumerate(carrier)}
     join_table = ce.comp_table
-    sub = [
-        [index[subtraction(alg, carrier[j], carrier[i], carrier)] for j in range(k)]
-        for i in range(k)
-    ]
+    # sub[i][j] = carrier[i] - carrier[j], the least h with carrier[i] <= carrier[j] o h
+    minus = lambda f, g: subtraction(alg, g, f, carrier)
+    sub = closed_table(carrier, index, minus, ce.what, "subtraction")
     imp = alg.imp
     translations = {translation(alg, p) for p in alg.elements}
     for p in alg.elements:
@@ -100,7 +99,7 @@ def adjoint_semilattice(ce, fg):
     return AdjointSemilattice(
         carrier=carrier,
         join_table=join_table,
-        subtraction_table=tuple(tuple(row) for row in sub),
+        subtraction_table=sub,
         lattice=ce.lattice,
     )
 
@@ -274,28 +273,24 @@ def minimal_brouwerian_extension(fl):
     """
     alg, filters = fl.alg, fl.filters
     k = len(filters)
-    index = {f: i for i, f in enumerate(filters)}
-    meet_table = [[index[filter_join(alg, filters[i], filters[j])] for j in range(k)] for i in range(k)]
+    leq, join = fl.lattice.leq, fl.lattice.join_table  # inclusion; filter join
     imp_table = []
     for i in range(k):
         row = []
         for j in range(k):
             # least filter h (by inclusion) with filters[j] within filters[i] join h
-            cands = [
-                h for h in range(k)
-                if filters[j] <= filter_join(alg, filters[i], filters[h])
-            ]
-            least = [h for h in cands if all(filters[h] <= filters[c] for c in cands)]
+            cands = [h for h in range(k) if leq[j][join[i][h]]]
+            least = [h for h in cands if all(leq[h][c] for c in cands)]
             if len(least) != 1:
                 raise InvariantViolation(f"no relative pseudocomplement for ({i}, {j})")
             row.append(least[0])
         imp_table.append(row)
     ext = BrouwerianExtension(
         filters=filters,
-        unit=index[frozenset([alg.one])],
-        meet_table=tuple(tuple(r) for r in meet_table),
+        unit=fl.index([alg.one]),
+        meet_table=join,
         imp_table=tuple(tuple(r) for r in imp_table),
-        embedding=tuple(index[filter_generated(alg, [p])] for p in alg.elements),
+        embedding=tuple(fl.index(filter_generated(alg, [p])) for p in alg.elements),
     )
     bad = _extension_checks(alg, ext)
     if bad:

@@ -12,12 +12,18 @@ The order-defining law is deliberately taken in the form
 ``x -> y = 1 iff x <= y``; the variant with ``x <= 1`` on the right side is
 vacuous and is not used.  Antisymmetry is checked explicitly because a raw
 table may satisfy both inequality laws while inducing only a preorder.
+
+Meets, joins and compatible meets are tables of the algebra, each built
+once, on first use, by one scan of the order; ``partial_meet``,
+``partial_join`` and ``compatible_meet`` look them up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+from .lattice import bound_table
 
 
 class MalformedTableError(ValueError):
@@ -78,6 +84,7 @@ class FiniteHilbertAlgebra:
     def __init__(self, table, one):
         self.imp = _checked_table(table, one)
         self.n = len(self.imp)
+        self.elements = range(self.n)
         self.one = one
 
     @cached_property
@@ -85,12 +92,37 @@ class FiniteHilbertAlgebra:
         one = self.one
         return tuple(tuple(v == one for v in row) for row in self.imp)
 
+    @cached_property
+    def meet_table(self):
+        """meet_table[x][y]: the greatest lower bound of x and y, or None."""
+        return bound_table(self.leq, upper=False)
+
+    @cached_property
+    def join_table(self):
+        """join_table[x][y]: the least upper bound of x and y, or None."""
+        return bound_table(self.leq, upper=True)
+
+    @cached_property
+    def compatible_meet_table(self):
+        """compatible_meet_table[x][y]: the compatible meet of x and y, or None."""
+        leq, imp, meet, rng = self.leq, self.imp, self.meet_table, self.elements
+
+        def compatible(x, y):
+            found = [c for c in rng if leq[c][x] and leq[c][y] and leq[x][imp[y][c]]]
+            if len(found) > 1:
+                raise InvariantViolation(
+                    f"two compatible meets for ({x}, {y}): {found[0]} and {found[1]}"
+                )
+            if found and found[0] != meet[x][y]:
+                raise InvariantViolation(
+                    f"compatible meet {found[0]} of ({x}, {y}) differs from the meet"
+                )
+            return found[0] if found else None
+
+        return tuple(tuple(compatible(x, y) for y in rng) for x in rng)
+
     def le(self, x, y):
         return self.imp[x][y] == self.one
-
-    @property
-    def elements(self):
-        return range(self.n)
 
     def __eq__(self, other):
         return (
@@ -161,22 +193,12 @@ def natural_order(alg):
 
 def partial_meet(alg, x, y):
     """Greatest lower bound of x and y, or None if the pair has no meet."""
-    leq = alg.leq
-    lower = [c for c in alg.elements if leq[c][x] and leq[c][y]]
-    for m in lower:
-        if all(leq[c][m] for c in lower):
-            return m
-    return None
+    return alg.meet_table[x][y]
 
 
 def partial_join(alg, x, y):
     """Least upper bound of x and y, or None if the pair has no join."""
-    leq = alg.leq
-    upper = [c for c in alg.elements if leq[x][c] and leq[y][c]]
-    for j in upper:
-        if all(leq[j][c] for c in upper):
-            return j
-    return None
+    return alg.join_table[x][y]
 
 
 def compatible_meet(alg, x, y):
@@ -184,22 +206,10 @@ def compatible_meet(alg, x, y):
 
     x and y are compatible when some common lower bound c satisfies
     x <= y -> c.  Such a c is automatically the meet of the pair, so there
-    is at most one; both facts are asserted rather than assumed.
+    is at most one; both facts are asserted rather than assumed, for every
+    pair at once, when the algebra's ``compatible_meet_table`` is built.
     """
-    leq, imp = alg.leq, alg.imp
-    found = None
-    for c in alg.elements:
-        if leq[c][x] and leq[c][y] and leq[x][imp[y][c]]:
-            if found is not None and found != c:
-                raise InvariantViolation(
-                    f"two compatible meets for ({x}, {y}): {found} and {c}"
-                )
-            found = c
-    if found is not None and found != partial_meet(alg, x, y):
-        raise InvariantViolation(
-            f"compatible meet {found} of ({x}, {y}) differs from the meet"
-        )
-    return found
+    return alg.compatible_meet_table[x][y]
 
 
 def is_compatible(alg, x, y):
@@ -271,7 +281,5 @@ def classify(alg):
     commutative = all(
         imp[imp[x][y]][x] == x for x in alg.elements for y in alg.elements
     )
-    semilattice = all(
-        is_compatible(alg, x, y) for x in alg.elements for y in alg.elements
-    )
+    semilattice = all(None not in row for row in alg.compatible_meet_table)
     return AlgebraClass(commutative, semilattice)

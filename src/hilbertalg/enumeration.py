@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .closure import search_endomorphisms
@@ -24,7 +25,7 @@ from .core import (
     validate_hilbert,
 )
 from .lattice import isomorphism, refine
-from .multipliers import compose, identity_map
+from .multipliers import closed_table, compose, identity_map
 from .report import ReportBuilder, fmt
 from .structures import Structures
 
@@ -254,20 +255,17 @@ class EndoMonoid:
     def __len__(self):
         return len(self.maps)
 
+    @cached_property
+    def colors(self):
+        """The colouring of ``table`` with the identity marked, computed once."""
+        return _monoid_colors(self)
+
 
 def endomorphism_monoid(alg):
     maps = tuple(search_endomorphisms(alg))
     index = {f: i for i, f in enumerate(maps)}
-    table = []
-    for f in maps:
-        row = []
-        for g in maps:
-            h = compose(f, g)
-            if h not in index:
-                raise InvariantViolation("endomorphisms not closed under composition")
-            row.append(index[h])
-        table.append(tuple(row))
-    return EndoMonoid(maps=maps, table=tuple(table), identity=index[identity_map(alg)])
+    table = closed_table(maps, index, compose, "endomorphisms", "composition")
+    return EndoMonoid(maps=maps, table=table, identity=index[identity_map(alg)])
 
 
 def _monoid_colors(m):
@@ -278,8 +276,7 @@ def monoid_isomorphism(m1, m2):
     """A composition-preserving bijection of monoids, or None."""
     if len(m1) != len(m2):
         return None
-    c1 = _monoid_colors(m1)
-    return isomorphism(m1.table, c1, m2.table, c1 if m2 is m1 else _monoid_colors(m2))
+    return isomorphism(m1.table, m1.colors, m2.table, m2.colors)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import and_
 
 from .core import InvariantViolation, subset_key
 from .lattice import FiniteLattice
+from .multipliers import closed_table
 
 
 def is_filter(alg, members):
@@ -91,17 +94,12 @@ class FilterLattice:
             raise InvariantViolation("least filter is not {1}")
         if self.filters[self.lattice.top] != frozenset(alg.elements):
             raise InvariantViolation("greatest filter is not the universe")
-        k = len(self.filters)
-        for i in range(k):
-            for j in range(k):
-                meet = self.filters[i] & self.filters[j]
-                if meet not in self._index:
-                    raise InvariantViolation("filters are not closed under intersection")
-                if self.lattice.meet_table[i][j] != self._index[meet]:
-                    raise InvariantViolation("filter meet is not intersection")
-                join = filter_join(alg, self.filters[i], self.filters[j])
-                if self.lattice.join_table[i][j] != self._index[join]:
-                    raise InvariantViolation("filter join is not the generated union")
+        filters, index = self.filters, self._index
+        if self.lattice.meet_table != closed_table(filters, index, and_, "filters", "intersection"):
+            raise InvariantViolation("filter meet is not intersection")
+        join = partial(filter_join, alg)
+        if self.lattice.join_table != closed_table(filters, index, join, "filters", "join"):
+            raise InvariantViolation("filter join is not the generated union")
         if not self.lattice.is_distributive:
             raise InvariantViolation("filter lattice is not distributive")
 

@@ -48,6 +48,20 @@ def cover_pairs(leq):
     ]
 
 
+def bound_table(leq, upper):
+    """For every pair (i, j) of the order matrix, the least upper bound or,
+    with ``upper=False``, the greatest lower bound; None where there is none."""
+    n = len(leq)
+    rel = leq if upper else tuple(zip(*leq))
+    # beyond[i]: bitmask of the elements above i (below i when not upper)
+    beyond = [sum(1 << k for k in range(n) if rel[i][k]) for i in range(n)]
+
+    def best(common):
+        return next((k for k in range(n) if common >> k & 1 and not common & ~beyond[k]), None)
+
+    return tuple(tuple(best(beyond[i] & beyond[j]) for j in range(n)) for i in range(n))
+
+
 def _rank(keys):
     order = {k: r for r, k in enumerate(sorted(set(keys)))}
     return tuple(order[k] for k in keys)
@@ -144,32 +158,17 @@ class FiniteLattice:
             raise LatticeError("order matrix is not square")
         if not is_partial_order(self.leq):
             raise LatticeError("not a partial order")
-        self.join_table = self._bound_table(upper=True)
-        self.meet_table = self._bound_table(upper=False)
+        self.join_table = bound_table(self.leq, upper=True)
+        self.meet_table = bound_table(self.leq, upper=False)
+        for kind, table in (("join", self.join_table), ("meet", self.meet_table)):
+            for i, row in enumerate(table):
+                if None in row:
+                    raise LatticeError(f"no unique {kind} for ({i}, {row.index(None)})")
 
     @classmethod
     def from_subsets(cls, sets):
         """Lattice of the given family ordered by inclusion."""
         return cls([[a <= b for b in sets] for a in sets])
-
-    def _bound_table(self, upper):
-        n, leq = self.size, self.leq
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if upper:
-                    cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                    best = [k for k in cands if all(leq[k][c] for c in cands)]
-                else:
-                    cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                    best = [k for k in cands if all(leq[c][k] for c in cands)]
-                if len(best) != 1:
-                    kind = "join" if upper else "meet"
-                    raise LatticeError(f"no unique {kind} for ({i}, {j})")
-                row.append(best[0])
-            table.append(tuple(row))
-        return tuple(table)
 
     def join(self, i, j):
         return self.join_table[i][j]

@@ -11,9 +11,10 @@ composition as join and pointwise meet as meet).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
-from .core import InvariantViolation, classify, partial_meet, validate_hilbert
+from .core import InvariantViolation, classify, validate_hilbert
 from .lattice import FiniteLattice
 from .report import ReportBuilder, fmt
 
@@ -65,15 +66,14 @@ def pointwise_imp(alg, f, g):
 
 def pointwise_meet(alg, f, g):
     """Pointwise meet; total on multipliers, whose images are always compatible."""
-    out = []
-    for x in alg.elements:
-        m = partial_meet(alg, f[x], g[x])
-        if m is None:
-            raise InvariantViolation(
-                f"images {f[x]}, {g[x]} at {x} have no meet; not multiplier images"
-            )
-        out.append(m)
-    return tuple(out)
+    meet = alg.meet_table
+    out = tuple(meet[a][b] for a, b in zip(f, g))
+    if None in out:
+        x = out.index(None)
+        raise InvariantViolation(
+            f"images {f[x]}, {g[x]} at {x} have no meet; not multiplier images"
+        )
+    return out
 
 
 def kernel(alg, f):
@@ -144,6 +144,17 @@ def multipliers_bruteforce(alg):
     )
 
 
+def closed_table(carrier, index, op, what, name):
+    """``index`` of op(f, g) for every pair of the carrier, which must be closed under op;
+    ``what`` and ``name`` name the carrier and op in the ``InvariantViolation``."""
+    table = tuple(tuple(index.get(op(f, g)) for g in carrier) for f in carrier)
+    for f, row in zip(carrier, table):
+        if None in row:
+            h = op(f, carrier[row.index(None)])
+            raise InvariantViolation(f"{what} not closed under {name}: {h}")
+    return table
+
+
 class MapLattice:
     """A sorted carrier of self-maps, closed under composition and pointwise meet.
 
@@ -156,12 +167,13 @@ class MapLattice:
     def __init__(self, alg, carrier, what):
         self.alg = alg
         self.what = what
-        self.carrier = tuple(carrier)
-        self._index = {f: i for i, f in enumerate(self.carrier)}
-        self.identity_index = self._index[identity_map(alg)]
-        self.top_index = self._index[constant_one(alg)]
-        self.comp_table = self.op_table(compose, "composition")
-        self.meet_table = self.op_table(lambda f, g: pointwise_meet(alg, f, g), "pointwise meet")
+        self.carrier = carrier = tuple(carrier)
+        self._index = index = {f: i for i, f in enumerate(carrier)}
+        self.identity_index = index[identity_map(alg)]
+        self.top_index = index[constant_one(alg)]
+        self.comp_table = closed_table(carrier, index, compose, what, "composition")
+        meet = partial(pointwise_meet, alg)
+        self.meet_table = closed_table(carrier, index, meet, what, "pointwise meet")
         self.lattice = lat = FiniteLattice(
             [[pointwise_leq(alg, f, g) for g in self.carrier] for f in self.carrier]
         )
@@ -173,19 +185,6 @@ class MapLattice:
             raise InvariantViolation(f"{what}: pointwise meet is not the meet")
         if not lat.is_distributive:
             raise InvariantViolation(f"{what}: lattice is not distributive")
-
-    def op_table(self, op, name):
-        """Carrier indices of op(f, g) for every pair; the carrier must be closed."""
-        table = []
-        for f in self.carrier:
-            row = []
-            for g in self.carrier:
-                h = op(f, g)
-                if h not in self._index:
-                    raise InvariantViolation(f"{self.what} not closed under {name}: {h}")
-                row.append(self._index[h])
-            table.append(tuple(row))
-        return tuple(table)
 
     def __len__(self):
         return len(self.carrier)
@@ -208,7 +207,8 @@ class MultiplierAlgebra(MapLattice):
 
     def __init__(self, alg):
         super().__init__(alg, search_multipliers(alg), "multipliers")
-        self.imp_table = self.op_table(lambda f, g: pointwise_imp(alg, f, g), "pointwise implication")
+        imp = partial(pointwise_imp, alg)
+        self.imp_table = closed_table(self.carrier, self._index, imp, self.what, "pointwise implication")
         # complement of f is f -> identity
         for i in range(len(self.carrier)):
             c = self.imp_table[i][self.identity_index]

@@ -3,7 +3,9 @@
 Every suite relates the same few structures of an algebra, so the suites run
 on one algebra share one ``Structures`` context.  The cache is not kept on
 ``FiniteHilbertAlgebra``: catalog entries keep their algebras, and would then
-keep every structure of a whole catalog alive.
+keep every structure of a whole catalog alive.  Only tables of n x n entries,
+the size of the implication table itself (the order and the meet, join and
+compatible meet tables), are cached on the algebra.
 """
 
 from __future__ import annotations

@@ -75,6 +75,25 @@ def meet_brute(alg, x, y):
     return best
 
 
+def join_brute(alg, x, y):
+    """Least upper bound by scanning every candidate."""
+    leq = alg.leq
+    best = None
+    for c in alg.elements:
+        if leq[x][c] and leq[y][c]:
+            if all(leq[c][d] for d in alg.elements if leq[x][d] and leq[y][d]):
+                best = c
+    return best
+
+
+def compatible_meet_brute(alg, x, y):
+    """By definition: the common lower bound c of x and y with x <= y -> c, or None."""
+    leq, imp = alg.leq, alg.imp
+    found = [c for c in alg.elements if leq[c][x] and leq[c][y] and leq[x][imp[y][c]]]
+    assert len(found) <= 1, f"two compatible meets for ({x}, {y})"
+    return found[0] if found else None
+
+
 def algebra_isomorphism_brute(a, b):
     """A unit-fixing permutation carrying a.imp onto b.imp, by scanning all of them."""
     if a.n != b.n:

@@ -5,9 +5,11 @@ comparisons are exact discrete equalities; there are no numeric tolerances
 anywhere.
 """
 
+import os
 import subprocess
 import sys
 
+import hilbertalg
 from hilbertalg import (
     Structures,
     all_closure_endos,
@@ -138,6 +140,9 @@ def test_acceptance_9_cross_survey(catalog4):
 
 
 def test_acceptance_10_deterministic_reports():
+    # the child imports the package the tests import, installed or not
+    src = os.path.dirname(os.path.dirname(hilbertalg.__file__))
+
     def run(jobs):
         return subprocess.run(
             [sys.executable, "-m", "hilbertalg", "verify", "--enumerate", "4",
@@ -145,6 +150,7 @@ def test_acceptance_10_deterministic_reports():
             capture_output=True,
             text=True,
             check=True,
+            env=dict(os.environ, PYTHONPATH=src),
         ).stdout
     first, second = run(1), run(2)
     ok = first == second and "RESULT: PASS" in first

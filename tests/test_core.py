@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertalg import (
+    FiniteHilbertAlgebra,
     HilbertAxiomError,
+    InvariantViolation,
     MalformedTableError,
     axiom_violations,
     block_from,
@@ -20,7 +22,13 @@ from hilbertalg import (
     validate_hilbert,
 )
 
-from _oracles import all_subsets, axiom_violations_brute, meet_brute
+from _oracles import (
+    all_subsets,
+    axiom_violations_brute,
+    compatible_meet_brute,
+    join_brute,
+    meet_brute,
+)
 from conftest import GODEL3_TABLE, TARSKI3_TABLE
 
 
@@ -108,11 +116,26 @@ def test_partial_meet_join_examples(godel3, tarski3):
     assert partial_meet(tarski3, 0, 1) is None  # no common lower bound
 
 
-def test_meets_and_joins_against_oracle(algebras4):
-    for alg in algebras4:
+def test_meets_and_joins_against_oracle(algebras4, fixtures):
+    for alg in algebras4 + fixtures:
         for x in alg.elements:
             for y in alg.elements:
                 assert partial_meet(alg, x, y) == meet_brute(alg, x, y)
+                assert partial_join(alg, x, y) == join_brute(alg, x, y)
+                assert compatible_meet(alg, x, y) == compatible_meet_brute(alg, x, y)
+
+
+def test_compatible_meet_table_rechecks_every_pair():
+    # broken tables: the full preorder on two elements, and the chain
+    # 0 < 1 < 2 with 2 -> 1 = 0, where 0 is the compatible meet of 1 and 2
+    preorder = FiniteHilbertAlgebra([[1, 1], [1, 1]], 1)
+    with pytest.raises(InvariantViolation, match=r"two compatible meets for \(0, 0\): 0 and 1"):
+        compatible_meet(preorder, 0, 0)
+    chain = FiniteHilbertAlgebra([[2, 2, 2], [0, 2, 2], [1, 0, 2]], 2)
+    assert partial_meet(chain, 1, 2) == 1
+    # asking for any pair checks them all
+    with pytest.raises(InvariantViolation, match=r"compatible meet 0 of \(1, 2\) differs"):
+        compatible_meet(chain, 0, 0)
 
 
 def test_compatibility_examples(godel3, tarski3, fixtures):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbertalg import enumeration
 from hilbertalg import (
     EnumerationBound,
     FiniteHilbertAlgebra,
@@ -211,8 +212,20 @@ def test_cross_survey_small(catalog3_sizes):
     assert report.ok, report.as_dict()
 
 
-def test_cross_survey_size5(catalog5):
-    report = cross_survey_report([e for e in catalog5 if e.algebra.n == 5])
+def test_cross_survey_size5(monkeypatch, catalog5):
+    colored = []
+
+    def counting(m):
+        colored.append(m)
+        return real(m)
+
+    real = enumeration._monoid_colors
+    monkeypatch.setattr(enumeration, "_monoid_colors", counting)
+    entries = [e for e in catalog5 if e.algebra.n == 5]
+    report = cross_survey_report(entries)
+    # each algebra's monoid is coloured at most once, however many pairs it is in
+    assert len(colored) <= len(entries) == 21
+    assert len({id(m) for m in colored}) == len(colored)
     assert report.lines() == [
         "[PASS] filter-lattice-iff-adjoint (21 algebras, 231 pairs)",
         "[PASS] monoid-iso-implies-adjoint-iso",

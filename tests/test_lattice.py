@@ -72,11 +72,30 @@ def test_non_distributive():
 
 def test_not_a_lattice():
     two_points = [[True, False], [False, True]]
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match=r"no unique join for \(0, 1\)"):
         FiniteLattice(two_points)
+    vee = from_covers([[2], [2], []])  # 0 and 1 under 2: every join, no meet of 0 and 1
+    with pytest.raises(LatticeError, match=r"no unique meet for \(0, 1\)"):
+        FiniteLattice(vee)
     not_an_order = [[True, True], [True, True]]
     with pytest.raises(LatticeError):
         FiniteLattice(not_an_order)
+
+
+def brute_bound(leq, i, j, upper):
+    """Every least common upper bound (greatest lower, unless upper) of i and j."""
+    n = len(leq)
+    le = (lambda a, b: leq[a][b]) if upper else (lambda a, b: leq[b][a])
+    common = [k for k in range(n) if le(i, k) and le(j, k)]
+    return [k for k in common if all(le(k, c) for c in common)]
+
+
+def test_bound_tables_match_bruteforce():
+    for lat in pool():
+        for i in range(lat.size):
+            for j in range(lat.size):
+                assert [lat.join_table[i][j]] == brute_bound(lat.leq, i, j, upper=True)
+                assert [lat.meet_table[i][j]] == brute_bound(lat.leq, i, j, upper=False)
 
 
 def test_from_subsets():

@@ -1,6 +1,7 @@
 import pytest
 
-from hilbertalg import structures, suites
+from hilbertalg import FiniteHilbertAlgebra, core, structures, suites
+from hilbertalg.lattice import bound_table
 from hilbertalg.suites import ALGEBRA_SUITES, run_algebra_suites, run_catalog_suites
 
 
@@ -55,6 +56,13 @@ BUILDERS = [
 ]
 
 
+def boolean4(catalog4):
+    """The 4-element Boolean algebra: no suite skips a check on it."""
+    return next(
+        e.algebra for e in catalog4 if e.implication_algebra and e.implicative_semilattice and e.algebra.n == 4
+    )
+
+
 def test_each_structure_is_built_once_per_algebra(monkeypatch, catalog4):
     calls = {name: 0 for name in BUILDERS}
 
@@ -67,11 +75,24 @@ def test_each_structure_is_built_once_per_algebra(monkeypatch, catalog4):
 
     for name in BUILDERS:
         monkeypatch.setattr(structures, name, counting(name, getattr(structures, name)))
-    # a Boolean algebra: no suite skips a check on it
-    boolean = next(
-        e.algebra for e in catalog4 if e.implication_algebra and e.implicative_semilattice and e.algebra.n == 4
-    )
-    reports = run_algebra_suites(boolean, list(ALGEBRA_SUITES))
+    reports = run_algebra_suites(boolean4(catalog4), list(ALGEBRA_SUITES))
     assert all(r.ok for r in reports)
     assert not any(c.status == "skip" for r in reports for c in r.checks)
     assert calls == {name: 1 for name in BUILDERS}
+
+
+def test_bounds_are_computed_once_per_algebra(monkeypatch, catalog4):
+    # a fresh copy: the catalog's algebra already holds its tables
+    boolean = boolean4(catalog4)
+    alg = FiniteHilbertAlgebra(boolean.imp, boolean.one)
+    directions = []
+
+    def counting(leq, upper):
+        if leq is alg.leq:
+            directions.append(upper)
+        return bound_table(leq, upper)
+
+    monkeypatch.setattr(core, "bound_table", counting)
+    reports = run_algebra_suites(alg, list(ALGEBRA_SUITES))
+    assert all(r.ok for r in reports)
+    assert sorted(directions) == [False, True]
