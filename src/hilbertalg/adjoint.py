@@ -11,12 +11,12 @@ whose ideal lattice reproduces the filter lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
-from .core import InvariantViolation, partial_meet, subset_key, subsets
+from .core import InvariantViolation, generated, partial_meet, subset_key, subsets
 from .filters import filter_generated, filter_join
 from .lattice import FiniteLattice
 from .multipliers import (
-    closed_table,
     compose,
     fixpoints,
     identity_map,
@@ -82,9 +82,13 @@ def adjoint_semilattice(ce, fg):
     carrier = ce.carrier
     index = {f: i for i, f in enumerate(carrier)}
     join_table = ce.comp_table
-    # sub[i][j] = carrier[i] - carrier[j], the least h with carrier[i] <= carrier[j] o h
-    minus = lambda f, g: subtraction(alg, g, f, carrier)
-    sub = closed_table(carrier, index, minus, ce.what, "subtraction")
+    # sub[i][j] = carrier[i] - carrier[j], the least h with carrier[i] <= carrier[j] o h;
+    # composition is the join of the lattice, so that is its residual
+    sub = ce.lattice.residual_table
+    for i, row in enumerate(sub):
+        if None in row:
+            f, g = carrier[row.index(None)], carrier[i]
+            raise InvariantViolation(f"subtraction has no least solution for {f}, {g}")
     imp = alg.imp
     translations = {translation(alg, p) for p in alg.elements}
     for p in alg.elements:
@@ -272,24 +276,16 @@ def minimal_brouwerian_extension(fl):
     of embedded elements.
     """
     alg, filters = fl.alg, fl.filters
-    k = len(filters)
-    leq, join = fl.lattice.leq, fl.lattice.join_table  # inclusion; filter join
-    imp_table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            # least filter h (by inclusion) with filters[j] within filters[i] join h
-            cands = [h for h in range(k) if leq[j][join[i][h]]]
-            least = [h for h in cands if all(leq[h][c] for c in cands)]
-            if len(least) != 1:
-                raise InvariantViolation(f"no relative pseudocomplement for ({i}, {j})")
-            row.append(least[0])
-        imp_table.append(row)
+    # imp_table[i][j]: the least filter h (by inclusion) with filters[j] within filters[i] join h
+    imp_table = tuple(zip(*fl.lattice.residual_table))
+    for i, row in enumerate(imp_table):
+        if None in row:
+            raise InvariantViolation(f"no relative pseudocomplement for ({i}, {row.index(None)})")
     ext = BrouwerianExtension(
         filters=filters,
         unit=fl.index([alg.one]),
-        meet_table=join,
-        imp_table=tuple(tuple(r) for r in imp_table),
+        meet_table=fl.lattice.join_table,  # filter join
+        imp_table=imp_table,
         embedding=tuple(fl.index(filter_generated(alg, [p])) for p in alg.elements),
     )
     bad = _extension_checks(alg, ext)
@@ -341,18 +337,9 @@ def adjoint_ideal_lattice(adj):
     k = len(adj.carrier)
     leq = adj.lattice.leq
     down = [frozenset(j for j in range(k) if leq[j][i]) for i in range(k)]
-    found = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        cur = frontier.pop()
-        for d in down:
-            nxt = cur | d
-            if nxt not in found:
-                found.add(nxt)
-                frontier.append(nxt)
     ideals = [
         s
-        for s in found
+        for s in generated(frozenset(), down, or_)
         if s and all(adj.join_table[i][j] in s for i in s for j in s)
     ]
     ideals.sort(key=subset_key)

@@ -300,8 +300,11 @@ def cmd_export(args):
         ce = Structures(alg).ce
         text = dot_of_order("ce", ce.lattice.leq, [_fmap(f, labels) for f in ce.carrier])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _input_error(f"cannot write {e.filename}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
     return OK
@@ -324,13 +327,16 @@ def cmd_enumerate(args):
         )
     summary = "\n".join(lines) + "\n"
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        for i, e in enumerate(catalog.entries):
-            path = os.path.join(args.out_dir, f"algebra_{args.size}_{i:03d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump_algebra(e.algebra))
-        with open(os.path.join(args.out_dir, f"summary_{args.size}.txt"), "w", encoding="utf-8") as fh:
-            fh.write(summary)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+            for i, e in enumerate(catalog.entries):
+                path = os.path.join(args.out_dir, f"algebra_{args.size}_{i:03d}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(dump_algebra(e.algebra))
+            with open(os.path.join(args.out_dir, f"summary_{args.size}.txt"), "w", encoding="utf-8") as fh:
+                fh.write(summary)
+        except OSError as e:
+            raise _input_error(f"cannot write {e.filename}: {e.strerror}") from None
         print(f"wrote {len(catalog.entries)} algebra file(s) to {args.out_dir}")
     else:
         sys.stdout.write(summary)

@@ -14,11 +14,13 @@ report function that checks it exhaustively on a given algebra.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .core import (
     InvariantViolation,
     compatible_meet,
+    generated,
     is_relative_subsemilattice,
     is_subalgebra,
     partial_join,
@@ -44,6 +46,7 @@ from .multipliers import (
     pointwise_imp,
     pointwise_leq,
     pointwise_meet,
+    search_maps,
     translation,
 )
 from .report import ReportBuilder, fmt, fset
@@ -86,53 +89,16 @@ def is_closure_endomorphism(alg, f):
 
 def search_endomorphisms(alg):
     """All endomorphisms, propagating f(x -> y) = f(x) -> f(y) from chosen values."""
-    n, imp = alg.n, alg.imp
-    img = [None] * n
-    known = []
-    results = []
+    imp = alg.imp
 
-    def assign(e, v, trail):
-        stack = [(e, v)]
-        while stack:
-            a, b = stack.pop()
-            cur = img[a]
-            if cur is not None:
-                if cur != b:
-                    return False
-                continue
-            img[a] = b
-            trail.append(a)
-            known.append(a)
-            for x in known:
-                fx = img[x]
-                stack.append((imp[x][a], imp[fx][b]))
-                stack.append((imp[a][x], imp[b][fx]))
-        return True
+    def implied(a, b, img, known):
+        for x in known:
+            fx = img[x]
+            yield imp[x][a], imp[fx][b]
+            yield imp[a][x], imp[b][fx]
 
-    def undo(trail):
-        for a in trail:
-            img[a] = None
-            known.pop()
-
-    def extend():
-        e = next((i for i in range(n) if img[i] is None), None)
-        if e is None:
-            f = tuple(img)
-            if not is_endomorphism(alg, f):
-                raise InvariantViolation(f"propagation produced a non-endomorphism {f}")
-            results.append(f)
-            return
-        for v in range(n):
-            trail = []
-            if assign(e, v, trail):
-                extend()
-            undo(trail)
-
-    trail = []
-    if assign(alg.one, alg.one, trail):  # f(1) = f(x -> x) = f(x) -> f(x) = 1
-        extend()
-    undo(trail)
-    return sorted(results)
+    anything = [[True] * alg.n] * alg.n
+    return search_maps(alg, anything, implied, partial(is_endomorphism, alg), "endomorphism")
 
 
 def endomorphisms_bruteforce(alg):
@@ -161,18 +127,8 @@ def all_closure_endos(alg, mult):
 
 def finitely_generated_ce(alg):
     """Closure endomorphisms that are finite compositions of translations."""
-    start = identity_map(alg)
     gens = [translation(alg, p) for p in alg.elements]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        f = frontier.pop()
-        for g in gens:
-            h = compose(f, g)
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return sorted(seen)
+    return sorted(generated(identity_map(alg), gens, compose))
 
 
 # ---------------------------------------------------------------------------

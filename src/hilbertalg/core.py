@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import bound_table
+from .lattice import bound_table, refine
 
 
 class MalformedTableError(ValueError):
@@ -120,6 +120,11 @@ class FiniteHilbertAlgebra:
             return found[0] if found else None
 
         return tuple(tuple(compatible(x, y) for y in rng) for x in rng)
+
+    @cached_property
+    def colors(self):
+        """The colouring of ``imp`` with the unit marked, computed once."""
+        return refine(self.imp, (self.one,))
 
     def le(self, x, y):
         return self.imp[x][y] == self.one
@@ -227,6 +232,20 @@ def is_subalgebra(alg, members):
 def subsets(n):
     """Every subset of range(n) as a frozenset, in binary counting order."""
     return (frozenset(i for i in range(n) if bits >> i & 1) for bits in range(1 << n))
+
+
+def generated(start, gens, op):
+    """The set of values reachable from start by steps v -> op(v, g), g in gens."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = op(v, g)
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
 
 def subset_key(s):

@@ -175,7 +175,7 @@ def canonical_form(alg):
 
 def are_isomorphic(a, b):
     """A permutation carrying one algebra onto the other, or None."""
-    return isomorphism(a.imp, refine(a.imp, (a.one,)), b.imp, refine(b.imp, (b.one,)))
+    return isomorphism(a.imp, a.colors, b.imp, b.colors)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import and_
 
-from .core import InvariantViolation, subset_key
+from .core import InvariantViolation, generated, subset_key
 from .lattice import FiniteLattice
 from .multipliers import closed_table
 
@@ -70,17 +70,8 @@ class FilterLattice:
 
     def __init__(self, alg):
         self.alg = alg
-        bottom = frozenset([alg.one])
         principal = [filter_generated(alg, [x]) for x in alg.elements]
-        found = {bottom}
-        frontier = [bottom]
-        while frontier:
-            current = frontier.pop()
-            for p in principal:
-                nxt = filter_join(alg, current, p)
-                if nxt not in found:
-                    found.add(nxt)
-                    frontier.append(nxt)
+        found = generated(frozenset([alg.one]), principal, partial(filter_join, alg))
         self.filters = tuple(sorted(found, key=subset_key))
         self._index = {f: i for i, f in enumerate(self.filters)}
         self.lattice = FiniteLattice(

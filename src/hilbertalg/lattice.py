@@ -209,6 +209,24 @@ class FiniteLattice:
             for k in range(n)
         )
 
+    @cached_property
+    def residual_table(self):
+        """residual_table[b][a]: the least h with b <= a v h, or None where there is none.
+
+        The candidates h form an up-set holding the top, so their meet is
+        the least candidate exactly when it is itself a candidate.
+        """
+        n, leq, jn, mt = self.size, self.leq, self.join_table, self.meet_table
+
+        def least(b, a):
+            m = self.top
+            for h in range(n):
+                if leq[b][jn[a][h]]:
+                    m = mt[m][h]
+            return m if leq[b][jn[a][m]] else None
+
+        return tuple(tuple(least(b, a) for a in range(n)) for b in range(n))
+
     def dual(self):
         return FiniteLattice([[self.leq[j][i] for j in range(self.size)] for i in range(self.size)])
 

@@ -86,15 +86,19 @@ def fixpoints(alg, f):
     return frozenset(x for x in alg.elements if f[x] == x)
 
 
-def search_multipliers(alg):
-    """All multipliers, by propagating f(x -> a) = x -> f(a) from chosen values.
+def search_maps(alg, allowed, implied, check, what):
+    """Every self-map f with f(1) = 1 that propagation admits, sorted.
 
-    Values are only branched on where not already forced; each chosen value
-    v for element e must satisfy e <= v, since every multiplier is
-    extensive.  Finished maps are re-checked against the defining law.
+    Values are only branched on where not already forced; a chosen value v
+    for element e must have ``allowed[e][v]``.  Assigning a -> b also
+    assigns every pair of ``implied(a, b, img, known)``, where ``img`` is the
+    partial map and ``known`` lists its assigned elements in order; a
+    conflicting pair backtracks.  Finished maps are re-checked by ``check``,
+    and one that fails it raises ``InvariantViolation`` as a non-``what``.
     """
-    n, one, imp, leq = alg.n, alg.one, alg.imp, alg.leq
+    n = alg.n
     img = [None] * n
+    known = []
     results = []
 
     def assign(e, v, trail):
@@ -108,33 +112,50 @@ def search_multipliers(alg):
                 continue
             img[a] = b
             trail.append(a)
-            for x in range(n):
-                stack.append((imp[x][a], imp[x][b]))
+            known.append(a)
+            stack.extend(implied(a, b, img, known))
         return True
+
+    def undo(trail):
+        for a in trail:
+            img[a] = None
+            known.pop()
 
     def extend():
         e = next((i for i in range(n) if img[i] is None), None)
         if e is None:
             f = tuple(img)
-            if not is_multiplier(alg, f):
-                raise InvariantViolation(f"propagation produced a non-multiplier {f}")
+            if not check(f):
+                raise InvariantViolation(f"propagation produced a non-{what} {f}")
             results.append(f)
             return
         for v in range(n):
-            if not leq[e][v]:
+            if not allowed[e][v]:
                 continue
             trail = []
             if assign(e, v, trail):
                 extend()
-            for a in trail:
-                img[a] = None
+            undo(trail)
 
     trail = []
-    if assign(one, one, trail):  # f(1) = 1 holds for every multiplier
+    if assign(alg.one, alg.one, trail):  # f(1) = 1 for every multiplier and endomorphism
         extend()
-    for a in trail:
-        img[a] = None
+    undo(trail)
     return sorted(results)
+
+
+def search_multipliers(alg):
+    """All multipliers, by propagating f(x -> a) = x -> f(a) from chosen values.
+
+    Each chosen value v for element e must satisfy e <= v, since every
+    multiplier is extensive.
+    """
+    imp = alg.imp
+
+    def implied(a, b, img, known):
+        return ((row[a], row[b]) for row in imp)
+
+    return search_maps(alg, alg.leq, implied, partial(is_multiplier, alg), "multiplier")
 
 
 def multipliers_bruteforce(alg):

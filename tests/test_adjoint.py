@@ -73,10 +73,12 @@ def test_subtraction_examples(tarski3, algebras4):
 
 def test_subtraction_residuation(algebras4):
     for alg in algebras4:
-        carrier = Structures(alg).ce.carrier
-        for f in carrier:
-            for g in carrier:
+        ctx = Structures(alg)
+        carrier, sub = ctx.ce.carrier, ctx.adjoint.subtraction_table
+        for j, f in enumerate(carrier):
+            for i, g in enumerate(carrier):
                 s = subtraction(alg, f, g, carrier)
+                assert carrier[sub[i][j]] == s  # the table agrees with the map-level scan
                 for h in carrier:
                     assert pointwise_leq(alg, g, compose(f, h)) == pointwise_leq(
                         alg, s, h

@@ -86,6 +86,23 @@ def test_export_dot(godel3_file, tarski3_file, capsys, tmp_path):
     assert target.read_text().count("->") == 2
 
 
+def test_unwritable_export_path_is_an_input_error(godel3_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.dot"
+    assert main(["export", godel3_file, "--dot", "hasse", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: cannot write {target}: No such file or directory\n"
+
+
+def test_enumerate_into_a_file_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["enumerate", "3", "--out-dir", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: cannot write {taken}: File exists\n"
+
+
 def test_verify_single_file(godel3_file, capsys):
     assert main(["verify", godel3_file, "--suite", "kernel-embedding"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,12 @@
 import sys
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertalg import enumeration
+from hilbertalg import core, enumeration
 from hilbertalg import (
     EnumerationBound,
     FiniteHilbertAlgebra,
@@ -213,19 +214,34 @@ def test_cross_survey_small(catalog3_sizes):
 
 
 def test_cross_survey_size5(monkeypatch, catalog5):
-    colored = []
+    colored, refined = [], []
 
     def counting(m):
         colored.append(m)
         return real(m)
 
-    real = enumeration._monoid_colors
+    def refining(table, marked=()):
+        refined.append(table)
+        return real_refine(table, marked)
+
+    real, real_refine = enumeration._monoid_colors, core.refine
     monkeypatch.setattr(enumeration, "_monoid_colors", counting)
-    entries = [e for e in catalog5 if e.algebra.n == 5]
+    for module in (core, enumeration):
+        monkeypatch.setattr(module, "refine", refining)
+    # fresh algebras, so no colouring is cached from earlier tests
+    entries = [
+        replace(e, algebra=FiniteHilbertAlgebra(e.algebra.imp, e.algebra.one))
+        for e in catalog5
+        if e.algebra.n == 5
+    ]
     report = cross_survey_report(entries)
-    # each algebra's monoid is coloured at most once, however many pairs it is in
+    # each algebra and its monoid are coloured at most once, however many pairs they are in
     assert len(colored) <= len(entries) == 21
     assert len({id(m) for m in colored}) == len(colored)
+    imps = {id(e.algebra.imp) for e in entries}
+    for_algebras = [t for t in refined if id(t) in imps]
+    assert len(for_algebras) <= 21
+    assert len({id(t) for t in for_algebras}) == len(for_algebras)
     assert report.lines() == [
         "[PASS] filter-lattice-iff-adjoint (21 algebras, 231 pairs)",
         "[PASS] monoid-iso-implies-adjoint-iso",

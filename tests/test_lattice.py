@@ -98,6 +98,23 @@ def test_bound_tables_match_bruteforce():
                 assert [lat.meet_table[i][j]] == brute_bound(lat.leq, i, j, upper=False)
 
 
+def brute_residual(lat, b, a):
+    """The least h with b <= a v h, by scanning every candidate, or None."""
+    cands = [h for h in range(lat.size) if lat.leq[b][lat.join(a, h)]]
+    least = [h for h in cands if all(lat.leq[h][c] for c in cands)]
+    return least[0] if least else None
+
+
+def test_residual_table_matches_bruteforce():
+    for lat in pool():
+        n = lat.size
+        brute = tuple(tuple(brute_residual(lat, b, a) for a in range(n)) for b in range(n))
+        assert lat.residual_table == brute
+    # M3 and N5 are not distributive: some b has no least h with b <= a v h
+    for leq in (M3, N5):
+        assert any(None in row for row in FiniteLattice(leq).residual_table)
+
+
 def test_from_subsets():
     sets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
     lat = FiniteLattice.from_subsets(sets)

@@ -1,4 +1,9 @@
+from functools import partial
+
+import pytest
+
 from hilbertalg import (
+    InvariantViolation,
     Structures,
     all_multipliers,
     classify,
@@ -21,6 +26,7 @@ from hilbertalg import (
     translation,
     validate_hilbert,
 )
+from hilbertalg.multipliers import search_maps
 
 from _oracles import multipliers_brute
 
@@ -57,6 +63,16 @@ def test_non_multiplier_example(godel3):
 def test_search_matches_bruteforce(algebras4):
     for alg in algebras4:
         assert search_multipliers(alg) == multipliers_brute(alg)
+
+
+def test_search_maps_rechecks_finished_maps(godel3):
+    # with nothing propagated, extensive maps that are no multipliers come out
+    def implied(a, b, img, known):
+        return ()
+
+    check = partial(is_multiplier, godel3)
+    with pytest.raises(InvariantViolation, match=r"propagation produced a non-multiplier \("):
+        search_maps(godel3, godel3.leq, implied, check, "multiplier")
 
 
 def test_multiplier_carriers(chain2, godel3, tarski3):
