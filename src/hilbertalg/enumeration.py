@@ -1,21 +1,28 @@
 """Exhaustive generation of all Hilbert algebras of a given size.
 
-The search fills the unpinned table cells depth-first with unit
-propagation: weakening and transitivity force cells to the unit, and every
-exchange instance is watched so that once its inner lookups resolve it
-forces its final inequality cell.  The unit's row is pre-filled with the
-identity (a derived fact, used here as a propagation shortcut); every
-finished table is re-validated from scratch, so the shortcut cannot admit a
-bad table.  Canonical forms, isomorphism witnesses, endomorphism monoids
-and the cross-algebra survey live here as well.
+In a Hilbert algebra x -> y = 1 exactly when x <= y, so the natural order
+fixes every unit cell of the table.  The search is therefore poset-first.
+For each unlabelled poset on the n-1 points below the unit (each one a
+smaller poset with a new minimal point added under one of its up-sets), the
+unit is put on top and the order cells are pinned: x -> y = 1 iff x <= y,
+and 1 -> x = x.  Every other cell x -> y takes some v != 1 with y <= v, the
+weakening law.  These free cells are filled depth-first, and every exchange
+instance is watched so that once its inner lookups resolve, its final
+inequality is checked against the pinned order.  The tables found for one
+poset are deduped under the poset's automorphisms, and each class is
+expanded to its orbit of distinct relabellings, so the search still yields
+every labelled table.  Every yielded table is re-validated from scratch, so
+the pinning cannot admit a bad table.  Canonical forms, isomorphism
+witnesses, endomorphism monoids and the cross-algebra survey live here as
+well.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations
+from functools import cache, cached_property
+from itertools import chain, permutations
 
 from .closure import search_endomorphisms
 from .core import (
@@ -31,142 +38,181 @@ from .structures import Structures
 
 SEARCH_BOUND_DEFAULT = 6
 
+# unlabelled posets on 0..16 points (OEIS A000112; Brinkmann & McKay,
+# "Posets on up to 16 points", Order 19, 2002): the search runs once per
+# poset on n-1 points
+POSET_COUNTS = (
+    1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284, 46749427,
+    1104891746, 33823827452, 1338193159771, 68275077901156, 4483130665195087,
+)
+
 
 class EnumerationBound(ValueError):
     pass
 
 
-def search_valid_tables(n):
-    """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, without dedup."""
-    one = n - 1
-    if n == 1:
-        yield ((0,),)
-        return
+def _relabel_poset(up, perm):
+    """The up-set masks of ``up`` after moving each point i to perm[i]."""
+    out = [0] * len(up)
+    for i, mask in enumerate(up):
+        image = 0
+        for j, p in enumerate(perm):
+            if mask >> j & 1:
+                image |= 1 << p
+        out[perm[i]] = image
+    return tuple(out)
 
-    table = [[None] * n for _ in range(n)]
+
+@cache
+def unlabelled_posets(points):
+    """One poset per isomorphism class on 0..points-1, as up-set bitmasks.
+
+    Bit j of ``up[i]`` is set when i <= j.  Every poset has a minimal point,
+    and removing it leaves a poset whose up-sets include that point's strict
+    up-set; so adding a new minimal point under each up-set of each smaller
+    poset reaches every class.  The least relabelled tuple of masks picks
+    one representative per class.
+    """
+    if points == 0:
+        return ((),)
+    new = 1 << (points - 1)
+    perms = tuple(permutations(range(points)))
+    found = set()
+    for up in unlabelled_posets(points - 1):
+        for mask in range(new):
+            if all(up[i] | mask == mask for i in range(points - 1) if mask >> i & 1):
+                grown = up + (mask | new,)
+                found.add(min(_relabel_poset(grown, p) for p in perms))
+    return tuple(sorted(found))
+
+
+@cache
+def _relabellings(n):
+    """Every relabelling of 0..n-1 that fixes the unit n-1, as (lab, src).
+
+    ``lab[x]`` is the new label of x, and ``src[k]`` is the flat cell of the
+    original table that lands on flat cell k (row-major) of the relabelled one.
+    """
+    out = []
+    for perm in permutations(range(n - 1)):
+        lab = perm + (n - 1,)
+        inv = [0] * n
+        for x, a in enumerate(lab):
+            inv[a] = x
+        out.append((lab, tuple(inv[a] * n + inv[b] for a in range(n) for b in range(n))))
+    return tuple(out)
+
+
+def _relabel(flat, rel):
+    lab, src = rel
+    return tuple([lab[flat[s]] for s in src])
+
+
+def _tables_over(up):
+    """Every valid flat table whose order is the poset ``up`` under a top unit."""
+    one = len(up)
+    n = one + 1
+    leq = [[bool(up[x] >> y & 1) for y in range(one)] + [True] for x in range(one)]
+    leq.append([False] * one + [True])
+    table = [[one if leq[x][y] else None for y in range(n)] for x in range(one)]
+    table.append(list(range(n)))
     watchers = defaultdict(set)
 
-    def watch_eval(t, pending):
-        """Resolve an exchange instance as far as the table allows.
+    def watch_eval(t):
+        """False once the exchange instance t resolves to lhs -> rhs != 1.
 
-        Subscribes to the first unknown cell on its evaluation chain; once
-        fully resolved, forces the final cell (lhs -> rhs) to the unit.
+        Until then, t waits on the first unknown cell of its evaluation chain.
+        Every unit cell is pinned, so lhs -> rhs = 1 exactly when lhs <= rhs.
         """
         x, y, z = t
         v1 = table[y][z]
         if v1 is None:
             watchers[(y, z)].add(t)
-            return
+            return True
         lhs = table[x][v1]
         if lhs is None:
             watchers[(x, v1)].add(t)
-            return
+            return True
         v3 = table[x][y]
         if v3 is None:
             watchers[(x, y)].add(t)
-            return
+            return True
         v4 = table[x][z]
         if v4 is None:
             watchers[(x, z)].add(t)
-            return
+            return True
         rhs = table[v3][v4]
         if rhs is None:
             watchers[(v3, v4)].add(t)
-            return
-        pending.append((lhs, rhs, one))
+            return True
+        return leq[lhs][rhs]
 
-    def assign(cx, cy, cv, trail):
-        pending = [(cx, cy, cv)]
-        while pending:
-            x, y, v = pending.pop()
-            cur = table[x][y]
-            if cur is not None:
-                if cur != v:
-                    return False
-                continue
-            if v != one:
-                # weakening with this cell on the outside: if t -> x is known
-                # to be y then x <= (t -> x) forces x -> y to be the unit
-                if any(table[t][x] == y for t in range(n)):
-                    return False
-            if v == one and x != y and table[y][x] == one:
-                return False  # antisymmetry
-            table[x][y] = v
-            trail.append((x, y))
-            # weakening with this cell inside: y <= (x -> y)
-            pending.append((y, v, one))
-            if v == one:
-                for z in range(n):
-                    if table[y][z] == one and table[x][z] != one:
-                        pending.append((x, z, one))
-                    if table[z][x] == one and table[z][y] != one:
-                        pending.append((z, y, one))
-            for t in tuple(watchers.get((x, y), ())):
-                watch_eval(t, pending)
-        return True
+    def assign(x, y, v):
+        table[x][y] = v
+        return all(watch_eval(t) for t in tuple(watchers.get((x, y), ())))
 
-    def undo(trail):
-        for x, y in trail:
-            table[x][y] = None
-
-    trail = []
-    ok = True
-    for x in range(n):
-        ok = ok and assign(x, x, one, trail)
-        ok = ok and assign(x, one, one, trail)
-        ok = ok and assign(one, x, x, trail)
-    if ok:
-        pending = []
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    watch_eval((x, y, z), pending)
-        while pending and ok:
-            x, y, v = pending.pop()
-            ok = assign(x, y, v, trail)
-
-    free = [(x, y) for x in range(n - 1) for y in range(n - 1) if x != y]
+    rng = range(n)
+    if not all(watch_eval((x, y, z)) for x in rng for y in rng for z in rng):
+        return
+    free = [(x, y) for x in range(one) for y in range(one) if not leq[x][y]]
+    # weakening: y <= (x -> y), and only order cells hold the unit
+    above = [[v for v in range(one) if leq[y][v]] for y in range(one)]
 
     def dfs(k):
         if k == len(free):
-            snapshot = tuple(tuple(row) for row in table)
-            if axiom_violations(snapshot, one):
-                raise InvariantViolation(f"search produced an invalid table {snapshot}")
-            yield snapshot
+            yield tuple(chain.from_iterable(table))
             return
         x, y = free[k]
-        if table[x][y] is not None:
-            yield from dfs(k + 1)
-            return
-        for v in range(n):
-            t = []
-            if assign(x, y, v, t):
+        for v in above[y]:
+            if assign(x, y, v):
                 yield from dfs(k + 1)
-            undo(t)
+            table[x][y] = None
 
-    if ok:
-        yield from dfs(0)
-    undo(trail)
+    yield from dfs(0)
+
+
+def search_valid_tables(n):
+    """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, without dedup."""
+    rels = _relabellings(n)
+    for up in unlabelled_posets(n - 1):
+        aut = [r for r in rels if _relabel_poset(up, r[0][:-1]) == up]
+        seen = set()
+        for hit in _tables_over(up):
+            if hit in seen:
+                continue
+            seen.update(_relabel(hit, r) for r in aut)
+            for flat in dict.fromkeys(_relabel(hit, r) for r in rels):
+                snapshot = tuple(flat[i : i + n] for i in range(0, n * n, n))
+                if axiom_violations(snapshot, n - 1):
+                    raise InvariantViolation(f"search produced an invalid table {snapshot}")
+                yield snapshot
 
 
 def canonical_table(table, one):
-    """Lexicographically least relabeling of the table, unit placed last."""
+    """Lexicographically least relabeling of the table, unit placed last.
+
+    Candidates are compared cell by cell in row-major order and dropped at
+    the first cell where they exceed the best so far.
+    """
     n = len(table)
-    rest = [i for i in range(n) if i != one]
+    order = [x for x in range(n) if x != one] + [one]
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    flat = [pos[table[x][y]] for x in order for y in order]
     best = None
-    for perm in permutations(range(n - 1)):
-        relab = [None] * n
-        relab[one] = n - 1
-        for src, dst in zip(rest, perm):
-            relab[src] = dst
-        out = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                out[relab[x]][relab[y]] = relab[table[x][y]]
-        cand = tuple(tuple(row) for row in out)
-        if best is None or cand < best:
-            best = cand
-    return best
+    for lab, src in _relabellings(n):
+        if best is not None:
+            for s, b in zip(src, best):
+                c = lab[flat[s]]
+                if c != b:
+                    break
+            else:
+                continue  # equal to the best so far
+            if c > b:
+                continue
+        best = [lab[flat[s]] for s in src]
+    return tuple(tuple(best[i : i + n]) for i in range(0, n * n, n))
 
 
 def canonical_form(alg):
@@ -218,10 +264,14 @@ def enumerate_algebras(n, bound=SEARCH_BOUND_DEFAULT):
     if n < 1:
         raise ValueError("size must be positive")
     if n > bound:
-        cells = (n - 1) * (n - 2)
+        points = n - 1
+        if points < len(POSET_COUNTS):
+            posets = f"{POSET_COUNTS[points]} posets"
+        else:
+            posets = f"more than {POSET_COUNTS[-1]} posets"
         raise EnumerationBound(
-            f"size {n} exceeds the search bound {bound}; the raw search space "
-            f"has ~{float(n) ** cells:.2e} tables"
+            f"size {n} exceeds the search bound {bound}; the search space "
+            f"holds {posets} on {points} points"
         )
     reps = set()
     raw = 0

@@ -115,6 +115,41 @@ def algebra_isomorphism_brute(a, b):
     return None
 
 
+def canonical_table_brute(table, one):
+    """Lexicographically least relabelling with the unit placed last, by scanning every one."""
+    n = len(table)
+    rest = [i for i in range(n) if i != one]
+    best = None
+    for perm in permutations(range(n - 1)):
+        relab = [None] * n
+        relab[one] = n - 1
+        for src, dst in zip(rest, perm):
+            relab[src] = dst
+        out = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                out[relab[x]][relab[y]] = relab[table[x][y]]
+        cand = tuple(tuple(row) for row in out)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def poset_canonical_brute(leq):
+    """The least relabelled order matrix of a poset, by scanning every relabelling."""
+    n = len(leq)
+    best = None
+    for perm in permutations(range(n)):
+        out = [[False] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                out[perm[x]][perm[y]] = leq[x][y]
+        cand = tuple(tuple(row) for row in out)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 def valid_tables_brute(n, pin_axiom_cells=True):
     """All valid tables with unit n-1 by scanning raw tables.
 

@@ -153,6 +153,15 @@ def test_enumerate_bound(capsys):
     assert main(["enumerate", "5", "--bound", "4"]) == 2
 
 
+def test_enumerate_far_beyond_the_bound_is_an_input_error(capsys):
+    for argv in (["enumerate", "18"], ["verify", "--enumerate", "18"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: size 18 exceeds the search bound 6")
+        assert "more than" in captured.err and "Traceback" not in captured.err
+
+
 def test_enumerate_export_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "catalog"
     assert main(["enumerate", "3", "--out-dir", str(out_dir)]) == 0

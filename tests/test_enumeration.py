@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertalg import core, enumeration
+from hilbertalg.lattice import is_partial_order
 from hilbertalg import (
     EnumerationBound,
     FiniteHilbertAlgebra,
@@ -21,7 +22,13 @@ from hilbertalg import (
     validate_hilbert,
 )
 
-from _oracles import algebra_isomorphism_brute, endomorphisms_brute, valid_tables_brute
+from _oracles import (
+    algebra_isomorphism_brute,
+    canonical_table_brute,
+    endomorphisms_brute,
+    poset_canonical_brute,
+    valid_tables_brute,
+)
 from conftest import GODEL3_TABLE, TARSKI3_TABLE
 
 
@@ -56,6 +63,26 @@ def test_search_agrees_with_unpinned_bruteforce():
         )
 
 
+def test_search_yields_each_valid_table_once():
+    # with the known totals, distinct valid tables give set equality with every labelled table
+    for n, total in ((1, 1), (2, 1), (3, 3), (4, 22), (5, 303), (6, 7021)):
+        tables = list(search_valid_tables(n))
+        assert len(tables) == len(set(tables)) == total
+        assert not any(core.axiom_violations(t, n - 1) for t in tables)
+
+
+def test_unlabelled_posets_are_one_per_class():
+    for points, count in enumerate((1, 1, 2, 5, 16, 63)):
+        found = enumeration.unlabelled_posets(points)
+        assert len(found) == count
+        forms = set()
+        for up in found:
+            leq = [[bool(up[x] >> y & 1) for y in range(points)] for x in range(points)]
+            assert is_partial_order(leq)
+            forms.add(poset_canonical_brute(leq))
+        assert len(forms) == count
+
+
 def test_raw_count_is_sum_of_orbit_sizes():
     for n in (1, 2, 3, 4):
         catalog = enumerate_algebras(n)
@@ -84,6 +111,7 @@ def test_bound_refusal():
     with pytest.raises(EnumerationBound) as err:
         enumerate_algebras(7)
     assert "search space" in str(err.value)
+    assert "318 posets" in str(err.value)
     with pytest.raises(ValueError):
         enumerate_algebras(0)
 
@@ -126,6 +154,18 @@ def test_canonical_form_idempotent_and_invariant(catalog4):
             mapping = list(perm) + [n - 1]
             moved = FiniteHilbertAlgebra(relabel(table, mapping), n - 1)
             assert canonical_form(moved) == table
+
+
+def test_canonical_table_matches_bruteforce():
+    # every raw table up to size 5, and two relabellings of each that move the unit
+    for n in range(1, 6):
+        for table in search_valid_tables(n):
+            assert canonical_table(table, n - 1) == canonical_table_brute(table, n - 1)
+            for mapping in (list(range(n))[::-1], list(range(1, n)) + [0]):
+                moved = relabel(table, mapping)
+                assert canonical_table(moved, mapping[n - 1]) == canonical_table_brute(
+                    moved, mapping[n - 1]
+                )
 
 
 @given(st.permutations(list(range(3))))

@@ -36,6 +36,8 @@ def cases():
     out = [
         ("verify-enumerate-4.txt", ["verify", "--enumerate", "4", "--suite", "all"]),
         ("verify-enumerate-4.json", ["verify", "--enumerate", "4", "--suite", "all", "--json"]),
+        ("enumerate-5.txt", ["enumerate", "5"]),
+        ("enumerate-6.txt", ["enumerate", "6"]),
     ]
     for name in FIXTURES:
         out.append((f"analyze-{name}.json", ["analyze", "{%s}" % name] + ANALYZE_FLAGS))
