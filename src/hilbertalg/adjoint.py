@@ -11,9 +11,8 @@ whose ideal lattice reproduces the filter lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
 
-from .core import InvariantViolation, generated, partial_meet, subset_key, subsets
+from .core import InvariantViolation, partial_meet, subset_key, subsets
 from .filters import filter_generated, filter_join
 from .lattice import FiniteLattice
 from .multipliers import (
@@ -332,17 +331,17 @@ def brouwerian_extension_report(ctx):
 def adjoint_ideal_lattice(adj):
     """Lattice of nonempty down-sets of the adjoint semilattice closed under join.
 
-    Returns (ideals, lattice); ideals are frozensets of carrier indices.
+    The carrier is finite, so an ideal holds the join of all its members and
+    is the down-set of that join: the ideals are the principal down-sets,
+    one per element.  Each is re-checked to be closed under join.  Returns
+    (ideals, lattice); ideals are frozensets of carrier indices.
     """
     k = len(adj.carrier)
-    leq = adj.lattice.leq
-    down = [frozenset(j for j in range(k) if leq[j][i]) for i in range(k)]
-    ideals = [
-        s
-        for s in generated(frozenset(), down, or_)
-        if s and all(adj.join_table[i][j] in s for i in s for j in s)
-    ]
-    ideals.sort(key=subset_key)
+    leq, join = adj.lattice.leq, adj.join_table
+    ideals = sorted((frozenset(j for j in range(k) if leq[j][i]) for i in range(k)), key=subset_key)
+    for s in ideals:
+        if any(join[i][j] not in s for i in s for j in s):
+            raise InvariantViolation(f"down-set {fset(s)} is not closed under join")
     return tuple(ideals), FiniteLattice.from_subsets(ideals)
 
 

@@ -24,7 +24,6 @@ from .core import (
 )
 from .enumeration import (
     EnumerationBound,
-    SEARCH_BOUND_DEFAULT,
     cross_survey_report,
     enumerate_algebras,
 )
@@ -195,9 +194,9 @@ def _input_error(message):
     return CommandError(INPUT_ERROR, f"input error: {message}")
 
 
-def _enumerate(size, bound):
+def _enumerate(size):
     try:
-        return enumerate_algebras(size, bound)
+        return enumerate_algebras(size)
     except (ValueError, EnumerationBound) as e:
         raise _input_error(e) from None
 
@@ -227,7 +226,7 @@ def cmd_verify(args):
         raise _input_error("give exactly one of an algebra file and --enumerate N")
 
     if args.enumerate is not None:
-        catalog = _enumerate(args.enumerate, SEARCH_BOUND_DEFAULT)
+        catalog = _enumerate(args.enumerate)
         algebras = catalog.algebras()
         entries = catalog.entries
         header = f"enumerated {len(algebras)} algebra(s) of size {args.enumerate}"
@@ -311,7 +310,7 @@ def cmd_export(args):
 
 
 def cmd_enumerate(args):
-    catalog = _enumerate(args.size, args.bound)
+    catalog = _enumerate(args.size)
     n_impl = sum(e.implication_algebra for e in catalog.entries)
     n_semi = sum(e.implicative_semilattice for e in catalog.entries)
     lines = [
@@ -384,7 +383,6 @@ def build_parser():
     p = sub.add_parser("enumerate", help="enumerate all algebras of a size")
     p.add_argument("size", type=int)
     p.add_argument("--out-dir")
-    p.add_argument("--bound", type=int, default=SEARCH_BOUND_DEFAULT)
     p.set_defaults(func=cmd_enumerate)
     return parser
 

@@ -36,7 +36,7 @@ from .multipliers import closed_table, compose, identity_map
 from .report import ReportBuilder, fmt
 from .structures import Structures
 
-SEARCH_BOUND_DEFAULT = 6
+SEARCH_BOUND = 6
 
 # unlabelled posets on 0..16 points (OEIS A000112; Brinkmann & McKay,
 # "Posets on up to 16 points", Order 19, 2002): the search runs once per
@@ -259,18 +259,18 @@ def catalog_entry(alg):
     )
 
 
-def enumerate_algebras(n, bound=SEARCH_BOUND_DEFAULT):
+def enumerate_algebras(n):
     """All Hilbert algebras with n elements up to isomorphism, with statistics."""
     if n < 1:
         raise ValueError("size must be positive")
-    if n > bound:
+    if n > SEARCH_BOUND:
         points = n - 1
         if points < len(POSET_COUNTS):
             posets = f"{POSET_COUNTS[points]} posets"
         else:
             posets = f"more than {POSET_COUNTS[-1]} posets"
         raise EnumerationBound(
-            f"size {n} exceeds the search bound {bound}; the search space "
+            f"size {n} exceeds the search bound {SEARCH_BOUND}; the search space "
             f"holds {posets} on {points} points"
         )
     reps = set()
@@ -282,11 +282,11 @@ def enumerate_algebras(n, bound=SEARCH_BOUND_DEFAULT):
     return AlgebraCatalog(n=n, entries=entries, raw_count=raw)
 
 
-def catalog_through(n, bound=SEARCH_BOUND_DEFAULT):
+def catalog_through(n):
     """Catalog entries of every size from 1 through n."""
     out = []
     for k in range(1, n + 1):
-        out.extend(enumerate_algebras(k, bound).entries)
+        out.extend(enumerate_algebras(k).entries)
     return out
 
 

@@ -74,9 +74,7 @@ class FilterLattice:
         found = generated(frozenset([alg.one]), principal, partial(filter_join, alg))
         self.filters = tuple(sorted(found, key=subset_key))
         self._index = {f: i for i, f in enumerate(self.filters)}
-        self.lattice = FiniteLattice(
-            [[a <= b for b in self.filters] for a in self.filters]
-        )
+        self.lattice = FiniteLattice.from_subsets(self.filters)
         self._verify()
 
     def _verify(self):

@@ -227,9 +227,6 @@ class FiniteLattice:
 
         return tuple(tuple(least(b, a) for a in range(n)) for b in range(n))
 
-    def dual(self):
-        return FiniteLattice([[self.leq[j][i] for j in range(self.size)] for i in range(self.size)])
-
     @cached_property
     def _colors(self):
         return refine(self.join_table)

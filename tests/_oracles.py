@@ -6,7 +6,7 @@ defining conditions, never the library's search or propagation routines.
 
 from itertools import permutations, product
 
-from hilbertalg import axiom_violations
+from hilbertalg import FiniteLattice, axiom_violations
 
 
 def all_subsets(n):
@@ -204,3 +204,32 @@ def axiom_violations_brute(table, one):
                 if table[inner][outer] != one:
                     bad.append(("exchange", (x, y, z)))
     return sorted(bad)
+
+
+def dual_lattice(lat):
+    """The same carrier with the order reversed."""
+    return FiniteLattice([[lat.leq[j][i] for j in range(lat.size)] for i in range(lat.size)])
+
+
+def adjoint_ideals_brute(adj):
+    """Nonempty join-closed down-sets of the adjoint semilattice, smallest first.
+
+    Closes the principal down-sets under union, which lists every down-set,
+    and keeps those that contain the join of any two of their members.
+    """
+    k = len(adj.carrier)
+    leq = adj.lattice.leq
+    down = [frozenset(j for j in range(k) if leq[j][i]) for i in range(k)]
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        s = frontier.pop()
+        for d in down:
+            u = s | d
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    ideals = [
+        s for s in seen if s and all(adj.join_table[i][j] in s for i in s for j in s)
+    ]
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from hilbertalg import (
+    InvariantViolation,
     Structures,
     adjoint_ideal_lattice,
     all_filters,
@@ -13,6 +16,7 @@ from hilbertalg import (
     pointwise_leq,
     subtraction,
     translation,
+    validate_hilbert,
 )
 from hilbertalg.adjoint import (
     adjoint_iso_report,
@@ -23,7 +27,7 @@ from hilbertalg.adjoint import (
     join_density_report,
 )
 
-from _oracles import all_subsets
+from _oracles import adjoint_ideals_brute, all_subsets
 
 
 def test_composite_translation_basics(tarski3, algebras4):
@@ -155,14 +159,37 @@ def test_ideal_lattice_shapes(godel3, tarski3, singleton):
     assert len(ideals) == 1
 
 
-def test_filter_ideal_bridge(algebras4):
-    for alg in algebras4:
+def test_filter_ideal_bridge(catalog5):
+    for entry in catalog5:
+        alg = entry.algebra
         ctx = Structures(alg)
         report = filter_ideal_bridge_report(ctx)
         assert report.ok, report.as_dict()
         ideals, ilat = adjoint_ideal_lattice(ctx.adjoint)
+        assert list(ideals) == adjoint_ideals_brute(ctx.adjoint)
         assert len(ideals) == len(all_filters(alg))
         assert ilat.isomorphism(all_filters(alg).lattice) is not None
+
+
+def test_ideal_lattice_rechecks_the_join_table(tarski3):
+    adj = Structures(tarski3).adjoint
+    bottom, top = adj.lattice.bottom, adj.lattice.top
+    join = [list(row) for row in adj.join_table]
+    join[bottom][bottom] = top  # one wrong cell: the bottom's down-set is no longer join-closed
+    broken = replace(adj, join_table=tuple(map(tuple, join)))
+    with pytest.raises(InvariantViolation, match="not closed under join"):
+        adjoint_ideal_lattice(broken)
+
+
+def test_filter_ideal_bridge_on_the_flat_seven_element_algebra():
+    # x -> y = y for x != y: the closure endomorphism lattice is Boolean with 64
+    # elements, which has about 7.8 million down-sets but only 64 ideals
+    n = 7
+    one = n - 1
+    flat = validate_hilbert([[one if x == y or y == one else y for y in range(n)] for x in range(n)], one)
+    report = filter_ideal_bridge_report(Structures(flat))
+    assert report.ok, report.as_dict()
+    assert [c.detail for c in report.checks] == ["64 ideals, 64 filters"]
 
 
 def test_fg_ideal_report(catalog4, godel3):

@@ -150,7 +150,11 @@ def test_enumerate_summary(capsys):
 
 def test_enumerate_bound(capsys):
     assert main(["enumerate", "7"]) == 2
-    assert main(["enumerate", "5", "--bound", "4"]) == 2
+    # the bound is fixed: an option that would move it is rejected by the parser
+    for argv in (["enumerate", "5", "--bound", "4"], ["enumerate", "3", "--bound", "3"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_enumerate_far_beyond_the_bound_is_an_input_error(capsys):
