@@ -2,10 +2,12 @@
 
 Composites of translations form an upper semilattice with a subtraction
 operation (the adjoint semilattice); over a finite algebra it exhausts all
-closure endomorphisms.  The kernel map matches it with the semilattice of
-finitely generated filters, whose reverse-inclusion order is an implicative
-semilattice extending the algebra (the minimal Brouwerian extension), and
-whose ideal lattice reproduces the filter lattice.
+closure endomorphisms, so ``adjoint_semilattice`` re-checks the closure
+endomorphism lattice and returns it: the join is composition and the
+subtraction is the lattice's residual.  The kernel map matches it with the
+semilattice of finitely generated filters, whose reverse-inclusion order is
+an implicative semilattice extending the algebra (the minimal Brouwerian
+extension), and whose ideal lattice reproduces the filter lattice.
 """
 
 from __future__ import annotations
@@ -49,38 +51,22 @@ def subtraction(alg, f, g, carrier):
     return least[0]
 
 
-@dataclass(frozen=True)
-class AdjointSemilattice:
-    """Finitely generated closure endomorphisms with join and subtraction."""
-
-    carrier: tuple
-    join_table: tuple
-    subtraction_table: tuple
-    lattice: FiniteLattice
-
-    def __len__(self):
-        return len(self.carrier)
-
-    def index(self, f):
-        return self.carrier.index(tuple(f))
-
-
 def adjoint_semilattice(ce, fg):
-    """Build the adjoint semilattice and re-check its defining laws.
+    """Re-check that ce is the adjoint semilattice, and return it.
 
     ce is the closure endomorphism lattice and fg the sorted finitely
-    generated closure endomorphisms of the same algebra.  Checks: the
-    carrier (composites of translations) is every closure endomorphism of a
-    finite algebra; subtraction of translations follows the law
+    generated closure endomorphisms of the same algebra.  The join is
+    ``ce.lattice.join_table`` (composition) and the subtraction
+    ``ce.lattice.residual_table``.  Checks: the carrier (composites of
+    translations) is every closure endomorphism of a finite algebra; every
+    subtraction exists; subtraction of translations follows the law
     (translation q) - (translation p) = translation (p -> q); translations
     are closed under subtraction.
     """
     alg = ce.alg
     if list(ce.carrier) != fg:
         raise InvariantViolation("finitely generated closure endomorphisms miss some")
-    carrier = ce.carrier
-    index = {f: i for i, f in enumerate(carrier)}
-    join_table = ce.comp_table
+    carrier, index = ce.carrier, ce.index
     # sub[i][j] = carrier[i] - carrier[j], the least h with carrier[i] <= carrier[j] o h;
     # composition is the join of the lattice, so that is its residual
     sub = ce.lattice.residual_table
@@ -92,19 +78,14 @@ def adjoint_semilattice(ce, fg):
     translations = {translation(alg, p) for p in alg.elements}
     for p in alg.elements:
         for q in alg.elements:
-            got = carrier[sub[index[translation(alg, q)]][index[translation(alg, p)]]]
+            got = carrier[sub[index(translation(alg, q))][index(translation(alg, p))]]
             if got != translation(alg, imp[p][q]):
                 raise InvariantViolation(
                     f"translation subtraction law fails at p={p}, q={q}"
                 )
             if got not in translations:
                 raise InvariantViolation("translations not closed under subtraction")
-    return AdjointSemilattice(
-        carrier=carrier,
-        join_table=join_table,
-        subtraction_table=sub,
-        lattice=ce.lattice,
-    )
+    return ce
 
 
 def join_density_report(ctx):
@@ -144,21 +125,21 @@ def adjoint_iso_report(ctx):
     carrier = adj.carrier
     kernels = [kernel(alg, f) for f in carrier]
 
-    fg_filters = {filter_generated(alg, j) for j in fl.filters}
+    fg_filters = {filter_generated(alg, j) for j in fl.carrier}
     b.check(
         "all-filters-finitely-generated",
-        [] if fg_filters == set(fl.filters) else [fmt(filters=len(fl.filters))],
+        [] if fg_filters == set(fl.carrier) else [fmt(filters=len(fl.carrier))],
     )
     b.check(
         "kernel-bijection",
         []
-        if sorted(kernels, key=subset_key) == list(fl.filters)
-        else [fmt(kernels=len(set(kernels)), filters=len(fl.filters))],
+        if sorted(kernels, key=subset_key) == list(fl.carrier)
+        else [fmt(kernels=len(set(kernels)), filters=len(fl.carrier))],
     )
     join_fails = []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            if kernel(alg, carrier[adj.join_table[i][j]]) != filter_join(alg, kernels[i], kernels[j]):
+            if kernel(alg, carrier[adj.lattice.join_table[i][j]]) != filter_join(alg, kernels[i], kernels[j]):
                 join_fails.append(fmt(f=f, g=g))
     b.check("kernel-preserves-join", join_fails)
 
@@ -224,9 +205,6 @@ class BrouwerianExtension:
     def __len__(self):
         return len(self.filters)
 
-    def index(self, members):
-        return self.filters.index(frozenset(members))
-
 
 def _extension_checks(alg, ext):
     """Failure witnesses for the implicative-semilattice laws of the extension."""
@@ -274,7 +252,7 @@ def minimal_brouwerian_extension(fl):
     preserves implication and the unit, and that everything is a finite meet
     of embedded elements.
     """
-    alg, filters = fl.alg, fl.filters
+    alg, filters = fl.alg, fl.carrier
     # imp_table[i][j]: the least filter h (by inclusion) with filters[j] within filters[i] join h
     imp_table = tuple(zip(*fl.lattice.residual_table))
     for i, row in enumerate(imp_table):
@@ -282,7 +260,7 @@ def minimal_brouwerian_extension(fl):
             raise InvariantViolation(f"no relative pseudocomplement for ({i}, {row.index(None)})")
     ext = BrouwerianExtension(
         filters=filters,
-        unit=fl.index([alg.one]),
+        unit=fl.index(frozenset([alg.one])),
         meet_table=fl.lattice.join_table,  # filter join
         imp_table=imp_table,
         embedding=tuple(fl.index(filter_generated(alg, [p])) for p in alg.elements),
@@ -337,7 +315,7 @@ def adjoint_ideal_lattice(adj):
     (ideals, lattice); ideals are frozensets of carrier indices.
     """
     k = len(adj.carrier)
-    leq, join = adj.lattice.leq, adj.join_table
+    leq, join = adj.lattice.leq, adj.lattice.join_table
     ideals = sorted((frozenset(j for j in range(k) if leq[j][i]) for i in range(k)), key=subset_key)
     for s in ideals:
         if any(join[i][j] not in s for i in s for j in s):
@@ -352,8 +330,8 @@ def filter_ideal_bridge_report(ctx):
     fl = ctx.filters
     b.check(
         "ideal-lattice-isomorphic-to-filter-lattice",
-        [] if fl.lattice.isomorphism(ilat) is not None else [fmt(ideals=len(ideals), filters=len(fl.filters))],
-        detail=f"{len(ideals)} ideals, {len(fl.filters)} filters",
+        [] if fl.lattice.isomorphism(ilat) is not None else [fmt(ideals=len(ideals), filters=len(fl.carrier))],
+        detail=f"{len(ideals)} ideals, {len(fl.carrier)} filters",
     )
     return b.done()
 

@@ -102,7 +102,7 @@ def _analyze_payload(alg, labels, args):
         fl = ctx.filters
         out["filters"] = [
             {"members": _fset(j, labels), "monomial": is_monomial(alg, j)}
-            for j in fl.filters
+            for j in fl.carrier
         ]
         out["filter_lattice_covers"] = _cover_list(fl.lattice.leq)
     if args.multipliers:
@@ -125,8 +125,8 @@ def _analyze_payload(alg, labels, args):
         adj = ctx.adjoint
         out["adjoint"] = {
             "maps": [_fmap(f, labels) for f in adj.carrier],
-            "join": [list(r) for r in adj.join_table],
-            "subtraction": [list(r) for r in adj.subtraction_table],
+            "join": [list(r) for r in adj.lattice.join_table],
+            "subtraction": [list(r) for r in adj.lattice.residual_table],
         }
     if args.extension:
         ext = ctx.extension
@@ -294,7 +294,7 @@ def cmd_export(args):
         text = dot_of_order("hasse", alg.leq, labels)
     elif args.dot == "filters":
         fl = Structures(alg).filters
-        text = dot_of_order("filters", fl.lattice.leq, [_fset(j, labels) for j in fl.filters])
+        text = dot_of_order("filters", fl.lattice.leq, [_fset(j, labels) for j in fl.carrier])
     else:
         ce = Structures(alg).ce
         text = dot_of_order("ce", ce.lattice.leq, [_fmap(f, labels) for f in ce.carrier])
@@ -302,8 +302,8 @@ def cmd_export(args):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as e:
-            raise _input_error(f"cannot write {e.filename}: {e.strerror}") from None
+        except OSError as e:  # e.filename is None when the write or close fails
+            raise _input_error(f"cannot write {args.out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
     return OK
@@ -326,16 +326,18 @@ def cmd_enumerate(args):
         )
     summary = "\n".join(lines) + "\n"
     if args.out_dir:
+        path = args.out_dir
         try:
-            os.makedirs(args.out_dir, exist_ok=True)
+            os.makedirs(path, exist_ok=True)
             for i, e in enumerate(catalog.entries):
                 path = os.path.join(args.out_dir, f"algebra_{args.size}_{i:03d}.json")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(dump_algebra(e.algebra))
-            with open(os.path.join(args.out_dir, f"summary_{args.size}.txt"), "w", encoding="utf-8") as fh:
+            path = os.path.join(args.out_dir, f"summary_{args.size}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(summary)
-        except OSError as e:
-            raise _input_error(f"cannot write {e.filename}: {e.strerror}") from None
+        except OSError as e:  # e.filename is None when the write or close fails
+            raise _input_error(f"cannot write {path}: {e.strerror}") from None
         print(f"wrote {len(catalog.entries)} algebra file(s) to {args.out_dir}")
     else:
         sys.stdout.write(summary)

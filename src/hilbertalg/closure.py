@@ -214,14 +214,20 @@ class NotSpecialError(ValueError):
         )
 
 
-def closure_retract_witness(alg, members):
-    """An element whose up-set inside members has no least element, or None."""
+def _least_above(alg, members):
+    """For each element, the least member above it, or None where there is none."""
     leq = alg.leq
+    out = []
     for a in alg.elements:
         ups = [r for r in members if leq[a][r]]
-        if not any(all(leq[r][s] for s in ups) for r in ups):
-            return a
-    return None
+        out.append(next((r for r in ups if all(leq[r][s] for s in ups)), None))
+    return out
+
+
+def closure_retract_witness(alg, members):
+    """An element whose up-set inside members has no least element, or None."""
+    least = _least_above(alg, members)
+    return least.index(None) if None in least else None
 
 
 def is_closure_retract(alg, members):
@@ -265,18 +271,13 @@ def ce_from_retract(alg, members):
     least member above it.  Domain errors carry the offending element or
     pair.
     """
-    bad = closure_retract_witness(alg, members)
-    if bad is not None:
-        raise NotClosureRetractError(bad)
+    least = _least_above(alg, members)
+    if None in least:
+        raise NotClosureRetractError(least.index(None))
     pair = special_witness(alg, members)
     if pair is not None:
         raise NotSpecialError(pair)
-    leq = alg.leq
-    img = []
-    for a in alg.elements:
-        ups = [r for r in members if leq[a][r]]
-        img.append(next(r for r in ups if all(leq[r][s] for s in ups)))
-    f = tuple(img)
+    f = tuple(least)
     if not is_closure_endomorphism(alg, f) or fixpoints(alg, f) != frozenset(members):
         raise InvariantViolation(
             f"minima over {fset(members)} do not form a closure endomorphism"
@@ -325,7 +326,7 @@ def ce_structure_report(ctx):
         [] if ce.lattice.is_distributive else [fmt(size=len(carrier))],
         detail=f"{len(carrier)} closure endomorphisms",
     )
-    via_filters = closure_endos_via_filters(alg, ctx.filters.filters)
+    via_filters = closure_endos_via_filters(alg, ctx.filters.carrier)
     b.check(
         "isotone-multipliers-equal-monomial-route",
         [] if list(carrier) == via_filters else [fmt(direct=len(carrier), via=len(via_filters))],
@@ -421,16 +422,16 @@ def kernel_embedding_report(ctx):
     meet_fails, join_fails = [], []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            km = kernel(alg, carrier[ce.meet_table[i][j]])
+            km = kernel(alg, carrier[ce.lattice.meet_table[i][j]])
             if km != kernels[i] & kernels[j]:
                 meet_fails.append(fmt(f=f, g=g))
-            kj = kernel(alg, carrier[ce.comp_table[i][j]])
+            kj = kernel(alg, carrier[ce.lattice.join_table[i][j]])
             if kj != filter_join(alg, kernels[i], kernels[j]):
                 join_fails.append(fmt(f=f, g=g))
     b.check("meet-to-intersection", meet_fails)
     b.check("join-to-filter-join", join_fails)
 
-    monomials = {j for j in fl.filters if is_monomial(alg, j)}
+    monomials = {j for j in fl.carrier if is_monomial(alg, j)}
     b.check(
         "range-is-monomial-filters",
         []
@@ -450,14 +451,14 @@ def kernel_embedding_report(ctx):
         "roundtrip-from-endomorphism",
         [fmt(map=f) for f, k in zip(carrier, kernels) if ce_from_monomial_filter(alg, k) != f],
     )
-    failures, skips = monomial_roundtrip(alg, fl.filters)
+    failures, skips = monomial_roundtrip(alg, fl.carrier)
     b.check("roundtrip-from-filter", failures)
     for s in skips:
         b.skip("roundtrip-from-filter-skipped", s)
     b.check(
         "count-matches-filters",
-        [] if len(carrier) == len(fl.filters) else [fmt(ce=len(carrier), filters=len(fl.filters))],
-        detail=f"{len(carrier)} closure endomorphisms, {len(fl.filters)} filters",
+        [] if len(carrier) == len(fl.carrier) else [fmt(ce=len(carrier), filters=len(fl.carrier))],
+        detail=f"{len(carrier)} closure endomorphisms, {len(fl.carrier)} filters",
     )
     return b.done()
 
@@ -472,10 +473,10 @@ def fixpoint_embedding_report(ctx):
     comp_fails, meet_fails = [], []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            fc = fixpoints(alg, carrier[ce.comp_table[i][j]])
+            fc = fixpoints(alg, carrier[ce.lattice.join_table[i][j]])
             if fc != fixes[i] & fixes[j]:
                 comp_fails.append(fmt(f=f, g=g))
-            fm = fixpoints(alg, carrier[ce.meet_table[i][j]])
+            fm = fixpoints(alg, carrier[ce.lattice.meet_table[i][j]])
             if fm != cross_meets(alg, fixes[i], fixes[j]):
                 meet_fails.append(fmt(f=f, g=g))
     b.check("composition-to-intersection", comp_fails)
@@ -534,7 +535,7 @@ def fixpoint_embedding_report(ctx):
     b.check("special-subsets-translation-closed", alpha_fails)
 
     # explicit duality between monomial filters and special closure retracts
-    monomials = sorted((j for j in ctx.filters.filters if is_monomial(alg, j)), key=subset_key)
+    monomials = sorted((j for j in ctx.filters.carrier if is_monomial(alg, j)), key=subset_key)
     dual_fails = []
     pair = {kernel(alg, f): fixpoints(alg, f) for f in carrier}
     if set(pair) != set(monomials):
@@ -584,7 +585,7 @@ def implication_extras_report(ctx):
     join_fails = []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            h = carrier[ce.comp_table[i][j]]
+            h = carrier[ce.lattice.join_table[i][j]]
             if any(h[x] != partial_join(alg, f[x], g[x]) for x in alg.elements):
                 join_fails.append(fmt(f=f, g=g))
     b.check("join-is-pointwise", join_fails)

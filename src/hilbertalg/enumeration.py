@@ -51,16 +51,11 @@ class EnumerationBound(ValueError):
     pass
 
 
-def _relabel_poset(up, perm):
-    """The up-set masks of ``up`` after moving each point i to perm[i]."""
-    out = [0] * len(up)
-    for i, mask in enumerate(up):
-        image = 0
-        for j, p in enumerate(perm):
-            if mask >> j & 1:
-                image |= 1 << p
-        out[perm[i]] = image
-    return tuple(out)
+def _poset_table(up):
+    """The flat table of the poset ``up`` under a top unit: x -> y = 1 if x <= y, else y."""
+    one = len(up)
+    rng = range(one + 1)
+    return tuple(one if y == one or x < one and up[x] >> y & 1 else y for x in rng for y in rng)
 
 
 @cache
@@ -70,20 +65,19 @@ def unlabelled_posets(points):
     Bit j of ``up[i]`` is set when i <= j.  Every poset has a minimal point,
     and removing it leaves a poset whose up-sets include that point's strict
     up-set; so adding a new minimal point under each up-set of each smaller
-    poset reaches every class.  The least relabelled tuple of masks picks
-    one representative per class.
+    poset reaches every class.  The least relabelling of each poset's table
+    picks one representative per class.
     """
     if points == 0:
         return ((),)
     new = 1 << (points - 1)
-    perms = tuple(permutations(range(points)))
-    found = set()
+    found = {}
     for up in unlabelled_posets(points - 1):
         for mask in range(new):
             if all(up[i] | mask == mask for i in range(points - 1) if mask >> i & 1):
                 grown = up + (mask | new,)
-                found.add(min(_relabel_poset(grown, p) for p in perms))
-    return tuple(sorted(found))
+                found.setdefault(_least_relabelling(_poset_table(grown), points + 1), grown)
+    return tuple(found.values())
 
 
 @cache
@@ -175,7 +169,8 @@ def search_valid_tables(n):
     """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, without dedup."""
     rels = _relabellings(n)
     for up in unlabelled_posets(n - 1):
-        aut = [r for r in rels if _relabel_poset(up, r[0][:-1]) == up]
+        order = _poset_table(up)
+        aut = [r for r in rels if _relabel(order, r) == order]
         seen = set()
         for hit in _tables_over(up):
             if hit in seen:
@@ -188,18 +183,12 @@ def search_valid_tables(n):
                 yield snapshot
 
 
-def canonical_table(table, one):
-    """Lexicographically least relabeling of the table, unit placed last.
+def _least_relabelling(flat, n):
+    """The least unit-fixing relabelling of a flat table with unit n-1.
 
     Candidates are compared cell by cell in row-major order and dropped at
     the first cell where they exceed the best so far.
     """
-    n = len(table)
-    order = [x for x in range(n) if x != one] + [one]
-    pos = [0] * n
-    for i, x in enumerate(order):
-        pos[x] = i
-    flat = [pos[table[x][y]] for x in order for y in order]
     best = None
     for lab, src in _relabellings(n):
         if best is not None:
@@ -211,8 +200,19 @@ def canonical_table(table, one):
                 continue  # equal to the best so far
             if c > b:
                 continue
-        best = [lab[flat[s]] for s in src]
-    return tuple(tuple(best[i : i + n]) for i in range(0, n * n, n))
+        best = tuple([lab[flat[s]] for s in src])
+    return best
+
+
+def canonical_table(table, one):
+    """Lexicographically least relabeling of the table, unit placed last."""
+    n = len(table)
+    order = [x for x in range(n) if x != one] + [one]
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    best = _least_relabelling([pos[table[x][y]] for x in order for y in order], n)
+    return tuple(best[i : i + n] for i in range(0, n * n, n))
 
 
 def canonical_form(alg):

@@ -1,14 +1,18 @@
-"""Filters, the filter lattice, filter congruences, and monomial filters."""
+"""Filters, the filter lattice, filter congruences, and monomial filters.
+
+The filter lattice is a ``multipliers.CarrierLattice``, the same re-checked
+carrier lattice as the closure endomorphism lattice, which it contains
+(by kernels) as the monomial filters.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import and_
+from operator import and_, le
 
 from .core import InvariantViolation, generated, subset_key
-from .lattice import FiniteLattice
-from .multipliers import closed_table
+from .multipliers import CarrierLattice
 
 
 def is_filter(alg, members):
@@ -58,48 +62,24 @@ def filter_join(alg, j, k):
     return filter_generated(alg, set(j) | set(k))
 
 
-class FilterLattice:
+class FilterLattice(CarrierLattice):
     """All filters of an algebra, ordered by inclusion.
 
     The carrier is found by closing the least filter under joins with
     principal filters, which reaches every filter without scanning all
-    2^n subsets.  Construction re-checks the structural facts every filter
-    lattice has: bounds {1} and the universe, meet = intersection,
+    2^n subsets.  ``CarrierLattice`` re-checks the structural facts every
+    filter lattice has: bounds {1} and the universe, meet = intersection,
     join = generated union, and distributivity.
     """
 
     def __init__(self, alg):
         self.alg = alg
-        principal = [filter_generated(alg, [x]) for x in alg.elements]
-        found = generated(frozenset([alg.one]), principal, partial(filter_join, alg))
-        self.filters = tuple(sorted(found, key=subset_key))
-        self._index = {f: i for i, f in enumerate(self.filters)}
-        self.lattice = FiniteLattice.from_subsets(self.filters)
-        self._verify()
-
-    def _verify(self):
-        alg = self.alg
-        if self.filters[self.lattice.bottom] != frozenset([alg.one]):
-            raise InvariantViolation("least filter is not {1}")
-        if self.filters[self.lattice.top] != frozenset(alg.elements):
-            raise InvariantViolation("greatest filter is not the universe")
-        filters, index = self.filters, self._index
-        if self.lattice.meet_table != closed_table(filters, index, and_, "filters", "intersection"):
-            raise InvariantViolation("filter meet is not intersection")
         join = partial(filter_join, alg)
-        if self.lattice.join_table != closed_table(filters, index, join, "filters", "join"):
-            raise InvariantViolation("filter join is not the generated union")
-        if not self.lattice.is_distributive:
-            raise InvariantViolation("filter lattice is not distributive")
-
-    def __len__(self):
-        return len(self.filters)
-
-    def __iter__(self):
-        return iter(self.filters)
-
-    def index(self, members):
-        return self._index[frozenset(members)]
+        principal = [filter_generated(alg, [x]) for x in alg.elements]
+        found = generated(frozenset([alg.one]), principal, join)
+        ops = ((join, "generated union"), (and_, "intersection"))
+        least, universe = frozenset([alg.one]), frozenset(alg.elements)
+        super().__init__(sorted(found, key=subset_key), le, ops, least, universe, "filters")
 
 
 def all_filters(alg):

@@ -7,6 +7,10 @@ carries pointwise implication, pointwise meet and composition; construction
 of ``MultiplierAlgebra`` re-verifies the expected structure (a bounded
 implication algebra under pointwise implication, and a Boolean lattice with
 composition as join and pointwise meet as meet).
+
+``CarrierLattice`` is the one re-checked lattice on a carrier: the
+multiplier, closure endomorphism (``MapLattice``) and filter lattices are
+its subclasses.
 """
 
 from __future__ import annotations
@@ -176,34 +180,32 @@ def closed_table(carrier, index, op, what, name):
     return table
 
 
-class MapLattice:
-    """A sorted carrier of self-maps, closed under composition and pointwise meet.
+class CarrierLattice:
+    """A sorted carrier with the lattice of an order on it, re-checked against
+    the carrier's own operations.
 
-    ``comp_table`` and ``meet_table`` give carrier indices.  Construction
-    re-checks closure under both operations and that the pointwise order is
-    a bounded distributive lattice with the identity and the constant unit
-    map as bounds, composition as join and pointwise meet as meet.
+    ``leq(x, y)`` orders the carrier and ``ops`` is ((join, name),
+    (meet, name)).  Construction re-checks that the carrier is closed under
+    both operations, that they are the join and meet of the order, that the
+    lattice has the carrier members ``bottom`` and ``top`` as bounds, and
+    that it is distributive; ``what`` names the carrier in the
+    ``InvariantViolation``.
     """
 
-    def __init__(self, alg, carrier, what):
-        self.alg = alg
+    def __init__(self, carrier, leq, ops, bottom, top, what):
         self.what = what
         self.carrier = carrier = tuple(carrier)
-        self._index = index = {f: i for i, f in enumerate(carrier)}
-        self.identity_index = index[identity_map(alg)]
-        self.top_index = index[constant_one(alg)]
-        self.comp_table = closed_table(carrier, index, compose, what, "composition")
-        meet = partial(pointwise_meet, alg)
-        self.meet_table = closed_table(carrier, index, meet, what, "pointwise meet")
-        self.lattice = lat = FiniteLattice(
-            [[pointwise_leq(alg, f, g) for g in self.carrier] for f in self.carrier]
-        )
-        if lat.bottom != self.identity_index or lat.top != self.top_index:
-            raise InvariantViolation(f"{what}: bounds are not the identity and unit maps")
-        if lat.join_table != self.comp_table:
-            raise InvariantViolation(f"{what}: composition is not the join")
-        if lat.meet_table != self.meet_table:
-            raise InvariantViolation(f"{what}: pointwise meet is not the meet")
+        self._index = index = {x: i for i, x in enumerate(carrier)}
+        (join, join_name), (meet, meet_name) = ops
+        join_table = closed_table(carrier, index, join, what, join_name)
+        meet_table = closed_table(carrier, index, meet, what, meet_name)
+        self.lattice = lat = FiniteLattice([[leq(x, y) for y in carrier] for x in carrier])
+        if lat.bottom != index.get(bottom) or lat.top != index.get(top):
+            raise InvariantViolation(f"{what}: bounds are not {bottom} and {top}")
+        if lat.join_table != join_table:
+            raise InvariantViolation(f"{what}: {join_name} is not the join")
+        if lat.meet_table != meet_table:
+            raise InvariantViolation(f"{what}: {meet_name} is not the meet")
         if not lat.is_distributive:
             raise InvariantViolation(f"{what}: lattice is not distributive")
 
@@ -213,29 +215,42 @@ class MapLattice:
     def __iter__(self):
         return iter(self.carrier)
 
-    def index(self, f):
-        return self._index[tuple(f)]
+    def index(self, x):
+        return self._index[x]
+
+
+class MapLattice(CarrierLattice):
+    """Self-maps under the pointwise order, with composition as join, pointwise
+    meet as meet, and the identity and the constant unit map as bounds."""
+
+    def __init__(self, alg, carrier, what):
+        self.alg = alg
+        ops = ((compose, "composition"), (partial(pointwise_meet, alg), "pointwise meet"))
+        identity, one = identity_map(alg), constant_one(alg)
+        super().__init__(carrier, partial(pointwise_leq, alg), ops, identity, one, what)
+        self.identity_index = self._index[identity]
+        self.top_index = self._index[one]
 
 
 class MultiplierAlgebra(MapLattice):
     """Every multiplier of an algebra, with its operation tables.
 
-    Besides the ``MapLattice`` tables, ``imp_table`` gives pointwise
-    implication; construction also re-checks that the lattice is Boolean and
-    that pointwise implication makes the carrier a bounded implication
-    algebra.
+    Besides the lattice, ``imp_table`` gives pointwise implication;
+    construction also re-checks that the lattice is Boolean and that
+    pointwise implication makes the carrier a bounded implication algebra.
     """
 
     def __init__(self, alg):
         super().__init__(alg, search_multipliers(alg), "multipliers")
         imp = partial(pointwise_imp, alg)
         self.imp_table = closed_table(self.carrier, self._index, imp, self.what, "pointwise implication")
+        join, meet = self.lattice.join_table, self.lattice.meet_table
         # complement of f is f -> identity
         for i in range(len(self.carrier)):
             c = self.imp_table[i][self.identity_index]
-            if self.meet_table[i][c] != self.identity_index:
+            if meet[i][c] != self.identity_index:
                 raise InvariantViolation("complement law for meet fails")
-            if self.comp_table[i][c] != self.top_index:
+            if join[i][c] != self.top_index:
                 raise InvariantViolation("complement law for join fails")
         inner = validate_hilbert(self.imp_table, self.top_index)
         if not classify(inner).implication_algebra:

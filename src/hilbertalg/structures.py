@@ -5,7 +5,9 @@ on one algebra share one ``Structures`` context.  The cache is not kept on
 ``FiniteHilbertAlgebra``: catalog entries keep their algebras, and would then
 keep every structure of a whole catalog alive.  Only tables of n x n entries,
 the size of the implication table itself (the order and the meet, join and
-compatible meet tables), are cached on the algebra.
+compatible meet tables), are cached on the algebra.  ``adjoint`` is the
+closure endomorphism lattice ``ce`` itself, once re-checked as the adjoint
+semilattice.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class Structures:
 
     @cached_property
     def adjoint(self):
+        """``ce``, re-checked as the adjoint semilattice."""
         return adjoint_semilattice(self.ce, self.finitely_generated)
 
     @cached_property

@@ -230,6 +230,6 @@ def adjoint_ideals_brute(adj):
                 seen.add(u)
                 frontier.append(u)
     ideals = [
-        s for s in seen if s and all(adj.join_table[i][j] in s for i in s for j in s)
+        s for s in seen if s and all(adj.lattice.join_table[i][j] in s for i in s for j in s)
     ]
     return sorted(ideals, key=lambda s: (len(s), sorted(s)))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from copy import copy
 
 import pytest
 
@@ -78,7 +78,7 @@ def test_subtraction_examples(tarski3, algebras4):
 def test_subtraction_residuation(algebras4):
     for alg in algebras4:
         ctx = Structures(alg)
-        carrier, sub = ctx.ce.carrier, ctx.adjoint.subtraction_table
+        carrier, sub = ctx.ce.carrier, ctx.adjoint.lattice.residual_table
         for j, f in enumerate(carrier):
             for i, g in enumerate(carrier):
                 s = subtraction(alg, f, g, carrier)
@@ -98,7 +98,7 @@ def test_adjoint_semilattice_and_translation_law(algebras4):
         for p in alg.elements:
             for q in alg.elements:
                 got = adj.carrier[
-                    adj.subtraction_table[idx[translation(alg, q)]][idx[translation(alg, p)]]
+                    adj.lattice.residual_table[idx[translation(alg, q)]][idx[translation(alg, p)]]
                 ]
                 assert got == translation(alg, alg.imp[p][q])
 
@@ -174,9 +174,11 @@ def test_filter_ideal_bridge(catalog5):
 def test_ideal_lattice_rechecks_the_join_table(tarski3):
     adj = Structures(tarski3).adjoint
     bottom, top = adj.lattice.bottom, adj.lattice.top
-    join = [list(row) for row in adj.join_table]
+    join = [list(row) for row in adj.lattice.join_table]
     join[bottom][bottom] = top  # one wrong cell: the bottom's down-set is no longer join-closed
-    broken = replace(adj, join_table=tuple(map(tuple, join)))
+    broken = copy(adj)
+    broken.lattice = copy(adj.lattice)
+    broken.lattice.join_table = tuple(map(tuple, join))
     with pytest.raises(InvariantViolation, match="not closed under join"):
         adjoint_ideal_lattice(broken)
 

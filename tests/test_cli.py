@@ -103,6 +103,17 @@ def test_enumerate_into_a_file_is_an_input_error(tmp_path, capsys):
     assert captured.err == f"input error: cannot write {taken}: File exists\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_names_the_path(godel3_file, tmp_path, capsys):
+    assert main(["export", godel3_file, "--dot", "ce", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "input error: cannot write /dev/full: No space left on device\n"
+    full = tmp_path / "out" / "algebra_3_000.json"
+    full.parent.mkdir()
+    full.symlink_to("/dev/full")
+    assert main(["enumerate", "3", "--out-dir", str(full.parent)]) == 2
+    assert capsys.readouterr().err == f"input error: cannot write {full}: No space left on device\n"
+
+
 def test_verify_single_file(godel3_file, capsys):
     assert main(["verify", godel3_file, "--suite", "kernel-embedding"]) == 0
     out = capsys.readouterr().out

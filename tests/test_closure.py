@@ -120,7 +120,7 @@ def test_ce_equals_filter_route(algebras4):
     from hilbertalg.closure import closure_endos_via_filters
 
     for alg in algebras4:
-        assert list(Structures(alg).ce.carrier) == closure_endos_via_filters(alg, all_filters(alg).filters)
+        assert list(Structures(alg).ce.carrier) == closure_endos_via_filters(alg, all_filters(alg).carrier)
 
 
 def test_kernels(godel3, algebras4):

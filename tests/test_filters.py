@@ -19,7 +19,7 @@ from _oracles import all_subsets, filters_brute
 
 
 def every_filter(alg):
-    return all_filters(alg).filters
+    return all_filters(alg).carrier
 
 
 def test_trivial_filters(fixtures):
@@ -78,7 +78,7 @@ def test_filter_lattice_shapes(godel3, tarski3):
 def test_join_is_generated_union_and_distributive(algebras4):
     for alg in algebras4:
         fl = all_filters(alg)
-        filters = fl.filters
+        filters = fl.carrier
         for j in filters:
             for k in filters:
                 assert filter_join(alg, j, k) == filter_generated(alg, j | k)

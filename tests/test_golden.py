@@ -28,7 +28,7 @@ FIXTURES = {
     "tarski3": ([[2, 1, 2], [0, 2, 2], [0, 1, 2]], ["a", "b", "1"]),
 }
 
-ANALYZE_FLAGS = ["--filters", "--multipliers", "--ce", "--adjoint", "--extension", "--json"]
+ANALYZE_FLAGS = ["--filters", "--multipliers", "--ce", "--adjoint", "--extension"]
 
 
 def cases():
@@ -36,11 +36,13 @@ def cases():
     out = [
         ("verify-enumerate-4.txt", ["verify", "--enumerate", "4", "--suite", "all"]),
         ("verify-enumerate-4.json", ["verify", "--enumerate", "4", "--suite", "all", "--json"]),
+        ("verify-enumerate-5.txt", ["verify", "--enumerate", "5", "--suite", "all"]),
         ("enumerate-5.txt", ["enumerate", "5"]),
         ("enumerate-6.txt", ["enumerate", "6"]),
     ]
     for name in FIXTURES:
-        out.append((f"analyze-{name}.json", ["analyze", "{%s}" % name] + ANALYZE_FLAGS))
+        out.append((f"analyze-{name}.json", ["analyze", "{%s}" % name] + ANALYZE_FLAGS + ["--json"]))
+        out.append((f"analyze-{name}.txt", ["analyze", "{%s}" % name] + ANALYZE_FLAGS))
         for kind in ("hasse", "ce", "filters"):
             out.append((f"export-{name}-{kind}.dot", ["export", "{%s}" % name, "--dot", kind]))
     return out

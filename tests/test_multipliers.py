@@ -26,7 +26,8 @@ from hilbertalg import (
     translation,
     validate_hilbert,
 )
-from hilbertalg.multipliers import search_maps
+from hilbertalg.lattice import FiniteLattice
+from hilbertalg.multipliers import CarrierLattice, MapLattice, search_maps
 
 from _oracles import multipliers_brute
 
@@ -167,3 +168,44 @@ def test_pointwise_meet_guards_against_incompatible_images(tarski3):
     swap = (1, 0, 2)  # an endomorphism but not a multiplier; images clash at the atoms
     with pytest.raises(InvariantViolation):
         pointwise_meet(tarski3, identity_map(tarski3), swap)
+
+
+CHAIN3 = [[x <= y for y in range(3)] for x in range(3)]
+DIAMOND = [[x == y or x == 0 or y == 4 for y in range(5)] for x in range(5)]  # M3
+
+
+def carrier_lattice(order, **changes):
+    """The ``CarrierLattice`` of 0..k-1 under ``order`` with the order's own
+    join, meet and bounds, except where ``changes`` replaces one."""
+    lat = FiniteLattice(order)
+    args = dict(
+        carrier=range(lat.size),
+        leq=lambda x, y: lat.leq[x][y],
+        ops=((lat.join, "join"), (lat.meet, "meet")),
+        bottom=lat.bottom,
+        top=lat.top,
+        what="test",
+    )
+    args.update(changes)
+    return CarrierLattice(**args)
+
+
+@pytest.mark.parametrize(
+    "order,changes,message",
+    [
+        (CHAIN3, {"ops": ((lambda x, y: x + y, "sum"), (min, "min"))}, "test not closed under sum: 3"),
+        (CHAIN3, {"bottom": 1}, "test: bounds are not 1 and 2"),
+        (CHAIN3, {"ops": ((min, "min"), (max, "max"))}, "test: min is not the join"),
+        (CHAIN3, {"ops": ((max, "max"), (max, "max"))}, "test: max is not the meet"),
+        (DIAMOND, {}, "test: lattice is not distributive"),
+    ],
+)
+def test_carrier_lattice_rechecks_its_structure(order, changes, message):
+    with pytest.raises(InvariantViolation, match=message):
+        carrier_lattice(order, **changes)
+
+
+def test_map_lattice_bounds_are_the_identity_and_unit_maps(tarski3):
+    maps = [identity_map(tarski3), translation(tarski3, 0)]
+    with pytest.raises(InvariantViolation, match=r"maps: bounds are not \(0, 1, 2\) and \(2, 2, 2\)"):
+        MapLattice(tarski3, maps, "maps")
