@@ -14,8 +14,8 @@ vacuous and is not used.  Antisymmetry is checked explicitly because a raw
 table may satisfy both inequality laws while inducing only a preorder.
 
 Meets, joins and compatible meets are tables of the algebra, each built
-once, on first use, by one scan of the order; ``partial_meet``,
-``partial_join`` and ``compatible_meet`` look them up.
+once, on first use, from the up- and down-sets of the order as bitmasks;
+``partial_meet``, ``partial_join`` and ``compatible_meet`` look them up.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import bound_table, refine
+from .lattice import bits, bound_table, masks, refine
 
 
 class MalformedTableError(ValueError):
@@ -106,9 +106,12 @@ class FiniteHilbertAlgebra:
     def compatible_meet_table(self):
         """compatible_meet_table[x][y]: the compatible meet of x and y, or None."""
         leq, imp, meet, rng = self.leq, self.imp, self.meet_table, self.elements
+        down = masks(tuple(zip(*leq)))
 
         def compatible(x, y):
-            found = [c for c in rng if leq[c][x] and leq[c][y] and leq[x][imp[y][c]]]
+            # the common lower bounds c, lowest first, with x <= y -> c
+            imp_y, leq_x = imp[y], leq[x]
+            found = [c for c in bits(down[x] & down[y]) if leq_x[imp_y[c]]]
             if len(found) > 1:
                 raise InvariantViolation(
                     f"two compatible meets for ({x}, {y}): {found[0]} and {found[1]}"
@@ -160,25 +163,30 @@ def axiom_violations(table, one):
             out.append(Violation("reflexivity", (x,)))
         if imp[x][one] != one:
             out.append(Violation("top", (x,)))
+    # rows are looked up once per x and per (x, y), outside the inner loops
     for x in rng:
+        imp_x = imp[x]
         for y in rng:
-            if x < y and imp[x][y] == one and imp[y][x] == one:
+            if x < y and imp_x[y] == one and imp[y][x] == one:
                 out.append(Violation("antisymmetry", (x, y)))
-            if imp[x][imp[y][x]] != one:
+            if imp_x[imp[y][x]] != one:
                 out.append(Violation("weakening", (x, y)))
     for x in rng:
+        imp_x = imp[x]
         for y in rng:
-            if imp[x][y] != one:
+            if imp_x[y] != one:
                 continue
+            imp_y = imp[y]
             for z in rng:
-                if imp[y][z] == one and imp[x][z] != one:
+                if imp_y[z] == one and imp_x[z] != one:
                     out.append(Violation("transitivity", (x, y, z)))
     for x in rng:
+        imp_x = imp[x]
         for y in rng:
+            imp_y, imp_xy = imp[y], imp[imp_x[y]]
             for z in rng:
-                lhs = imp[x][imp[y][z]]
-                rhs = imp[imp[x][y]][imp[x][z]]
-                if imp[lhs][rhs] != one:
+                # x -> (y -> z) <= (x -> y) -> (x -> z)
+                if imp[imp_x[imp_y[z]]][imp_xy[imp_x[z]]] != one:
                     out.append(Violation("exchange", (x, y, z)))
     return out
 

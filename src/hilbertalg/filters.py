@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import and_, le
+from operator import and_
 
 from .core import InvariantViolation, generated, subset_key
+from .lattice import inclusion_order
 from .multipliers import CarrierLattice
 
 
@@ -79,7 +80,8 @@ class FilterLattice(CarrierLattice):
         found = generated(frozenset([alg.one]), principal, join)
         ops = ((join, "generated union"), (and_, "intersection"))
         least, universe = frozenset([alg.one]), frozenset(alg.elements)
-        super().__init__(sorted(found, key=subset_key), le, ops, least, universe, "filters")
+        carrier = sorted(found, key=subset_key)
+        super().__init__(carrier, inclusion_order, ops, least, universe, "filters")
 
 
 def all_filters(alg):

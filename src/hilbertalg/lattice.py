@@ -14,25 +14,40 @@ backtracking search then maps class onto class.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 
 
 class LatticeError(ValueError):
     pass
 
 
+def masks(rows):
+    """Each row of a square boolean matrix as an int, bit k set where the row is true at k."""
+    powers = [1 << k for k in range(len(rows))]
+    return [sum(compress(powers, row)) for row in rows]
+
+
+def bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def inclusion_order(sets):
+    """The order matrix of a family of sets under inclusion."""
+    return [[a <= b for b in sets] for a in sets]
+
+
 def is_partial_order(leq):
-    n = len(leq)
-    for i in range(n):
-        if not leq[i][i]:
-            return False
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                return False
-            if leq[i][j]:
-                for k in range(n):
-                    if leq[j][k] and not leq[i][k]:
-                        return False
-    return True
+    up, down = masks(leq), masks(tuple(zip(*leq)))
+    # i is the one element both above and below i (reflexive, antisymmetric),
+    # and everything above an element above i is above i (transitive)
+    return all(u & d == 1 << i for i, (u, d) in enumerate(zip(up, down))) and all(
+        not up[j] & ~u for u in up for j in bits(u)
+    )
 
 
 def cover_pairs(leq):
@@ -48,18 +63,27 @@ def cover_pairs(leq):
     ]
 
 
+class _Least(dict):
+    """Memo from a bitmask of elements to its least member: the lowest k in the
+    mask with the whole mask in ``beyond[k]``, or None."""
+
+    def __init__(self, beyond):
+        super().__init__()
+        self.beyond = beyond
+
+    def __missing__(self, common):
+        beyond = self.beyond
+        self[common] = k = next((k for k in bits(common) if not common & ~beyond[k]), None)
+        return k
+
+
 def bound_table(leq, upper):
     """For every pair (i, j) of the order matrix, the least upper bound or,
     with ``upper=False``, the greatest lower bound; None where there is none."""
-    n = len(leq)
-    rel = leq if upper else tuple(zip(*leq))
     # beyond[i]: bitmask of the elements above i (below i when not upper)
-    beyond = [sum(1 << k for k in range(n) if rel[i][k]) for i in range(n)]
-
-    def best(common):
-        return next((k for k in range(n) if common >> k & 1 and not common & ~beyond[k]), None)
-
-    return tuple(tuple(best(beyond[i] & beyond[j]) for j in range(n)) for i in range(n))
+    beyond = masks(leq if upper else tuple(zip(*leq)))
+    least = _Least(beyond)
+    return tuple(tuple(least[b & c] for c in beyond) for b in beyond)
 
 
 def _rank(keys):
@@ -150,7 +174,7 @@ class FiniteLattice:
     """
 
     def __init__(self, leq):
-        self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self.leq = tuple(tuple(map(bool, row)) for row in leq)
         self.size = len(self.leq)
         if self.size == 0:
             raise LatticeError("empty carrier")
@@ -168,7 +192,7 @@ class FiniteLattice:
     @classmethod
     def from_subsets(cls, sets):
         """Lattice of the given family ordered by inclusion."""
-        return cls([[a <= b for b in sets] for a in sets])
+        return cls(inclusion_order(sets))
 
     def join(self, i, j):
         return self.join_table[i][j]
@@ -178,15 +202,15 @@ class FiniteLattice:
 
     @cached_property
     def bottom(self):
-        for i in range(self.size):
-            if all(self.leq[i][j] for j in range(self.size)):
+        for i, row in enumerate(self.leq):
+            if all(row):
                 return i
         raise LatticeError("no bottom")
 
     @cached_property
     def top(self):
-        for i in range(self.size):
-            if all(self.leq[j][i] for j in range(self.size)):
+        for i, column in enumerate(zip(*self.leq)):
+            if all(column):
                 return i
         raise LatticeError("no top")
 
@@ -200,32 +224,32 @@ class FiniteLattice:
 
     @cached_property
     def is_distributive(self):
-        n = self.size
+        """i ^ (j v k) == (i ^ j) v (i ^ k) for all i, j, k, compared a row of k at a time."""
         jn, mt = self.join_table, self.meet_table
+        # through[j](r) is (r[jn[j][k]])_k, or (r[mt[j][k]])_k; at size 1 an
+        # itemgetter returns the one item rather than a tuple, on both sides alike
+        through_join = [itemgetter(*row) for row in jn]
+        through_meet = [itemgetter(*row) for row in mt]
         return all(
-            mt[i][jn[j][k]] == jn[mt[i][j]][mt[i][k]]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
+            through_join[j](mt_i) == through_meet[i](jn[mt_i[j]])
+            for i, mt_i in enumerate(mt)
+            for j in range(self.size)
         )
 
     @cached_property
     def residual_table(self):
         """residual_table[b][a]: the least h with b <= a v h, or None where there is none.
 
-        The candidates h form an up-set holding the top, so their meet is
-        the least candidate exactly when it is itself a candidate.
+        The candidates h, as a bitmask, form an up-set holding the top; the
+        residual is its least member, found as in ``bound_table``.
         """
-        n, leq, jn, mt = self.size, self.leq, self.join_table, self.meet_table
-
-        def least(b, a):
-            m = self.top
-            for h in range(n):
-                if leq[b][jn[a][h]]:
-                    m = mt[m][h]
-            return m if leq[b][jn[a][m]] else None
-
-        return tuple(tuple(least(b, a) for a in range(n)) for b in range(n))
+        leq, jn = self.leq, self.join_table
+        powers = [1 << h for h in range(self.size)]
+        least = _Least(masks(leq))
+        return tuple(
+            tuple(least[sum(compress(powers, map(leq_b.__getitem__, jn_a)))] for jn_a in jn)
+            for leq_b in leq
+        )
 
     @cached_property
     def _colors(self):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product
+from operator import getitem
 
 from .core import InvariantViolation, classify, validate_hilbert
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, masks
 from .report import ReportBuilder, fmt
 
 
@@ -55,23 +56,34 @@ def join_translation(alg, p):
 
 def compose(f, g):
     """x |-> f(g(x))."""
-    return tuple(f[v] for v in g)
+    return tuple(map(f.__getitem__, g))
 
 
 def pointwise_leq(alg, f, g):
-    leq = alg.leq
-    return all(leq[f[x]][g[x]] for x in alg.elements)
+    return all(map(getitem, map(alg.leq.__getitem__, f), g))
 
 
 def pointwise_imp(alg, f, g):
-    imp = alg.imp
-    return tuple(imp[f[x]][g[x]] for x in alg.elements)
+    return tuple(map(getitem, map(alg.imp.__getitem__, f), g))
+
+
+def pointwise_order(alg, maps):
+    """The order matrix of ``maps`` under the pointwise order.
+
+    Each map f is packed into ints with one block of n bits per element x:
+    ``onehot`` sets bit f(x) of block x, ``upcode`` sets the bits of every
+    v >= f(x).  Then f <= g iff ``onehot(g) & ~upcode(f) == 0``.
+    """
+    n = alg.n
+    up = masks(alg.leq)
+    onehot = [sum(1 << (x * n + v) for x, v in enumerate(f)) for f in maps]
+    upcode = [sum(up[v] << (x * n) for x, v in enumerate(f)) for f in maps]
+    return [[not g & ~u for g in onehot] for u in upcode]
 
 
 def pointwise_meet(alg, f, g):
     """Pointwise meet; total on multipliers, whose images are always compatible."""
-    meet = alg.meet_table
-    out = tuple(meet[a][b] for a, b in zip(f, g))
+    out = tuple(map(getitem, map(alg.meet_table.__getitem__, f), g))
     if None in out:
         x = out.index(None)
         raise InvariantViolation(
@@ -184,22 +196,22 @@ class CarrierLattice:
     """A sorted carrier with the lattice of an order on it, re-checked against
     the carrier's own operations.
 
-    ``leq(x, y)`` orders the carrier and ``ops`` is ((join, name),
-    (meet, name)).  Construction re-checks that the carrier is closed under
-    both operations, that they are the join and meet of the order, that the
-    lattice has the carrier members ``bottom`` and ``top`` as bounds, and
-    that it is distributive; ``what`` names the carrier in the
-    ``InvariantViolation``.
+    ``order(carrier)`` is the order matrix of the carrier and ``ops`` is
+    ((join, name), (meet, name)).  Construction re-checks that the carrier
+    is closed under both operations, that they are the join and meet of
+    the order, that the lattice has the carrier members ``bottom`` and
+    ``top`` as bounds, and that it is distributive; ``what`` names the
+    carrier in the ``InvariantViolation``.
     """
 
-    def __init__(self, carrier, leq, ops, bottom, top, what):
+    def __init__(self, carrier, order, ops, bottom, top, what):
         self.what = what
         self.carrier = carrier = tuple(carrier)
         self._index = index = {x: i for i, x in enumerate(carrier)}
         (join, join_name), (meet, meet_name) = ops
         join_table = closed_table(carrier, index, join, what, join_name)
         meet_table = closed_table(carrier, index, meet, what, meet_name)
-        self.lattice = lat = FiniteLattice([[leq(x, y) for y in carrier] for x in carrier])
+        self.lattice = lat = FiniteLattice(order(carrier))
         if lat.bottom != index.get(bottom) or lat.top != index.get(top):
             raise InvariantViolation(f"{what}: bounds are not {bottom} and {top}")
         if lat.join_table != join_table:
@@ -227,7 +239,7 @@ class MapLattice(CarrierLattice):
         self.alg = alg
         ops = ((compose, "composition"), (partial(pointwise_meet, alg), "pointwise meet"))
         identity, one = identity_map(alg), constant_one(alg)
-        super().__init__(carrier, partial(pointwise_leq, alg), ops, identity, one, what)
+        super().__init__(carrier, partial(pointwise_order, alg), ops, identity, one, what)
         self.identity_index = self._index[identity]
         self.top_index = self._index[one]
 

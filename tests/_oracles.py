@@ -6,7 +6,7 @@ defining conditions, never the library's search or propagation routines.
 
 from itertools import permutations, product
 
-from hilbertalg import FiniteLattice, axiom_violations
+from hilbertalg import FiniteLattice, InvariantViolation, axiom_violations
 
 
 def all_subsets(n):
@@ -177,7 +177,7 @@ def valid_tables_brute(n, pin_axiom_cells=True):
 
 
 def axiom_violations_brute(table, one):
-    """Re-derive the violation list with independent loops."""
+    """Re-derive the violation list with independent loops, in the library's order."""
     n = len(table)
     bad = []
     for x in range(n):
@@ -203,7 +203,7 @@ def axiom_violations_brute(table, one):
                 outer = table[table[x][y]][table[x][z]]
                 if table[inner][outer] != one:
                     bad.append(("exchange", (x, y, z)))
-    return sorted(bad)
+    return bad
 
 
 def dual_lattice(lat):
@@ -233,3 +233,98 @@ def adjoint_ideals_brute(adj):
         s for s in seen if s and all(adj.lattice.join_table[i][j] in s for i in s for j in s)
     ]
     return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+
+
+# The element-by-element scans the library's bitmask and row-at-a-time
+# kernels replaced; each gives the same result and raises the same error.
+
+
+def is_partial_order_scan(leq):
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            return False
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return False
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        return False
+    return True
+
+
+def bound_table_scan(leq, upper):
+    """For every pair, the lowest common bound whose own bounds hold all common ones, or None."""
+    n = len(leq)
+    rel = leq if upper else tuple(zip(*leq))
+    beyond = [sum(1 << k for k in range(n) if rel[i][k]) for i in range(n)]
+
+    def best(common):
+        return next((k for k in range(n) if common >> k & 1 and not common & ~beyond[k]), None)
+
+    return tuple(tuple(best(beyond[i] & beyond[j]) for j in range(n)) for i in range(n))
+
+
+def is_distributive_scan(lat):
+    n = lat.size
+    jn, mt = lat.join_table, lat.meet_table
+    return all(
+        mt[i][jn[j][k]] == jn[mt[i][j]][mt[i][k]]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+def residual_table_scan(lat):
+    """The meet of every h with b <= a v h, where that meet is itself such an h, else None."""
+    n, leq, jn, mt = lat.size, lat.leq, lat.join_table, lat.meet_table
+
+    def least(b, a):
+        m = lat.top
+        for h in range(n):
+            if leq[b][jn[a][h]]:
+                m = mt[m][h]
+        return m if leq[b][jn[a][m]] else None
+
+    return tuple(tuple(least(b, a) for a in range(n)) for b in range(n))
+
+
+def compatible_meet_table_scan(alg):
+    leq, imp, meet, rng = alg.leq, alg.imp, alg.meet_table, alg.elements
+
+    def compatible(x, y):
+        found = [c for c in rng if leq[c][x] and leq[c][y] and leq[x][imp[y][c]]]
+        if len(found) > 1:
+            raise InvariantViolation(
+                f"two compatible meets for ({x}, {y}): {found[0]} and {found[1]}"
+            )
+        if found and found[0] != meet[x][y]:
+            raise InvariantViolation(
+                f"compatible meet {found[0]} of ({x}, {y}) differs from the meet"
+            )
+        return found[0] if found else None
+
+    return tuple(tuple(compatible(x, y) for y in rng) for x in rng)
+
+
+def compose_scan(f, g):
+    return tuple(f[v] for v in g)
+
+
+def pointwise_leq_scan(alg, f, g):
+    return all(alg.leq[f[x]][g[x]] for x in alg.elements)
+
+
+def pointwise_imp_scan(alg, f, g):
+    return tuple(alg.imp[f[x]][g[x]] for x in alg.elements)
+
+
+def pointwise_meet_scan(alg, f, g):
+    """The pointwise meet, with None where two images have no meet."""
+    return tuple(alg.meet_table[a][b] for a, b in zip(f, g))
+
+
+def pointwise_order_scan(alg, maps):
+    return [[pointwise_leq_scan(alg, f, g) for g in maps] for f in maps]

@@ -76,7 +76,7 @@ def test_violations_match_brute_oracle_for_broken_tables():
         ([[3, 2, 3, 3], [2, 3, 3, 3], [0, 1, 3, 3], [0, 1, 2, 3]], 3),
     ]
     for table, one in tables:
-        got = sorted((v.axiom, v.elements) for v in axiom_violations(table, one))
+        got = [(v.axiom, v.elements) for v in axiom_violations(table, one)]
         assert got == axiom_violations_brute(table, one)
 
 
@@ -253,7 +253,7 @@ def random_tables(draw):
 def test_validator_on_random_tables(case):
     table, one = case
     bad = axiom_violations(table, one)
-    assert sorted((v.axiom, v.elements) for v in bad) == axiom_violations_brute(table, one)
+    assert [(v.axiom, v.elements) for v in bad] == axiom_violations_brute(table, one)
     if bad:
         with pytest.raises(HilbertAxiomError):
             validate_hilbert(table, one)

@@ -1,0 +1,210 @@
+"""The bitmask and row-at-a-time kernels against the element-by-element scans
+they replaced (``_oracles``): the same results, and the same errors."""
+
+import json
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hilbertalg import (
+    FiniteHilbertAlgebra,
+    FiniteLattice,
+    InvariantViolation,
+    LatticeError,
+    validate_hilbert,
+)
+from hilbertalg.cli import main
+from hilbertalg.lattice import bound_table, is_partial_order
+from hilbertalg.multipliers import (
+    compose,
+    pointwise_imp,
+    pointwise_leq,
+    pointwise_meet,
+    pointwise_order,
+    search_multipliers,
+)
+from hilbertalg.structures import Structures
+from hilbertalg.suites import ALGEBRA_SUITES, run_algebra_suites
+
+from _oracles import (
+    bound_table_scan,
+    compatible_meet_table_scan,
+    compose_scan,
+    is_distributive_scan,
+    is_partial_order_scan,
+    pointwise_imp_scan,
+    pointwise_leq_scan,
+    pointwise_meet_scan,
+    pointwise_order_scan,
+    residual_table_scan,
+)
+from test_lattice import CHAIN3, DIAMOND4, M3, N5, pool
+
+
+def relation(bits, n):
+    return tuple(tuple(bool(bits >> (i * n + j) & 1) for j in range(n)) for i in range(n))
+
+
+def every_relation(n):
+    return product(product((False, True), repeat=n), repeat=n)
+
+
+def assert_order_kernels_match(leq):
+    assert is_partial_order(leq) == is_partial_order_scan(leq)
+    for upper in (True, False):
+        assert bound_table(leq, upper) == bound_table_scan(leq, upper)
+
+
+def test_order_kernels_match_the_scans_on_every_relation_up_to_four_points():
+    # non-orders too: an unvalidated algebra's meet table is a bound table of any relation
+    for n in range(1, 5):
+        for leq in every_relation(n):
+            assert_order_kernels_match(leq)
+
+
+@st.composite
+def relations(draw):
+    """A relation on 5 to 7 points; half of them closed into a relabelled partial order."""
+    n = draw(st.integers(5, 7))
+    rel = [list(row) for row in relation(draw(st.integers(0, (1 << (n * n)) - 1)), n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(n):
+                rel[i][j] = i == j or (i < j and rel[i][j])
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+        perm = draw(st.permutations(range(n)))
+        rel = [[rel[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return tuple(map(tuple, rel))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_order_kernels_match_the_scans_on_larger_relations(leq):
+    assert_order_kernels_match(leq)
+
+
+def product_order(p, q):
+    """The product of two order matrices, ordered coordinatewise."""
+    pairs = list(product(range(len(p)), range(len(q))))
+    return [[p[a][c] and q[b][d] for c, d in pairs] for a, b in pairs]
+
+
+CHAIN2 = [[True, True], [False, True]]
+
+
+def structure_lattices(algebras):
+    for alg in algebras:
+        s = Structures(alg)
+        yield from (s.filters.lattice, s.ce.lattice, s.multipliers.lattice)
+
+
+def test_lattice_kernels_match_the_scans(catalog5):
+    # M3 and N5 inside larger lattices, so that distributivity fails at a later pair
+    larger = [
+        FiniteLattice(product_order(a, b))
+        for a, b in [(M3, CHAIN2), (CHAIN2, M3), (N5, CHAIN2), (CHAIN2, N5), (DIAMOND4, CHAIN3)]
+    ]
+    # N5 fails only at i = the upper element of its 2-chain: label it first
+    first = [2, 0, 1, 3, 4]
+    larger.append(FiniteLattice([[N5[a][b] for b in first] for a in first]))
+    lattices = [*pool(), *larger, *structure_lattices(e.algebra for e in catalog5)]
+    assert [lat.is_distributive for lat in larger] == [False] * 4 + [True, False]
+    for lat in lattices:
+        assert lat.is_distributive == is_distributive_scan(lat)
+        assert lat.residual_table == residual_table_scan(lat)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the InvariantViolation it raised."""
+    try:
+        return fn(*args)
+    except InvariantViolation as e:
+        return f"raised: {e}"
+
+
+def compatible_meets(alg):
+    return alg.compatible_meet_table
+
+
+def test_compatible_meet_table_matches_the_scan(catalog5):
+    algebras = [e.algebra for e in catalog5]
+    # the implication algebras of multipliers, up to 32 elements
+    algebras += [
+        FiniteHilbertAlgebra(m.imp_table, m.top_index)
+        for m in (Structures(alg).multipliers for alg in algebras)
+    ]
+    for alg in algebras:
+        assert compatible_meets(alg) == compatible_meet_table_scan(alg)
+
+
+def test_compatible_meet_table_raises_as_the_scan_on_broken_tables():
+    preorder = FiniteHilbertAlgebra([[1, 1], [1, 1]], 1)
+    chain = FiniteHilbertAlgebra([[2, 2, 2], [0, 2, 2], [1, 0, 2]], 2)
+    assert outcome(compatible_meets, preorder) == "raised: two compatible meets for (0, 0): 0 and 1"
+    assert outcome(compatible_meets, chain) == "raised: compatible meet 0 of (1, 2) differs from the meet"
+    broken = [preorder, chain]
+    for n in (2, 3):
+        for cells in product(range(n), repeat=n * n):
+            broken.append(FiniteHilbertAlgebra([cells[i * n : (i + 1) * n] for i in range(n)], n - 1))
+    for alg in broken:
+        assert outcome(compatible_meets, alg) == outcome(compatible_meet_table_scan, alg)
+
+
+def map_carriers(algebras):
+    """Each algebra with its multipliers and, up to 3 elements, every self-map."""
+    for alg in algebras:
+        yield alg, search_multipliers(alg)
+        if alg.n <= 3:
+            yield alg, list(product(alg.elements, repeat=alg.n))
+
+
+def test_map_operations_match_the_scans(catalog4):
+    for alg, maps in map_carriers(e.algebra for e in catalog4):
+        assert pointwise_order(alg, maps) == pointwise_order_scan(alg, maps)
+        for f in maps:
+            for g in maps:
+                assert compose(f, g) == compose_scan(f, g)
+                assert pointwise_leq(alg, f, g) == pointwise_leq_scan(alg, f, g)
+                assert pointwise_imp(alg, f, g) == pointwise_imp_scan(alg, f, g)
+                meet = pointwise_meet_scan(alg, f, g)
+                if None in meet:
+                    with pytest.raises(InvariantViolation, match="have no meet"):
+                        pointwise_meet(alg, f, g)
+                else:
+                    assert pointwise_meet(alg, f, g) == meet
+
+
+def test_the_one_and_two_element_algebras(tmp_path, capsys):
+    lattices = []
+    for n in (1, 2):
+        for leq in every_relation(n):
+            assert_order_kernels_match(leq)
+            try:
+                lattices.append(FiniteLattice(leq))
+            except LatticeError:
+                pass
+    # the point and the two chains; at size 1 the row getters of is_distributive
+    # return items, not tuples
+    assert len(lattices) == 3
+    for lat in lattices:
+        assert lat.is_distributive and is_distributive_scan(lat)
+        assert lat.residual_table == residual_table_scan(lat)
+    for table, one in (([[0]], 0), ([[1, 1], [0, 1]], 1)):
+        alg = validate_hilbert(table, one)
+        assert all(r.ok for r in run_algebra_suites(alg, list(ALGEBRA_SUITES)))
+        for lat in structure_lattices([alg]):
+            assert lat.is_distributive and is_distributive_scan(lat)
+            assert lat.residual_table == residual_table_scan(lat)
+        assert compatible_meets(alg) == compatible_meet_table_scan(alg)
+        maps = list(product(alg.elements, repeat=alg.n))
+        assert pointwise_order(alg, maps) == pointwise_order_scan(alg, maps)
+        path = tmp_path / f"size{alg.n}.json"
+        path.write_text(json.dumps({"size": alg.n, "one": one, "table": table}))
+        assert main(["verify", str(path), "--suite", "all"]) == 0
+        assert "RESULT: PASS (68 passed, 0 failed, 1 skipped)" in capsys.readouterr().out
+

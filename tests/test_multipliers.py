@@ -180,7 +180,7 @@ def carrier_lattice(order, **changes):
     lat = FiniteLattice(order)
     args = dict(
         carrier=range(lat.size),
-        leq=lambda x, y: lat.leq[x][y],
+        order=lambda carrier: [[lat.leq[x][y] for y in carrier] for x in carrier],
         ops=((lat.join, "join"), (lat.meet, "meet")),
         bottom=lat.bottom,
         top=lat.top,
