@@ -7,7 +7,6 @@ verification suites that check the structure theorems on concrete algebras.
 """
 
 from .adjoint import (
-    BrouwerianExtension,
     adjoint_ideal_lattice,
     adjoint_semilattice,
     compact_elements,

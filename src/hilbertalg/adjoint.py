@@ -7,12 +7,14 @@ endomorphism lattice and returns it: the join is composition and the
 subtraction is the lattice's residual.  The kernel map matches it with the
 semilattice of finitely generated filters, whose reverse-inclusion order is
 an implicative semilattice extending the algebra (the minimal Brouwerian
-extension), and whose ideal lattice reproduces the filter lattice.
+extension), and whose ideal lattice reproduces the filter lattice.  Over a
+finite algebra every filter is finitely generated, so
+``minimal_brouwerian_extension`` re-checks the filter lattice and returns
+it: the meet is the filter join ``lattice.join_table``, implication the
+transposed ``lattice.residual_table`` and the embedding ``principal``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import InvariantViolation, partial_meet, subset_key, subsets
 from .filters import filter_generated, filter_join
@@ -187,117 +189,93 @@ def compact_generation_report(ctx):
     return b.done()
 
 
-@dataclass(frozen=True)
-class BrouwerianExtension:
-    """Finitely generated filters under reverse inclusion.
-
-    ``meet_table`` is filter join, ``imp_table`` the relative
-    pseudocomplement, ``unit`` the index of {1}; ``embedding[p]`` is the
-    index of the principal filter of p.
-    """
-
-    filters: tuple
-    unit: int
-    meet_table: tuple
-    imp_table: tuple
-    embedding: tuple
-
-    def __len__(self):
-        return len(self.filters)
-
-
-def _extension_checks(alg, ext):
+def _extension_checks(fl):
     """Failure witnesses for the implicative-semilattice laws of the extension."""
+    alg, filters, embedding = fl.alg, fl.carrier, fl.principal
+    meet, res = fl.lattice.join_table, fl.lattice.residual_table  # filter join; i -> j is res[j][i]
+    unit = fl.index(frozenset([alg.one]))
     fails = []
-    k = len(ext.filters)
-    contains = [[ext.filters[j] <= ext.filters[i] for j in range(k)] for i in range(k)]
-    # reverse inclusion: i <= j in the extension iff filters[j] subset of filters[i]
+    k = len(filters)
+    # contains[i][j]: filters[j] within filters[i], i.e. i <= j in the extension
+    contains = tuple(zip(*fl.lattice.leq))
     for i in range(k):
         for j in range(k):
-            m = ext.meet_table[i][j]
-            if ext.filters[m] != filter_join(alg, ext.filters[i], ext.filters[j]):
+            m = meet[i][j]
+            if filters[m] != filter_join(alg, filters[i], filters[j]):
                 fails.append(fmt(i=i, j=j, law="meet-is-filter-join"))
             for c in range(k):
-                lhs = contains[c][ext.imp_table[i][j]]  # c <= (i -> j)
-                rhs = contains[ext.meet_table[c][i]][j]  # (c meet i) <= j
+                lhs = contains[c][res[j][i]]  # c <= (i -> j)
+                rhs = contains[meet[c][i]][j]  # (c meet i) <= j
                 if lhs != rhs:
                     fails.append(fmt(i=i, j=j, c=c, law="residuation"))
-    if ext.filters[ext.unit] != frozenset([alg.one]):
-        fails.append(fmt(law="unit", unit=ext.unit))
+    if filters[unit] != frozenset([alg.one]):
+        fails.append(fmt(law="unit", unit=unit))
     imp = alg.imp
     for p in alg.elements:
-        if ext.filters[ext.embedding[p]] != filter_generated(alg, [p]):
+        if filters[embedding[p]] != filter_generated(alg, [p]):
             fails.append(fmt(p=p, law="embedding-principal"))
         for q in alg.elements:
-            want = ext.embedding[imp[p][q]]
-            if ext.imp_table[ext.embedding[p]][ext.embedding[q]] != want:
+            want = embedding[imp[p][q]]
+            if res[embedding[q]][embedding[p]] != want:
                 fails.append(fmt(p=p, q=q, law="embedding-implication"))
-    if ext.embedding[alg.one] != ext.unit:
+    if embedding[alg.one] != unit:
         fails.append(fmt(law="embedding-unit"))
     for i in range(k):
         # every filter is the extension-meet (= filter join) of embedded elements
         acc = frozenset([alg.one])
-        for p in sorted(ext.filters[i]):
-            acc = filter_join(alg, acc, ext.filters[ext.embedding[p]])
-        if acc != ext.filters[i]:
+        for p in sorted(filters[i]):
+            acc = filter_join(alg, acc, filters[embedding[p]])
+        if acc != filters[i]:
             fails.append(fmt(i=i, law="generated-by-embedded"))
     return fails
 
 
 def minimal_brouwerian_extension(fl):
-    """Implicative semilattice on the finitely generated filters, reverse inclusion.
+    """Re-check the filter lattice fl, under reverse inclusion, as the extension; return fl.
 
-    fl is the filter lattice of the algebra.  Construction re-checks the
+    Checks that every relative pseudocomplement exists, the
     implicative-semilattice laws, that the principal-filter embedding
-    preserves implication and the unit, and that everything is a finite meet
-    of embedded elements.
+    preserves implication and the unit, and that everything is a finite
+    meet of embedded elements.
     """
-    alg, filters = fl.alg, fl.carrier
-    # imp_table[i][j]: the least filter h (by inclusion) with filters[j] within filters[i] join h
-    imp_table = tuple(zip(*fl.lattice.residual_table))
-    for i, row in enumerate(imp_table):
+    # i -> j: the least filter h with filters[j] within filters[i] join h, residual [j][i]
+    for i, row in enumerate(zip(*fl.lattice.residual_table)):
         if None in row:
             raise InvariantViolation(f"no relative pseudocomplement for ({i}, {row.index(None)})")
-    ext = BrouwerianExtension(
-        filters=filters,
-        unit=fl.index(frozenset([alg.one])),
-        meet_table=fl.lattice.join_table,  # filter join
-        imp_table=imp_table,
-        embedding=tuple(fl.index(filter_generated(alg, [p])) for p in alg.elements),
-    )
-    bad = _extension_checks(alg, ext)
+    bad = _extension_checks(fl)
     if bad:
         raise InvariantViolation(f"extension laws fail: {bad[0]}")
-    return ext
+    return fl
 
 
 def brouwerian_extension_report(ctx):
     b = ReportBuilder("brouwerian-extension")
     alg, ext = ctx.alg, ctx.extension
-    b.check("implicative-semilattice-laws", _extension_checks(alg, ext),
-            detail=f"{len(ext.filters)} filters")
+    filters, embedding = ext.carrier, ext.principal
+    b.check("implicative-semilattice-laws", _extension_checks(ext),
+            detail=f"{len(filters)} filters")
 
     # anti-isomorphic to the adjoint semilattice via the kernel correspondence
     carrier = ctx.ce.carrier
     by_kernel = {kernel(alg, f): f for f in carrier}
     anti_fails = []
-    if set(by_kernel) != set(ext.filters):
+    if set(by_kernel) != set(filters):
         anti_fails.append(fmt(reason="kernel range mismatch"))
     else:
-        for i, ji in enumerate(ext.filters):
-            for j, jj in enumerate(ext.filters):
-                ext_le = ext.filters[j] <= ext.filters[i]  # i <= j reversed inclusion
+        for i, ji in enumerate(filters):
+            for j, jj in enumerate(filters):
+                ext_le = ext.lattice.leq[j][i]  # i <= j reversed inclusion
                 if ext_le != pointwise_leq(alg, by_kernel[jj], by_kernel[ji]):
                     anti_fails.append(fmt(i=fset(ji), j=fset(jj)))
     b.check("anti-isomorphic-to-adjoint", anti_fails)
 
     if ctx.flags.implicative_semilattice:
-        onto = len(set(ext.embedding)) == len(ext.filters)
-        iso_fails = [] if onto else [fmt(embedded=len(set(ext.embedding)), filters=len(ext.filters))]
+        onto = len(set(embedding)) == len(filters)
+        iso_fails = [] if onto else [fmt(embedded=len(set(embedding)), filters=len(filters))]
         for p in alg.elements:
             for q in alg.elements:
                 m = partial_meet(alg, p, q)
-                if ext.meet_table[ext.embedding[p]][ext.embedding[q]] != ext.embedding[m]:
+                if ext.lattice.join_table[embedding[p]][embedding[q]] != embedding[m]:
                     iso_fails.append(fmt(p=p, q=q, law="meet"))
         b.check("isomorphic-to-implicative-semilattice", iso_fails)
     else:

@@ -129,13 +129,14 @@ def _analyze_payload(alg, labels, args):
             "subtraction": [list(r) for r in adj.lattice.residual_table],
         }
     if args.extension:
+        # the filter lattice under reverse inclusion: meet is its join, i -> j its residual at [j][i]
         ext = ctx.extension
         out["extension"] = {
-            "filters": [_fset(j, labels) for j in ext.filters],
-            "unit": ext.unit,
-            "meet": [list(r) for r in ext.meet_table],
-            "implication": [list(r) for r in ext.imp_table],
-            "embedding": list(ext.embedding),
+            "filters": [_fset(j, labels) for j in ext.carrier],
+            "unit": ext.index(frozenset([alg.one])),
+            "meet": [list(r) for r in ext.lattice.join_table],
+            "implication": [list(r) for r in zip(*ext.lattice.residual_table)],
+            "embedding": list(ext.principal),
         }
     return out
 

@@ -9,10 +9,10 @@ and 1 -> x = x.  Every other cell x -> y takes some v != 1 with y <= v, the
 weakening law.  These free cells are filled depth-first, and every exchange
 instance is watched so that once its inner lookups resolve, its final
 inequality is checked against the pinned order.  The tables found for one
-poset are deduped under the poset's automorphisms, and each class is
-expanded to its orbit of distinct relabellings, so the search still yields
-every labelled table.  Every yielded table is re-validated from scratch, so
-the pinning cannot admit a bad table.  Canonical forms, isomorphism
+poset are deduped by orbit: each new class is expanded to its distinct
+relabellings, which are all yielded and all marked seen, so the search
+yields every labelled table once.  Every yielded table is re-validated
+from scratch, so the pinning cannot admit a bad table.  Canonical forms, isomorphism
 witnesses, endomorphism monoids and the cross-algebra survey live here as
 well.
 """
@@ -169,14 +169,15 @@ def search_valid_tables(n):
     """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, without dedup."""
     rels = _relabellings(n)
     for up in unlabelled_posets(n - 1):
-        order = _poset_table(up)
-        aut = [r for r in rels if _relabel(order, r) == order]
         seen = set()
         for hit in _tables_over(up):
             if hit in seen:
                 continue
-            seen.update(_relabel(hit, r) for r in aut)
-            for flat in dict.fromkeys(_relabel(hit, r) for r in rels):
+            # a later hit isomorphic to this one has the same order, so the
+            # relabelling between them is a poset automorphism: it is in the orbit
+            orbit = dict.fromkeys(_relabel(hit, r) for r in rels)
+            seen.update(orbit)
+            for flat in orbit:
                 snapshot = tuple(flat[i : i + n] for i in range(0, n * n, n))
                 if axiom_violations(snapshot, n - 1):
                     raise InvariantViolation(f"search produced an invalid table {snapshot}")

@@ -28,7 +28,8 @@ def parse_algebra_text(text):
 def _parse_json(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # deep nesting exhausts the decoder's recursion limit
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -82,7 +83,7 @@ def load_algebra_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     return parse_algebra_text(text)
 

@@ -2,7 +2,9 @@
 
 The filter lattice is a ``multipliers.CarrierLattice``, the same re-checked
 carrier lattice as the closure endomorphism lattice, which it contains
-(by kernels) as the monomial filters.
+(by kernels) as the monomial filters.  Under reverse inclusion it is also
+the minimal Brouwerian extension of the algebra, which ``principal``
+embeds; ``adjoint.minimal_brouwerian_extension`` re-checks that.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class FilterLattice(CarrierLattice):
         least, universe = frozenset([alg.one]), frozenset(alg.elements)
         carrier = sorted(found, key=subset_key)
         super().__init__(carrier, inclusion_order, ops, least, universe, "filters")
+        # principal[x]: the index of the principal filter of x; x -> principal[x] embeds the algebra
+        self.principal = tuple(map(self.index, principal))
 
 
 def all_filters(alg):

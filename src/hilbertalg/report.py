@@ -86,12 +86,6 @@ class ReportBuilder:
         else:
             self._push(name, PASS, detail=detail)
 
-    def ok(self, name, detail=None):
-        self._push(name, PASS, detail=detail)
-
-    def fail(self, name, witness, detail=None):
-        self._push(name, FAIL, witness=witness, detail=detail)
-
     def skip(self, name, reason):
         self._push(name, SKIP, detail=reason)
 

@@ -7,7 +7,8 @@ keep every structure of a whole catalog alive.  Only tables of n x n entries,
 the size of the implication table itself (the order and the meet, join and
 compatible meet tables), are cached on the algebra.  ``adjoint`` is the
 closure endomorphism lattice ``ce`` itself, once re-checked as the adjoint
-semilattice.
+semilattice, and ``extension`` is the filter lattice ``filters`` itself,
+once re-checked as the minimal Brouwerian extension.
 """
 
 from __future__ import annotations
@@ -75,4 +76,5 @@ class Structures:
 
     @cached_property
     def extension(self):
+        """``filters``, re-checked as the minimal Brouwerian extension."""
         return minimal_brouwerian_extension(self.filters)

@@ -13,6 +13,7 @@ from hilbertalg import (
     constant_one,
     filter_generated,
     identity_map,
+    minimal_brouwerian_extension,
     pointwise_leq,
     subtraction,
     translation,
@@ -126,13 +127,15 @@ def test_compact_elements(algebras4, godel3):
 
 def test_extension_shapes(singleton, godel3, tarski3):
     assert len(Structures(singleton).extension) == 1
-    ext = Structures(godel3).extension
+    ctx = Structures(godel3)
+    ext = ctx.extension
+    assert ext is ctx.filters
     assert len(ext) == 3
     # every filter of the chain is principal, so the embedding is onto
-    assert sorted(ext.embedding) == [0, 1, 2]
+    assert sorted(ext.principal) == [0, 1, 2]
     ext = Structures(tarski3).extension
     assert len(ext) == 4
-    assert len(set(ext.embedding)) == 3
+    assert len(set(ext.principal)) == 3
 
 
 def test_extension_implication_restricted_to_embedded(algebras4):
@@ -140,8 +143,28 @@ def test_extension_implication_restricted_to_embedded(algebras4):
         ext = Structures(alg).extension
         for p in alg.elements:
             for q in alg.elements:
-                got = ext.imp_table[ext.embedding[p]][ext.embedding[q]]
-                assert ext.filters[got] == filter_generated(alg, [alg.imp[p][q]])
+                got = ext.lattice.residual_table[ext.principal[q]][ext.principal[p]]
+                assert ext.carrier[got] == filter_generated(alg, [alg.imp[p][q]])
+
+
+def _with_residual_cell(fl, i, j, value):
+    """fl with one cell of its lattice's residual table replaced."""
+    table = [list(row) for row in fl.lattice.residual_table]
+    table[i][j] = value
+    fl.lattice.__dict__["residual_table"] = tuple(map(tuple, table))
+    return fl
+
+
+def test_extension_rejects_missing_pseudocomplement(tarski3):
+    fl = _with_residual_cell(all_filters(tarski3), 2, 1, None)
+    with pytest.raises(InvariantViolation, match=r"^no relative pseudocomplement for \(1, 2\)$"):
+        minimal_brouwerian_extension(fl)
+
+
+def test_extension_rejects_broken_residuation(tarski3):
+    fl = _with_residual_cell(all_filters(tarski3), 1, 2, 0)
+    with pytest.raises(InvariantViolation, match=r"^extension laws fail: c=0 i=2 j=1 law=residuation$"):
+        minimal_brouwerian_extension(fl)
 
 
 def test_extension_report(algebras4):

@@ -227,6 +227,22 @@ def test_boolean_size_is_a_parse_error(tmp_path, capsys):
     assert "size must be a positive integer" in capsys.readouterr().err
 
 
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: cannot read {path}:" in err and "Traceback" not in err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"size": 1, "one": 0, "table": ' + "[" * 200_000 + "}")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: invalid JSON:" in err and "Traceback" not in err
+
+
 def test_verify_file_and_enumerate_is_an_input_error(godel3_file, capsys):
     assert main(["verify", godel3_file, "--enumerate", "3"]) == 2
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ from hilbertalg.report import fmt, fset
 
 def test_builder_statuses_and_counts():
     b = ReportBuilder("demo")
-    b.ok("first", detail="note")
+    b.check("first", [], detail="note")
     b.check("second", [])
     b.check("third", ["x=1 y=2", "x=3 y=4"])
     b.skip("fourth", "not applicable")
@@ -20,7 +20,7 @@ def test_builder_statuses_and_counts():
 
 def test_dict_rendering_and_timing_opt_in():
     b = ReportBuilder("demo")
-    b.ok("only")
+    b.check("only", [])
     report = b.done()
     plain = report.as_dict()
     assert plain == {
