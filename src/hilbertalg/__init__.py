@@ -12,7 +12,6 @@ from .adjoint import (
     compact_elements,
     composite_translation,
     minimal_brouwerian_extension,
-    subtraction,
 )
 from .closure import (
     CeLattice,
@@ -23,7 +22,6 @@ from .closure import (
     ce_from_monomial_filter,
     ce_from_retract,
     cross_meets,
-    endomorphisms_bruteforce,
     finitely_generated_ce,
     is_closure_endomorphism,
     is_closure_operator,
@@ -81,7 +79,6 @@ from .filters import (
     filter_generated,
     filter_join,
     is_filter,
-    is_filter_via_bounds,
     is_monomial,
     lower_set,
     monomial_max,
@@ -98,8 +95,6 @@ from .multipliers import (
     join_translation,
     kernel,
     multiplier_calculus_report,
-    multiplier_orbit,
-    multipliers_bruteforce,
     peirce_map,
     pointwise_imp,
     pointwise_leq,

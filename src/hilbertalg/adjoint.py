@@ -44,15 +44,6 @@ def composite_translation(alg, elems):
     return out
 
 
-def subtraction(alg, f, g, carrier):
-    """Least h with g <= f o h, over the closure endomorphism carrier."""
-    candidates = [h for h in carrier if pointwise_leq(alg, g, compose(f, h))]
-    least = [h for h in candidates if all(pointwise_leq(alg, h, k) for k in candidates)]
-    if len(least) != 1:
-        raise InvariantViolation(f"subtraction has no least solution for {f}, {g}")
-    return least[0]
-
-
 def adjoint_semilattice(ce, fg):
     """Re-check that ce is the adjoint semilattice, and return it.
 
@@ -252,8 +243,8 @@ def brouwerian_extension_report(ctx):
     b = ReportBuilder("brouwerian-extension")
     alg, ext = ctx.alg, ctx.extension
     filters, embedding = ext.carrier, ext.principal
-    b.check("implicative-semilattice-laws", _extension_checks(ext),
-            detail=f"{len(filters)} filters")
+    # building ctx.extension ran _extension_checks, and raises on any witness
+    b.check("implicative-semilattice-laws", [], detail=f"{len(filters)} filters")
 
     # anti-isomorphic to the adjoint semilattice via the kernel correspondence
     carrier = ctx.ce.carrier

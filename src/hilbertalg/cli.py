@@ -38,7 +38,7 @@ from .filters import is_monomial
 from .lattice import cover_pairs
 from .multipliers import fixpoints, kernel
 from .structures import Structures
-from .suites import CROSS_SUITE, resolve_suites, run_catalog_suites, suite_names
+from .suites import CROSS_SUITE, resolve_suites, run_catalog, suite_names
 
 OK, SEMANTIC_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -229,20 +229,16 @@ def cmd_verify(args):
     if args.enumerate is not None:
         catalog = _enumerate(args.enumerate)
         algebras = catalog.algebras()
-        entries = catalog.entries
         header = f"enumerated {len(algebras)} algebra(s) of size {args.enumerate}"
     else:
         alg, _labels = _load(args.path)
         algebras = [alg]
-        entries = None
         header = f"verifying {args.path}"
 
-    per_algebra = run_catalog_suites(algebras, names, jobs=jobs)
-
-    cross = None
-    if CROSS_SUITE in names:
-        if entries is not None:
-            cross = cross_survey_report(entries)
+    survey = CROSS_SUITE in names and args.enumerate is not None
+    results = run_catalog(algebras, names, jobs=jobs, survey=survey)
+    per_algebra = [reports for reports, _ in results]
+    cross = cross_survey_report(algebras, [r for _, r in results]) if survey else None
 
     npass = nfail = nskip = 0
     doc = {"header": header, "algebras": [], "cross_survey": None}

@@ -15,7 +15,6 @@ report function that checks it exhaustively on a given algebra.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
 
 from .core import (
     InvariantViolation,
@@ -99,13 +98,6 @@ def search_endomorphisms(alg):
 
     anything = [[True] * alg.n] * alg.n
     return search_maps(alg, anything, implied, partial(is_endomorphism, alg), "endomorphism")
-
-
-def endomorphisms_bruteforce(alg):
-    """Oracle: filter all n^n self-maps by the endomorphism law."""
-    return sorted(
-        f for f in product(range(alg.n), repeat=alg.n) if is_endomorphism(alg, f)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,14 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, permutations
 
-from .closure import search_endomorphisms
 from .core import (
     FiniteHilbertAlgebra,
     InvariantViolation,
     axiom_violations,
     validate_hilbert,
 )
-from .lattice import isomorphism, refine
-from .multipliers import closed_table, compose, identity_map
+from .lattice import FiniteLattice, isomorphism, refine
+from .multipliers import compose, identity_map, map_table
 from .report import ReportBuilder, fmt
 from .structures import Structures
 
@@ -297,14 +296,22 @@ def catalog_through(n):
 
 @dataclass(frozen=True)
 class EndoMonoid:
-    """All endomorphisms with their composition table; table[i][j] = i after j."""
+    """All endomorphisms under composition, with ``maps[identity]`` the identity.
+
+    ``table[i][j]``, the index of maps[i] after maps[j], is built on first
+    use, and re-checks that the maps are closed under composition.
+    """
 
     maps: tuple
-    table: tuple
     identity: int
 
     def __len__(self):
         return len(self.maps)
+
+    @cached_property
+    def table(self):
+        index = {f: i for i, f in enumerate(self.maps)}
+        return map_table(self.maps, index, compose, "endomorphisms", "composition")
 
     @cached_property
     def colors(self):
@@ -312,11 +319,12 @@ class EndoMonoid:
         return _monoid_colors(self)
 
 
-def endomorphism_monoid(alg):
-    maps = tuple(search_endomorphisms(alg))
-    index = {f: i for i, f in enumerate(maps)}
-    table = closed_table(maps, index, compose, "endomorphisms", "composition")
-    return EndoMonoid(maps=maps, table=table, identity=index[identity_map(alg)])
+def endomorphism_monoid(ctx):
+    """The endomorphisms of ``ctx.alg`` as a monoid, its composition table built and re-checked."""
+    maps = tuple(ctx.endomorphisms)
+    mon = EndoMonoid(maps=maps, identity=maps.index(identity_map(ctx.alg)))
+    mon.table  # built now: the re-check that the maps are closed under composition
+    return mon
 
 
 def _monoid_colors(m):
@@ -334,65 +342,89 @@ def monoid_isomorphism(m1, m2):
 # cross-algebra survey
 
 
-def cross_survey_report(entries):
+@dataclass(frozen=True)
+class SurveyRecord:
+    """What the cross-survey compares of one algebra, read off its ``Structures``.
+
+    ``filters`` and ``adjoint`` are the filter and closure endomorphism
+    lattices, already coloured; ``monoid`` holds the endomorphisms without
+    their table, and ``ce_idx`` the indices of the closure endomorphisms
+    among them.
+    """
+
+    filters: FiniteLattice
+    adjoint: FiniteLattice
+    monoid: EndoMonoid
+    ce_idx: frozenset
+    implicative_semilattice: bool
+
+
+def survey_record(ctx):
+    """The survey record of ``ctx.alg``.
+
+    The endomorphisms are re-checked closed under composition here, once per
+    algebra, but the record keeps only the maps: the survey needs a monoid's
+    table only where another monoid has the same size.
+    """
+    mon = endomorphism_monoid(ctx)
+    index = {f: i for i, f in enumerate(mon.maps)}
+    filters, adjoint = ctx.filters.lattice, ctx.ce.lattice
+    for lat in (filters, adjoint):
+        lat._colors  # coloured here, once, for the survey's pairwise tests
+    return SurveyRecord(
+        filters=filters,
+        adjoint=adjoint,
+        monoid=EndoMonoid(maps=mon.maps, identity=mon.identity),
+        ce_idx=frozenset(index[f] for f in ctx.ce.carrier),
+        implicative_semilattice=ctx.flags.implicative_semilattice,
+    )
+
+
+def cross_survey_report(algebras, records):
     """Isomorphism relations between every pair of catalog algebras.
 
-    Checks, across all pairs: filter lattices isomorphic iff the closure
+    ``records[i]`` is the ``survey_record`` of ``algebras[i]``.  Checks,
+    across all pairs: filter lattices isomorphic iff the closure
     endomorphism (adjoint) lattices are; isomorphic endomorphism monoids
     force isomorphic adjoint lattices, and the induced bijection carries
     closure endomorphisms to closure endomorphisms; implicative
-    semilattices with isomorphic monoids are isomorphic algebras.
+    semilattices with isomorphic monoids are isomorphic algebras.  A monoid
+    is carried onto itself by the identity, so its table is built only when
+    another monoid has its size.
     """
     b = ReportBuilder("cross-survey")
-    data = []
-    for e in entries:
-        alg = e.algebra
-        ctx = Structures(alg)
-        mon = endomorphism_monoid(alg)
-        ce_idx = frozenset(mon.maps.index(f) for f in ctx.ce.carrier)
-        data.append(
-            {
-                "entry": e,
-                "alg": alg,
-                "filters": ctx.filters.lattice,
-                "adjoint": ctx.ce.lattice,
-                "monoid": mon,
-                "ce_idx": ce_idx,
-            }
-        )
-
     bicond, mono_adj, ce_transfer, rigidity, sanity = [], [], [], [], []
     pairs = 0
-    for i in range(len(data)):
-        for j in range(i, len(data)):
+    for i, di in enumerate(records):
+        for j in range(i, len(records)):
             pairs += 1
-            di, dj = data[i], data[j]
+            dj = records[j]
             tag = fmt(first=i, second=j)
-            fl_iso = di["filters"].isomorphism(dj["filters"]) is not None
-            adj_iso = di["adjoint"].isomorphism(dj["adjoint"]) is not None
-            miso = monoid_isomorphism(di["monoid"], dj["monoid"])
-            alg_iso = are_isomorphic(di["alg"], dj["alg"]) is not None
+            fl_iso = di.filters.isomorphism(dj.filters) is not None
+            adj_iso = di.adjoint.isomorphism(dj.adjoint) is not None
+            if i == j:
+                miso = range(len(di.monoid))
+            else:
+                miso = monoid_isomorphism(di.monoid, dj.monoid)
+            alg_iso = are_isomorphic(algebras[i], algebras[j]) is not None
             if fl_iso != adj_iso:
                 bicond.append(fmt(pair=tag, filters=fl_iso, adjoint=adj_iso))
             if miso is not None:
                 if not adj_iso:
                     mono_adj.append(tag)
-                image = frozenset(miso[t] for t in di["ce_idx"])
-                if image != dj["ce_idx"]:
+                image = frozenset(miso[t] for t in di.ce_idx)
+                if image != dj.ce_idx:
                     ce_transfer.append(tag)
-            both_semilattices = (
-                di["entry"].implicative_semilattice and dj["entry"].implicative_semilattice
-            )
+            both_semilattices = di.implicative_semilattice and dj.implicative_semilattice
             if both_semilattices and (miso is not None) != alg_iso:
                 rigidity.append(fmt(pair=tag, monoid=miso is not None, algebra=alg_iso))
             if alg_iso and not (fl_iso and adj_iso and miso is not None):
                 sanity.append(tag)
 
-    detail = f"{len(entries)} algebras, {pairs} pairs"
+    detail = f"{len(records)} algebras, {pairs} pairs"
     b.check("filter-lattice-iff-adjoint", bicond, detail=detail)
     b.check("monoid-iso-implies-adjoint-iso", mono_adj)
     b.check("monoid-iso-carries-closure-endos", ce_transfer)
     b.check("implicative-semilattice-rigidity", rigidity)
     b.check("isomorphic-algebras-sanity", sanity)
     return b.done()
-

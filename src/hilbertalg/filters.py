@@ -31,19 +31,6 @@ def is_filter(alg, members):
     return True
 
 
-def is_filter_via_bounds(alg, members):
-    """Equivalent test: nonempty, and x <= y -> z with x, y members forces z in."""
-    if not members:
-        return False
-    leq, imp = alg.leq, alg.imp
-    for x in members:
-        for y in members:
-            for z in alg.elements:
-                if leq[x][imp[y][z]] and z not in members:
-                    return False
-    return True
-
-
 def filter_generated(alg, seed):
     """Least filter including seed, computed as a detachment-closure fixpoint."""
     imp = alg.imp

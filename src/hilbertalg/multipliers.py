@@ -16,7 +16,6 @@ its subclasses.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
 from operator import getitem
 
 from .core import InvariantViolation, classify, validate_hilbert
@@ -174,13 +173,6 @@ def search_multipliers(alg):
     return search_maps(alg, alg.leq, implied, partial(is_multiplier, alg), "multiplier")
 
 
-def multipliers_bruteforce(alg):
-    """Oracle: filter all n^n self-maps by the defining law."""
-    return sorted(
-        f for f in product(range(alg.n), repeat=alg.n) if is_multiplier(alg, f)
-    )
-
-
 def closed_table(carrier, index, op, what, name):
     """``index`` of op(f, g) for every pair of the carrier, which must be closed under op;
     ``what`` and ``name`` name the carrier and op in the ``InvariantViolation``."""
@@ -190,6 +182,42 @@ def closed_table(carrier, index, op, what, name):
             h = op(f, carrier[row.index(None)])
             raise InvariantViolation(f"{what} not closed under {name}: {h}")
     return table
+
+
+def map_table(carrier, index, op, what, name, values=None):
+    """``closed_table`` for a carrier of self-maps of 0..n-1, built a column at a time.
+
+    op(f, g) is f after g when ``values`` is None, else the pointwise
+    operation op(f, g)[x] = values[f[x]][g[x]].  Position x of all maps is
+    one bytes object; for a column g, position x of op(f, g) over all f is
+    position g[x], or position x translated through column g[x] of
+    ``values`` (None reads as 255, which no map holds).  With n > 255, or
+    once a result lies outside the carrier, ``closed_table`` builds the
+    table and raises its own messages.
+    """
+    if not carrier or len(carrier[0]) > 255:
+        return closed_table(carrier, index, op, what, name)
+    n = len(carrier[0])
+    positions = [bytes(p) for p in zip(*carrier)]
+    if values is None:
+        def columns(g):
+            return [positions[v] for v in g]
+    else:
+        luts = [
+            bytes(255 if row[v] is None else row[v] for row in values).ljust(256, b"\xff")
+            for v in range(n)
+        ]
+
+        def columns(g):
+            return [p.translate(luts[v]) for p, v in zip(positions, g)]
+    get = index.get
+    by_column = []
+    for g in carrier:
+        column = list(map(get, zip(*columns(g))))
+        if None in column:
+            return closed_table(carrier, index, op, what, name)
+        by_column.append(column)
+    return tuple(zip(*by_column))
 
 
 class CarrierLattice:
@@ -209,8 +237,8 @@ class CarrierLattice:
         self.carrier = carrier = tuple(carrier)
         self._index = index = {x: i for i, x in enumerate(carrier)}
         (join, join_name), (meet, meet_name) = ops
-        join_table = closed_table(carrier, index, join, what, join_name)
-        meet_table = closed_table(carrier, index, meet, what, meet_name)
+        join_table = self.closed(join, join_name)
+        meet_table = self.closed(meet, meet_name)
         self.lattice = lat = FiniteLattice(order(carrier))
         if lat.bottom != index.get(bottom) or lat.top != index.get(top):
             raise InvariantViolation(f"{what}: bounds are not {bottom} and {top}")
@@ -220,6 +248,10 @@ class CarrierLattice:
             raise InvariantViolation(f"{what}: {meet_name} is not the meet")
         if not lat.is_distributive:
             raise InvariantViolation(f"{what}: lattice is not distributive")
+
+    def closed(self, op, name):
+        """The table of op on the carrier, re-checked closed by ``closed_table``."""
+        return closed_table(self.carrier, self._index, op, self.what, name)
 
     def __len__(self):
         return len(self.carrier)
@@ -243,6 +275,11 @@ class MapLattice(CarrierLattice):
         self.identity_index = self._index[identity]
         self.top_index = self._index[one]
 
+    def closed(self, op, name):
+        """``map_table`` of composition, or of the pointwise meet read off the meet table."""
+        values = None if op is compose else self.alg.meet_table
+        return map_table(self.carrier, self._index, op, self.what, name, values)
+
 
 class MultiplierAlgebra(MapLattice):
     """Every multiplier of an algebra, with its operation tables.
@@ -255,7 +292,9 @@ class MultiplierAlgebra(MapLattice):
     def __init__(self, alg):
         super().__init__(alg, search_multipliers(alg), "multipliers")
         imp = partial(pointwise_imp, alg)
-        self.imp_table = closed_table(self.carrier, self._index, imp, self.what, "pointwise implication")
+        self.imp_table = map_table(
+            self.carrier, self._index, imp, self.what, "pointwise implication", alg.imp
+        )
         join, meet = self.lattice.join_table, self.lattice.meet_table
         # complement of f is f -> identity
         for i in range(len(self.carrier)):
@@ -275,11 +314,6 @@ class MultiplierAlgebra(MapLattice):
 
 def all_multipliers(alg):
     return MultiplierAlgebra(alg)
-
-
-def multiplier_orbit(alg, x, mult):
-    """The image set {f(x) : f a multiplier}; always a block."""
-    return frozenset(f[x] for f in mult.carrier)
 
 
 def multiplier_calculus_report(ctx):

@@ -1,9 +1,11 @@
 """Named verification suites and the machinery to run them, possibly in parallel.
 
 Every suite takes the ``Structures`` context of one algebra, so the suites
-run on an algebra share each structure they build.  Workers only ever
-receive plain tables and suite names, and every suite is a pure function of
-the algebra, so reports are identical for any worker count.
+run on an algebra share each structure they build, and so does the
+algebra's cross-survey record when the worker is asked for one.  Workers
+only ever receive plain tables, suite names and that request, and every
+suite is a pure function of the algebra, so reports are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .closure import (
     kernel_embedding_report,
 )
 from .core import FiniteHilbertAlgebra
+from .enumeration import survey_record
 from .multipliers import multiplier_calculus_report
 from .report import ReportBuilder
 from .structures import Structures
@@ -72,9 +75,9 @@ def resolve_suites(requested):
     return [n for n in names if not (n in seen or seen.add(n))]
 
 
-def run_algebra_suites(alg, names):
+def run_algebra_suites(ctx, names):
+    """The reports of the named algebra suites on the context ``ctx``."""
     reports = []
-    ctx = Structures(alg)
     for name in names:
         if name == CROSS_SUITE:
             continue
@@ -88,19 +91,29 @@ def run_algebra_suites(alg, names):
 
 
 def _worker(payload):
-    table, one, names = payload
-    return run_algebra_suites(FiniteHilbertAlgebra(table, one), names)
+    """(reports, survey record or None) of one algebra, from one ``Structures``."""
+    table, one, names, survey = payload
+    ctx = Structures(FiniteHilbertAlgebra(table, one))
+    reports = run_algebra_suites(ctx, names)
+    return reports, survey_record(ctx) if survey else None
 
 
-def run_catalog_suites(algebras, names, jobs=1):
-    """Per-algebra reports for each algebra, in catalog order.
+def run_catalog(algebras, names, jobs=1, survey=False):
+    """(reports, survey record or None) for each algebra, in catalog order.
 
-    At most one worker process per algebra is started, however large jobs is.
+    With ``survey`` each worker also returns the ``survey_record`` of its
+    algebra.  At most one worker process per algebra is started, however
+    large jobs is.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    payloads = [(alg.imp, alg.one, tuple(names)) for alg in algebras]
+    payloads = [(alg.imp, alg.one, tuple(names), survey) for alg in algebras]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(_worker, payloads))
     return [_worker(p) for p in payloads]
+
+
+def run_catalog_suites(algebras, names, jobs=1):
+    """Per-algebra reports for each algebra, in catalog order."""
+    return [reports for reports, _ in run_catalog(algebras, names, jobs)]

@@ -6,7 +6,15 @@ defining conditions, never the library's search or propagation routines.
 
 from itertools import permutations, product
 
-from hilbertalg import FiniteLattice, InvariantViolation, axiom_violations
+from hilbertalg import (
+    FiniteLattice,
+    InvariantViolation,
+    axiom_violations,
+    compose,
+    is_endomorphism,
+    is_multiplier,
+    pointwise_leq,
+)
 
 
 def all_subsets(n):
@@ -328,3 +336,44 @@ def pointwise_meet_scan(alg, f, g):
 
 def pointwise_order_scan(alg, maps):
     return [[pointwise_leq_scan(alg, f, g) for g in maps] for f in maps]
+
+
+# ---------------------------------------------------------------------------
+# scans that lean on the library's predicates and operations
+
+
+def multipliers_bruteforce(alg):
+    """All n^n self-maps filtered by the library's ``is_multiplier``."""
+    return sorted(f for f in product(range(alg.n), repeat=alg.n) if is_multiplier(alg, f))
+
+
+def endomorphisms_bruteforce(alg):
+    """All n^n self-maps filtered by the library's ``is_endomorphism``."""
+    return sorted(f for f in product(range(alg.n), repeat=alg.n) if is_endomorphism(alg, f))
+
+
+def is_filter_via_bounds(alg, members):
+    """Equivalent filter test: nonempty, and x <= y -> z with x, y members forces z in."""
+    if not members:
+        return False
+    leq, imp = alg.leq, alg.imp
+    for x in members:
+        for y in members:
+            for z in alg.elements:
+                if leq[x][imp[y][z]] and z not in members:
+                    return False
+    return True
+
+
+def multiplier_orbit(alg, x, mult):
+    """The image set {f(x) : f a multiplier}; always a block."""
+    return frozenset(f[x] for f in mult.carrier)
+
+
+def subtraction(alg, f, g, carrier):
+    """Least h with g <= f o h, over the closure endomorphism carrier."""
+    candidates = [h for h in carrier if pointwise_leq(alg, g, compose(f, h))]
+    least = [h for h in candidates if all(pointwise_leq(alg, h, k) for k in candidates)]
+    if len(least) != 1:
+        raise InvariantViolation(f"subtraction has no least solution for {f}, {g}")
+    return least[0]

@@ -35,6 +35,7 @@ from hilbertalg.closure import (
     isotone_kernel_special_report,
     kernel_embedding_report,
 )
+from hilbertalg.enumeration import survey_record
 from hilbertalg.multipliers import multiplier_calculus_report
 
 from _oracles import valid_tables_brute
@@ -113,7 +114,9 @@ def test_acceptance_7_implication_algebra_suite(catalog5):
 
 
 def test_acceptance_8_adjoint_suite(catalog5):
-    from hilbertalg import subtraction, translation
+    from hilbertalg import translation
+
+    from _oracles import subtraction
 
     bad = run_reports(
         catalog5,
@@ -131,7 +134,8 @@ def test_acceptance_8_adjoint_suite(catalog5):
 
 
 def test_acceptance_9_cross_survey(catalog4):
-    report = cross_survey_report(catalog4)
+    algebras = [e.algebra for e in catalog4]
+    report = cross_survey_report(algebras, [survey_record(Structures(a)) for a in algebras])
     bad = failing(report)
     detail = next(
         (c.detail for c in report.checks if c.detail is not None), ""

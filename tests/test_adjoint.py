@@ -15,7 +15,6 @@ from hilbertalg import (
     identity_map,
     minimal_brouwerian_extension,
     pointwise_leq,
-    subtraction,
     translation,
     validate_hilbert,
 )
@@ -28,7 +27,7 @@ from hilbertalg.adjoint import (
     join_density_report,
 )
 
-from _oracles import adjoint_ideals_brute, all_subsets
+from _oracles import adjoint_ideals_brute, all_subsets, subtraction
 
 
 def test_composite_translation_basics(tarski3, algebras4):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import hilbertalg
-from hilbertalg import canonical_form, validate_hilbert
+from hilbertalg import canonical_form, enumeration, suites, validate_hilbert
 from hilbertalg.cli import main
 from hilbertalg.files import dump_algebra, load_algebra_file
 
@@ -119,6 +119,15 @@ def test_verify_single_file(godel3_file, capsys):
     out = capsys.readouterr().out
     assert "RESULT: PASS" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_file_builds_no_survey_record(godel3_file, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(suites, "survey_record", built.append)
+    monkeypatch.setattr(enumeration, "endomorphism_monoid", built.append)
+    assert main(["verify", godel3_file, "--suite", "all"]) == 0
+    assert "[SKIP] cross-survey (needs --enumerate)" in capsys.readouterr().out
+    assert built == []
 
 
 def test_verify_unknown_suite(godel3_file, capsys):

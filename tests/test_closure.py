@@ -13,7 +13,6 @@ from hilbertalg import (
     ce_from_retract,
     compose,
     cross_meets,
-    endomorphisms_bruteforce,
     filter_generated,
     finitely_generated_ce,
     fixpoints,
@@ -45,7 +44,7 @@ from hilbertalg.closure import (
     special_subsets,
 )
 
-from _oracles import closure_endos_brute, endomorphisms_brute
+from _oracles import closure_endos_brute, endomorphisms_brute, endomorphisms_bruteforce
 
 
 def test_characterizations_agree_on_all_maps(algebras4):

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -7,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertalg import core, enumeration
+from hilbertalg.enumeration import survey_record
 from hilbertalg.lattice import is_partial_order
 from hilbertalg import (
     EnumerationBound,
     FiniteHilbertAlgebra,
+    Structures,
     are_isomorphic,
     canonical_form,
     canonical_table,
@@ -178,25 +179,25 @@ def test_canonical_form_invariant_under_any_relabeling(perm):
 
 
 def test_endomorphism_monoids(chain2, godel3, tarski3, algebras4):
-    assert endomorphism_monoid(chain2).maps == ((0, 1), (1, 1))
-    assert endomorphism_monoid(godel3).maps == (
+    assert endomorphism_monoid(Structures(chain2)).maps == ((0, 1), (1, 1))
+    assert endomorphism_monoid(Structures(godel3)).maps == (
         (0, 1, 2),
         (0, 2, 2),
         (1, 2, 2),
         (2, 2, 2),
     )
-    mon = endomorphism_monoid(tarski3)
+    mon = endomorphism_monoid(Structures(tarski3))
     assert len(mon) == 7
     assert (1, 0, 2) in mon.maps  # the atom swap automorphism
     for alg in algebras4:
-        m = endomorphism_monoid(alg)
+        m = endomorphism_monoid(Structures(alg))
         assert list(m.maps) == endomorphisms_brute(alg)
         assert m.maps[m.identity] == tuple(alg.elements)
 
 
 def test_monoid_isomorphism(godel3, tarski3, algebras4):
     for alg in algebras4:
-        m = endomorphism_monoid(alg)
+        m = endomorphism_monoid(Structures(alg))
         iso = monoid_isomorphism(m, m)
         assert iso is not None
         k = len(m)
@@ -206,14 +207,27 @@ def test_monoid_isomorphism(godel3, tarski3, algebras4):
             for j in range(k)
         )
     assert monoid_isomorphism(
-        endomorphism_monoid(godel3), endomorphism_monoid(tarski3)
+        endomorphism_monoid(Structures(godel3)), endomorphism_monoid(Structures(tarski3))
     ) is None
+
+
+def test_monoid_isomorphism_of_a_monoid_with_itself_is_the_identity(catalog5):
+    # the witness the survey uses for an algebra paired with itself
+    for e in catalog5:
+        m = endomorphism_monoid(Structures(e.algebra))
+        assert monoid_isomorphism(m, m) == list(range(len(m)))
+
+
+def test_monoid_table_is_rechecked_closed_under_composition():
+    maps = ((0, 1, 2), (1, 2, 2))  # (1, 2, 2) after itself is (2, 2, 2)
+    with pytest.raises(core.InvariantViolation, match=r"^endomorphisms not closed under composition: \(2, 2, 2\)$"):
+        enumeration.EndoMonoid(maps, 0).table
 
 
 def test_monoid_isomorphism_between_relabelings(godel3):
     swapped = validate_hilbert(relabel(godel3.imp, [1, 0, 2]), 2)
-    m1 = endomorphism_monoid(godel3)
-    m2 = endomorphism_monoid(swapped)
+    m1 = endomorphism_monoid(Structures(godel3))
+    m2 = endomorphism_monoid(Structures(swapped))
     assert monoid_isomorphism(m1, m2) is not None
 
 
@@ -226,7 +240,7 @@ def flat_algebra(n):
 
 
 def test_monoid_isomorphism_is_not_bounded_by_the_recursion_limit():
-    m = endomorphism_monoid(flat_algebra(5))
+    m = endomorphism_monoid(Structures(flat_algebra(5)))
     assert len(m) == 209
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
@@ -243,17 +257,18 @@ def test_monoid_isomorphism_is_not_bounded_by_the_recursion_limit():
     )
 
 
+def survey(algebras):
+    """The cross-survey of the algebras, with their records built in-process."""
+    return cross_survey_report(algebras, [survey_record(Structures(a)) for a in algebras])
+
+
 def test_cross_survey_small(catalog3_sizes):
-    entries = [
-        e
-        for n in (1, 2, 3)
-        for e in catalog3_sizes[n].entries
-    ]
-    report = cross_survey_report(entries)
+    algebras = [alg for n in (1, 2, 3) for alg in catalog3_sizes[n].algebras()]
+    report = survey(algebras)
     assert report.ok, report.as_dict()
 
 
-def test_cross_survey_size5(monkeypatch, catalog5):
+def test_cross_survey_size5(monkeypatch, size5):
     colored, refined = [], []
 
     def counting(m):
@@ -269,16 +284,14 @@ def test_cross_survey_size5(monkeypatch, catalog5):
     for module in (core, enumeration):
         monkeypatch.setattr(module, "refine", refining)
     # fresh algebras, so no colouring is cached from earlier tests
-    entries = [
-        replace(e, algebra=FiniteHilbertAlgebra(e.algebra.imp, e.algebra.one))
-        for e in catalog5
-        if e.algebra.n == 5
-    ]
-    report = cross_survey_report(entries)
-    # each algebra and its monoid are coloured at most once, however many pairs they are in
-    assert len(colored) <= len(entries) == 21
+    algebras = [FiniteHilbertAlgebra(a.imp, a.one) for a in size5]
+    report = survey(algebras)
+    # each algebra and its monoid are coloured at most once, however many pairs
+    # they are in, and a monoid only where another one has its size: 9 of 21
+    assert len(algebras) == 21
+    assert len(colored) == 9
     assert len({id(m) for m in colored}) == len(colored)
-    imps = {id(e.algebra.imp) for e in entries}
+    imps = {id(a.imp) for a in algebras}
     for_algebras = [t for t in refined if id(t) in imps]
     assert len(for_algebras) <= 21
     assert len({id(t) for t in for_algebras}) == len(for_algebras)

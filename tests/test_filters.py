@@ -8,14 +8,13 @@ from hilbertalg import (
     filter_generated,
     filter_join,
     is_filter,
-    is_filter_via_bounds,
     is_monomial,
     lower_set,
     monomial_max,
     partial_join,
 )
 
-from _oracles import all_subsets, filters_brute
+from _oracles import all_subsets, filters_brute, is_filter_via_bounds
 
 
 def every_filter(alg):

@@ -37,6 +37,7 @@ def cases():
         ("verify-enumerate-4.txt", ["verify", "--enumerate", "4", "--suite", "all"]),
         ("verify-enumerate-4.json", ["verify", "--enumerate", "4", "--suite", "all", "--json"]),
         ("verify-enumerate-5.txt", ["verify", "--enumerate", "5", "--suite", "all"]),
+        ("verify-enumerate-6.txt", ["verify", "--enumerate", "6", "--suite", "all"]),
         ("enumerate-5.txt", ["enumerate", "5"]),
         ("enumerate-6.txt", ["enumerate", "6"]),
     ]

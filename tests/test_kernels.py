@@ -2,6 +2,7 @@
 they replaced (``_oracles``): the same results, and the same errors."""
 
 import json
+from functools import partial
 from itertools import product
 
 import pytest
@@ -18,7 +19,9 @@ from hilbertalg import (
 from hilbertalg.cli import main
 from hilbertalg.lattice import bound_table, is_partial_order
 from hilbertalg.multipliers import (
+    closed_table,
     compose,
+    map_table,
     pointwise_imp,
     pointwise_leq,
     pointwise_meet,
@@ -196,7 +199,7 @@ def test_the_one_and_two_element_algebras(tmp_path, capsys):
         assert lat.residual_table == residual_table_scan(lat)
     for table, one in (([[0]], 0), ([[1, 1], [0, 1]], 1)):
         alg = validate_hilbert(table, one)
-        assert all(r.ok for r in run_algebra_suites(alg, list(ALGEBRA_SUITES)))
+        assert all(r.ok for r in run_algebra_suites(Structures(alg), list(ALGEBRA_SUITES)))
         for lat in structure_lattices([alg]):
             assert lat.is_distributive and is_distributive_scan(lat)
             assert lat.residual_table == residual_table_scan(lat)
@@ -208,3 +211,61 @@ def test_the_one_and_two_element_algebras(tmp_path, capsys):
         assert main(["verify", str(path), "--suite", "all"]) == 0
         assert "RESULT: PASS (68 passed, 0 failed, 1 skipped)" in capsys.readouterr().out
 
+
+
+def kernel_carriers(algebras):
+    """Each algebra with its multipliers, closure endomorphisms and endomorphisms
+    and, up to 3 elements, every self-map."""
+    for alg in algebras:
+        s = Structures(alg)
+        yield alg, s.multipliers.carrier
+        yield alg, s.ce.carrier
+        yield alg, tuple(s.endomorphisms)
+        if alg.n <= 3:
+            yield alg, tuple(product(alg.elements, repeat=alg.n))
+
+
+def map_ops(alg):
+    """(op, name, values) of composition, pointwise meet and pointwise implication."""
+    return [
+        (compose, "composition", None),
+        (partial(pointwise_meet, alg), "pointwise meet", alg.meet_table),
+        (partial(pointwise_imp, alg), "pointwise implication", alg.imp),
+    ]
+
+
+def test_map_table_matches_closed_table(catalog5):
+    # endomorphisms need not be closed under the pointwise operations, and
+    # images need not have a meet: then both raise, with the same message
+    raised = set()
+    for alg, maps in kernel_carriers(e.algebra for e in catalog5):
+        index = {f: i for i, f in enumerate(maps)}
+        for op, name, values in map_ops(alg):
+            args = (maps, index, op, "maps", name)
+            got = outcome(map_table, *args, values)
+            assert got == outcome(closed_table, *args)
+            if isinstance(got, str):
+                raised.add("have no meet" if "have no meet" in got else got.split(":")[1].strip())
+    assert raised == {
+        "maps not closed under pointwise meet",
+        "maps not closed under pointwise implication",
+        "have no meet",
+    }
+
+
+def test_map_table_raises_the_reference_messages(godel3, tarski3):
+    maps = ((0, 1, 2), (1, 2, 2))  # (1, 2, 2) after itself is (2, 2, 2)
+    index = {f: i for i, f in enumerate(maps)}
+    with pytest.raises(InvariantViolation, match=r"^maps not closed under composition: \(2, 2, 2\)$"):
+        map_table(maps, index, compose, "maps", "composition")
+    # in tarski3 the atoms 0 and 1 have no meet
+    maps = ((0, 1, 2), (1, 0, 2))
+    index = {f: i for i, f in enumerate(maps)}
+    meet = partial(pointwise_meet, tarski3)
+    with pytest.raises(InvariantViolation, match=r"^images 0, 1 at 0 have no meet; not multiplier images$"):
+        map_table(maps, index, meet, "maps", "pointwise meet", tarski3.meet_table)
+
+
+def test_map_table_leaves_more_than_255_elements_to_closed_table():
+    identity = tuple(range(300))  # too many values for one byte each
+    assert map_table((identity,), {identity: 0}, compose, "maps", "composition") == ((0,),)

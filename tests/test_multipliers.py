@@ -17,7 +17,6 @@ from hilbertalg import (
     join_translation,
     kernel,
     multiplier_calculus_report,
-    multiplier_orbit,
     peirce_map,
     pointwise_imp,
     pointwise_leq,
@@ -29,7 +28,7 @@ from hilbertalg import (
 from hilbertalg.lattice import FiniteLattice
 from hilbertalg.multipliers import CarrierLattice, MapLattice, search_maps
 
-from _oracles import multipliers_brute
+from _oracles import multiplier_orbit, multipliers_brute, multipliers_bruteforce
 
 
 def test_named_maps_are_multipliers(algebras4):
@@ -64,6 +63,7 @@ def test_non_multiplier_example(godel3):
 def test_search_matches_bruteforce(algebras4):
     for alg in algebras4:
         assert search_multipliers(alg) == multipliers_brute(alg)
+        assert multipliers_bruteforce(alg) == multipliers_brute(alg)
 
 
 def test_search_maps_rechecks_finished_maps(godel3):

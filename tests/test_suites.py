@@ -1,8 +1,12 @@
+import os
+
 import pytest
 
-from hilbertalg import FiniteHilbertAlgebra, core, structures, suites
+from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, core, structures, suites
 from hilbertalg.lattice import bound_table
 from hilbertalg.suites import ALGEBRA_SUITES, run_algebra_suites, run_catalog_suites
+
+from test_golden import GOLDEN_DIR, run_cli
 
 
 class PoolRecorder:
@@ -31,7 +35,7 @@ def test_pool_never_exceeds_one_worker_per_algebra(monkeypatch, algebras4):
     got = run_catalog_suites(algs, names, jobs=100000)
     assert PoolRecorder.sizes == [3]
     assert [[r.as_dict() for r in rs] for rs in got] == [
-        [r.as_dict() for r in run_algebra_suites(a, names)] for a in algs
+        [r.as_dict() for r in run_algebra_suites(Structures(a), names)] for a in algs
     ]
     run_catalog_suites(algs, names, jobs=2)
     assert PoolRecorder.sizes == [3, 2]
@@ -75,7 +79,7 @@ def test_each_structure_is_built_once_per_algebra(monkeypatch, catalog4):
 
     for name in BUILDERS:
         monkeypatch.setattr(structures, name, counting(name, getattr(structures, name)))
-    reports = run_algebra_suites(boolean4(catalog4), list(ALGEBRA_SUITES))
+    reports = run_algebra_suites(Structures(boolean4(catalog4)), list(ALGEBRA_SUITES))
     assert all(r.ok for r in reports)
     assert not any(c.status == "skip" for r in reports for c in r.checks)
     assert calls == {name: 1 for name in BUILDERS}
@@ -93,6 +97,78 @@ def test_bounds_are_computed_once_per_algebra(monkeypatch, catalog4):
         return bound_table(leq, upper)
 
     monkeypatch.setattr(core, "bound_table", counting)
-    reports = run_algebra_suites(alg, list(ALGEBRA_SUITES))
+    reports = run_algebra_suites(Structures(alg), list(ALGEBRA_SUITES))
     assert all(r.ok for r in reports)
     assert sorted(directions) == [False, True]
+
+
+def test_the_extension_laws_are_checked_once_per_algebra(monkeypatch, algebras4):
+    checked = []
+    real = adjoint._extension_checks
+
+    def counting(fl):
+        checked.append(fl)
+        return real(fl)
+
+    monkeypatch.setattr(adjoint, "_extension_checks", counting)
+    for alg in algebras4:
+        reports = run_algebra_suites(Structures(alg), list(ALGEBRA_SUITES))
+        assert all(r.ok for r in reports)
+    assert len(checked) == len(algebras4)
+
+
+def test_verify_reuses_the_workers_structures_for_the_survey(monkeypatch):
+    calls = {"all_multipliers": 0, "search_endomorphisms": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(structures, name, counting(name, getattr(structures, name)))
+    surveying, built_while_surveying = [], []
+    real_survey, real_init = cli.cross_survey_report, Structures.__init__
+
+    def survey(*args):
+        surveying.append(True)
+        try:
+            return real_survey(*args)
+        finally:
+            surveying.pop()
+
+    def init(self, *args):
+        built_while_surveying.extend(surveying)
+        real_init(self, *args)
+
+    monkeypatch.setattr(cli, "cross_survey_report", survey)
+    monkeypatch.setattr(Structures, "__init__", init)
+    out = run_cli(["verify", "--enumerate", "4", "--suite", "all", "--jobs", "1"], {})
+    assert out.startswith("enumerated 6 algebra(s) of size 4")
+    # the catalog entry and the worker build the multipliers, only the worker the endomorphisms
+    assert calls == {"all_multipliers": 2 * 6, "search_endomorphisms": 6}
+    assert built_while_surveying == []
+
+
+def survey_only(full):
+    """The output of ``--suite cross-survey``, cut out of that of ``--suite all``."""
+    lines = full.splitlines()
+    start = lines.index("== cross-survey")
+    kept = [line for line in lines[:start] if not line.startswith(("-- ", "   "))]
+    result = "RESULT: PASS (5 passed, 0 failed, 0 skipped)"
+    return "\n".join(kept + lines[start:-1] + [result]) + "\n"
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_survey_alone_matches_the_survey_of_all_suites(size):
+    golden = os.path.join(GOLDEN_DIR, f"verify-enumerate-{size}.txt")
+    if os.path.exists(golden):
+        with open(golden, encoding="utf-8", newline="") as fh:
+            full = fh.read()
+    else:
+        full = run_cli(["verify", "--enumerate", str(size), "--suite", "all"], {})
+    for jobs in ("1", "2"):
+        got = run_cli(["verify", "--enumerate", str(size), "--suite", "cross-survey", "--jobs", jobs], {})
+        assert got == survey_only(full)
