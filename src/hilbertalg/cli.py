@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 semantic failure (axiom or theorem check), 2 input
 error (unreadable, unparsable or structurally malformed files, bad options).
 A reader that closes stdout early ends the command quietly with code 1.
+The text output of ``verify`` and ``enumerate`` streams: each algebra's
+block is flushed as soon as it is computed, in catalog order.
 Reports are rendered deterministically: repeated runs and runs with
 different --jobs values produce byte-identical output (timings are shown
 only on request).
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 
 from .closure import is_isotone
 from .core import (
@@ -21,11 +24,13 @@ from .core import (
     HilbertAxiomError,
     MalformedTableError,
     axiom_violations,
+    classify,
 )
 from .enumeration import (
     EnumerationBound,
+    catalog_entry,
+    classes,
     cross_survey_report,
-    enumerate_algebras,
 )
 from .files import (
     ParseError,
@@ -38,7 +43,7 @@ from .filters import is_monomial
 from .lattice import cover_pairs
 from .multipliers import fixpoints, kernel
 from .structures import Structures
-from .suites import CROSS_SUITE, resolve_suites, run_catalog, suite_names
+from .suites import CROSS_SUITE, iter_catalog, resolve_suites, suite_names
 
 OK, SEMANTIC_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -195,9 +200,9 @@ def _input_error(message):
     return CommandError(INPUT_ERROR, f"input error: {message}")
 
 
-def _enumerate(size):
+def _classes(size):
     try:
-        return enumerate_algebras(size)
+        return classes(size)
     except (ValueError, EnumerationBound) as e:
         raise _input_error(e) from None
 
@@ -227,53 +232,53 @@ def cmd_verify(args):
         raise _input_error("give exactly one of an algebra file and --enumerate N")
 
     if args.enumerate is not None:
-        catalog = _enumerate(args.enumerate)
-        algebras = catalog.algebras()
+        algebras, _raw = _classes(args.enumerate)
         header = f"enumerated {len(algebras)} algebra(s) of size {args.enumerate}"
     else:
         alg, _labels = _load(args.path)
         algebras = [alg]
         header = f"verifying {args.path}"
 
+    # text leaves block by block, as each algebra's reports arrive in catalog
+    # order; --json is one document, printed once everything is done
+    if not args.json:
+        print(header)
     survey = CROSS_SUITE in names and args.enumerate is not None
-    results = run_catalog(algebras, names, jobs=jobs, survey=survey)
-    per_algebra = [reports for reports, _ in results]
-    cross = cross_survey_report(algebras, [r for _, r in results]) if survey else None
-
-    npass = nfail = nskip = 0
+    records, tally = [], []  # tally: (pass, fail, skip) of every report
     doc = {"header": header, "algebras": [], "cross_survey": None}
-    for alg, reports in zip(algebras, per_algebra):
-        adoc = {
-            "n": alg.n,
-            "one": alg.one,
-            "table": [list(r) for r in alg.imp],
-            "suites": [r.as_dict(include_timing=args.timings) for r in reports],
-        }
-        doc["algebras"].append(adoc)
-        for r in reports:
-            p, f, s = r.counts()
-            npass, nfail, nskip = npass + p, nfail + f, nskip + s
+    with closing(iter_catalog(algebras, names, jobs=jobs, survey=survey)) as results:
+        for alg, (reports, record) in zip(algebras, results):
+            records.append(record)
+            tally += [r.counts() for r in reports]
+            if args.json:
+                doc["algebras"].append({
+                    "n": alg.n,
+                    "one": alg.one,
+                    "table": [list(row) for row in alg.imp],
+                    "suites": [r.as_dict(include_timing=args.timings) for r in reports],
+                })
+            else:
+                print(f"== algebra n={alg.n} one={alg.one} table={_table_json(alg)}")
+                for r in reports:
+                    print(f"-- {r.name}")
+                    for line in r.lines(include_timing=args.timings):
+                        print(f"   {line}")
+                sys.stdout.flush()
+
+    cross = cross_survey_report(algebras, records) if survey else None
     if cross is not None:
         doc["cross_survey"] = cross.as_dict(include_timing=args.timings)
-        p, f, s = cross.counts()
-        npass, nfail, nskip = npass + p, nfail + f, nskip + s
+        tally.append(cross.counts())
     elif CROSS_SUITE in names:
         doc["cross_survey"] = {"skipped": "cross-survey needs --enumerate"}
-        nskip += 1
-    verdict = "PASS" if nfail == 0 else "FAIL"
+        tally.append((0, 0, 1))
+    npass, nfail, nskip = (sum(column) for column in zip((0, 0, 0), *tally))
     doc["ok"] = nfail == 0
     doc["counts"] = {"pass": npass, "fail": nfail, "skip": nskip}
 
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(header)
-        for alg, reports in zip(algebras, per_algebra):
-            print(f"== algebra n={alg.n} one={alg.one} table={_table_json(alg)}")
-            for r in reports:
-                print(f"-- {r.name}")
-                for line in r.lines(include_timing=args.timings):
-                    print(f"   {line}")
         if cross is not None:
             print(f"== {CROSS_SUITE}")
             for line in cross.lines(include_timing=args.timings):
@@ -281,6 +286,7 @@ def cmd_verify(args):
         elif CROSS_SUITE in names:
             print(f"== {CROSS_SUITE}")
             print("   [SKIP] cross-survey (needs --enumerate)")
+        verdict = "PASS" if nfail == 0 else "FAIL"
         print(f"RESULT: {verdict} ({npass} passed, {nfail} failed, {nskip} skipped)")
     return OK if nfail == 0 else SEMANTIC_FAIL
 
@@ -306,38 +312,46 @@ def cmd_export(args):
     return OK
 
 
-def cmd_enumerate(args):
-    catalog = _enumerate(args.size)
-    n_impl = sum(e.implication_algebra for e in catalog.entries)
-    n_semi = sum(e.implicative_semilattice for e in catalog.entries)
-    lines = [
-        f"size {args.size}: {len(catalog.entries)} algebra(s) up to isomorphism, "
-        f"{catalog.raw_count} raw table(s), {n_impl} implication algebra(s), "
+def _catalog_lines(size, algebras, raw):
+    """The summary line, then each class's line as its catalog entry is built."""
+    flags = [classify(alg) for alg in algebras]
+    n_impl = sum(f.implication_algebra for f in flags)
+    n_semi = sum(f.implicative_semilattice for f in flags)
+    yield (
+        f"size {size}: {len(algebras)} algebra(s) up to isomorphism, "
+        f"{raw} raw table(s), {n_impl} implication algebra(s), "
         f"{n_semi} implicative semilattice(s)"
-    ]
-    for i, e in enumerate(catalog.entries):
-        lines.append(
+    )
+    for i, e in enumerate(map(catalog_entry, algebras)):
+        yield (
             f"[{i}] filters={e.filter_count} multipliers={e.multiplier_count} "
             f"ce={e.ce_count} implication={e.implication_algebra} "
             f"semilattice={e.implicative_semilattice} table={_table_json(e.algebra)}"
         )
-    summary = "\n".join(lines) + "\n"
-    if args.out_dir:
-        path = args.out_dir
-        try:
-            os.makedirs(path, exist_ok=True)
-            for i, e in enumerate(catalog.entries):
-                path = os.path.join(args.out_dir, f"algebra_{args.size}_{i:03d}.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(dump_algebra(e.algebra))
-            path = os.path.join(args.out_dir, f"summary_{args.size}.txt")
+
+
+def cmd_enumerate(args):
+    algebras, raw = _classes(args.size)
+    lines = _catalog_lines(args.size, algebras, raw)
+    if not args.out_dir:
+        for line in lines:
+            print(line, flush=True)
+        return OK
+    # every line before any file: an entry that fails its re-check leaves no partial export
+    summary = "".join(line + "\n" for line in lines)
+    path = args.out_dir
+    try:
+        os.makedirs(path, exist_ok=True)
+        for i, alg in enumerate(algebras):
+            path = os.path.join(args.out_dir, f"algebra_{args.size}_{i:03d}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(summary)
-        except OSError as e:  # e.filename is None when the write or close fails
-            raise _input_error(f"cannot write {path}: {e.strerror}") from None
-        print(f"wrote {len(catalog.entries)} algebra file(s) to {args.out_dir}")
-    else:
-        sys.stdout.write(summary)
+                fh.write(dump_algebra(alg))
+        path = os.path.join(args.out_dir, f"summary_{args.size}.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(summary)
+    except OSError as e:  # e.filename is None when the write or close fails
+        raise _input_error(f"cannot write {path}: {e.strerror}") from None
+    print(f"wrote {len(algebras)} algebra file(s) to {args.out_dir}")
     return OK
 
 

@@ -259,8 +259,8 @@ def catalog_entry(alg):
     )
 
 
-def enumerate_algebras(n):
-    """All Hilbert algebras with n elements up to isomorphism, with statistics."""
+def classes(n):
+    """(one validated algebra per class of size n, in canonical order; raw table count)."""
     if n < 1:
         raise ValueError("size must be positive")
     if n > SEARCH_BOUND:
@@ -278,8 +278,13 @@ def enumerate_algebras(n):
     for t in search_valid_tables(n):
         raw += 1
         reps.add(canonical_table(t, n - 1))
-    entries = tuple(catalog_entry(validate_hilbert(t, n - 1)) for t in sorted(reps))
-    return AlgebraCatalog(n=n, entries=entries, raw_count=raw)
+    return tuple(validate_hilbert(t, n - 1) for t in sorted(reps)), raw
+
+
+def enumerate_algebras(n):
+    """All Hilbert algebras with n elements up to isomorphism, with statistics."""
+    algebras, raw = classes(n)
+    return AlgebraCatalog(n=n, entries=tuple(map(catalog_entry, algebras)), raw_count=raw)
 
 
 def catalog_through(n):

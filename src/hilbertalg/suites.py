@@ -98,22 +98,33 @@ def _worker(payload):
     return reports, survey_record(ctx) if survey else None
 
 
-def run_catalog(algebras, names, jobs=1, survey=False):
-    """(reports, survey record or None) for each algebra, in catalog order.
+def iter_catalog(algebras, names, jobs=1, survey=False):
+    """Yield (reports, survey record or None) for each algebra, in catalog order.
 
-    With ``survey`` each worker also returns the ``survey_record`` of its
-    algebra.  At most one worker process per algebra is started, however
-    large jobs is.
+    Each item is computed when it is asked for, or, with a pool, yielded as
+    soon as it and every item before it are done; closing the generator
+    early cancels the algebras not yet started.  With ``survey`` each worker
+    also returns the ``survey_record`` of its algebra.  At most one worker
+    process per algebra is started, however large jobs is.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     payloads = [(alg.imp, alg.one, tuple(names), survey) for alg in algebras]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            return list(pool.map(_worker, payloads))
-    return [_worker(p) for p in payloads]
+    if jobs == 1 or len(payloads) < 2:
+        yield from map(_worker, payloads)
+        return
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
+    try:
+        yield from pool.map(_worker, payloads)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_catalog(algebras, names, jobs=1, survey=False):
+    """The items of ``iter_catalog``, all computed before it returns."""
+    return list(iter_catalog(algebras, names, jobs, survey))
 
 
 def run_catalog_suites(algebras, names, jobs=1):
     """Per-algebra reports for each algebra, in catalog order."""
-    return [reports for reports, _ in run_catalog(algebras, names, jobs)]
+    return [reports for reports, _ in iter_catalog(algebras, names, jobs)]

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hilbertalg
-from hilbertalg import canonical_form, enumeration, suites, validate_hilbert
+from hilbertalg import canonical_form, cli, enumeration, suites, validate_hilbert
 from hilbertalg.cli import main
 from hilbertalg.files import dump_algebra, load_algebra_file
 
@@ -198,6 +202,46 @@ def test_enumerate_export_roundtrip(tmp_path, capsys):
         assert canonical_form(alg) == alg.imp  # exports re-canonicalize to themselves
 
 
+@pytest.mark.parametrize("size", [3, 5])
+def test_enumerate_summary_file_is_the_stdout_report(tmp_path, capsys, size):
+    assert main(["enumerate", str(size)]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["enumerate", str(size), "--out-dir", str(tmp_path)]) == 0
+    classes = len(stdout.splitlines()) - 1  # one line per class after the summary
+    assert capsys.readouterr().out == f"wrote {classes} algebra file(s) to {tmp_path}\n"
+    with open(tmp_path / f"summary_{size}.txt", encoding="utf-8", newline="") as fh:
+        assert fh.read() == stdout
+
+
+def printed_before_each_call(monkeypatch, module, name, argv):
+    """The stdout of ``main(argv)`` as it stood at each call of ``module.name``."""
+    buf, seen = io.StringIO(), []
+    real = getattr(module, name)
+
+    def recording(*args):
+        seen.append(buf.getvalue())
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return seen
+
+
+def test_verify_prints_each_block_before_the_next_algebra_runs(monkeypatch):
+    argv = ["verify", "--enumerate", "4", "--suite", "all", "--jobs", "1"]
+    seen = printed_before_each_call(monkeypatch, suites, "_worker", argv)
+    assert seen[0] == "enumerated 6 algebra(s) of size 4\n"
+    assert [out.count("\n== algebra") for out in seen] == list(range(6))
+    assert not any("cross-survey" in out for out in seen)
+
+
+def test_enumerate_prints_each_class_line_before_the_next_entry_is_built(monkeypatch):
+    seen = printed_before_each_call(monkeypatch, cli, "catalog_entry", ["enumerate", "5"])
+    assert seen[0].startswith("size 5: 21 algebra(s)") and seen[0].count("\n") == 1
+    assert [out.count("\n[") for out in seen] == list(range(21))
+
+
 def test_verify_deterministic_output(capsys):
     assert main(["verify", "--enumerate", "3", "--suite", "all", "--jobs", "1"]) == 0
     first = capsys.readouterr().out
@@ -306,3 +350,35 @@ def test_closed_stdout_exits_without_traceback():
     err = proc.stderr.decode()
     assert proc.returncode == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_closing_stdout_early_stops_verify_and_its_workers(tmp_path):
+    src = os.path.dirname(os.path.dirname(hilbertalg.__file__))
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hilbertalg", "verify", "--enumerate", "6", "--jobs", "2"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=dict(os.environ, PYTHONPATH=src),
+            start_new_session=True,  # the workers share its process group
+        )
+        try:
+            head = [proc.stdout.readline() for _ in range(2)]  # as ``| head -2`` reads
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            deadline = time.monotonic() + 10
+            while True:  # until no process of the group is left
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived verify"
+                time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        err.seek(0)
+        assert err.read() == b""
+    assert head[0] == b"enumerated 95 algebra(s) of size 6\n"
+    assert head[1].startswith(b"== algebra n=6 ")

@@ -4,27 +4,32 @@ import pytest
 
 from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, core, structures, suites
 from hilbertalg.lattice import bound_table
-from hilbertalg.suites import ALGEBRA_SUITES, run_algebra_suites, run_catalog_suites
+from hilbertalg.suites import (
+    ALGEBRA_SUITES,
+    iter_catalog,
+    run_algebra_suites,
+    run_catalog,
+    run_catalog_suites,
+)
 
 from test_golden import GOLDEN_DIR, run_cli
 
 
 class PoolRecorder:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each
+    shutdown's cancel_futures, maps lazily in-process."""
 
     sizes = []
+    shutdowns = []
 
     def __init__(self, max_workers):
         PoolRecorder.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, items):
         return map(fn, items)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        PoolRecorder.shutdowns.append(cancel_futures)
 
 
 def test_pool_never_exceeds_one_worker_per_algebra(monkeypatch, algebras4):
@@ -39,6 +44,58 @@ def test_pool_never_exceeds_one_worker_per_algebra(monkeypatch, algebras4):
     ]
     run_catalog_suites(algs, names, jobs=2)
     assert PoolRecorder.sizes == [3, 2]
+
+
+def comparable(items):
+    """(reports, survey record) items as plain values."""
+    return [
+        (
+            [r.as_dict() for r in reports],
+            (rec.filters.leq, rec.adjoint.leq, rec.monoid.maps, rec.ce_idx, rec.implicative_semilattice),
+        )
+        for reports, rec in items
+    ]
+
+
+def test_iter_catalog_runs_one_worker_per_item_taken(monkeypatch, algebras4):
+    ran = []
+
+    def worker(payload):
+        ran.append(payload)
+        return real(payload)
+
+    real = suites._worker
+    monkeypatch.setattr(suites, "_worker", worker)
+    items = iter_catalog(algebras4, ["join-density"], jobs=1)
+    assert ran == []
+    next(items)
+    assert len(ran) == 1
+    items.close()
+    assert len(ran) == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_iter_catalog_yields_what_run_catalog_returns(monkeypatch, algebras4, jobs):
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", PoolRecorder)
+    PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
+    names = ["join-density", "cross-survey"]
+    want = comparable(run_catalog(algebras4, names, jobs=jobs, survey=True))
+    assert len(want) == len(algebras4)
+    assert comparable(iter_catalog(algebras4, names, jobs=jobs, survey=True)) == want
+    # one by one, in catalog order, against each algebra run on its own
+    alone = [run_catalog([a], names, survey=True)[0] for a in algebras4]
+    assert comparable(alone) == want
+    assert PoolRecorder.sizes == ([2, 2] if jobs == 2 else [])
+
+
+def test_closing_iter_catalog_early_cancels_the_pool(monkeypatch, algebras4):
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", PoolRecorder)
+    PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
+    items = iter_catalog(algebras4, ["join-density"], jobs=2)
+    next(items)
+    assert PoolRecorder.shutdowns == []
+    items.close()
+    assert PoolRecorder.shutdowns == [True]
 
 
 def test_pool_refuses_fewer_than_one_job(algebras4):
@@ -147,8 +204,8 @@ def test_verify_reuses_the_workers_structures_for_the_survey(monkeypatch):
     monkeypatch.setattr(Structures, "__init__", init)
     out = run_cli(["verify", "--enumerate", "4", "--suite", "all", "--jobs", "1"], {})
     assert out.startswith("enumerated 6 algebra(s) of size 4")
-    # the catalog entry and the worker build the multipliers, only the worker the endomorphisms
-    assert calls == {"all_multipliers": 2 * 6, "search_endomorphisms": 6}
+    # only the worker builds structures: verify builds no catalog entry
+    assert calls == {"all_multipliers": 6, "search_endomorphisms": 6}
     assert built_while_surveying == []
 
 
