@@ -77,7 +77,6 @@ from .filters import (
     class_of,
     congruence_classes,
     filter_generated,
-    filter_join,
     is_filter,
     is_monomial,
     lower_set,

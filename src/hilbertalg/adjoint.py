@@ -17,11 +17,10 @@ transposed ``lattice.residual_table`` and the embedding ``principal``.
 from __future__ import annotations
 
 from .core import InvariantViolation, partial_meet, subset_key, subsets
-from .filters import filter_generated, filter_join
-from .lattice import FiniteLattice
+from .filters import filter_generated
+from .lattice import FiniteLattice, bits, masks
 from .multipliers import (
     compose,
-    fixpoints,
     identity_map,
     join_translation,
     kernel,
@@ -33,13 +32,13 @@ from .report import ReportBuilder, fmt, fset
 
 
 def composite_translation(alg, elems):
-    """Composition of the translations by the given elements; identity for none.
+    """Composition of the translations by the elements of the bitmask elems; identity for none.
 
     The order of composition does not matter; the kernel is the filter
     generated by the elements.
     """
     out = identity_map(alg)
-    for p in sorted(elems):
+    for p in bits(elems):
         out = compose(translation(alg, p), out)
     return out
 
@@ -91,20 +90,20 @@ def join_density_report(ctx):
     b = ReportBuilder("join-density")
     alg, ce = ctx.alg, ctx.ce
     fails = []
-    for f in ce.carrier:
-        if composite_translation(alg, kernel(alg, f)) != f:
-            fails.append(fmt(map=f, kernel=fset(kernel(alg, f))))
+    for f, k in zip(ce.carrier, ce.kernels):
+        if composite_translation(alg, k) != f:
+            fails.append(fmt(map=f, kernel=fset(k)))
     b.check("translations-over-kernel", fails, detail=f"{len(ce.carrier)} maps")
 
     if ctx.flags.implication_algebra:
         dual_fails = []
-        for f in ce.carrier:
+        for f, r in zip(ce.carrier, ce.fixes):
             acc = None
-            for p in sorted(fixpoints(alg, f)):
+            for p in bits(r):
                 d = join_translation(alg, p)
                 acc = d if acc is None else pointwise_meet(alg, acc, d)
             if acc != f:
-                dual_fails.append(fmt(map=f, fixpoints=fset(fixpoints(alg, f))))
+                dual_fails.append(fmt(map=f, fixpoints=fset(r)))
         b.check("join-translations-over-fixpoints", dual_fails)
     else:
         b.skip("join-translations-over-fixpoints", "applies to implication algebras only")
@@ -115,8 +114,7 @@ def adjoint_iso_report(ctx):
     """Kernels identify the adjoint semilattice with the finitely generated filters."""
     b = ReportBuilder("adjoint-semilattice")
     alg, adj, fl = ctx.alg, ctx.adjoint, ctx.filters
-    carrier = adj.carrier
-    kernels = [kernel(alg, f) for f in carrier]
+    carrier, kernels = adj.carrier, adj.kernels
 
     fg_filters = {filter_generated(alg, j) for j in fl.carrier}
     b.check(
@@ -132,7 +130,7 @@ def adjoint_iso_report(ctx):
     join_fails = []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            if kernel(alg, carrier[adj.lattice.join_table[i][j]]) != filter_join(alg, kernels[i], kernels[j]):
+            if kernels[adj.lattice.join_table[i][j]] != filter_generated(alg, kernels[i] | kernels[j]):
                 join_fails.append(fmt(f=f, g=g))
     b.check("kernel-preserves-join", join_fails)
 
@@ -141,7 +139,7 @@ def adjoint_iso_report(ctx):
         for q in alg.elements:
             if alg.le(p, q) != pointwise_leq(alg, translation(alg, q), translation(alg, p)):
                 anti_fails.append(fmt(p=p, q=q))
-        if kernel(alg, translation(alg, p)) != filter_generated(alg, [p]):
+        if kernel(alg, translation(alg, p)) != filter_generated(alg, 1 << p):
             anti_fails.append(fmt(p=p, reason="kernel not the principal filter"))
     b.check("translations-anti-embed-the-algebra", anti_fails)
     return b.done()
@@ -184,7 +182,7 @@ def _extension_checks(fl):
     """Failure witnesses for the implicative-semilattice laws of the extension."""
     alg, filters, embedding = fl.alg, fl.carrier, fl.principal
     meet, res = fl.lattice.join_table, fl.lattice.residual_table  # filter join; i -> j is res[j][i]
-    unit = fl.index(frozenset([alg.one]))
+    unit = fl.index(1 << alg.one)
     fails = []
     k = len(filters)
     # contains[i][j]: filters[j] within filters[i], i.e. i <= j in the extension
@@ -192,18 +190,18 @@ def _extension_checks(fl):
     for i in range(k):
         for j in range(k):
             m = meet[i][j]
-            if filters[m] != filter_join(alg, filters[i], filters[j]):
+            if filters[m] != filter_generated(alg, filters[i] | filters[j]):
                 fails.append(fmt(i=i, j=j, law="meet-is-filter-join"))
             for c in range(k):
                 lhs = contains[c][res[j][i]]  # c <= (i -> j)
                 rhs = contains[meet[c][i]][j]  # (c meet i) <= j
                 if lhs != rhs:
                     fails.append(fmt(i=i, j=j, c=c, law="residuation"))
-    if filters[unit] != frozenset([alg.one]):
+    if filters[unit] != 1 << alg.one:
         fails.append(fmt(law="unit", unit=unit))
     imp = alg.imp
     for p in alg.elements:
-        if filters[embedding[p]] != filter_generated(alg, [p]):
+        if filters[embedding[p]] != filter_generated(alg, 1 << p):
             fails.append(fmt(p=p, law="embedding-principal"))
         for q in alg.elements:
             want = embedding[imp[p][q]]
@@ -213,9 +211,9 @@ def _extension_checks(fl):
         fails.append(fmt(law="embedding-unit"))
     for i in range(k):
         # every filter is the extension-meet (= filter join) of embedded elements
-        acc = frozenset([alg.one])
-        for p in sorted(filters[i]):
-            acc = filter_join(alg, acc, filters[embedding[p]])
+        acc = 1 << alg.one
+        for p in bits(filters[i]):
+            acc = filter_generated(alg, acc | filters[embedding[p]])
         if acc != filters[i]:
             fails.append(fmt(i=i, law="generated-by-embedded"))
     return fails
@@ -247,8 +245,7 @@ def brouwerian_extension_report(ctx):
     b.check("implicative-semilattice-laws", [], detail=f"{len(filters)} filters")
 
     # anti-isomorphic to the adjoint semilattice via the kernel correspondence
-    carrier = ctx.ce.carrier
-    by_kernel = {kernel(alg, f): f for f in carrier}
+    by_kernel = dict(zip(ctx.ce.kernels, ctx.ce.carrier))
     anti_fails = []
     if set(by_kernel) != set(filters):
         anti_fails.append(fmt(reason="kernel range mismatch"))
@@ -280,14 +277,14 @@ def adjoint_ideal_lattice(adj):
 
     The carrier is finite, so an ideal holds the join of all its members and
     is the down-set of that join: the ideals are the principal down-sets,
-    one per element.  Each is re-checked to be closed under join.  Returns
-    (ideals, lattice); ideals are frozensets of carrier indices.
+    one per element: the rows of the transposed order.  Each is re-checked
+    to be closed under join.  Returns (ideals, lattice); ideals are
+    bitmasks of carrier indices.
     """
-    k = len(adj.carrier)
     leq, join = adj.lattice.leq, adj.lattice.join_table
-    ideals = sorted((frozenset(j for j in range(k) if leq[j][i]) for i in range(k)), key=subset_key)
+    ideals = sorted(masks(tuple(zip(*leq))), key=subset_key)
     for s in ideals:
-        if any(join[i][j] not in s for i in s for j in s):
+        if any(not s >> join[i][j] & 1 for i in bits(s) for j in bits(s)):
             raise InvariantViolation(f"down-set {fset(s)} is not closed under join")
     return tuple(ideals), FiniteLattice.from_subsets(ideals)
 
@@ -327,7 +324,7 @@ def fg_ideal_report(ctx):
     for f in carrier:
         for p in subsets(alg.n):
             if pointwise_leq(alg, f, composite_translation(alg, p)):
-                q = {imp[f[x]][x] for x in p}
+                q = sum({1 << imp[f[x]][x] for x in bits(p)})
                 if composite_translation(alg, q) != f:
                     q_fails.append(fmt(map=f, p=fset(p), q=fset(q)))
     b.check("explicit-generators-below-composite", q_fails)

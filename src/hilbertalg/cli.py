@@ -39,9 +39,7 @@ from .files import (
     dump_algebra,
     load_algebra_file,
 )
-from .filters import is_monomial
-from .lattice import cover_pairs
-from .multipliers import fixpoints, kernel
+from .lattice import bits, cover_pairs
 from .structures import Structures
 from .suites import CROSS_SUITE, iter_catalog, resolve_suites, suite_names
 
@@ -77,7 +75,7 @@ def _load(path):
 
 
 def _fset(members, labels):
-    return "{" + ",".join(labels[i] for i in sorted(members)) + "}"
+    return "{" + ",".join(labels[i] for i in bits(members)) + "}"
 
 
 def _fmap(f, labels):
@@ -104,9 +102,9 @@ def _analyze_payload(alg, labels, args):
         "implicative_semilattice": flags.implicative_semilattice,
     }
     if args.filters:
-        fl = ctx.filters
+        fl, monomials = ctx.filters, set(ctx.monomials)
         out["filters"] = [
-            {"members": _fset(j, labels), "monomial": is_monomial(alg, j)}
+            {"members": _fset(j, labels), "monomial": j in monomials}
             for j in fl.carrier
         ]
         out["filter_lattice_covers"] = _cover_list(fl.lattice.leq)
@@ -120,10 +118,10 @@ def _analyze_payload(alg, labels, args):
         out["closure_endomorphisms"] = [
             {
                 "map": _fmap(f, labels),
-                "kernel": _fset(kernel(alg, f), labels),
-                "fixpoints": _fset(fixpoints(alg, f), labels),
+                "kernel": _fset(k, labels),
+                "fixpoints": _fset(r, labels),
             }
-            for f in ce.carrier
+            for f, k, r in zip(ce.carrier, ce.kernels, ce.fixes)
         ]
         out["ce_lattice_covers"] = _cover_list(ce.lattice.leq)
     if args.adjoint:
@@ -138,7 +136,7 @@ def _analyze_payload(alg, labels, args):
         ext = ctx.extension
         out["extension"] = {
             "filters": [_fset(j, labels) for j in ext.carrier],
-            "unit": ext.index(frozenset([alg.one])),
+            "unit": ext.index(1 << alg.one),
             "meet": [list(r) for r in ext.lattice.join_table],
             "implication": [list(r) for r in zip(*ext.lattice.residual_table)],
             "embedding": list(ext.principal),

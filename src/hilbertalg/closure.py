@@ -9,7 +9,9 @@ filters; fixpoint sets identify it, order-reversed, with the lattice of
 special closure retracts, where the retract condition asks every up-set
 ``{r in R : a <= r}`` for a least element.  Both identifications are
 implemented with their inverses, and every surrounding theorem has a
-report function that checks it exhaustively on a given algebra.
+report function that checks it exhaustively on a given algebra.  Element
+subsets are int bitmasks, so inclusion is ``not a & ~b``; the reports read
+each kernel and fixpoint set from ``CeLattice.kernels`` and ``fixes``.
 """
 
 from __future__ import annotations
@@ -26,14 +28,8 @@ from .core import (
     subset_key,
     subsets,
 )
-from .filters import (
-    class_of,
-    filter_join,
-    is_filter,
-    is_monomial,
-    monomial_max,
-)
-from .lattice import FiniteLattice
+from .filters import class_of, filter_generated, is_filter, monomial_max
+from .lattice import FiniteLattice, _Least, bits, masks
 from .multipliers import (
     MapLattice,
     compose,
@@ -106,11 +102,14 @@ def search_endomorphisms(alg):
 
 class CeLattice(MapLattice):
     """All closure endomorphisms, i.e. the isotone multipliers of ``mult``,
-    with the lattice structure that ``MapLattice`` builds and re-checks."""
+    with the lattice structure that ``MapLattice`` builds and re-checks;
+    ``kernels[i]`` and ``fixes[i]`` are the kernel and fixpoints of ``carrier[i]``."""
 
     def __init__(self, alg, mult):
         carrier = (f for f in mult.carrier if is_isotone(alg, f))
         super().__init__(alg, carrier, "closure endomorphisms")
+        self.kernels = tuple(kernel(alg, f) for f in self.carrier)
+        self.fixes = tuple(fixpoints(alg, f) for f in self.carrier)
 
 
 def all_closure_endos(alg, mult):
@@ -132,7 +131,7 @@ class NonMonomialFilterError(ValueError):
 
     def __init__(self, element, class_members):
         self.element = element
-        self.class_members = frozenset(class_members)
+        self.class_members = class_members
         super().__init__(
             f"class of {element} = {fset(class_members)} has no greatest element"
         )
@@ -145,7 +144,6 @@ def ce_from_monomial_filter(alg, members):
     Raises NonMonomialFilterError naming the offending class when some class
     has no greatest element, and ValueError when members is not a filter.
     """
-    members = frozenset(members)
     if not is_filter(alg, members):
         raise ValueError(f"{fset(members)} is not a filter")
     img = []
@@ -162,11 +160,9 @@ def ce_from_monomial_filter(alg, members):
     return f
 
 
-def closure_endos_via_filters(alg, filter_sets):
+def closure_endos_via_filters(alg, monomials):
     """Second route to the carrier: one closure endomorphism per monomial filter."""
-    return sorted(
-        ce_from_monomial_filter(alg, j) for j in filter_sets if is_monomial(alg, j)
-    )
+    return sorted(ce_from_monomial_filter(alg, j) for j in monomials)
 
 
 def monomial_roundtrip(alg, filter_sets):
@@ -183,7 +179,7 @@ def monomial_roundtrip(alg, filter_sets):
         except NonMonomialFilterError as e:
             skips.append(fmt(filter=fset(members), reason=str(e)))
             continue
-        if kernel(alg, f) != frozenset(members):
+        if kernel(alg, f) != members:
             failures.append(fmt(filter=fset(members), map=f))
     return failures, skips
 
@@ -208,12 +204,9 @@ class NotSpecialError(ValueError):
 
 def _least_above(alg, members):
     """For each element, the least member above it, or None where there is none."""
-    leq = alg.leq
-    out = []
-    for a in alg.elements:
-        ups = [r for r in members if leq[a][r]]
-        out.append(next((r for r in ups if all(leq[r][s] for s in ups)), None))
-    return out
+    up = masks(alg.leq)
+    least = _Least(up)
+    return [least[u & members] for u in up]
 
 
 def closure_retract_witness(alg, members):
@@ -234,9 +227,9 @@ def special_witness(alg, members):
     """
     imp = alg.imp
     for a in alg.elements:
-        for bm in members:
+        for bm in bits(members):
             if not any(
-                imp[p][a] in members and imp[p][bm] == bm for p in alg.elements
+                members >> imp[p][a] & 1 and imp[p][bm] == bm for p in alg.elements
             ):
                 return (a, bm)
     return None
@@ -270,7 +263,7 @@ def ce_from_retract(alg, members):
     if pair is not None:
         raise NotSpecialError(pair)
     f = tuple(least)
-    if not is_closure_endomorphism(alg, f) or fixpoints(alg, f) != frozenset(members):
+    if not is_closure_endomorphism(alg, f) or fixpoints(alg, f) != members:
         raise InvariantViolation(
             f"minima over {fset(members)} do not form a closure endomorphism"
         )
@@ -279,13 +272,16 @@ def ce_from_retract(alg, members):
 
 def cross_meets(alg, s, t):
     """All compatible meets of cross pairs; the join of fixpoint sets."""
-    out = set()
-    for x in s:
-        for y in t:
-            m = compatible_meet(alg, x, y)
+    meets = alg.compatible_meet_table
+    ys = list(bits(t))
+    out = 0
+    for x in bits(s):
+        row = meets[x]
+        for y in ys:
+            m = row[y]
             if m is not None:
-                out.add(m)
-    return frozenset(out)
+                out |= 1 << m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +314,22 @@ def ce_structure_report(ctx):
         [] if ce.lattice.is_distributive else [fmt(size=len(carrier))],
         detail=f"{len(carrier)} closure endomorphisms",
     )
-    via_filters = closure_endos_via_filters(alg, ctx.filters.carrier)
+    via_filters = closure_endos_via_filters(alg, ctx.monomials)
     b.check(
         "isotone-multipliers-equal-monomial-route",
         [] if list(carrier) == via_filters else [fmt(direct=len(carrier), via=len(via_filters))],
     )
 
     order_fails = []
-    for f in carrier:
-        for g in carrier:
+    kernels, fixes = ce.kernels, ce.fixes
+    for i, f in enumerate(carrier):
+        for j, g in enumerate(carrier):
             le = pointwise_leq(alg, f, g)
             if le != (compose(f, g) == g):
                 order_fails.append(fmt(f=f, g=g, law="composition"))
-            if le != (kernel(alg, f) <= kernel(alg, g)):
+            if le != (not kernels[i] & ~kernels[j]):
                 order_fails.append(fmt(f=f, g=g, law="kernels"))
-            if le != (fixpoints(alg, g) <= fixpoints(alg, f)):
+            if le != (not fixes[j] & ~fixes[i]):
                 order_fails.append(fmt(f=f, g=g, law="fixpoints"))
     b.check("order-characterizations", order_fails)
 
@@ -355,7 +352,7 @@ def ce_structure_report(ctx):
 
     b.check(
         "fixpoints-relative-subsemilattice",
-        [fmt(map=f) for f in carrier if not is_relative_subsemilattice(alg, fixpoints(alg, f))],
+        [fmt(map=f) for f, r in zip(carrier, fixes) if not is_relative_subsemilattice(alg, r)],
     )
     return b.done()
 
@@ -400,8 +397,7 @@ def kernel_embedding_report(ctx):
     """The kernel map embeds the closure endomorphisms into the filter lattice."""
     b = ReportBuilder("kernel-embedding")
     alg, ce, fl = ctx.alg, ctx.ce, ctx.filters
-    carrier = ce.carrier
-    kernels = [kernel(alg, f) for f in carrier]
+    carrier, kernels = ce.carrier, ce.kernels
 
     b.check(
         "kernels-are-filters",
@@ -414,16 +410,14 @@ def kernel_embedding_report(ctx):
     meet_fails, join_fails = [], []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            km = kernel(alg, carrier[ce.lattice.meet_table[i][j]])
-            if km != kernels[i] & kernels[j]:
+            if kernels[ce.lattice.meet_table[i][j]] != kernels[i] & kernels[j]:
                 meet_fails.append(fmt(f=f, g=g))
-            kj = kernel(alg, carrier[ce.lattice.join_table[i][j]])
-            if kj != filter_join(alg, kernels[i], kernels[j]):
+            if kernels[ce.lattice.join_table[i][j]] != filter_generated(alg, kernels[i] | kernels[j]):
                 join_fails.append(fmt(f=f, g=g))
     b.check("meet-to-intersection", meet_fails)
     b.check("join-to-filter-join", join_fails)
 
-    monomials = {j for j in fl.carrier if is_monomial(alg, j)}
+    monomials = set(ctx.monomials)
     b.check(
         "range-is-monomial-filters",
         []
@@ -434,9 +428,9 @@ def kernel_embedding_report(ctx):
         "image-is-class-maximum",
         [
             fmt(map=f, a=a)
-            for f in carrier
+            for f, k in zip(carrier, kernels)
             for a in alg.elements
-            if f[a] != monomial_max(alg, kernel(alg, f), a)
+            if f[a] != monomial_max(alg, k, a)
         ],
     )
     b.check(
@@ -459,17 +453,14 @@ def fixpoint_embedding_report(ctx):
     """The fixpoint map reverses the lattice onto the special closure retracts."""
     b = ReportBuilder("fixpoint-embedding")
     alg, ce = ctx.alg, ctx.ce
-    carrier = ce.carrier
-    fixes = [fixpoints(alg, f) for f in carrier]
+    carrier, fixes = ce.carrier, ce.fixes
 
     comp_fails, meet_fails = [], []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            fc = fixpoints(alg, carrier[ce.lattice.join_table[i][j]])
-            if fc != fixes[i] & fixes[j]:
+            if fixes[ce.lattice.join_table[i][j]] != fixes[i] & fixes[j]:
                 comp_fails.append(fmt(f=f, g=g))
-            fm = fixpoints(alg, carrier[ce.lattice.meet_table[i][j]])
-            if fm != cross_meets(alg, fixes[i], fixes[j]):
+            if fixes[ce.lattice.meet_table[i][j]] != cross_meets(alg, fixes[i], fixes[j]):
                 meet_fails.append(fmt(f=f, g=g))
     b.check("composition-to-intersection", comp_fails)
     b.check("meet-to-cross-meets", meet_fails)
@@ -481,9 +472,9 @@ def fixpoint_embedding_report(ctx):
         "order-reversing",
         [
             fmt(f=f, g=g)
-            for f in carrier
-            for g in carrier
-            if pointwise_leq(alg, f, g) != (fixpoints(alg, g) <= fixpoints(alg, f))
+            for f, r in zip(carrier, fixes)
+            for g, s in zip(carrier, fixes)
+            if pointwise_leq(alg, f, g) != (not s & ~r)
         ],
     )
     retracts = ctx.retracts
@@ -497,12 +488,12 @@ def fixpoint_embedding_report(ctx):
     image_form_fails = []
     for f, r in zip(carrier, fixes):
         for a in alg.elements:
-            ups = [x for x in r if leq[a][x]]
+            ups = [x for x in bits(r) if leq[a][x]]
             least = [x for x in ups if all(leq[x][y] for y in ups)]
             if len(least) != 1 or f[a] != least[0]:
                 min_fails.append(fmt(map=f, a=a))
             # the same minimum over the members of the form x -> a
-            landing = [s for s in r if any(imp[x][a] == s for x in alg.elements)]
+            landing = [s for s in bits(r) if any(imp[x][a] == s for x in alg.elements)]
             low = [s for s in landing if all(leq[s][t] for t in landing)]
             if len(low) != 1 or f[a] != low[0]:
                 image_form_fails.append(fmt(map=f, a=a))
@@ -520,24 +511,24 @@ def fixpoint_embedding_report(ctx):
     alpha_fails = []
     for s in ctx.special_subsets:
         if s:
-            if not all(alg.imp[p][x] in s for p in alg.elements for x in s):
+            if not all(s >> alg.imp[p][x] & 1 for p in alg.elements for x in bits(s)):
                 alpha_fails.append(fmt(subset=fset(s), reason="not translation closed"))
             elif not is_subalgebra(alg, s):
                 alpha_fails.append(fmt(subset=fset(s), reason="not a subalgebra"))
     b.check("special-subsets-translation-closed", alpha_fails)
 
     # explicit duality between monomial filters and special closure retracts
-    monomials = sorted((j for j in ctx.filters.carrier if is_monomial(alg, j)), key=subset_key)
+    monomials = ctx.monomials
     dual_fails = []
-    pair = {kernel(alg, f): fixpoints(alg, f) for f in carrier}
+    pair = dict(zip(ce.kernels, fixes))
     if set(pair) != set(monomials):
         dual_fails.append(fmt(reason="kernel range mismatch"))
     else:
         for j in monomials:
             for k in monomials:
-                if (j <= k) != (pair[k] <= pair[j]):
+                if (not j & ~k) != (not pair[k] & ~pair[j]):
                     dual_fails.append(fmt(j=fset(j), k=fset(k)))
-                if pair.get(filter_join(alg, j, k)) != pair[j] & pair[k]:
+                if pair.get(filter_generated(alg, j | k)) != pair[j] & pair[k]:
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="join-to-meet"))
                 if pair.get(j & k) != cross_meets(alg, pair[j], pair[k]):
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="meet-to-join"))
@@ -567,7 +558,7 @@ def implication_extras_report(ctx):
         raise ValueError("not an implication algebra")
     b = ReportBuilder("implication-extras")
     alg, mult, ce = ctx.alg, ctx.multipliers, ctx.ce
-    carrier = ce.carrier
+    carrier, kernels, fixes = ce.carrier, ce.kernels, ce.fixes
     imp = alg.imp
 
     b.check(
@@ -594,7 +585,7 @@ def implication_extras_report(ctx):
 
     b.check(
         "fixpoints-are-filters",
-        [fmt(map=f) for f in carrier if not is_filter(alg, fixpoints(alg, f))],
+        [fmt(map=f) for f, r in zip(carrier, fixes) if not is_filter(alg, r)],
     )
 
     heredity_fails = []
@@ -607,14 +598,14 @@ def implication_extras_report(ctx):
 
     comp_fails = []
     duality_fails = []
-    for f in carrier:
+    for f, r in zip(carrier, fixes):
         neg = tuple(imp[f[x]][x] for x in alg.elements)
         if neg not in set(carrier):
             comp_fails.append(fmt(map=f, reason="complement not closure endomorphism"))
             continue
         if pointwise_meet(alg, f, neg) != identity_map(alg) or compose(f, neg) != constant_one(alg):
             comp_fails.append(fmt(map=f, complement=neg))
-        if fixpoints(alg, f) != kernel(alg, neg):
+        if r != kernels[ce.index(neg)]:
             duality_fails.append(fmt(map=f, complement=neg))
     b.check("boolean-complement", comp_fails)
     b.check("fixpoints-equal-complement-kernel", duality_fails)
@@ -650,22 +641,18 @@ def implication_extras_report(ctx):
     b.check("join-translation-embedding", embed_fails)
 
     nabla_fails = []
-    for f in carrier:
-        for g in carrier:
-            ff, fg = fixpoints(alg, f), fixpoints(alg, g)
-            if cross_meets(alg, ff, fg) != filter_join(alg, ff, fg):
+    for f, ff in zip(carrier, fixes):
+        for g, fg in zip(carrier, fixes):
+            if cross_meets(alg, ff, fg) != filter_generated(alg, ff | fg):
                 nabla_fails.append(fmt(f=f, g=g))
     b.check("fixpoint-join-is-filter-join", nabla_fails)
 
     comp_lattice_fails = []
-    kernels = {kernel(alg, f) for f in carrier}
-    fixes = {fixpoints(alg, f) for f in carrier}
-    if kernels != fixes:
-        comp_lattice_fails.append(fmt(kernels=len(kernels), fixes=len(fixes)))
-    universe = frozenset(alg.elements)
-    for f in carrier:
-        kf, ff = kernel(alg, f), fixpoints(alg, f)
-        if kf & ff != frozenset([alg.one]) or filter_join(alg, kf, ff) != universe:
+    if set(kernels) != set(fixes):
+        comp_lattice_fails.append(fmt(kernels=len(set(kernels)), fixes=len(set(fixes))))
+    universe = (1 << alg.n) - 1
+    for f, kf, ff in zip(carrier, kernels, fixes):
+        if kf & ff != 1 << alg.one or filter_generated(alg, kf | ff) != universe:
             comp_lattice_fails.append(fmt(map=f))
     b.check("kernel-fixpoint-complements", comp_lattice_fails)
     return b.done()
@@ -680,13 +667,13 @@ def fixpoint_filter_report(ctx):
     b = ReportBuilder("fixpoint-filter-characterization")
     alg, flags = ctx.alg, ctx.flags
     routes = {
-        "all": ctx.ce.carrier,
-        "finitely-generated": ctx.finitely_generated,
-        "translations": sorted({translation(alg, p) for p in alg.elements}),
+        "all": ctx.ce.fixes,
+        "finitely-generated": (fixpoints(alg, f) for f in ctx.finitely_generated),
+        "translations": (fixpoints(alg, translation(alg, p)) for p in alg.elements),
     }
     answers = {"implication-algebra": flags.implication_algebra}
-    for name, maps in routes.items():
-        answers[name] = all(is_filter(alg, fixpoints(alg, f)) for f in maps)
+    for name, fixes in routes.items():
+        answers[name] = all(is_filter(alg, r) for r in fixes)
     distinct = set(answers.values())
     b.check(
         "four-way-equivalence",

@@ -16,6 +16,7 @@ table may satisfy both inequality laws while inducing only a preorder.
 Meets, joins and compatible meets are tables of the algebra, each built
 once, on first use, from the up- and down-sets of the order as bitmasks;
 ``partial_meet``, ``partial_join`` and ``compatible_meet`` look them up.
+Every element subset is an int bitmask, bit x set iff x is a member.
 """
 
 from __future__ import annotations
@@ -125,6 +126,12 @@ class FiniteHilbertAlgebra:
         return tuple(tuple(compatible(x, y) for y in rng) for x in rng)
 
     @cached_property
+    def preimages(self):
+        """preimages[x][v]: the bitmask of the y with x -> y = v."""
+        rng = self.elements
+        return tuple(tuple(sum(1 << y for y in rng if row[y] == v) for v in rng) for row in self.imp)
+
+    @cached_property
     def colors(self):
         """The colouring of ``imp`` with the unit marked, computed once."""
         return refine(self.imp, (self.one,))
@@ -231,15 +238,15 @@ def is_compatible(alg, x, y):
 
 def is_subalgebra(alg, members):
     """True iff members contains the unit and is closed under implication."""
-    if alg.one not in members:
+    if not members >> alg.one & 1:
         return False
     imp = alg.imp
-    return all(imp[x][y] in members for x in members for y in members)
+    return all(members >> imp[x][y] & 1 for x in bits(members) for y in bits(members))
 
 
 def subsets(n):
-    """Every subset of range(n) as a frozenset, in binary counting order."""
-    return (frozenset(i for i in range(n) if bits >> i & 1) for bits in range(1 << n))
+    """Every subset of range(n) as a bitmask, in binary counting order."""
+    return range(1 << n)
 
 
 def generated(start, gens, op):
@@ -258,7 +265,7 @@ def generated(start, gens, op):
 
 def subset_key(s):
     """Sort key listing element subsets smallest first."""
-    return (len(s), sorted(s))
+    return (s.bit_count(), list(bits(s)))
 
 
 def subalgebras(alg):
@@ -268,10 +275,10 @@ def subalgebras(alg):
 
 def is_relative_subsemilattice(alg, members):
     """True iff members is closed under existing compatible meets."""
-    for x in members:
-        for y in members:
+    for x in bits(members):
+        for y in bits(members):
             m = compatible_meet(alg, x, y)
-            if m is not None and m not in members:
+            if m is not None and not members >> m & 1:
                 return False
     return True
 
@@ -279,7 +286,7 @@ def is_relative_subsemilattice(alg, members):
 def block_from(alg, members, p):
     """The image set ``{x -> p : x in members}``."""
     imp = alg.imp
-    return frozenset(imp[x][p] for x in members)
+    return sum({1 << imp[x][p] for x in bits(members)})
 
 
 def is_block(alg, members):
@@ -291,9 +298,9 @@ def is_block(alg, members):
     if not members or not is_subalgebra(alg, members):
         return False
     imp, leq = alg.imp, alg.leq
-    if any(imp[imp[x][y]][x] != x for x in members for y in members):
+    if any(imp[imp[x][y]][x] != x for x in bits(members) for y in bits(members)):
         return False
-    return any(all(leq[m][b] for b in members) for m in members)
+    return any(all(leq[m][b] for b in bits(members)) for m in bits(members))
 
 
 @dataclass(frozen=True)

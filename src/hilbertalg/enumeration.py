@@ -30,7 +30,7 @@ from .core import (
     axiom_violations,
     validate_hilbert,
 )
-from .lattice import FiniteLattice, isomorphism, refine
+from .lattice import FiniteLattice, bits, isomorphism, refine
 from .multipliers import compose, identity_map, map_table
 from .report import ReportBuilder, fmt
 from .structures import Structures
@@ -353,14 +353,14 @@ class SurveyRecord:
 
     ``filters`` and ``adjoint`` are the filter and closure endomorphism
     lattices, already coloured; ``monoid`` holds the endomorphisms without
-    their table, and ``ce_idx`` the indices of the closure endomorphisms
-    among them.
+    their table, and ``ce_idx`` the bitmask of the indices of the closure
+    endomorphisms among them.
     """
 
     filters: FiniteLattice
     adjoint: FiniteLattice
     monoid: EndoMonoid
-    ce_idx: frozenset
+    ce_idx: int
     implicative_semilattice: bool
 
 
@@ -380,7 +380,7 @@ def survey_record(ctx):
         filters=filters,
         adjoint=adjoint,
         monoid=EndoMonoid(maps=mon.maps, identity=mon.identity),
-        ce_idx=frozenset(index[f] for f in ctx.ce.carrier),
+        ce_idx=sum(1 << index[f] for f in ctx.ce.carrier),
         implicative_semilattice=ctx.flags.implicative_semilattice,
     )
 
@@ -417,7 +417,7 @@ def cross_survey_report(algebras, records):
             if miso is not None:
                 if not adj_iso:
                     mono_adj.append(tag)
-                image = frozenset(miso[t] for t in di.ce_idx)
+                image = sum(1 << miso[t] for t in bits(di.ce_idx))
                 if image != dj.ce_idx:
                     ce_transfer.append(tag)
             both_semilattices = di.implicative_semilattice and dj.implicative_semilattice

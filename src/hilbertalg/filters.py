@@ -1,5 +1,7 @@
 """Filters, the filter lattice, filter congruences, and monomial filters.
 
+Filters, congruence classes and lower sets are int bitmasks, bit x set iff
+x is a member; the join of filters j and k is ``filter_generated(alg, j | k)``.
 The filter lattice is a ``multipliers.CarrierLattice``, the same re-checked
 carrier lattice as the closure endomorphism lattice, which it contains
 (by kernels) as the monomial filters.  Under reverse inclusion it is also
@@ -10,46 +12,37 @@ embeds; ``adjoint.minimal_brouwerian_extension`` re-checks that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import and_
 
 from .core import InvariantViolation, generated, subset_key
-from .lattice import inclusion_order
+from .lattice import bits, inclusion_order
 from .multipliers import CarrierLattice
 
 
 def is_filter(alg, members):
     """True iff members contains the unit and is closed under detachment."""
-    if alg.one not in members:
+    if not members >> alg.one & 1:
         return False
-    imp = alg.imp
-    for x in members:
-        row = imp[x]
-        for y in alg.elements:
-            if row[y] in members and y not in members:
-                return False
-    return True
+    pre = alg.preimages
+    # every y with x -> y = v for members x and v is a member
+    return not any(pre[x][v] & ~members for x in bits(members) for v in bits(members))
 
 
 def filter_generated(alg, seed):
-    """Least filter including seed, computed as a detachment-closure fixpoint."""
-    imp = alg.imp
-    members = set(seed)
-    members.add(alg.one)
-    changed = True
-    while changed:
-        changed = False
-        for x in tuple(members):
-            row = imp[x]
-            for y in alg.elements:
-                if row[y] in members and y not in members:
-                    members.add(y)
-                    changed = True
-    return frozenset(members)
-
-
-def filter_join(alg, j, k):
-    return filter_generated(alg, set(j) | set(k))
+    """Least filter including the bitmask seed: each round adds every y with
+    x -> y = v for members x and v, until a round adds nothing."""
+    pre, rng = alg.preimages, alg.elements
+    members = seed | 1 << alg.one
+    while True:
+        elems = [x for x in rng if members >> x & 1]
+        grown = members
+        for x in elems:
+            pre_x = pre[x]
+            for v in elems:
+                grown |= pre_x[v]
+        if grown == members:
+            return members
+        members = grown
 
 
 class FilterLattice(CarrierLattice):
@@ -64,11 +57,14 @@ class FilterLattice(CarrierLattice):
 
     def __init__(self, alg):
         self.alg = alg
-        join = partial(filter_join, alg)
-        principal = [filter_generated(alg, [x]) for x in alg.elements]
-        found = generated(frozenset([alg.one]), principal, join)
+
+        def join(j, k):
+            return filter_generated(alg, j | k)
+
+        principal = [filter_generated(alg, 1 << x) for x in alg.elements]
+        least, universe = 1 << alg.one, (1 << alg.n) - 1
+        found = generated(least, principal, join)
         ops = ((join, "generated union"), (and_, "intersection"))
-        least, universe = frozenset([alg.one]), frozenset(alg.elements)
         carrier = sorted(found, key=subset_key)
         super().__init__(carrier, inclusion_order, ops, least, universe, "filters")
         # principal[x]: the index of the principal filter of x; x -> principal[x] embeds the algebra
@@ -82,15 +78,15 @@ def all_filters(alg):
 def class_of(alg, members, a):
     """Congruence class of a modulo the filter: both implications land in it."""
     imp = alg.imp
-    return frozenset(
-        b for b in alg.elements if imp[a][b] in members and imp[b][a] in members
+    return sum(
+        1 << b for b in alg.elements if members >> imp[a][b] & members >> imp[b][a] & 1
     )
 
 
 @dataclass(frozen=True)
 class CongruenceClasses:
-    filter: frozenset
-    classes: tuple[frozenset, ...]
+    filter: int
+    classes: tuple[int, ...]
 
 
 def congruence_classes(alg, members):
@@ -101,20 +97,20 @@ def congruence_classes(alg, members):
         if assigned[a]:
             continue
         cls = class_of(alg, members, a)
-        if a not in cls:
+        if not cls >> a & 1:
             raise InvariantViolation(f"congruence class of {a} does not contain it")
-        for b in cls:
+        for b in bits(cls):
             if assigned[b] or class_of(alg, members, b) != cls:
                 raise InvariantViolation("congruence classes do not partition the universe")
             assigned[b] = True
         classes.append(cls)
-    return CongruenceClasses(frozenset(members), tuple(classes))
+    return CongruenceClasses(members, tuple(classes))
 
 
 def lower_set(alg, members, a):
     """The set of x with x -> a in the filter; an ideal of the algebra."""
     imp = alg.imp
-    return frozenset(x for x in alg.elements if imp[x][a] in members)
+    return sum(1 << x for x in alg.elements if members >> imp[x][a] & 1)
 
 
 def monomial_max(alg, members, a):
@@ -123,7 +119,7 @@ def monomial_max(alg, members, a):
     On a valid algebra a greatest element is automatically unique; several
     maximal candidates can only appear on broken tables and also yield None.
     """
-    cls = class_of(alg, members, a)
+    cls = list(bits(class_of(alg, members, a)))
     leq = alg.leq
     tops = [m for m in cls if all(leq[x][m] for x in cls)]
     if len(tops) == 1:

@@ -37,8 +37,8 @@ def bits(mask):
 
 
 def inclusion_order(sets):
-    """The order matrix of a family of sets under inclusion."""
-    return [[a <= b for b in sets] for a in sets]
+    """The order matrix of a family of bitmask subsets under inclusion."""
+    return [[not a & ~b for b in sets] for a in sets]
 
 
 def is_partial_order(leq):
@@ -191,7 +191,7 @@ class FiniteLattice:
 
     @classmethod
     def from_subsets(cls, sets):
-        """Lattice of the given family ordered by inclusion."""
+        """Lattice of the given family of bitmasks ordered by inclusion."""
         return cls(inclusion_order(sets))
 
     def join(self, i, j):

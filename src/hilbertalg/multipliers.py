@@ -92,13 +92,13 @@ def pointwise_meet(alg, f, g):
 
 
 def kernel(alg, f):
-    """Elements sent to the unit."""
-    return frozenset(x for x in alg.elements if f[x] == alg.one)
+    """The bitmask of the elements sent to the unit."""
+    return sum(1 << x for x, v in enumerate(f) if v == alg.one)
 
 
 def fixpoints(alg, f):
-    """Fixed elements; for a multiplier this is also its range."""
-    return frozenset(x for x in alg.elements if f[x] == x)
+    """The bitmask of the fixed elements; for a multiplier this is also its range."""
+    return sum(1 << x for x, v in enumerate(f) if v == x)
 
 
 def search_maps(alg, allowed, implied, check, what):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .lattice import bits
+
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
@@ -99,5 +101,5 @@ def fmt(**kw):
 
 
 def fset(members):
-    """Deterministic rendering of an element subset."""
-    return "{" + ",".join(map(str, sorted(members))) + "}"
+    """Deterministic rendering of an element subset given as a bitmask."""
+    return "{" + ",".join(map(str, bits(members))) + "}"

@@ -4,11 +4,13 @@ Every suite relates the same few structures of an algebra, so the suites run
 on one algebra share one ``Structures`` context.  The cache is not kept on
 ``FiniteHilbertAlgebra``: catalog entries keep their algebras, and would then
 keep every structure of a whole catalog alive.  Only tables of n x n entries,
-the size of the implication table itself (the order and the meet, join and
-compatible meet tables), are cached on the algebra.  ``adjoint`` is the
-closure endomorphism lattice ``ce`` itself, once re-checked as the adjoint
-semilattice, and ``extension`` is the filter lattice ``filters`` itself,
-once re-checked as the minimal Brouwerian extension.
+the size of the implication table itself (the order, the meet, join and
+compatible meet tables, and ``preimages``), are cached on the algebra.
+``adjoint`` is the closure endomorphism lattice ``ce`` itself, once
+re-checked as the adjoint semilattice, and ``extension`` is the filter
+lattice ``filters`` itself, once re-checked as the minimal Brouwerian
+extension.  The element subsets the suites relate, as int bitmasks, are
+computed once too: ``ce.kernels``, ``ce.fixes`` and ``monomials``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .closure import (
     special_subsets,
 )
 from .core import FiniteHilbertAlgebra, classify
-from .filters import all_filters
+from .filters import all_filters, is_monomial
 from .multipliers import all_multipliers
 
 
@@ -51,6 +53,11 @@ class Structures:
     @cached_property
     def filters(self):
         return all_filters(self.alg)
+
+    @cached_property
+    def monomials(self):
+        """The monomial filters, smallest first."""
+        return tuple(j for j in self.filters.carrier if is_monomial(self.alg, j))
 
     @cached_property
     def endomorphisms(self):

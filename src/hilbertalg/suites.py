@@ -120,11 +120,6 @@ def iter_catalog(algebras, names, jobs=1, survey=False):
         pool.shutdown(cancel_futures=True)
 
 
-def run_catalog(algebras, names, jobs=1, survey=False):
-    """The items of ``iter_catalog``, all computed before it returns."""
-    return list(iter_catalog(algebras, names, jobs, survey))
-
-
 def run_catalog_suites(algebras, names, jobs=1):
     """Per-algebra reports for each algebra, in catalog order."""
     return [reports for reports, _ in iter_catalog(algebras, names, jobs)]

@@ -22,6 +22,16 @@ def all_subsets(n):
         yield frozenset(i for i in range(n) if bits >> i & 1)
 
 
+def mask(elements):
+    """The bitmask of an element subset, the library's representation of it."""
+    return sum(1 << x for x in set(elements))
+
+
+def frozenset_key(s):
+    """Sort key listing frozenset subsets smallest first, then by sorted members."""
+    return (len(s), sorted(s))
+
+
 def filters_brute(alg):
     """All subsets containing the unit and closed under detachment."""
     out = []
@@ -30,7 +40,7 @@ def filters_brute(alg):
             continue
         if all(y in s for x in s for y in alg.elements if alg.imp[x][y] in s):
             out.append(s)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return sorted(out, key=frozenset_key)
 
 
 def multipliers_brute(alg):
@@ -240,7 +250,7 @@ def adjoint_ideals_brute(adj):
     ideals = [
         s for s in seen if s and all(adj.lattice.join_table[i][j] in s for i in s for j in s)
     ]
-    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+    return sorted(ideals, key=frozenset_key)
 
 
 # The element-by-element scans the library's bitmask and row-at-a-time

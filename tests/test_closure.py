@@ -24,6 +24,7 @@ from hilbertalg import (
     is_filter,
     is_idempotent,
     is_isotone,
+    is_monomial,
     is_multiplier,
     is_special,
     kernel,
@@ -43,8 +44,15 @@ from hilbertalg.closure import (
     monomial_roundtrip,
     special_subsets,
 )
+from hilbertalg.core import subset_key
 
-from _oracles import closure_endos_brute, endomorphisms_brute, endomorphisms_bruteforce
+from _oracles import (
+    closure_endos_brute,
+    endomorphisms_brute,
+    endomorphisms_bruteforce,
+    filters_brute,
+    mask,
+)
 
 
 def test_characterizations_agree_on_all_maps(algebras4):
@@ -107,7 +115,7 @@ def test_tarski3_complement_example(tarski3):
     # which coincides with the translation by the other atom
     complement = pointwise_imp(tarski3, alpha_a, identity_map(tarski3))
     assert complement == join_translation(tarski3, 0) == alpha_b
-    assert fixpoints(tarski3, alpha_a) == kernel(tarski3, alpha_b) == frozenset({1, 2})
+    assert fixpoints(tarski3, alpha_a) == kernel(tarski3, alpha_b) == mask({1, 2})
 
 
 def test_ce_against_direct_definition(algebras4):
@@ -123,13 +131,13 @@ def test_ce_equals_filter_route(algebras4):
 
 
 def test_kernels(godel3, algebras4):
-    assert kernel(godel3, translation(godel3, 1)) == frozenset({1, 2})
-    assert fixpoints(godel3, translation(godel3, 1)) == frozenset({0, 2})
+    assert kernel(godel3, translation(godel3, 1)) == mask({1, 2})
+    assert fixpoints(godel3, translation(godel3, 1)) == mask({0, 2})
     for alg in algebras4:
         for p in alg.elements:
             # kernel of a translation is the principal filter, and conversely:
             # the principal filter rebuilds the translation
-            principal = filter_generated(alg, [p])
+            principal = filter_generated(alg, mask([p]))
             assert kernel(alg, translation(alg, p)) == principal
             assert ce_from_monomial_filter(alg, principal) == translation(alg, p)
 
@@ -189,23 +197,23 @@ def test_ce_structure_report(algebras4):
 
 
 def test_monomial_filter_roundtrip_examples(godel3):
-    assert ce_from_monomial_filter(godel3, {2}) == identity_map(godel3)
-    assert ce_from_monomial_filter(godel3, {0, 1, 2}) == (2, 2, 2)
-    assert ce_from_monomial_filter(godel3, {1, 2}) == translation(godel3, 1)
+    assert ce_from_monomial_filter(godel3, mask({2})) == identity_map(godel3)
+    assert ce_from_monomial_filter(godel3, mask({0, 1, 2})) == (2, 2, 2)
+    assert ce_from_monomial_filter(godel3, mask({1, 2})) == translation(godel3, 1)
     with pytest.raises(ValueError):
-        ce_from_monomial_filter(godel3, {0, 2})  # not a filter
+        ce_from_monomial_filter(godel3, mask({0, 2}))  # not a filter
 
 
 def test_mock_monomial_domain_error(mock_nonmonomial):
     mock = mock_nonmonomial
-    bad = frozenset({2, 3})
+    bad = mask({2, 3})
     assert is_filter(mock, bad)
     with pytest.raises(NonMonomialFilterError) as err:
         ce_from_monomial_filter(mock, bad)
     assert err.value.element == 0
-    assert err.value.class_members == frozenset({0, 1})
+    assert err.value.class_members == mask({0, 1})
     fails, skips = monomial_roundtrip(
-        mock, [frozenset({3}), bad, frozenset(range(4))]
+        mock, [mask({3}), bad, mask(range(4))]
     )
     assert fails == []
     assert len(skips) == 1 and "no greatest element" in skips[0]
@@ -213,51 +221,51 @@ def test_mock_monomial_domain_error(mock_nonmonomial):
 
 def test_special_and_retract_examples(godel3, tarski3, fixtures):
     for alg in fixtures:
-        universe = frozenset(alg.elements)
-        unit = frozenset([alg.one])
+        universe = mask(alg.elements)
+        unit = mask([alg.one])
         for s in (universe, unit):
             assert is_special(alg, s) and is_closure_retract(alg, s)
-    assert is_special(godel3, frozenset({0, 2}))
-    assert is_closure_retract(godel3, frozenset({0, 2}))
+    assert is_special(godel3, mask({0, 2}))
+    assert is_closure_retract(godel3, mask({0, 2}))
     # {a, 1} on the chain is a closure retract but not special
-    assert is_closure_retract(godel3, frozenset({1, 2}))
-    assert not is_special(godel3, frozenset({1, 2}))
+    assert is_closure_retract(godel3, mask({1, 2}))
+    assert not is_special(godel3, mask({1, 2}))
     # the atoms have nothing above the unit, so no closure retract
-    assert not is_closure_retract(tarski3, frozenset({0, 1}))
+    assert not is_closure_retract(tarski3, mask({0, 1}))
 
 
 def test_retract_roundtrip_examples(godel3, fixtures):
     for alg in fixtures:
-        assert ce_from_retract(alg, frozenset(alg.elements)) == identity_map(alg)
-        assert ce_from_retract(alg, frozenset([alg.one])) == (alg.one,) * alg.n
-    assert ce_from_retract(godel3, frozenset({0, 2})) == translation(godel3, 1)
+        assert ce_from_retract(alg, mask(alg.elements)) == identity_map(alg)
+        assert ce_from_retract(alg, mask([alg.one])) == (alg.one,) * alg.n
+    assert ce_from_retract(godel3, mask({0, 2})) == translation(godel3, 1)
 
 
 def test_retract_domain_errors(godel3, tarski3):
     with pytest.raises(NotClosureRetractError) as err:
-        ce_from_retract(tarski3, frozenset({0, 1}))
+        ce_from_retract(tarski3, mask({0, 1}))
     assert err.value.element == 2
     with pytest.raises(NotSpecialError) as err:
-        ce_from_retract(godel3, frozenset({1, 2}))
+        ce_from_retract(godel3, mask({1, 2}))
     assert err.value.pair == (0, 1)
     with pytest.raises(NotClosureRetractError):
-        ce_from_retract(godel3, frozenset())
+        ce_from_retract(godel3, mask([]))
 
 
 def test_cross_meets_examples(godel3, tarski3):
     # fixpoint sets of the two translations on the tarski algebra
     fa = fixpoints(tarski3, translation(tarski3, 0))
     fb = fixpoints(tarski3, translation(tarski3, 1))
-    assert cross_meets(tarski3, fa, fb) == frozenset({0, 1, 2})
-    assert cross_meets(godel3, frozenset({0, 2}), frozenset({2})) == frozenset({0, 2})
+    assert cross_meets(tarski3, fa, fb) == mask({0, 1, 2})
+    assert cross_meets(godel3, mask({0, 2}), mask({2})) == mask({0, 2})
 
 
 def test_fixpoint_lattice_of_chain_is_dual_chain(godel3):
     fixes = sorted(
         (fixpoints(godel3, f) for f in Structures(godel3).ce.carrier),
-        key=lambda s: (len(s), sorted(s)),
+        key=subset_key,
     )
-    assert fixes == [frozenset({2}), frozenset({0, 2}), frozenset({0, 1, 2})]
+    assert fixes == [mask({2}), mask({0, 2}), mask({0, 1, 2})]
 
 
 def test_fixpoint_embedding_report(algebras4):
@@ -290,7 +298,7 @@ def test_fixpoint_filter_characterization(algebras4, godel3, tarski3):
         assert report.ok, report.as_dict()
     # explicit instance on the chain: fixpoints of the translation by a
     fa = fixpoints(godel3, translation(godel3, 1))
-    assert fa == frozenset({0, 2})
+    assert fa == mask({0, 2})
     assert not is_filter(godel3, fa)  # 0 <= a but a is missing
     for f in Structures(tarski3).ce.carrier:
         assert is_filter(tarski3, fixpoints(tarski3, f))
@@ -299,3 +307,17 @@ def test_fixpoint_filter_characterization(algebras4, godel3, tarski3):
 def test_finitely_generated_closure_endos(algebras4):
     for alg in algebras4:
         assert finitely_generated_ce(alg) == list(Structures(alg).ce.carrier)
+
+
+def test_kernels_fixes_and_monomials_are_the_computed_subsets(catalog5):
+    for entry in catalog5:
+        alg = entry.algebra
+        ctx = Structures(alg)
+        ce = ctx.ce
+        assert len(ce.kernels) == len(ce.fixes) == len(ce.carrier)
+        for i, f in enumerate(ce.carrier):
+            assert ce.kernels[i] == kernel(alg, f)
+            assert ce.fixes[i] == fixpoints(alg, f)
+        # against the filters of the brute-force scan, smallest first
+        monomials = [mask(j) for j in filters_brute(alg) if is_monomial(alg, mask(j))]
+        assert list(ctx.monomials) == monomials

@@ -21,12 +21,16 @@ from hilbertalg import (
     subalgebras,
     validate_hilbert,
 )
+from hilbertalg.core import subset_key, subsets
+from hilbertalg.lattice import bits
 
 from _oracles import (
     all_subsets,
     axiom_violations_brute,
     compatible_meet_brute,
+    frozenset_key,
     join_brute,
+    mask,
     meet_brute,
 )
 from conftest import GODEL3_TABLE, TARSKI3_TABLE
@@ -157,42 +161,42 @@ def test_compatible_meet_is_the_meet(algebras4):
 
 def test_subalgebra_and_relative_subsemilattice(godel3, fixtures):
     for alg in fixtures:
-        assert is_subalgebra(alg, frozenset([alg.one]))
-        assert is_subalgebra(alg, frozenset(alg.elements))
-        assert is_relative_subsemilattice(alg, frozenset([alg.one]))
-        assert is_relative_subsemilattice(alg, frozenset(alg.elements))
-    assert is_relative_subsemilattice(godel3, frozenset({0, 2}))
+        assert is_subalgebra(alg, mask([alg.one]))
+        assert is_subalgebra(alg, mask(alg.elements))
+        assert is_relative_subsemilattice(alg, mask([alg.one]))
+        assert is_relative_subsemilattice(alg, mask(alg.elements))
+    assert is_relative_subsemilattice(godel3, mask({0, 2}))
 
 
 def test_block_from_unit_subalgebra(godel3, tarski3):
     # {1 -> p} = {p}: a block exactly when p is the unit
     for alg in (godel3, tarski3):
         for p in alg.elements:
-            b = block_from(alg, frozenset([alg.one]), p)
-            assert b == frozenset([p])
+            b = block_from(alg, mask([alg.one]), p)
+            assert b == mask([p])
             assert is_block(alg, b) == (p == alg.one)
 
 
 def test_block_of_whole_tarski3(tarski3):
-    b = block_from(tarski3, frozenset(tarski3.elements), 0)
-    assert b == frozenset({0, 2})
+    b = block_from(tarski3, mask(tarski3.elements), 0)
+    assert b == mask({0, 2})
     assert is_block(tarski3, b)
     # the whole algebra has no least element, so it is not a block
-    assert not is_block(tarski3, frozenset(tarski3.elements))
+    assert not is_block(tarski3, mask(tarski3.elements))
 
 
 def test_blocks_are_pairwise_compatible_with_algebra_meets(algebras4):
     for alg in algebras4:
         leq = alg.leq
-        for bits in all_subsets(alg.n):
-            if not is_block(alg, bits):
+        for members in all_subsets(alg.n):
+            if not is_block(alg, mask(members)):
                 continue
-            for x in bits:
-                for y in bits:
+            for x in members:
+                for y in members:
                     m = compatible_meet(alg, x, y)
                     assert m is not None
                     # the meet computed inside the block agrees
-                    lower = [c for c in bits if leq[c][x] and leq[c][y]]
+                    lower = [c for c in members if leq[c][x] and leq[c][y]]
                     block_meet = next(
                         c for c in lower if all(leq[d][c] for d in lower)
                     )
@@ -203,7 +207,7 @@ def test_image_blocks_from_subalgebras(algebras4):
     # every {x -> p : x in X} with X a subalgebra containing p is a block
     for alg in algebras4:
         for sub in subalgebras(alg):
-            for p in sub:
+            for p in bits(sub):
                 assert is_block(alg, block_from(alg, sub, p))
 
 
@@ -261,3 +265,12 @@ def test_validator_on_random_tables(case):
         alg = validate_hilbert(table, one)
         # unit row of any valid table is the identity
         assert all(alg.imp[one][x] == x for x in range(alg.n))
+
+
+def test_subset_key_sorts_masks_like_the_frozenset_key():
+    # every mask below 1 << 6, against the same subsets as frozensets
+    by_mask = sorted(subsets(6), key=subset_key)
+    by_set = [mask(s) for s in sorted(all_subsets(6), key=frozenset_key)]
+    assert by_mask == by_set
+    # numeric order and the key disagree: {2} sorts before {0, 1}
+    assert subset_key(0b100) < subset_key(0b011)

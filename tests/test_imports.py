@@ -1,0 +1,39 @@
+"""Every name a module of the package imports is read somewhere in that module.
+
+``__init__.py`` is left out: it imports names to re-export them.
+"""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hilbertalg")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+
+
+def unused_imports(source):
+    """The names bound by import statements of source that no expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_the_guard_finds_an_unused_import():
+    source = "from .multipliers import fixpoints, kernel\nimport os.path\n\nkernel(1, 2)\n"
+    assert unused_imports(source) == [(1, "fixpoints"), (2, "os")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        source = fh.read()
+    assert unused_imports(source) == []

@@ -4,9 +4,9 @@ from itertools import permutations
 import pytest
 
 from hilbertalg import FiniteLattice, LatticeError
-from hilbertalg.lattice import isomorphism, refine
+from hilbertalg.lattice import inclusion_order, isomorphism, refine
 
-from _oracles import dual_lattice
+from _oracles import dual_lattice, mask
 
 
 def from_covers(cover_lists):
@@ -118,9 +118,22 @@ def test_residual_table_matches_bruteforce():
 
 
 def test_from_subsets():
-    sets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    sets = [mask([]), mask({0}), mask({1}), mask({0, 1})]
     lat = FiniteLattice.from_subsets(sets)
     assert lat.join(1, 2) == 3 and lat.meet(1, 2) == 0
+
+
+def test_inclusion_order_is_not_numeric_order():
+    # 0b011 < 0b100 as numbers, but neither subset includes the other
+    assert inclusion_order([0b011, 0b100]) == [[True, False], [False, True]]
+    assert inclusion_order([0b001, 0b011, 0b110]) == [
+        [True, True, False],
+        [False, True, False],
+        [False, False, True],
+    ]
+    # against inclusion of the frozensets, on every pair of subsets of three points
+    sets = [frozenset(i for i in range(3) if m >> i & 1) for m in range(8)]
+    assert inclusion_order(list(range(8))) == [[a <= b for b in sets] for a in sets]
 
 
 def test_dual():

@@ -1,14 +1,15 @@
 import os
+import sys
+from collections import Counter
 
 import pytest
 
-from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, core, structures, suites
+from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, core, filters, multipliers, structures, suites
 from hilbertalg.lattice import bound_table
 from hilbertalg.suites import (
     ALGEBRA_SUITES,
     iter_catalog,
     run_algebra_suites,
-    run_catalog,
     run_catalog_suites,
 )
 
@@ -75,15 +76,15 @@ def test_iter_catalog_runs_one_worker_per_item_taken(monkeypatch, algebras4):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_iter_catalog_yields_what_run_catalog_returns(monkeypatch, algebras4, jobs):
+def test_iter_catalog_items_match_each_algebra_run_alone(monkeypatch, algebras4, jobs):
     monkeypatch.setattr(suites, "ProcessPoolExecutor", PoolRecorder)
     PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
     names = ["join-density", "cross-survey"]
-    want = comparable(run_catalog(algebras4, names, jobs=jobs, survey=True))
+    want = comparable(list(iter_catalog(algebras4, names, jobs=jobs, survey=True)))
     assert len(want) == len(algebras4)
     assert comparable(iter_catalog(algebras4, names, jobs=jobs, survey=True)) == want
     # one by one, in catalog order, against each algebra run on its own
-    alone = [run_catalog([a], names, survey=True)[0] for a in algebras4]
+    alone = [list(iter_catalog([a], names, survey=True))[0] for a in algebras4]
     assert comparable(alone) == want
     assert PoolRecorder.sizes == ([2, 2] if jobs == 2 else [])
 
@@ -140,6 +141,66 @@ def test_each_structure_is_built_once_per_algebra(monkeypatch, catalog4):
     assert all(r.ok for r in reports)
     assert not any(c.status == "skip" for r in reports for c in r.checks)
     assert calls == {name: 1 for name in BUILDERS}
+
+
+def test_kernels_and_fixpoint_sets_are_computed_once_per_closure_endomorphism(monkeypatch, catalog4):
+    # kernel and fixpoints run on each closure endomorphism once, to build
+    # ce.kernels and ce.fixes, which every suite reads; after that they see
+    # the carrier's maps only in isotone-kernel-special's scan of every
+    # multiplier.  Their other calls take maps the suites build themselves.
+    calls = []  # (suite or None, function name, argument)
+    running = [None]
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append((running[0], name, args[-1]))
+            return fn(*args)
+
+        return wrapper
+
+    originals = [
+        (multipliers.kernel, "kernel"),
+        (multipliers.fixpoints, "fixpoints"),
+        (filters.is_monomial, "is_monomial"),
+    ]
+    for fn, name in originals:
+        wrapped = counting(name, fn)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("hilbertalg.") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+
+    def marking(suite, fn):
+        def wrapper(ctx):
+            running[0] = suite
+            try:
+                return fn(ctx)
+            finally:
+                running[0] = None
+
+        return wrapper
+
+    for suite, fn in list(ALGEBRA_SUITES.items()):
+        monkeypatch.setitem(ALGEBRA_SUITES, suite, marking(suite, fn))
+
+    ctx = Structures(boolean4(catalog4))
+    carrier = ctx.ce.carrier
+    assert Counter((name, f) for _, name, f in calls) == Counter(
+        (name, f) for name in ("kernel", "fixpoints") for f in carrier
+    )
+    calls.clear()
+    reports = run_algebra_suites(ctx, list(ALGEBRA_SUITES))
+    assert all(r.ok for r in reports)
+    assert not any(c.status == "skip" for r in reports for c in r.checks)
+    on_carrier = Counter(
+        (suite, name) for suite, name, f in calls if any(f is g for g in carrier)
+    )
+    assert len(ctx.multipliers) == len(carrier)  # every multiplier is isotone here
+    assert on_carrier == {
+        ("isotone-kernel-special", "kernel"): len(carrier),
+        ("isotone-kernel-special", "fixpoints"): len(carrier),
+    }
+    # is_monomial: once per filter, to build ctx.monomials
+    assert sum(name == "is_monomial" for _, name, _ in calls) == len(ctx.filters)
 
 
 def test_bounds_are_computed_once_per_algebra(monkeypatch, catalog4):
