@@ -17,7 +17,6 @@ transposed ``lattice.residual_table`` and the embedding ``principal``.
 from __future__ import annotations
 
 from .core import InvariantViolation, partial_meet, subset_key, subsets
-from .filters import filter_generated
 from .lattice import FiniteLattice, bits, masks
 from .multipliers import (
     compose,
@@ -116,7 +115,7 @@ def adjoint_iso_report(ctx):
     alg, adj, fl = ctx.alg, ctx.adjoint, ctx.filters
     carrier, kernels = adj.carrier, adj.kernels
 
-    fg_filters = {filter_generated(alg, j) for j in fl.carrier}
+    fg_filters = {fl.closure(j) for j in fl.carrier}
     b.check(
         "all-filters-finitely-generated",
         [] if fg_filters == set(fl.carrier) else [fmt(filters=len(fl.carrier))],
@@ -130,7 +129,7 @@ def adjoint_iso_report(ctx):
     join_fails = []
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            if kernels[adj.lattice.join_table[i][j]] != filter_generated(alg, kernels[i] | kernels[j]):
+            if kernels[adj.lattice.join_table[i][j]] != fl.join(kernels[i], kernels[j]):
                 join_fails.append(fmt(f=f, g=g))
     b.check("kernel-preserves-join", join_fails)
 
@@ -139,7 +138,7 @@ def adjoint_iso_report(ctx):
         for q in alg.elements:
             if alg.le(p, q) != pointwise_leq(alg, translation(alg, q), translation(alg, p)):
                 anti_fails.append(fmt(p=p, q=q))
-        if kernel(alg, translation(alg, p)) != filter_generated(alg, 1 << p):
+        if kernel(alg, translation(alg, p)) != fl.closure(1 << p):
             anti_fails.append(fmt(p=p, reason="kernel not the principal filter"))
     b.check("translations-anti-embed-the-algebra", anti_fails)
     return b.done()
@@ -190,7 +189,7 @@ def _extension_checks(fl):
     for i in range(k):
         for j in range(k):
             m = meet[i][j]
-            if filters[m] != filter_generated(alg, filters[i] | filters[j]):
+            if filters[m] != fl.join(filters[i], filters[j]):
                 fails.append(fmt(i=i, j=j, law="meet-is-filter-join"))
             for c in range(k):
                 lhs = contains[c][res[j][i]]  # c <= (i -> j)
@@ -201,7 +200,7 @@ def _extension_checks(fl):
         fails.append(fmt(law="unit", unit=unit))
     imp = alg.imp
     for p in alg.elements:
-        if filters[embedding[p]] != filter_generated(alg, 1 << p):
+        if filters[embedding[p]] != fl.closure(1 << p):
             fails.append(fmt(p=p, law="embedding-principal"))
         for q in alg.elements:
             want = embedding[imp[p][q]]
@@ -213,7 +212,7 @@ def _extension_checks(fl):
         # every filter is the extension-meet (= filter join) of embedded elements
         acc = 1 << alg.one
         for p in bits(filters[i]):
-            acc = filter_generated(alg, acc | filters[embedding[p]])
+            acc = fl.join(acc, filters[embedding[p]])
         if acc != filters[i]:
             fails.append(fmt(i=i, law="generated-by-embedded"))
     return fails

@@ -28,7 +28,7 @@ from .core import (
     subset_key,
     subsets,
 )
-from .filters import class_of, filter_generated, is_filter, monomial_max
+from .filters import class_of, is_filter, monomial_max
 from .lattice import FiniteLattice, _Least, bits, masks
 from .multipliers import (
     MapLattice,
@@ -209,14 +209,8 @@ def _least_above(alg, members):
     return [least[u & members] for u in up]
 
 
-def closure_retract_witness(alg, members):
-    """An element whose up-set inside members has no least element, or None."""
-    least = _least_above(alg, members)
-    return least.index(None) if None in least else None
-
-
 def is_closure_retract(alg, members):
-    return closure_retract_witness(alg, members) is None
+    return None not in _least_above(alg, members)
 
 
 def special_witness(alg, members):
@@ -412,7 +406,7 @@ def kernel_embedding_report(ctx):
         for j, g in enumerate(carrier):
             if kernels[ce.lattice.meet_table[i][j]] != kernels[i] & kernels[j]:
                 meet_fails.append(fmt(f=f, g=g))
-            if kernels[ce.lattice.join_table[i][j]] != filter_generated(alg, kernels[i] | kernels[j]):
+            if kernels[ce.lattice.join_table[i][j]] != fl.join(kernels[i], kernels[j]):
                 join_fails.append(fmt(f=f, g=g))
     b.check("meet-to-intersection", meet_fails)
     b.check("join-to-filter-join", join_fails)
@@ -452,7 +446,7 @@ def kernel_embedding_report(ctx):
 def fixpoint_embedding_report(ctx):
     """The fixpoint map reverses the lattice onto the special closure retracts."""
     b = ReportBuilder("fixpoint-embedding")
-    alg, ce = ctx.alg, ctx.ce
+    alg, ce, fl = ctx.alg, ctx.ce, ctx.filters
     carrier, fixes = ce.carrier, ce.fixes
 
     comp_fails, meet_fails = [], []
@@ -528,7 +522,7 @@ def fixpoint_embedding_report(ctx):
             for k in monomials:
                 if (not j & ~k) != (not pair[k] & ~pair[j]):
                     dual_fails.append(fmt(j=fset(j), k=fset(k)))
-                if pair.get(filter_generated(alg, j | k)) != pair[j] & pair[k]:
+                if pair.get(fl.join(j, k)) != pair[j] & pair[k]:
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="join-to-meet"))
                 if pair.get(j & k) != cross_meets(alg, pair[j], pair[k]):
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="meet-to-join"))
@@ -557,7 +551,7 @@ def implication_extras_report(ctx):
     if not ctx.flags.implication_algebra:
         raise ValueError("not an implication algebra")
     b = ReportBuilder("implication-extras")
-    alg, mult, ce = ctx.alg, ctx.multipliers, ctx.ce
+    alg, mult, ce, fl = ctx.alg, ctx.multipliers, ctx.ce, ctx.filters
     carrier, kernels, fixes = ce.carrier, ce.kernels, ce.fixes
     imp = alg.imp
 
@@ -643,7 +637,7 @@ def implication_extras_report(ctx):
     nabla_fails = []
     for f, ff in zip(carrier, fixes):
         for g, fg in zip(carrier, fixes):
-            if cross_meets(alg, ff, fg) != filter_generated(alg, ff | fg):
+            if cross_meets(alg, ff, fg) != fl.join(ff, fg):
                 nabla_fails.append(fmt(f=f, g=g))
     b.check("fixpoint-join-is-filter-join", nabla_fails)
 
@@ -652,7 +646,7 @@ def implication_extras_report(ctx):
         comp_lattice_fails.append(fmt(kernels=len(set(kernels)), fixes=len(set(fixes))))
     universe = (1 << alg.n) - 1
     for f, kf, ff in zip(carrier, kernels, fixes):
-        if kf & ff != 1 << alg.one or filter_generated(alg, kf | ff) != universe:
+        if kf & ff != 1 << alg.one or fl.join(kf, ff) != universe:
             comp_lattice_fails.append(fmt(map=f))
     b.check("kernel-fixpoint-complements", comp_lattice_fails)
     return b.done()

@@ -1,7 +1,8 @@
 """Filters, the filter lattice, filter congruences, and monomial filters.
 
 Filters, congruence classes and lower sets are int bitmasks, bit x set iff
-x is a member; the join of filters j and k is ``filter_generated(alg, j | k)``.
+x is a member.  The join of filters j and k is ``fl.join(j, k)``, the filter
+``fl.closure(j | k)``, and a ``FilterLattice`` fl closes each seed once.
 The filter lattice is a ``multipliers.CarrierLattice``, the same re-checked
 carrier lattice as the closure endomorphism lattice, which it contains
 (by kernels) as the monomial filters.  Under reverse inclusion it is also
@@ -12,6 +13,7 @@ embeds; ``adjoint.minimal_brouwerian_extension`` re-checks that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from operator import and_
 
 from .core import InvariantViolation, generated, subset_key
@@ -52,23 +54,25 @@ class FilterLattice(CarrierLattice):
     principal filters, which reaches every filter without scanning all
     2^n subsets.  ``CarrierLattice`` re-checks the structural facts every
     filter lattice has: bounds {1} and the universe, meet = intersection,
-    join = generated union, and distributivity.
+    join = generated union, and distributivity.  ``closure(seed)`` is
+    ``filter_generated(alg, seed)``, run once per seed; ``join(j, k)`` is
+    ``closure(j | k)``.
     """
 
     def __init__(self, alg):
         self.alg = alg
-
-        def join(j, k):
-            return filter_generated(alg, j | k)
-
-        principal = [filter_generated(alg, 1 << x) for x in alg.elements]
+        self.closure = cache(partial(filter_generated, alg))
+        principal = [self.closure(1 << x) for x in alg.elements]
         least, universe = 1 << alg.one, (1 << alg.n) - 1
-        found = generated(least, principal, join)
-        ops = ((join, "generated union"), (and_, "intersection"))
+        found = generated(least, principal, self.join)
+        ops = ((self.join, "generated union"), (and_, "intersection"))
         carrier = sorted(found, key=subset_key)
         super().__init__(carrier, inclusion_order, ops, least, universe, "filters")
         # principal[x]: the index of the principal filter of x; x -> principal[x] embeds the algebra
         self.principal = tuple(map(self.index, principal))
+
+    def join(self, j, k):
+        return self.closure(j | k)
 
 
 def all_filters(alg):

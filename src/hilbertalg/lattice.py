@@ -215,14 +215,6 @@ class FiniteLattice:
         raise LatticeError("no top")
 
     @cached_property
-    def covers(self):
-        """covers[i] = indices that cover i (no element strictly between)."""
-        out = [[] for _ in range(self.size)]
-        for i, j in cover_pairs(self.leq):
-            out[i].append(j)
-        return tuple(map(tuple, out))
-
-    @cached_property
     def is_distributive(self):
         """i ^ (j v k) == (i ^ j) v (i ^ k) for all i, j, k, compared a row of k at a time."""
         jn, mt = self.join_table, self.meet_table

@@ -10,7 +10,9 @@ compatible meet tables, and ``preimages``), are cached on the algebra.
 re-checked as the adjoint semilattice, and ``extension`` is the filter
 lattice ``filters`` itself, once re-checked as the minimal Brouwerian
 extension.  The element subsets the suites relate, as int bitmasks, are
-computed once too: ``ce.kernels``, ``ce.fixes`` and ``monomials``.
+computed once too: ``ce.kernels``, ``ce.fixes`` and ``monomials``.  Every
+filter join the suites re-check is ``filters.join(j, k)``, and ``filters``
+closes each seed once.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 import pytest
 
 from hilbertalg import (
+    FilterLattice,
     InvariantViolation,
     all_filters,
     class_of,
     congruence_classes,
     filter_generated,
+    filters,
     is_filter,
     is_monomial,
     lower_set,
@@ -47,8 +49,10 @@ def test_generated_filter_examples(godel3, tarski3):
 def test_generated_filter_is_least(algebras4):
     for alg in algebras4:
         known = filters_brute(alg)
+        fl = FilterLattice(alg)
         for seed in all_subsets(alg.n):
             generated = filter_generated(alg, mask(seed))
+            assert fl.closure(mask(seed)) == generated
             least = None
             for f in known:
                 if seed <= f and (least is None or f < least):
@@ -59,6 +63,34 @@ def test_generated_filter_is_least(algebras4):
 def test_all_filters_against_bruteforce(algebras4):
     for alg in algebras4:
         assert list(every_filter(alg)) == [mask(f) for f in filters_brute(alg)]
+
+
+def never_closed(alg, seed):
+    """seed with the unit, and with its least missing element once it holds the unit."""
+    if seed >> alg.one & 1:
+        missing = ~seed & ((1 << alg.n) - 1)
+        return seed | (missing & -missing)
+    return seed | 1 << alg.one
+
+
+def unit_grows(alg, seed):
+    """seed with the unit, except that the unit alone grows to {0, unit}."""
+    unit = 1 << alg.one
+    return unit | 1 if seed == unit else seed | unit
+
+
+@pytest.mark.parametrize(
+    "standin, message",
+    [
+        (never_closed, "filters not closed under generated union: 5"),
+        (unit_grows, "filters: generated union is not the join"),
+    ],
+)
+def test_filter_lattice_rechecks_the_generated_union(monkeypatch, tarski3, standin, message):
+    monkeypatch.setattr(filters, "filter_generated", standin)
+    with pytest.raises(InvariantViolation) as err:
+        FilterLattice(tarski3)
+    assert str(err.value) == message
 
 
 def test_filter_counts(chain2, godel3, tarski3):

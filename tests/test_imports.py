@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read somewhere in that module.
+"""Every name a module of the package imports is read somewhere in that module,
+and only ``filters`` reads ``filter_generated``.
 
 ``__init__.py`` is left out: it imports names to re-export them.
 """
@@ -37,3 +38,29 @@ def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         source = fh.read()
     assert unused_imports(source) == []
+
+
+def names_read(source):
+    """Every name source reads: a variable, an attribute, or a name it imports."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_guard_finds_a_read_of_filter_generated():
+    assert "filter_generated" in names_read("from .filters import filter_generated as fg\n")
+    assert "filter_generated" in names_read("from . import filters\nfilters.filter_generated(1, 2)\n")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "filters.py"])
+def test_only_filters_reads_filter_generated(module):
+    # every other module joins filters through FilterLattice, which closes each seed once
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert "filter_generated" not in names_read(fh.read())

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from hilbertalg import FiniteLattice, LatticeError
-from hilbertalg.lattice import inclusion_order, isomorphism, refine
+from hilbertalg.lattice import cover_pairs, inclusion_order, isomorphism, refine
 
 from _oracles import dual_lattice, mask
 
@@ -57,7 +57,7 @@ def test_chain():
     lat = FiniteLattice(CHAIN3)
     assert lat.bottom == 0 and lat.top == 2
     assert lat.join(0, 1) == 1 and lat.meet(1, 2) == 1
-    assert lat.covers == ((1,), (2,), ())
+    assert cover_pairs(lat.leq) == [(0, 1), (1, 2)]
     assert lat.is_distributive
 
 

@@ -220,6 +220,21 @@ def test_bounds_are_computed_once_per_algebra(monkeypatch, catalog4):
     assert sorted(directions) == [False, True]
 
 
+def test_each_filter_seed_is_closed_once_per_algebra(monkeypatch, catalog4):
+    # patched before the Structures is built, so the filter lattice's memo closes through it
+    seeds = Counter()
+    real = filters.filter_generated
+
+    def counting(alg, seed):
+        seeds[seed] += 1
+        return real(alg, seed)
+
+    monkeypatch.setattr(filters, "filter_generated", counting)
+    reports = run_algebra_suites(Structures(boolean4(catalog4)), list(ALGEBRA_SUITES))
+    assert all(r.ok for r in reports)
+    assert seeds and max(seeds.values()) == 1
+
+
 def test_the_extension_laws_are_checked_once_per_algebra(monkeypatch, algebras4):
     checked = []
     real = adjoint._extension_checks
