@@ -12,7 +12,10 @@ inequality is checked against the pinned order.  The tables found for one
 poset are deduped by orbit: each new class is expanded to its distinct
 relabellings, which are all yielded and all marked seen, so the search
 yields every labelled table once.  Every yielded table is re-validated
-from scratch, so the pinning cannot admit a bad table.  Canonical forms, isomorphism
+from scratch, so the pinning cannot admit a bad table.  The canonical form
+of a table is the least member of its orbit, so ``canonical_table`` walks
+each orbit once and serves that minimum to every member the search yields
+after it: one orbit walk per class, not one per raw table.  Isomorphism
 witnesses, endomorphism monoids and the cross-algebra survey live here as
 well.
 """
@@ -101,6 +104,11 @@ def _relabel(flat, rel):
     return tuple([lab[flat[s]] for s in src])
 
 
+def _orbit(flat, n):
+    """The distinct unit-fixing relabellings of a flat table, in relabelling order."""
+    return dict.fromkeys(_relabel(flat, r) for r in _relabellings(n))
+
+
 def _tables_over(up):
     """Every valid flat table whose order is the poset ``up`` under a top unit."""
     one = len(up)
@@ -166,7 +174,6 @@ def _tables_over(up):
 
 def search_valid_tables(n):
     """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, without dedup."""
-    rels = _relabellings(n)
     for up in unlabelled_posets(n - 1):
         seen = set()
         for hit in _tables_over(up):
@@ -174,7 +181,7 @@ def search_valid_tables(n):
                 continue
             # a later hit isomorphic to this one has the same order, so the
             # relabelling between them is a poset automorphism: it is in the orbit
-            orbit = dict.fromkeys(_relabel(hit, r) for r in rels)
+            orbit = _orbit(hit, n)
             seen.update(orbit)
             for flat in orbit:
                 snapshot = tuple(flat[i : i + n] for i in range(0, n * n, n))
@@ -204,15 +211,36 @@ def _least_relabelling(flat, n):
     return best
 
 
+# every member of the last orbit canonicalised, mapped to the orbit's least
+# member as a table; at most (n-1)! entries
+_orbit_least = {}
+
+
 def canonical_table(table, one):
-    """Lexicographically least relabeling of the table, unit placed last."""
+    """Lexicographically least relabeling of the table, unit placed last.
+
+    Every member of an orbit under the unit-fixing relabellings has the same
+    least relabelling, the orbit's minimum.  A table outside the memoised
+    orbit has its whole orbit built, and the memo then maps each member to
+    that minimum, so the search, which yields an orbit's members one after
+    another, walks each class's relabellings once.  The result is exact for
+    any table, Hilbert algebra or not; ``_least_relabelling`` is the
+    reference.
+    """
     n = len(table)
     order = [x for x in range(n) if x != one] + [one]
     pos = [0] * n
     for i, x in enumerate(order):
         pos[x] = i
-    best = _least_relabelling([pos[table[x][y]] for x in order for y in order], n)
-    return tuple(best[i : i + n] for i in range(0, n * n, n))
+    flat = tuple([pos[table[x][y]] for x in order for y in order])
+    best = _orbit_least.get(flat)
+    if best is None:
+        orbit = _orbit(flat, n)
+        least = min(orbit)
+        best = tuple(least[i : i + n] for i in range(0, n * n, n))
+        _orbit_least.clear()
+        _orbit_least.update(dict.fromkeys(orbit, best))
+    return best
 
 
 def canonical_form(alg):

@@ -68,6 +68,9 @@ class FilterLattice(CarrierLattice):
         ops = ((self.join, "generated union"), (and_, "intersection"))
         carrier = sorted(found, key=subset_key)
         super().__init__(carrier, inclusion_order, ops, least, universe, "filters")
+        for x, p in zip(alg.elements, principal):
+            if p not in self._index:
+                raise InvariantViolation(f"filters: principal filter of {x} is not in the carrier: {p}")
         # principal[x]: the index of the principal filter of x; x -> principal[x] embeds the algebra
         self.principal = tuple(map(self.index, principal))
 

@@ -19,7 +19,7 @@ from functools import partial
 from operator import getitem
 
 from .core import InvariantViolation, classify, validate_hilbert
-from .lattice import FiniteLattice, masks
+from .lattice import FiniteLattice, LatticeError, masks
 from .report import ReportBuilder, fmt
 
 
@@ -226,10 +226,10 @@ class CarrierLattice:
 
     ``order(carrier)`` is the order matrix of the carrier and ``ops`` is
     ((join, name), (meet, name)).  Construction re-checks that the carrier
-    is closed under both operations, that they are the join and meet of
-    the order, that the lattice has the carrier members ``bottom`` and
-    ``top`` as bounds, and that it is distributive; ``what`` names the
-    carrier in the ``InvariantViolation``.
+    is closed under both operations, that the order is a lattice, that
+    they are its join and meet, that the lattice has the carrier members
+    ``bottom`` and ``top`` as bounds, and that it is distributive; ``what``
+    names the carrier in the ``InvariantViolation``.
     """
 
     def __init__(self, carrier, order, ops, bottom, top, what):
@@ -239,7 +239,10 @@ class CarrierLattice:
         (join, join_name), (meet, meet_name) = ops
         join_table = self.closed(join, join_name)
         meet_table = self.closed(meet, meet_name)
-        self.lattice = lat = FiniteLattice(order(carrier))
+        try:
+            self.lattice = lat = FiniteLattice(order(carrier))
+        except LatticeError as err:
+            raise InvariantViolation(f"{what}: order is not a lattice: {err}") from err
         if lat.bottom != index.get(bottom) or lat.top != index.get(top):
             raise InvariantViolation(f"{what}: bounds are not {bottom} and {top}")
         if lat.join_table != join_table:

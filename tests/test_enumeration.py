@@ -1,5 +1,8 @@
+import random
 import sys
-from itertools import permutations
+from functools import cache
+from itertools import permutations, zip_longest
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +170,78 @@ def test_canonical_table_matches_bruteforce():
                 assert canonical_table(moved, mapping[n - 1]) == canonical_table_brute(
                     moved, mapping[n - 1]
                 )
+
+
+@cache
+def raw_tables_with_forms():
+    """(table, unit, brute-force canonical form) for every raw table of sizes 1-5, in search order."""
+    return tuple(
+        (t, n - 1, canonical_table_brute(t, n - 1)) for n in range(1, 6) for t in search_valid_tables(n)
+    )
+
+
+def count_calls(monkeypatch, name):
+    """Patch ``enumeration.<name>`` to record its first argument on each call."""
+    seen, real = [], getattr(enumeration, name)
+
+    def counting(first, *rest):
+        seen.append(first)
+        return real(first, *rest)
+
+    monkeypatch.setattr(enumeration, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("order", ["search", "shuffled", "sizes-interleaved"])
+def test_canonical_table_matches_bruteforce_in_any_order(monkeypatch, order):
+    cases = list(raw_tables_with_forms())
+    if order == "shuffled":
+        random.Random(15).shuffle(cases)
+    elif order == "sizes-interleaved":
+        by_size = [[c for c in cases if len(c[0]) == n] for n in range(1, 6)]
+        cases = [c for group in zip_longest(*by_size) for c in group if c is not None]
+    enumeration._orbit_least.clear()
+    orbits = count_calls(monkeypatch, "_orbit")
+    for table, one, form in cases:
+        assert canonical_table(table, one) == form
+        assert len(enumeration._orbit_least) <= factorial(len(table) - 1)
+    # an orbit is built exactly when a table's class is not the previous table's
+    forms = [form for _, _, form in cases]
+    assert len(orbits) == sum(a != b for a, b in zip([None] + forms, forms))
+    if order == "search":
+        assert len(orbits) == 1 + 1 + 2 + 6 + 21
+    elif order == "shuffled":
+        assert len(orbits) > len(cases) * 9 // 10
+
+
+def test_canonical_table_matches_bruteforce_off_hilbert_tables():
+    rng = random.Random(4)
+    tables = [((0,) * 4,) * 4, tuple(tuple(range(4)) for _ in range(4))]
+    tables += [tuple(tuple(rng.choices(range(4), k=4)) for _ in range(4)) for _ in range(20)]
+    for table in tables:
+        assert core.axiom_violations(table, 3)
+        for one in (3, 1):
+            assert canonical_table(table, one) == canonical_table_brute(table, one)
+            assert len(enumeration._orbit_least) <= factorial(3)
+
+
+def test_classes_walk_one_orbit_per_class_to_canonicalise(monkeypatch):
+    tables = list(search_valid_tables(5))
+    monkeypatch.setattr(enumeration, "search_valid_tables", lambda n: iter(tables))
+    enumeration._orbit_least.clear()
+    relabelled = count_calls(monkeypatch, "_relabel")
+    algebras, raw = enumeration.classes(5)
+    assert (len(algebras), raw) == (21, 303)
+    # each orbit walk relabels one table by all 4! unit-fixing relabellings
+    assert len(relabelled) == 21 * factorial(4)
+
+
+def test_classes_canonicalise_each_raw_table_once(monkeypatch):
+    # the per-raw-table count that the benchmark's enumeration.canonical.calls reads
+    canonicalised = count_calls(monkeypatch, "canonical_table")
+    algebras, raw = enumeration.classes(4)
+    assert (len(algebras), raw) == (6, 22)
+    assert len(canonicalised) == 22
 
 
 @given(st.permutations(list(range(3))))

@@ -79,11 +79,27 @@ def unit_grows(alg, seed):
     return unit | 1 if seed == unit else seed | unit
 
 
+def pair_collapses(alg, seed):
+    """The generated filter, except that {0, unit} collapses to {unit}."""
+    unit = 1 << alg.one
+    return unit if seed == unit | 1 else filter_generated(alg, seed)
+
+
+def universe_collapses(alg, seed):
+    """The generated filter, except that the universe collapses to {unit}."""
+    unit = 1 << alg.one
+    return unit if seed == (1 << alg.n) - 1 else filter_generated(alg, seed)
+
+
 @pytest.mark.parametrize(
     "standin, message",
     [
         (never_closed, "filters not closed under generated union: 5"),
         (unit_grows, "filters: generated union is not the join"),
+        # the principal filter of 0, {0, 2}, is never reached from {2}
+        (pair_collapses, "filters: principal filter of 0 is not in the carrier: 5"),
+        # the carrier {2}, {0, 2}, {1, 2} has no top, so {0, 2} and {1, 2} have no join
+        (universe_collapses, "filters: order is not a lattice: no unique join for (1, 2)"),
     ],
 )
 def test_filter_lattice_rechecks_the_generated_union(monkeypatch, tarski3, standin, message):
