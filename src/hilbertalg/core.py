@@ -17,6 +17,17 @@ Meets, joins and compatible meets are tables of the algebra, each built
 once, on first use, from the up- and down-sets of the order as bitmasks;
 ``partial_meet``, ``partial_join`` and ``compatible_meet`` look them up.
 Every element subset is an int bitmask, bit x set iff x is a member.
+
+The re-checks that take O(n^3) steps run as byte kernels while every
+element fits a byte (n <= 255): rows are ``bytes``, a gather through a
+row is ``bytes.translate`` with the row padded to 256 bytes, and a test of
+many instances at once is a bitmask test on ``int.from_bytes``.  So
+``axiom_violations`` decides every axiom instance (``_holds``),
+``classify`` the commutative law, and ``compatible_meet_table`` the
+candidates of a whole row.  A table the kernel rejects, and any table of
+more than 255 elements, goes to the loop over single instances, which
+reports the failure: ``_listed_violations`` lists the failed instances
+and ``_compatible_meets_by_pair`` raises the violation.
 """
 
 from __future__ import annotations
@@ -88,6 +99,13 @@ class FiniteHilbertAlgebra:
         self.elements = range(self.n)
         self.one = one
 
+    @classmethod
+    def _of_checked(cls, rows, one):
+        """The algebra of rows that ``_checked_table`` has accepted, not checked again."""
+        alg = cls.__new__(cls)
+        alg.imp, alg.n, alg.elements, alg.one = rows, len(rows), range(len(rows)), one
+        return alg
+
     @cached_property
     def leq(self):
         one = self.one
@@ -105,7 +123,47 @@ class FiniteHilbertAlgebra:
 
     @cached_property
     def compatible_meet_table(self):
-        """compatible_meet_table[x][y]: the compatible meet of x and y, or None."""
+        """compatible_meet_table[x][y]: the compatible meet of x and y, or None.
+
+        For each x, the common lower bounds c of x and y with x <= y -> c,
+        over all (y, c) at once, are byte lanes: c <= x repeats one column
+        of the order, c <= y is the transposed order, and x <= y -> c
+        translates the table through row x of the order.  They must be
+        exactly the meet of each pair that the meet makes compatible.  With
+        more than 255 elements, or where they are not, the pairs are
+        scanned one by one, which raises the violation.
+        """
+        n, meet = self.n, self.meet_table
+        if n > 255:
+            return self._compatible_meets_by_pair()
+        imp = self.imp
+        flat = b"".join(map(bytes, imp))
+        leq = flat.translate(bytes(self.one) + b"\1" + bytes(255 - self.one))
+        # below[y * n + c]: c <= y
+        below = b"".join([leq[c::n] for c in range(n)])
+        lower = int.from_bytes(below, "little")
+        pad = bytes(256 - n)
+        onehot = {None: bytes(n)}
+        onehot.update((c, bytes(c) + b"\1" + bytes(n - 1 - c)) for c in range(n))
+        rows = []
+        for x, meet_x in enumerate(meet):
+            leq_x = leq[x * n : x * n + n]
+            found = (
+                int.from_bytes(below[x * n : x * n + n] * n, "little")
+                & lower
+                & int.from_bytes(flat.translate(leq_x + pad), "little")
+            )
+            row = tuple(
+                [c if c is not None and leq_x[imp[y][c]] else None for y, c in enumerate(meet_x)]
+            )
+            if found != int.from_bytes(b"".join(map(onehot.__getitem__, row)), "little"):
+                return self._compatible_meets_by_pair()
+            rows.append(row)
+        return tuple(rows)
+
+    def _compatible_meets_by_pair(self):
+        """``compatible_meet_table`` pair by pair, raising ``InvariantViolation`` for
+        two compatible meets or one that differs from the meet."""
         leq, imp, meet, rng = self.leq, self.imp, self.meet_table, self.elements
         down = masks(tuple(zip(*leq)))
 
@@ -153,15 +211,90 @@ class FiniteHilbertAlgebra:
         return f"FiniteHilbertAlgebra(n={self.n}, one={self.one})"
 
 
+def _holds(rows, one):
+    """Whether the checked table of rows (at most 255 of them) has no failed axiom instance.
+
+    Every instance of every law is decided on whole rows as ``bytes``.  With
+    ``luts[b]`` row b padded to a 256-byte lookup, ``flat.translate(luts[b])``
+    is b -> (a -> z) at a * n + z for all a, z at once; joined over b it is
+    the left side x -> (y -> z) of every exchange instance.  The order's
+    up-sets are n-bit masks, read off the flat table in one ``int`` parse,
+    and one pass over the pairs t < s checks antisymmetry and transitivity.
+    The order then embeds in bit codes: code(a) holds the s <= a that are
+    not the join of the elements below them, and a <= b iff code(a) is
+    within code(b), as a minimal element of down(a) outside down(b) is such
+    an s.  Exchange compares the codes of both sides in byte lanes, eight
+    code bits a plane, one ``int.from_bytes`` per side and plane.
+    """
+    n = len(rows)
+    rb = list(map(bytes, rows))
+    flat = b"".join(rb)
+    ones = bytes((one,)) * n
+    if flat[:: n + 1] != ones or flat[one::n] != ones:
+        return False  # reflexivity, top
+    pad = bytes(256 - n)
+    luts = [r + pad for r in rb]
+    through = [flat.translate(lut) for lut in luts]
+    # x -> (y -> x) is through[x] at y * n + x
+    if b"".join([t[x::n] for x, t in enumerate(through)]) != ones * n:
+        return False  # weakening
+    leq = flat.translate(bytes(one) + b"\1" + bytes(255 - one))
+    # bit x * n + y of the parsed matrix is x <= y
+    matrix = int(leq.translate(b"01" + bytes(254))[::-1], 2)
+    full = (1 << n) - 1
+    up = [matrix >> i & full for i in range(0, n * n, n)]
+    # bounds[s]: the common upper bounds of the elements below s
+    bounds = [full] * n
+    for t, u in enumerate(up):
+        above = u ^ 1 << t
+        w = above
+        while w:
+            low = w & -w
+            s = low.bit_length() - 1
+            if up[s] & ~above:
+                return False  # antisymmetry or transitivity
+            bounds[s] &= u
+            w ^= low
+    # planes[k]: bit j of byte a set iff the (8k + j)-th code element is <= a
+    planes = []
+    j = 0
+    for s, (u, b) in enumerate(zip(up, bounds)):
+        if b & ~u:
+            if not j & 7:
+                planes.append(0)
+            planes[-1] |= int.from_bytes(leq[s * n : s * n + n], "little") << (j & 7)
+            j += 1
+    # x -> (y -> z) <= (x -> y) -> (x -> z), with the right side row y of
+    # block x being x -> z for all z translated through row x -> y
+    lhs = b"".join(through)
+    rhs = b"".join([r.translate(luts[v]) for r in rb for v in r])
+    for plane in planes:
+        code = plane.to_bytes(n, "little") + pad
+        if int.from_bytes(lhs.translate(code), "little") & ~int.from_bytes(
+            rhs.translate(code), "little"
+        ):
+            return False  # exchange
+    return True
+
+
 def axiom_violations(table, one):
     """Every failed axiom instance of the table, in a deterministic order.
 
     Structurally bad input raises ``MalformedTableError``, which is a
     different condition from a well-formed table failing the axioms.
     Violations are reported exhaustively rather than fail-fast so that the
-    list can be consumed as a search/scoring oracle.
+    list can be consumed as a search/scoring oracle.  ``_holds`` decides
+    every instance at once; a table it rejects, or one of more than 255
+    elements, is listed instance by instance.
     """
     imp = _checked_table(table, one)
+    if len(imp) <= 255 and _holds(imp, one):
+        return []
+    return _listed_violations(imp, one)
+
+
+def _listed_violations(imp, one):
+    """The failed axiom instances of a checked table, one loop per law."""
     n = len(imp)
     rng = range(n)
     out = []
@@ -200,10 +333,11 @@ def axiom_violations(table, one):
 
 def validate_hilbert(table, one):
     """The algebra for the table, or ``HilbertAxiomError`` listing every violation."""
-    bad = axiom_violations(table, one)
+    rows = tuple(map(tuple, table))
+    bad = axiom_violations(rows, one)  # checks the shape of rows, once
     if bad:
         raise HilbertAxiomError(bad)
-    return FiniteHilbertAlgebra(table, one)
+    return FiniteHilbertAlgebra._of_checked(rows, one)
 
 
 def natural_order(alg):
@@ -310,10 +444,20 @@ class AlgebraClass:
 
 
 def classify(alg):
-    """Flags: the commutativity law, and totality of compatible meets."""
-    imp = alg.imp
-    commutative = all(
-        imp[imp[x][y]][x] == x for x in alg.elements for y in alg.elements
-    )
+    """Flags: the commutativity law, and totality of compatible meets.
+
+    (x -> y) -> x == x for all y is row x translated through column x, one
+    ``bytes.translate`` per x while the elements fit a byte.
+    """
+    imp, n = alg.imp, alg.n
+    if n > 255:
+        commutative = all(imp[imp[x][y]][x] == x for x in alg.elements for y in alg.elements)
+    else:
+        flat = b"".join(map(bytes, imp))
+        pad = bytes(256 - n)
+        commutative = all(
+            row.translate(flat[x::n] + pad) == bytes((x,)) * n
+            for x, row in enumerate(map(bytes, imp))
+        )
     semilattice = all(None not in row for row in alg.compatible_meet_table)
     return AlgebraClass(commutative, semilattice)

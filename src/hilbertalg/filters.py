@@ -13,7 +13,6 @@ embeds; ``adjoint.minimal_brouwerian_extension`` re-checks that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 from operator import and_
 
 from .core import InvariantViolation, generated, subset_key
@@ -47,6 +46,30 @@ def filter_generated(alg, seed):
         members = grown
 
 
+class _Closures(dict):
+    """Memo from a seed bitmask to ``filter_generated(alg, seed)``.
+
+    Once ``rechecked``, each seed is re-checked to lie in its filter as it
+    is first closed; ``FilterLattice`` re-checks the seeds closed before.
+    """
+
+    def __init__(self, alg):
+        super().__init__()
+        self.alg = alg
+        self.rechecked = False
+
+    def __missing__(self, seed):
+        self[seed] = members = filter_generated(self.alg, seed)
+        if self.rechecked:
+            _check_holds(seed, members)
+        return members
+
+
+def _check_holds(seed, members):
+    if seed & ~members:
+        raise InvariantViolation(f"filters: closure {members} of {seed} does not hold it")
+
+
 class FilterLattice(CarrierLattice):
     """All filters of an algebra, ordered by inclusion.
 
@@ -56,12 +79,16 @@ class FilterLattice(CarrierLattice):
     filter lattice has: bounds {1} and the universe, meet = intersection,
     join = generated union, and distributivity.  ``closure(seed)`` is
     ``filter_generated(alg, seed)``, run once per seed; ``join(j, k)`` is
-    ``closure(j | k)``.
+    ``closure(j | k)``.  After the lattice, construction re-checks that
+    each seed closed so far lies in its closure, and that every member of
+    the carrier is a filter (``is_filter``); a seed closed later is
+    re-checked when it is closed.
     """
 
     def __init__(self, alg):
         self.alg = alg
-        self.closure = cache(partial(filter_generated, alg))
+        closures = _Closures(alg)
+        self.closure = closures.__getitem__
         principal = [self.closure(1 << x) for x in alg.elements]
         least, universe = 1 << alg.one, (1 << alg.n) - 1
         found = generated(least, principal, self.join)
@@ -71,6 +98,13 @@ class FilterLattice(CarrierLattice):
         for x, p in zip(alg.elements, principal):
             if p not in self._index:
                 raise InvariantViolation(f"filters: principal filter of {x} is not in the carrier: {p}")
+        # after the lattice re-checks, so that those keep reporting the faults they catch
+        for seed, members in closures.items():
+            _check_holds(seed, members)
+        closures.rechecked = True
+        for members in carrier:
+            if not is_filter(alg, members):
+                raise InvariantViolation(f"filters: {members} is not a filter")
         # principal[x]: the index of the principal filter of x; x -> principal[x] embeds the algebra
         self.principal = tuple(map(self.index, principal))
 

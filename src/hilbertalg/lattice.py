@@ -9,13 +9,18 @@ table, and endomorphism monoids and algebras compare their composition and
 implication tables with the identity or the unit marked.  Colour refinement
 splits the elements into classes no isomorphism can mix; an iterative
 backtracking search then maps class onto class.
+
+``bound_table`` looks the bound of each pair of a preorder up by its mask
+of common bounds, and ``FiniteLattice.is_distributive`` compares both
+sides of the law a slab of (j, k) at a time, as ``bytes.translate`` row
+gathers while the lattice has at most 255 elements.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, or_
 
 
 class LatticeError(ValueError):
@@ -42,12 +47,23 @@ def inclusion_order(sets):
 
 
 def is_partial_order(leq):
+    return _order_masks(leq) is not None
+
+
+def _order_masks(leq):
+    """(up, down), the bitmasks of the elements above and below each element,
+    or None unless the order matrix is a partial order."""
     up, down = masks(leq), masks(tuple(zip(*leq)))
     # i is the one element both above and below i (reflexive, antisymmetric),
     # and everything above an element above i is above i (transitive)
-    return all(u & d == 1 << i for i, (u, d) in enumerate(zip(up, down))) and all(
-        not up[j] & ~u for u in up for j in bits(u)
-    )
+    if all(u & d == 1 << i for i, (u, d) in enumerate(zip(up, down))) and _transitive(up, leq):
+        return up, down
+    return None
+
+
+def _transitive(up, leq):
+    """Whether each up[i] holds the up-sets of its members, read from row i of leq."""
+    return not any(reduce(or_, compress(up, row), 0) & ~u for u, row in zip(up, leq))
 
 
 def cover_pairs(leq):
@@ -79,11 +95,27 @@ class _Least(dict):
 
 def bound_table(leq, upper):
     """For every pair (i, j) of the order matrix, the least upper bound or,
-    with ``upper=False``, the greatest lower bound; None where there is none."""
+    with ``upper=False``, the greatest lower bound; None where there is none.
+
+    The bound of a pair is the lowest k among its common bounds with all of
+    them beyond k.  In a preorder those k are exactly the ones whose own
+    bounds are the common ones, so each is a dict lookup of the mask;
+    any other relation takes the least member of each mask from ``_Least``.
+    """
     # beyond[i]: bitmask of the elements above i (below i when not upper)
-    beyond = masks(leq if upper else tuple(zip(*leq)))
-    least = _Least(beyond)
-    return tuple(tuple(least[b & c] for c in beyond) for b in beyond)
+    rel = leq if upper else tuple(zip(*leq))
+    beyond = masks(rel)
+    if all(b >> k & 1 for k, b in enumerate(beyond)) and _transitive(beyond, rel):
+        return _preorder_bounds(beyond)
+    least = _Least(beyond).__getitem__
+    return tuple(tuple(map(least, map(b.__and__, beyond))) for b in beyond)
+
+
+def _preorder_bounds(beyond):
+    """``bound_table`` of a preorder given as the bitmasks ``beyond``."""
+    # the lowest k with each mask of bounds, by overwriting from the top
+    get = dict(zip(reversed(beyond), reversed(range(len(beyond))))).get
+    return tuple(tuple(map(get, map(b.__and__, beyond))) for b in beyond)
 
 
 def _rank(keys):
@@ -180,10 +212,12 @@ class FiniteLattice:
             raise LatticeError("empty carrier")
         if any(len(row) != self.size for row in self.leq):
             raise LatticeError("order matrix is not square")
-        if not is_partial_order(self.leq):
+        order = _order_masks(self.leq)
+        if order is None:
             raise LatticeError("not a partial order")
-        self.join_table = bound_table(self.leq, upper=True)
-        self.meet_table = bound_table(self.leq, upper=False)
+        up, down = order
+        self.join_table = _preorder_bounds(up)
+        self.meet_table = _preorder_bounds(down)
         for kind, table in (("join", self.join_table), ("meet", self.meet_table)):
             for i, row in enumerate(table):
                 if None in row:
@@ -216,16 +250,30 @@ class FiniteLattice:
 
     @cached_property
     def is_distributive(self):
-        """i ^ (j v k) == (i ^ j) v (i ^ k) for all i, j, k, compared a row of k at a time."""
+        """i ^ (j v k) == (i ^ j) v (i ^ k) for all i, j, k, compared a slab of (j, k) at a time.
+
+        With rows as ``bytes`` each side is a translate: the flat join table
+        through row i of the meet, against row i of the meet through row
+        i ^ j of the join, for each j.  More than 255 elements do not fit a
+        byte; then rows of k are gathered with ``itemgetter``.
+        """
         jn, mt = self.join_table, self.meet_table
-        # through[j](r) is (r[jn[j][k]])_k, or (r[mt[j][k]])_k; at size 1 an
-        # itemgetter returns the one item rather than a tuple, on both sides alike
-        through_join = [itemgetter(*row) for row in jn]
-        through_meet = [itemgetter(*row) for row in mt]
+        n = self.size
+        if n > 255:
+            through_join = [itemgetter(*row) for row in jn]
+            through_meet = [itemgetter(*row) for row in mt]
+            return all(
+                through_join[j](mt_i) == through_meet[i](jn[mt_i[j]])
+                for i, mt_i in enumerate(mt)
+                for j in range(n)
+            )
+        pad = bytes(256 - n)
+        jn_rows = list(map(bytes, jn))
+        flat_jn = b"".join(jn_rows)
+        jn_luts = [row + pad for row in jn_rows]
         return all(
-            through_join[j](mt_i) == through_meet[i](jn[mt_i[j]])
-            for i, mt_i in enumerate(mt)
-            for j in range(self.size)
+            flat_jn.translate(mt_i + pad) == b"".join([mt_i.translate(jn_luts[v]) for v in mt_i])
+            for mt_i in map(bytes, mt)
         )
 
     @cached_property

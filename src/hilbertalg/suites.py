@@ -10,8 +10,6 @@ worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .adjoint import (
     adjoint_iso_report,
     brouwerian_extension_report,
@@ -113,6 +111,9 @@ def iter_catalog(algebras, names, jobs=1, survey=False):
     if jobs == 1 or len(payloads) < 2:
         yield from map(_worker, payloads)
         return
+    # imported here: enumerate and one-job runs start no pool, and skip loading it
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
     try:
         yield from pool.map(_worker, payloads)

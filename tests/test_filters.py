@@ -91,6 +91,11 @@ def universe_collapses(alg, seed):
     return unit if seed == (1 << alg.n) - 1 else filter_generated(alg, seed)
 
 
+def not_extensive(alg, seed):
+    """Fixed closure values (4, 4, 7, 4, 4, 4, 4, 7) for the seeds 0-7 of tarski3."""
+    return (4, 4, 7, 4, 4, 4, 4, 7)[seed]
+
+
 @pytest.mark.parametrize(
     "standin, message",
     [
@@ -100,6 +105,8 @@ def universe_collapses(alg, seed):
         (pair_collapses, "filters: principal filter of 0 is not in the carrier: 5"),
         # the carrier {2}, {0, 2}, {1, 2} has no top, so {0, 2} and {1, 2} have no join
         (universe_collapses, "filters: order is not a lattice: no unique join for (1, 2)"),
+        # the carrier {2}, {0, 1, 2} passes every lattice re-check, but {0} closes to {2}
+        (not_extensive, "filters: closure 4 of 1 does not hold it"),
     ],
 )
 def test_filter_lattice_rechecks_the_generated_union(monkeypatch, tarski3, standin, message):
@@ -107,6 +114,24 @@ def test_filter_lattice_rechecks_the_generated_union(monkeypatch, tarski3, stand
     with pytest.raises(InvariantViolation) as err:
         FilterLattice(tarski3)
     assert str(err.value) == message
+
+
+def test_filter_lattice_rechecks_that_its_members_are_filters(monkeypatch, godel3):
+    # seed | unit is extensive, and the Boolean square {2}, {0, 2}, {1, 2}, {0, 1, 2}
+    # passes every lattice re-check; but 0 <= 1, so {0, 2} is not a filter
+    monkeypatch.setattr(filters, "filter_generated", lambda alg, seed: seed | 1 << alg.one)
+    with pytest.raises(InvariantViolation) as err:
+        FilterLattice(godel3)
+    assert str(err.value) == "filters: 5 is not a filter"
+
+
+def test_filter_lattice_rechecks_a_seed_closed_after_construction(monkeypatch, tarski3):
+    fl = FilterLattice(tarski3)
+    assert fl.closure(0b001) == 0b101
+    # a seed first closed now is re-checked as it is closed
+    monkeypatch.setattr(filters, "filter_generated", lambda alg, seed: 1 << alg.one)
+    with pytest.raises(InvariantViolation, match=r"^filters: closure 4 of 3 does not hold it$"):
+        fl.closure(0b011)
 
 
 def test_filter_counts(chain2, godel3, tarski3):

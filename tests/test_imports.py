@@ -1,11 +1,14 @@
 """Every name a module of the package imports is read somewhere in that module,
-and only ``filters`` reads ``filter_generated``.
+only ``filters`` reads ``filter_generated``, and importing the CLI loads no
+process pool.
 
 ``__init__.py`` is left out: it imports names to re-export them.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -64,3 +67,11 @@ def test_only_filters_reads_filter_generated(module):
     # every other module joins filters through FilterLattice, which closes each seed once
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert "filter_generated" not in names_read(fh.read())
+
+
+def test_the_cli_loads_no_process_pool_until_one_starts():
+    # enumerate and one-job runs never start a pool; iter_catalog imports it when it does
+    code = "import sys, hilbertalg.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

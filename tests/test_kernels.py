@@ -1,7 +1,8 @@
-"""The bitmask and row-at-a-time kernels against the element-by-element scans
-they replaced (``_oracles``): the same results, and the same errors."""
+"""The bitmask, row-at-a-time and byte kernels against the element-by-element
+scans they replaced (``_oracles``): the same results, and the same errors."""
 
 import json
+import random
 from functools import partial
 from itertools import product
 
@@ -10,10 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertalg import (
+    AlgebraClass,
     FiniteHilbertAlgebra,
     FiniteLattice,
     InvariantViolation,
     LatticeError,
+    MultiplierAlgebra,
+    axiom_violations,
+    classify,
+    core,
     validate_hilbert,
 )
 from hilbertalg.cli import main
@@ -32,6 +38,7 @@ from hilbertalg.structures import Structures
 from hilbertalg.suites import ALGEBRA_SUITES, run_algebra_suites
 
 from _oracles import (
+    axiom_violations_brute,
     bound_table_scan,
     compatible_meet_table_scan,
     compose_scan,
@@ -269,3 +276,92 @@ def test_map_table_raises_the_reference_messages(godel3, tarski3):
 def test_map_table_leaves_more_than_255_elements_to_closed_table():
     identity = tuple(range(300))  # too many values for one byte each
     assert map_table((identity,), {identity: 0}, compose, "maps", "composition") == ((0,),)
+
+
+def flat_table(n):
+    """The flat algebra on n elements: x -> y = y for x != y, unit n - 1."""
+    one = n - 1
+    return [[one if x == y or y == one else y for y in range(n)] for x in range(n)]
+
+
+def listed(table, one):
+    return [(v.axiom, v.elements) for v in axiom_violations(table, one)]
+
+
+def one_cell_mutations(table, count, rng):
+    """count copies of the table, each with one cell changed to another element."""
+    n = len(table)
+    for _ in range(count):
+        x, y = rng.randrange(n), rng.randrange(n)
+        v = rng.choice([c for c in range(n) if c != table[x][y]])
+        yield [[v if (i, j) == (x, y) else c for j, c in enumerate(row)] for i, row in enumerate(table)]
+
+
+def assert_axiom_kernel_matches(table, one):
+    """The byte kernel's decision and the listed violations against the brute oracle."""
+    want = axiom_violations_brute(table, one)
+    assert core._holds(table, one) == (not want)
+    assert listed(table, one) == want
+    return want
+
+
+def test_axiom_kernel_matches_the_brute_oracle_on_multiplier_tables(catalog5):
+    tables = [
+        (m.imp_table, m.top_index) for m in (Structures(e.algebra).multipliers for e in catalog5)
+    ]
+    assert max(len(table) for table, _ in tables) == 16
+    rng = random.Random(16)
+    rejected = 0
+    for table, one in tables:
+        assert assert_axiom_kernel_matches(table, one) == []
+        if len(table) > 1:
+            # a table the kernel rejects is listed instance by instance
+            for mutant in one_cell_mutations(table, 8, rng):
+                rejected += bool(assert_axiom_kernel_matches(mutant, one))
+    assert rejected > 200
+
+
+def test_byte_kernels_on_the_flat_seven_element_multipliers():
+    mult = MultiplierAlgebra(validate_hilbert(flat_table(7), 6))
+    table, one = mult.imp_table, mult.top_index
+    assert len(table) == 64
+    assert assert_axiom_kernel_matches(table, one) == []
+    for mutant in one_cell_mutations(table, 2, random.Random(64)):
+        assert assert_axiom_kernel_matches(mutant, one)
+    inner = FiniteHilbertAlgebra(table, one)
+    assert compatible_meets(inner) == compatible_meet_table_scan(inner)
+    assert mult.lattice.is_distributive and is_distributive_scan(mult.lattice)
+
+
+def test_distributivity_kernel_on_lattices_of_more_than_sixteen_elements():
+    lattices = [
+        FiniteLattice(product_order(M3, DIAMOND4)),
+        FiniteLattice(product_order(DIAMOND4, N5)),
+        FiniteLattice(product_order(product_order(CHAIN3, CHAIN3), M3)),
+        FiniteLattice(product_order(product_order(DIAMOND4, DIAMOND4), CHAIN2)),
+        FiniteLattice(product_order(CHAIN3, product_order(CHAIN3, CHAIN3))),
+    ]
+    assert [lat.size for lat in lattices] == [20, 20, 45, 32, 27]
+    assert [lat.is_distributive for lat in lattices] == [False, False, False, True, True]
+    for lat in lattices:
+        assert lat.is_distributive == is_distributive_scan(lat)
+
+
+def test_more_than_255_elements_leave_the_byte_kernels(monkeypatch):
+    n = 256  # one element too many for a byte each
+    # axiom_violations lists the instances of such a table without the kernel
+    monkeypatch.setattr(core, "_holds", None)
+    monkeypatch.setattr(core, "_listed_violations", lambda imp, one: ["listed"])
+    assert axiom_violations(flat_table(n), n - 1) == ["listed"]
+    monkeypatch.undo()
+    alg = FiniteHilbertAlgebra(flat_table(n), n - 1)
+    # x and y meet compatibly only where one of them is below the other
+    assert alg.compatible_meet_table == tuple(
+        tuple(x if y in (x, n - 1) else y if x == n - 1 else None for y in range(n)) for x in range(n)
+    )
+    assert classify(alg) == AlgebraClass(implication_algebra=True, implicative_semilattice=False)
+    def chain(k):
+        return [[i <= j for j in range(k)] for i in range(k)]
+
+    assert FiniteLattice(product_order(DIAMOND4, chain(64))).is_distributive
+    assert not FiniteLattice(product_order(M3, chain(52))).is_distributive

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import sys
 from collections import Counter
@@ -34,7 +35,7 @@ class PoolRecorder:
 
 
 def test_pool_never_exceeds_one_worker_per_algebra(monkeypatch, algebras4):
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     PoolRecorder.sizes = []
     algs = algebras4[:3]
     names = ["join-density"]
@@ -77,7 +78,7 @@ def test_iter_catalog_runs_one_worker_per_item_taken(monkeypatch, algebras4):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_iter_catalog_items_match_each_algebra_run_alone(monkeypatch, algebras4, jobs):
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
     names = ["join-density", "cross-survey"]
     want = comparable(list(iter_catalog(algebras4, names, jobs=jobs, survey=True)))
@@ -90,7 +91,7 @@ def test_iter_catalog_items_match_each_algebra_run_alone(monkeypatch, algebras4,
 
 
 def test_closing_iter_catalog_early_cancels_the_pool(monkeypatch, algebras4):
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
     items = iter_catalog(algebras4, ["join-density"], jobs=2)
     next(items)
