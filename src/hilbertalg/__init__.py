@@ -42,17 +42,12 @@ from .core import (
     MalformedTableError,
     Violation,
     axiom_violations,
-    block_from,
     classify,
     compatible_meet,
-    is_block,
-    is_compatible,
     is_relative_subsemilattice,
     is_subalgebra,
-    natural_order,
     partial_join,
     partial_meet,
-    subalgebras,
     validate_hilbert,
 )
 from .enumeration import (
@@ -61,9 +56,7 @@ from .enumeration import (
     EndoMonoid,
     EnumerationBound,
     are_isomorphic,
-    canonical_form,
     canonical_table,
-    catalog_through,
     cross_survey_report,
     endomorphism_monoid,
     enumerate_algebras,
@@ -71,15 +64,12 @@ from .enumeration import (
     search_valid_tables,
 )
 from .filters import (
-    CongruenceClasses,
     FilterLattice,
     all_filters,
     class_of,
-    congruence_classes,
     filter_generated,
     is_filter,
     is_monomial,
-    lower_set,
     monomial_max,
 )
 from .lattice import FiniteLattice, LatticeError
@@ -94,7 +84,6 @@ from .multipliers import (
     join_translation,
     kernel,
     multiplier_calculus_report,
-    peirce_map,
     pointwise_imp,
     pointwise_leq,
     pointwise_meet,

@@ -340,11 +340,6 @@ def validate_hilbert(table, one):
     return FiniteHilbertAlgebra._of_checked(rows, one)
 
 
-def natural_order(alg):
-    """Boolean matrix of the natural order: ``leq[x][y]`` iff ``x -> y = 1``."""
-    return alg.leq
-
-
 def partial_meet(alg, x, y):
     """Greatest lower bound of x and y, or None if the pair has no meet."""
     return alg.meet_table[x][y]
@@ -364,10 +359,6 @@ def compatible_meet(alg, x, y):
     pair at once, when the algebra's ``compatible_meet_table`` is built.
     """
     return alg.compatible_meet_table[x][y]
-
-
-def is_compatible(alg, x, y):
-    return compatible_meet(alg, x, y) is not None
 
 
 def is_subalgebra(alg, members):
@@ -402,11 +393,6 @@ def subset_key(s):
     return (s.bit_count(), list(bits(s)))
 
 
-def subalgebras(alg):
-    """All subalgebras, smallest first."""
-    return sorted((s for s in subsets(alg.n) if is_subalgebra(alg, s)), key=subset_key)
-
-
 def is_relative_subsemilattice(alg, members):
     """True iff members is closed under existing compatible meets."""
     for x in bits(members):
@@ -415,26 +401,6 @@ def is_relative_subsemilattice(alg, members):
             if m is not None and not members >> m & 1:
                 return False
     return True
-
-
-def block_from(alg, members, p):
-    """The image set ``{x -> p : x in members}``."""
-    imp = alg.imp
-    return sum({1 << imp[x][p] for x in bits(members)})
-
-
-def is_block(alg, members):
-    """True iff members is a subalgebra that is a bounded implication algebra.
-
-    Bounded means a least element under the inherited order; the implication
-    algebra law is ``(x -> y) -> x = x`` for all members.
-    """
-    if not members or not is_subalgebra(alg, members):
-        return False
-    imp, leq = alg.imp, alg.leq
-    if any(imp[imp[x][y]][x] != x for x in bits(members) for y in bits(members)):
-        return False
-    return any(all(leq[m][b] for b in bits(members)) for m in bits(members))
 
 
 @dataclass(frozen=True)

@@ -243,10 +243,6 @@ def canonical_table(table, one):
     return best
 
 
-def canonical_form(alg):
-    return canonical_table(alg.imp, alg.one)
-
-
 def are_isomorphic(a, b):
     """A permutation carrying one algebra onto the other, or None."""
     return isomorphism(a.imp, a.colors, b.imp, b.colors)
@@ -313,14 +309,6 @@ def enumerate_algebras(n):
     """All Hilbert algebras with n elements up to isomorphism, with statistics."""
     algebras, raw = classes(n)
     return AlgebraCatalog(n=n, entries=tuple(map(catalog_entry, algebras)), raw_count=raw)
-
-
-def catalog_through(n):
-    """Catalog entries of every size from 1 through n."""
-    out = []
-    for k in range(1, n + 1):
-        out.extend(enumerate_algebras(k).entries)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Filters, the filter lattice, filter congruences, and monomial filters.
 
-Filters, congruence classes and lower sets are int bitmasks, bit x set iff
-x is a member.  The join of filters j and k is ``fl.join(j, k)``, the filter
+Filters and congruence classes are int bitmasks, bit x set iff x is a
+member.  The join of filters j and k is ``fl.join(j, k)``, the filter
 ``fl.closure(j | k)``, and a ``FilterLattice`` fl closes each seed once.
 The filter lattice is a ``multipliers.CarrierLattice``, the same re-checked
 carrier lattice as the closure endomorphism lattice, which it contains
@@ -12,11 +12,10 @@ embeds; ``adjoint.minimal_brouwerian_extension`` re-checks that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_
 
 from .core import InvariantViolation, generated, subset_key
-from .lattice import bits, inclusion_order
+from .lattice import bits, inclusion_order, masks
 from .multipliers import CarrierLattice
 
 
@@ -80,9 +79,10 @@ class FilterLattice(CarrierLattice):
     join = generated union, and distributivity.  ``closure(seed)`` is
     ``filter_generated(alg, seed)``, run once per seed; ``join(j, k)`` is
     ``closure(j | k)``.  After the lattice, construction re-checks that
-    each seed closed so far lies in its closure, and that every member of
-    the carrier is a filter (``is_filter``); a seed closed later is
-    re-checked when it is closed.
+    each seed closed so far lies in its closure, that every member of the
+    carrier is a filter (``is_filter``), and that the principal filter of
+    x is the up-set of x, as x <= y -> z and x <= y give x <= z; a seed
+    closed later is re-checked when it is closed.
     """
 
     def __init__(self, alg):
@@ -105,6 +105,9 @@ class FilterLattice(CarrierLattice):
         for members in carrier:
             if not is_filter(alg, members):
                 raise InvariantViolation(f"filters: {members} is not a filter")
+        for x, p, u in zip(alg.elements, principal, masks(alg.leq)):
+            if p != u:
+                raise InvariantViolation(f"filters: principal filter of {x} is {p}, not its up-set {u}")
         # principal[x]: the index of the principal filter of x; x -> principal[x] embeds the algebra
         self.principal = tuple(map(self.index, principal))
 
@@ -122,36 +125,6 @@ def class_of(alg, members, a):
     return sum(
         1 << b for b in alg.elements if members >> imp[a][b] & members >> imp[b][a] & 1
     )
-
-
-@dataclass(frozen=True)
-class CongruenceClasses:
-    filter: int
-    classes: tuple[int, ...]
-
-
-def congruence_classes(alg, members):
-    """Partition of the universe by the filter congruence."""
-    classes = []
-    assigned = [False] * alg.n
-    for a in alg.elements:
-        if assigned[a]:
-            continue
-        cls = class_of(alg, members, a)
-        if not cls >> a & 1:
-            raise InvariantViolation(f"congruence class of {a} does not contain it")
-        for b in bits(cls):
-            if assigned[b] or class_of(alg, members, b) != cls:
-                raise InvariantViolation("congruence classes do not partition the universe")
-            assigned[b] = True
-        classes.append(cls)
-    return CongruenceClasses(members, tuple(classes))
-
-
-def lower_set(alg, members, a):
-    """The set of x with x -> a in the filter; an ideal of the algebra."""
-    imp = alg.imp
-    return sum(1 << x for x in alg.elements if members >> imp[x][a] & 1)
 
 
 def monomial_max(alg, members, a):

@@ -1,10 +1,10 @@
 """Multipliers: self-maps with f(x -> y) = x -> f(y).
 
-The named families here are the translation x |-> p -> x, the Peirce map
-x |-> (x -> p) -> x and the join translation x |-> (p -> x) -> x, together
-with the identity and the constant unit map.  The full set of multipliers
-carries pointwise implication, pointwise meet and composition; construction
-of ``MultiplierAlgebra`` re-verifies the expected structure (a bounded
+The named families here are the translation x |-> p -> x and the join
+translation x |-> (p -> x) -> x, together with the identity and the
+constant unit map.  The full set of multipliers carries pointwise
+implication, pointwise meet and composition; construction of
+``MultiplierAlgebra`` re-verifies the expected structure (a bounded
 implication algebra under pointwise implication, and a Boolean lattice with
 composition as join and pointwise meet as meet).
 
@@ -39,12 +39,6 @@ def constant_one(alg):
 def translation(alg, p):
     """x |-> p -> x; always a closure endomorphism."""
     return tuple(alg.imp[p])
-
-
-def peirce_map(alg, p):
-    """x |-> (x -> p) -> x; always a closure endomorphism."""
-    imp = alg.imp
-    return tuple(imp[imp[x][p]][x] for x in alg.elements)
 
 
 def join_translation(alg, p):
@@ -315,10 +309,6 @@ class MultiplierAlgebra(MapLattice):
         inner = validate_hilbert(self.imp_table, self.top_index)
         if not classify(inner).implication_algebra:
             raise InvariantViolation("multipliers do not form an implication algebra")
-
-    def complement(self, f):
-        """f -> identity, the Boolean complement."""
-        return pointwise_imp(self.alg, f, identity_map(self.alg))
 
 
 def all_multipliers(alg):

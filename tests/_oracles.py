@@ -4,17 +4,22 @@ Everything here quantifies over raw product spaces and uses only the
 defining conditions, never the library's search or propagation routines.
 """
 
+from dataclasses import dataclass
 from itertools import permutations, product
 
 from hilbertalg import (
     FiniteLattice,
     InvariantViolation,
     axiom_violations,
+    class_of,
     compose,
     is_endomorphism,
     is_multiplier,
+    is_subalgebra,
     pointwise_leq,
 )
+from hilbertalg.core import subset_key, subsets
+from hilbertalg.lattice import bits
 
 
 def all_subsets(n):
@@ -387,3 +392,68 @@ def subtraction(alg, f, g, carrier):
     if len(least) != 1:
         raise InvariantViolation(f"subtraction has no least solution for {f}, {g}")
     return least[0]
+
+
+# ---------------------------------------------------------------------------
+# subsets and maps the tests name, as bitmasks and image tuples like the library's
+
+
+def subalgebras(alg):
+    """All subalgebras, smallest first."""
+    return sorted((s for s in subsets(alg.n) if is_subalgebra(alg, s)), key=subset_key)
+
+
+def block_from(alg, members, p):
+    """The image set ``{x -> p : x in members}``."""
+    imp = alg.imp
+    return sum({1 << imp[x][p] for x in bits(members)})
+
+
+def is_block(alg, members):
+    """True iff members is a subalgebra that is a bounded implication algebra.
+
+    Bounded means a least element under the inherited order; the implication
+    algebra law is ``(x -> y) -> x = x`` for all members.
+    """
+    if not members or not is_subalgebra(alg, members):
+        return False
+    imp, leq = alg.imp, alg.leq
+    if any(imp[imp[x][y]][x] != x for x in bits(members) for y in bits(members)):
+        return False
+    return any(all(leq[m][b] for b in bits(members)) for m in bits(members))
+
+
+@dataclass(frozen=True)
+class CongruenceClasses:
+    filter: int
+    classes: tuple[int, ...]
+
+
+def congruence_classes(alg, members):
+    """Partition of the universe by the filter congruence, re-checked to be one."""
+    classes = []
+    assigned = [False] * alg.n
+    for a in alg.elements:
+        if assigned[a]:
+            continue
+        cls = class_of(alg, members, a)
+        if not cls >> a & 1:
+            raise InvariantViolation(f"congruence class of {a} does not contain it")
+        for b in bits(cls):
+            if assigned[b] or class_of(alg, members, b) != cls:
+                raise InvariantViolation("congruence classes do not partition the universe")
+            assigned[b] = True
+        classes.append(cls)
+    return CongruenceClasses(members, tuple(classes))
+
+
+def lower_set(alg, members, a):
+    """The set of x with x -> a in the filter; an ideal of the algebra."""
+    imp = alg.imp
+    return sum(1 << x for x in alg.elements if members >> imp[x][a] & 1)
+
+
+def peirce_map(alg, p):
+    """x |-> (x -> p) -> x; always a closure endomorphism."""
+    imp = alg.imp
+    return tuple(imp[imp[x][p]][x] for x in alg.elements)

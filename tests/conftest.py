@@ -2,7 +2,6 @@ import pytest
 
 from hilbertalg import (
     FiniteHilbertAlgebra,
-    catalog_through,
     enumerate_algebras,
     validate_hilbert,
 )
@@ -48,7 +47,7 @@ def mock_nonmonomial():
 @pytest.fixture(scope="session")
 def catalog4():
     """Catalog entries for every algebra of size 1 through 4."""
-    return catalog_through(4)
+    return [e for k in range(1, 5) for e in enumerate_algebras(k).entries]
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +58,7 @@ def algebras4(catalog4):
 @pytest.fixture(scope="session")
 def catalog5():
     """Catalog entries for every algebra of size 1 through 5."""
-    return catalog_through(5)
+    return [e for k in range(1, 6) for e in enumerate_algebras(k).entries]
 
 
 @pytest.fixture(scope="session")

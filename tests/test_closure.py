@@ -28,7 +28,6 @@ from hilbertalg import (
     is_multiplier,
     is_special,
     kernel,
-    peirce_map,
     search_endomorphisms,
     special_closure_retracts,
     translation,
@@ -52,6 +51,7 @@ from _oracles import (
     endomorphisms_bruteforce,
     filters_brute,
     mask,
+    peirce_map,
 )
 
 

@@ -5,18 +5,23 @@ from hilbertalg import (
     InvariantViolation,
     all_filters,
     class_of,
-    congruence_classes,
     filter_generated,
     filters,
     is_filter,
     is_monomial,
-    lower_set,
     monomial_max,
     partial_join,
 )
 from hilbertalg.lattice import bits
 
-from _oracles import all_subsets, filters_brute, is_filter_via_bounds, mask
+from _oracles import (
+    all_subsets,
+    congruence_classes,
+    filters_brute,
+    is_filter_via_bounds,
+    lower_set,
+    mask,
+)
 
 
 def every_filter(alg):
@@ -96,6 +101,11 @@ def not_extensive(alg, seed):
     return (4, 4, 7, 4, 4, 4, 4, 7)[seed]
 
 
+def not_least(alg, seed):
+    """Fixed closure values (4, 5, 7, 4, 4, 5, 4, 7) for the seeds 0-7 of tarski3."""
+    return (4, 5, 7, 4, 4, 5, 4, 7)[seed]
+
+
 @pytest.mark.parametrize(
     "standin, message",
     [
@@ -107,6 +117,9 @@ def not_extensive(alg, seed):
         (universe_collapses, "filters: order is not a lattice: no unique join for (1, 2)"),
         # the carrier {2}, {0, 1, 2} passes every lattice re-check, but {0} closes to {2}
         (not_extensive, "filters: closure 4 of 1 does not hold it"),
+        # extensive and onto filters, but {1} closes to {0, 1, 2}, not to the least
+        # filter {1, 2} holding it: the carrier {2}, {0, 2}, {0, 1, 2} lacks {1, 2}
+        (not_least, "filters: principal filter of 1 is 7, not its up-set 6"),
     ],
 )
 def test_filter_lattice_rechecks_the_generated_union(monkeypatch, tarski3, standin, message):

@@ -1,19 +1,34 @@
 """Every name a module of the package imports is read somewhere in that module,
-only ``filters`` reads ``filter_generated``, and importing the CLI loads no
-process pool.
+every name the package exports is read by another of its modules or by the
+README's library sketch, the sketch runs and gives the values its comments
+state, only ``filters`` reads ``filter_generated``, and importing the CLI
+loads no process pool.
 
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out of the first guard: it imports names to
+re-export them, and the second guard checks those.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hilbertalg")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+
+
+def read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def readme_sketch():
+    """The Python block under the README's "Library sketch" heading."""
+    return re.search(r"^## Library sketch\n\n```python\n(.*?)^```", read(README), re.M | re.S).group(1)
 
 
 def unused_imports(source):
@@ -38,9 +53,7 @@ def test_the_guard_finds_an_unused_import():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        source = fh.read()
-    assert unused_imports(source) == []
+    assert unused_imports(read(os.path.join(SRC, module))) == []
 
 
 def names_read(source):
@@ -57,6 +70,44 @@ def names_read(source):
     return names
 
 
+def unread_exports(init_source, sources):
+    """The names init_source imports that none of sources reads."""
+    read_somewhere = set().union(*map(names_read, sources))
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if (alias.asname or alias.name) not in read_somewhere
+    ]
+
+
+def test_the_guard_finds_an_export_nothing_reads():
+    init = "from .core import kernel, orphan\nfrom .lattice import bits\n"
+    assert unread_exports(init, ["kernel(1)\n", "from .lattice import bits\n"]) == ["orphan"]
+
+
+def test_every_export_is_read_in_the_package_or_the_readme_sketch():
+    sources = [read(os.path.join(SRC, m)) for m in MODULES] + [readme_sketch()]
+    assert unread_exports(read(os.path.join(SRC, "__init__.py")), sources) == []
+
+
+def test_the_readme_sketch_gives_the_values_its_comments_state():
+    # run the block a statement at a time, keeping each bare expression's value by its text
+    sketch, namespace, values = readme_sketch(), {}, {}
+    for stmt in ast.parse(sketch).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(sketch, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values["partial_join(alg, 0, 1)"] == 2
+    assert values["partial_meet(alg, 0, 1)"] is None
+    assert values["s.filters.closure(0b001)"] == 0b101
+    assert values["s.filters.join(0b101, 0b110)"] == 0b111
+    assert values["fset(fixpoints(alg, f))"] == "{1,2}"
+
+
 def test_the_guard_finds_a_read_of_filter_generated():
     assert "filter_generated" in names_read("from .filters import filter_generated as fg\n")
     assert "filter_generated" in names_read("from . import filters\nfilters.filter_generated(1, 2)\n")
@@ -65,8 +116,7 @@ def test_the_guard_finds_a_read_of_filter_generated():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "filters.py"])
 def test_only_filters_reads_filter_generated(module):
     # every other module joins filters through FilterLattice, which closes each seed once
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        assert "filter_generated" not in names_read(fh.read())
+    assert "filter_generated" not in names_read(read(os.path.join(SRC, module)))
 
 
 def test_the_cli_loads_no_process_pool_until_one_starts():
