@@ -11,13 +11,14 @@ instance is watched so that once its inner lookups resolve, its final
 inequality is checked against the pinned order.  The tables found for one
 poset are deduped by orbit: each new class is expanded to its distinct
 relabellings, which are all yielded and all marked seen, so the search
-yields every labelled table once.  Every yielded table is re-validated
-from scratch, so the pinning cannot admit a bad table.  The canonical form
-of a table is the least member of its orbit, so ``canonical_table`` walks
-each orbit once and serves that minimum to every member the search yields
-after it: one orbit walk per class, not one per raw table.  Isomorphism
-witnesses, endomorphism monoids and the cross-algebra survey live here as
-well.
+yields every labelled table once.  Each orbit is re-validated from scratch
+once, on the hit that starts it, so the pinning cannot admit a bad table;
+relabelling keeps a table valid, so the other members are not checked
+again.  The canonical form of a table is the least member of its orbit, so
+``canonical_table`` walks each orbit once and serves that minimum to every
+member the search yields after it: one orbit walk per class, not one per
+raw table.  Isomorphism witnesses, endomorphism monoids and the
+cross-algebra survey live here as well.
 """
 
 from __future__ import annotations
@@ -172,22 +173,30 @@ def _tables_over(up):
     yield from dfs(0)
 
 
+def _rows(flat, n):
+    return tuple(flat[i : i + n] for i in range(0, n * n, n))
+
+
 def search_valid_tables(n):
-    """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, without dedup."""
+    """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, each labelled table once.
+
+    Each new hit of the poset search is re-validated before its orbit is
+    built; its relabellings are valid with it and are yielded unchecked.
+    """
     for up in unlabelled_posets(n - 1):
         seen = set()
         for hit in _tables_over(up):
             if hit in seen:
                 continue
+            rows = _rows(hit, n)
+            if axiom_violations(rows, n - 1):
+                raise InvariantViolation(f"search produced an invalid table {rows}")
             # a later hit isomorphic to this one has the same order, so the
             # relabelling between them is a poset automorphism: it is in the orbit
             orbit = _orbit(hit, n)
             seen.update(orbit)
             for flat in orbit:
-                snapshot = tuple(flat[i : i + n] for i in range(0, n * n, n))
-                if axiom_violations(snapshot, n - 1):
-                    raise InvariantViolation(f"search produced an invalid table {snapshot}")
-                yield snapshot
+                yield _rows(flat, n)
 
 
 def _least_relabelling(flat, n):
@@ -237,7 +246,7 @@ def canonical_table(table, one):
     if best is None:
         orbit = _orbit(flat, n)
         least = min(orbit)
-        best = tuple(least[i : i + n] for i in range(0, n * n, n))
+        best = _rows(least, n)
         _orbit_least.clear()
         _orbit_least.update(dict.fromkeys(orbit, best))
     return best

@@ -74,6 +74,15 @@ def test_search_yields_each_valid_table_once():
         assert not any(core.axiom_violations(t, n - 1) for t in tables)
 
 
+def test_search_validates_each_class_once(monkeypatch):
+    # one check per search hit, the table that starts an orbit; its copies are not re-checked
+    validated = count_calls(monkeypatch, "axiom_violations")
+    for n, classes in enumerate((1, 1, 2, 6, 21, 95), start=1):
+        validated.clear()
+        list(search_valid_tables(n))
+        assert len(validated) == classes, n
+
+
 def test_unlabelled_posets_are_one_per_class():
     for points, count in enumerate((1, 1, 2, 5, 16, 63, 318)):
         found = enumeration.unlabelled_posets(points)
