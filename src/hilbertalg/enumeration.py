@@ -14,11 +14,11 @@ relabellings, which are all yielded and all marked seen, so the search
 yields every labelled table once.  Each orbit is re-validated from scratch
 once, on the hit that starts it, so the pinning cannot admit a bad table;
 relabelling keeps a table valid, so the other members are not checked
-again.  The canonical form of a table is the least member of its orbit, so
-``canonical_table`` walks each orbit once and serves that minimum to every
-member the search yields after it: one orbit walk per class, not one per
-raw table.  Isomorphism witnesses, endomorphism monoids and the
-cross-algebra survey live here as well.
+again.  The canonical form of a table is the least member of its orbit; the
+walk that expands a class maps each member to it, and that serves
+``canonical_table`` for every table the search yields: one orbit walk per
+class, not one per raw table.  Isomorphism witnesses, endomorphism monoids
+and the cross-algebra survey live here as well.
 """
 
 from __future__ import annotations
@@ -106,8 +106,15 @@ def _relabel(flat, rel):
 
 
 def _orbit(flat, n):
-    """The distinct unit-fixing relabellings of a flat table, in relabelling order."""
-    return dict.fromkeys(_relabel(flat, r) for r in _relabellings(n))
+    """The distinct unit-fixing relabellings of a flat table, in relabelling order.
+
+    The walk rebinds ``_orbit_least`` to map each member to the orbit's least
+    one for ``canonical_table``; the returned dict is not that memo.
+    """
+    global _orbit_least
+    orbit = dict.fromkeys(_relabel(flat, r) for r in _relabellings(n))
+    _orbit_least = dict.fromkeys(orbit, _rows(min(orbit), n))
+    return orbit
 
 
 def _tables_over(up):
@@ -220,8 +227,8 @@ def _least_relabelling(flat, n):
     return best
 
 
-# every member of the last orbit canonicalised, mapped to the orbit's least
-# member as a table; at most (n-1)! entries
+# every member of the last orbit walked by ``_orbit``, mapped to the orbit's
+# least member as a table; at most (n-1)! entries
 _orbit_least = {}
 
 
@@ -229,12 +236,11 @@ def canonical_table(table, one):
     """Lexicographically least relabeling of the table, unit placed last.
 
     Every member of an orbit under the unit-fixing relabellings has the same
-    least relabelling, the orbit's minimum.  A table outside the memoised
-    orbit has its whole orbit built, and the memo then maps each member to
-    that minimum, so the search, which yields an orbit's members one after
-    another, walks each class's relabellings once.  The result is exact for
-    any table, Hilbert algebra or not; ``_least_relabelling`` is the
-    reference.
+    least relabelling, the orbit's minimum.  The unit is moved last and the
+    table looked up in the memo of the last orbit walked; the search's walk
+    of a class puts every table it yields there.  A table outside it has its
+    own orbit walked.  The result is exact for any table, Hilbert algebra or
+    not; ``_least_relabelling`` is the reference.
     """
     n = len(table)
     order = [x for x in range(n) if x != one] + [one]
@@ -242,14 +248,9 @@ def canonical_table(table, one):
     for i, x in enumerate(order):
         pos[x] = i
     flat = tuple([pos[table[x][y]] for x in order for y in order])
-    best = _orbit_least.get(flat)
-    if best is None:
-        orbit = _orbit(flat, n)
-        least = min(orbit)
-        best = _rows(least, n)
-        _orbit_least.clear()
-        _orbit_least.update(dict.fromkeys(orbit, best))
-    return best
+    if flat not in _orbit_least:
+        _orbit(flat, n)
+    return _orbit_least[flat]
 
 
 def are_isomorphic(a, b):

@@ -67,15 +67,16 @@ def _transitive(up, leq):
 
 
 def cover_pairs(leq):
-    """Pairs (i, j), in row-major order, where j covers i in the order matrix."""
-    n = len(leq)
+    """Pairs (i, j), in row-major order, where j covers i in the order matrix.
+
+    j covers i when the interval of elements above i and below j is {i, j}.
+    """
+    up, down = masks(leq), masks(tuple(zip(*leq)))
     return [
         (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-        and leq[i][j]
-        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
+        for i, u in enumerate(up)
+        for j, d in enumerate(down)
+        if i != j and u & d == 1 << i | 1 << j
     ]
 
 
@@ -215,13 +216,16 @@ class FiniteLattice:
         order = _order_masks(self.leq)
         if order is None:
             raise LatticeError("not a partial order")
-        up, down = order
+        self.up, self.down = up, down = order
         self.join_table = _preorder_bounds(up)
         self.meet_table = _preorder_bounds(down)
         for kind, table in (("join", self.join_table), ("meet", self.meet_table)):
             for i, row in enumerate(table):
                 if None in row:
                     raise LatticeError(f"no unique {kind} for ({i}, {row.index(None)})")
+        # every pair has a join and a meet, so one element is below all and one above all
+        full = (1 << self.size) - 1
+        self.bottom, self.top = up.index(full), down.index(full)
 
     @classmethod
     def from_subsets(cls, sets):
@@ -233,20 +237,6 @@ class FiniteLattice:
 
     def meet(self, i, j):
         return self.meet_table[i][j]
-
-    @cached_property
-    def bottom(self):
-        for i, row in enumerate(self.leq):
-            if all(row):
-                return i
-        raise LatticeError("no bottom")
-
-    @cached_property
-    def top(self):
-        for i, column in enumerate(zip(*self.leq)):
-            if all(column):
-                return i
-        raise LatticeError("no top")
 
     @cached_property
     def is_distributive(self):
@@ -285,7 +275,7 @@ class FiniteLattice:
         """
         leq, jn = self.leq, self.join_table
         powers = [1 << h for h in range(self.size)]
-        least = _Least(masks(leq))
+        least = _Least(self.up)
         return tuple(
             tuple(least[sum(compress(powers, map(leq_b.__getitem__, jn_a)))] for jn_a in jn)
             for leq_b in leq

@@ -277,6 +277,19 @@ def is_partial_order_scan(leq):
     return True
 
 
+def cover_pairs_scan(leq):
+    """Pairs (i, j), in row-major order, with i strictly below j and no k strictly between them."""
+    n = len(leq)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and leq[i][j]
+        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
+    ]
+
+
 def bound_table_scan(leq, upper):
     """For every pair, the lowest common bound whose own bounds hold all common ones, or None."""
     n = len(leq)

@@ -244,6 +244,26 @@ def test_classes_walk_one_orbit_per_class_to_canonicalise(monkeypatch):
     assert len(relabelled) == 21 * factorial(4)
 
 
+def test_classes_walk_each_orbit_once_with_the_real_search(monkeypatch):
+    # the search's walk of a class serves canonical_table for every table it yields
+    orbits = count_calls(monkeypatch, "_orbit")
+    for n, count in ((5, 21), (6, 95)):
+        orbits.clear()
+        algebras, _ = enumeration.classes(n)
+        assert len(algebras) == len(orbits) == count
+
+
+def test_search_is_unchanged_by_canonicalising_an_unrelated_table_between_yields():
+    off_hilbert = ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
+    assert core.axiom_violations(off_hilbert, 3)
+    expected = list(search_valid_tables(4))
+    interleaved = []
+    for table in search_valid_tables(4):
+        interleaved.append(table)
+        canonical_table(off_hilbert, 3)
+    assert interleaved == expected
+
+
 def test_classes_canonicalise_each_raw_table_once(monkeypatch):
     # the per-raw-table count that the benchmark's enumeration.canonical.calls reads
     canonicalised = count_calls(monkeypatch, "canonical_table")

@@ -3,10 +3,10 @@ from itertools import permutations
 
 import pytest
 
-from hilbertalg import FiniteLattice, LatticeError
+from hilbertalg import FiniteLattice, LatticeError, Structures
 from hilbertalg.lattice import cover_pairs, inclusion_order, isomorphism, refine
 
-from _oracles import dual_lattice, mask
+from _oracles import cover_pairs_scan, dual_lattice, mask
 
 
 def from_covers(cover_lists):
@@ -115,6 +115,20 @@ def test_residual_table_matches_bruteforce():
     # M3 and N5 are not distributive: some b has no least h with b <= a v h
     for leq in (M3, N5):
         assert any(None in row for row in FiniteLattice(leq).residual_table)
+
+
+def test_covers_and_bounds_match_the_scans(catalog5):
+    # every algebra order, and every filter, closure-endomorphism and
+    # multiplier lattice of the algebras through size 5
+    lattices = [*pool()]
+    for e in catalog5:
+        s = Structures(e.algebra)
+        lattices += [s.filters.lattice, s.ce.lattice, s.multipliers.lattice]
+    for leq in [e.algebra.leq for e in catalog5] + [lat.leq for lat in lattices]:
+        assert cover_pairs(leq) == cover_pairs_scan(leq)
+    for lat in lattices:
+        assert lat.bottom == next(i for i, row in enumerate(lat.leq) if all(row))
+        assert lat.top == next(j for j, column in enumerate(zip(*lat.leq)) if all(column))
 
 
 def test_from_subsets():
