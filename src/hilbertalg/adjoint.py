@@ -304,9 +304,10 @@ def filter_ideal_bridge_report(ctx):
 def fg_ideal_report(ctx):
     """Over an implication algebra the finitely generated closure endomorphisms
     are downward closed, with the explicit construction of the generating set."""
-    if not ctx.flags.implication_algebra:
-        raise ValueError("not an implication algebra")
     b = ReportBuilder("finitely-generated-ideal")
+    if not ctx.flags.implication_algebra:
+        b.skip("precondition", "applies to implication algebras only")
+        return b.done()
     alg, carrier = ctx.alg, ctx.ce.carrier
     fg = set(ctx.finitely_generated)
     b.check(

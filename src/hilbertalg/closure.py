@@ -548,9 +548,10 @@ def fixpoint_embedding_report(ctx):
 
 def implication_extras_report(ctx):
     """The sharper structure available over an implication algebra."""
-    if not ctx.flags.implication_algebra:
-        raise ValueError("not an implication algebra")
     b = ReportBuilder("implication-extras")
+    if not ctx.flags.implication_algebra:
+        b.skip("precondition", "applies to implication algebras only")
+        return b.done()
     alg, mult, ce, fl = ctx.alg, ctx.multipliers, ctx.ce, ctx.filters
     carrier, kernels, fixes = ce.carrier, ce.kernels, ce.fixes
     imp = alg.imp

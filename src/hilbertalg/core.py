@@ -22,12 +22,12 @@ The re-checks that take O(n^3) steps run as byte kernels while every
 element fits a byte (n <= 255): rows are ``bytes``, a gather through a
 row is ``bytes.translate`` with the row padded to 256 bytes, and a test of
 many instances at once is a bitmask test on ``int.from_bytes``.  So
-``axiom_violations`` decides every axiom instance (``_holds``),
-``classify`` the commutative law, and ``compatible_meet_table`` the
-candidates of a whole row.  A table the kernel rejects, and any table of
-more than 255 elements, goes to the loop over single instances, which
-reports the failure: ``_listed_violations`` lists the failed instances
-and ``_compatible_meets_by_pair`` raises the violation.
+``axiom_violations`` decides every axiom instance (``_holds``), and
+``compatible_meet_table`` the candidates of a whole row.  A table the
+kernel rejects, and any table of more than 255 elements, goes to the loop
+over single instances, which reports the failure: ``_listed_violations``
+lists the failed instances and ``_compatible_meets_by_pair`` raises the
+violation.
 """
 
 from __future__ import annotations
@@ -410,20 +410,8 @@ class AlgebraClass:
 
 
 def classify(alg):
-    """Flags: the commutativity law, and totality of compatible meets.
-
-    (x -> y) -> x == x for all y is row x translated through column x, one
-    ``bytes.translate`` per x while the elements fit a byte.
-    """
-    imp, n = alg.imp, alg.n
-    if n > 255:
-        commutative = all(imp[imp[x][y]][x] == x for x in alg.elements for y in alg.elements)
-    else:
-        flat = b"".join(map(bytes, imp))
-        pad = bytes(256 - n)
-        commutative = all(
-            row.translate(flat[x::n] + pad) == bytes((x,)) * n
-            for x, row in enumerate(map(bytes, imp))
-        )
+    """Flags: the commutativity law, and totality of compatible meets."""
+    imp = alg.imp
+    commutative = all(imp[imp[x][y]][x] == x for x in alg.elements for y in alg.elements)
     semilattice = all(None not in row for row in alg.compatible_meet_table)
     return AlgebraClass(commutative, semilattice)

@@ -352,8 +352,10 @@ class EndoMonoid:
 
 def endomorphism_monoid(ctx):
     """The endomorphisms of ``ctx.alg`` as a monoid, its composition table built and re-checked."""
-    maps = tuple(ctx.endomorphisms)
-    mon = EndoMonoid(maps=maps, identity=maps.index(identity_map(ctx.alg)))
+    maps, identity = tuple(ctx.endomorphisms), identity_map(ctx.alg)
+    if identity not in maps:
+        raise InvariantViolation(f"endomorphisms miss the identity {identity}")
+    mon = EndoMonoid(maps=maps, identity=maps.index(identity))
     mon.table  # built now: the re-check that the maps are closed under composition
     return mon
 

@@ -286,10 +286,9 @@ class MultiplierAlgebra(MapLattice):
     pointwise implication makes the carrier a bounded implication algebra.
     Every re-check runs in full on every multiplier algebra.  Those of
     O(m^3) steps in the m multipliers are byte kernels while m <= 255:
-    distributivity of the lattice, and the axioms (``validate_hilbert``),
-    the commutative law and the compatible meets (``classify``) of
-    pointwise implication; a failure is reported by the loop over single
-    instances.
+    distributivity of the lattice, and the axioms (``validate_hilbert``)
+    and the compatible meets (``classify``) of pointwise implication; a
+    failure is reported by the loop over single instances.
     """
 
     def __init__(self, alg):

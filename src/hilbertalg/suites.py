@@ -30,7 +30,6 @@ from .closure import (
 from .core import FiniteHilbertAlgebra
 from .enumeration import survey_record
 from .multipliers import multiplier_calculus_report
-from .report import ReportBuilder
 from .structures import Structures
 
 ALGEBRA_SUITES = {
@@ -49,9 +48,6 @@ ALGEBRA_SUITES = {
     "finitely-generated-ideal": fg_ideal_report,
     "fixpoint-filter-characterization": fixpoint_filter_report,
 }
-
-# suites that only apply to implication algebras; skipped elsewhere
-IMPLICATION_ONLY = {"implication-extras", "finitely-generated-ideal"}
 
 CROSS_SUITE = "cross-survey"
 
@@ -74,18 +70,11 @@ def resolve_suites(requested):
 
 
 def run_algebra_suites(ctx, names):
-    """The reports of the named algebra suites on the context ``ctx``."""
-    reports = []
-    for name in names:
-        if name == CROSS_SUITE:
-            continue
-        if name in IMPLICATION_ONLY and not ctx.flags.implication_algebra:
-            b = ReportBuilder(name)
-            b.skip("precondition", "applies to implication algebras only")
-            reports.append(b.done())
-            continue
-        reports.append(ALGEBRA_SUITES[name](ctx))
-    return reports
+    """The reports of the named algebra suites on the context ``ctx``.
+
+    Each suite decides for itself whether it applies to the algebra.
+    """
+    return [ALGEBRA_SUITES[name](ctx) for name in names if name != CROSS_SUITE]
 
 
 def _worker(payload):

@@ -221,5 +221,13 @@ def test_fg_ideal_report(catalog4, godel3):
         if entry.implication_algebra:
             report = fg_ideal_report(Structures(entry.algebra))
             assert report.ok, report.as_dict()
-    with pytest.raises(ValueError):
-        fg_ideal_report(Structures(godel3))
+    # not an implication algebra: one skipped check, and no structure built but the flags
+    ctx = Structures(godel3)
+    assert fg_ideal_report(ctx).as_dict() == {
+        "suite": "finitely-generated-ideal",
+        "ok": True,
+        "checks": [
+            {"name": "precondition", "status": "skip", "detail": "applies to implication algebras only"}
+        ],
+    }
+    assert set(vars(ctx)) == {"alg", "flags"}

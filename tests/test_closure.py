@@ -288,8 +288,16 @@ def test_implication_extras(catalog4, godel3):
             assert report.ok, report.as_dict()
             ran += 1
     assert ran >= 4
-    with pytest.raises(ValueError):
-        implication_extras_report(Structures(godel3))
+    # not an implication algebra: one skipped check, and no structure built but the flags
+    ctx = Structures(godel3)
+    assert implication_extras_report(ctx).as_dict() == {
+        "suite": "implication-extras",
+        "ok": True,
+        "checks": [
+            {"name": "precondition", "status": "skip", "detail": "applies to implication algebras only"}
+        ],
+    }
+    assert set(vars(ctx)) == {"alg", "flags"}
 
 
 def test_fixpoint_filter_characterization(algebras4, godel3, tarski3):

@@ -10,13 +10,28 @@ message each re-check gives on one stand-in it catches.
 The table search re-validates each hit, the first table of an orbit, before
 it yields the orbit.  Every one-cell change of every hit through size 5,
 2 428 tables, is fed to it in place of that hit.
+
+The multiplier algebra and the endomorphism monoid re-check the map sets
+``search_maps`` finds.  On every algebra of size <= 4 each is fed every set
+that is the true one with one map dropped, or with one self-map of the
+algebra from outside it added (1 595 self-maps in all).
 """
 
 from itertools import product
 
-from hilbertalg import FilterLattice, InvariantViolation, enumeration, filter_generated, filters
+from hilbertalg import (
+    FilterLattice,
+    InvariantViolation,
+    MultiplierAlgebra,
+    Structures,
+    enumeration,
+    filter_generated,
+    filters,
+    identity_map,
+    multipliers,
+)
 
-from _oracles import axiom_violations_brute
+from _oracles import axiom_violations_brute, compose_scan
 
 
 def test_every_stand_in_closure_raises_or_builds_the_true_carrier(tarski3, monkeypatch):
@@ -72,3 +87,52 @@ def test_every_one_cell_change_of_a_search_hit_raises_or_yields_valid_tables(mon
     # n-1 changes per cell of each hit, none at size 1; a valid change is another labelled algebra
     assert caught + valid == 4 + 2 * 9 * 2 + 6 * 16 * 3 + 21 * 25 * 4
     assert (caught, valid) == (2301, 127)
+
+
+def one_map_off(true, n):
+    """("drop", set) for each map of ``true`` left out, then ("add", set) for
+    each self-map of 0..n-1 outside it put in, each set sorted as searched."""
+    for i in range(len(true)):
+        yield "drop", true[:i] + true[i + 1 :]
+    for f in product(range(n), repeat=n):
+        if f not in true:
+            yield "add", tuple(sorted(true + (f,)))
+
+
+def test_every_multiplier_set_one_map_off_raises(algebras4, monkeypatch):
+    caught = {"drop": 0, "add": 0}
+    truths = [(alg, MultiplierAlgebra(alg).carrier) for alg in algebras4]
+    for alg, true in truths:
+        for kind, stand_in in one_map_off(true, alg.n):
+            monkeypatch.setattr(multipliers, "search_multipliers", lambda a: stand_in)
+            try:
+                MultiplierAlgebra(alg)
+            except InvariantViolation:
+                caught[kind] += 1
+    assert caught == {"drop": 55, "add": 1540}
+
+
+def test_endomorphism_sets_one_map_off_raise_or_are_closed_monoids(algebras4):
+    caught = {"drop": 0, "add": 0}
+    passed = {"drop": 0, "add": 0}
+    no_identity = 0
+    for alg in algebras4:
+        true = tuple(Structures(alg).endomorphisms)
+        identity = identity_map(alg)
+        for kind, stand_in in one_map_off(true, alg.n):
+            ctx = Structures(alg)
+            vars(ctx)["endomorphisms"] = stand_in
+            try:
+                enumeration.endomorphism_monoid(ctx)
+            except InvariantViolation as e:
+                caught[kind] += 1
+                no_identity += str(e) == f"endomorphisms miss the identity {identity}"
+                continue
+            # all a closure re-check sees: the identity, and every composite in the set
+            assert identity in stand_in, stand_in
+            assert all(compose_scan(f, g) in stand_in for f in stand_in for g in stand_in), stand_in
+            passed[kind] += 1
+    assert no_identity == 10
+    assert caught == {"drop": 87, "add": 1482}
+    # a missing endomorphism, or a foreign map, that leaves a closed monoid: no closure re-check sees it
+    assert passed == {"drop": 12, "add": 14}

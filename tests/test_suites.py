@@ -105,6 +105,16 @@ def test_pool_refuses_fewer_than_one_job(algebras4):
         run_catalog_suites(algebras4[:2], ["join-density"], jobs=0)
 
 
+def test_the_runner_gives_each_suites_own_report(algebras4):
+    # each suite decides its own preconditions, so a library call of a suite
+    # returns what the runner (and so the CLI) reports for it
+    for alg in algebras4:
+        for name, suite in ALGEBRA_SUITES.items():
+            ctx = Structures(alg)
+            ran = [r.as_dict() for r in run_algebra_suites(ctx, [name])]
+            assert ran == [suite(ctx).as_dict()], (alg.imp, name)
+
+
 BUILDERS = [
     "classify",
     "all_multipliers",
