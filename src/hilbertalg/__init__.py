@@ -30,7 +30,6 @@ from .closure import (
     is_extensive,
     is_idempotent,
     is_isotone,
-    is_special,
     search_endomorphisms,
     special_closure_retracts,
 )

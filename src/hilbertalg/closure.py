@@ -12,6 +12,19 @@ implemented with their inverses, and every surrounding theorem has a
 report function that checks it exhaustively on a given algebra.  Element
 subsets are int bitmasks, so inclusion is ``not a & ~b``; the reports read
 each kernel and fixpoint set from ``CeLattice.kernels`` and ``fixes``.
+
+The predicates the reports run most are kernels on the algebra's n x n
+tables.  ``special_witness``, ``cross_meets`` and ``least_above_misses``
+are unions and intersections of masks: ``sources`` (the x with
+x -> y = v), the up- and down-sets, and ``compatible_meet_pairs``.
+``is_endomorphism`` and ``is_isotone`` compare the table translated
+through f with the table pulled back along f, as ``bytes`` through
+``luts``, while n <= 255, and scan element by element above that.  The
+reports read what ``structures.Structures`` shares instead of building
+it again: the closure endomorphism of each filter (``monomial_ce``) and
+of each special closure retract (``retract_ce``), the special witness of
+every subset (``special_witnesses``), and the cross meets of each pair
+of fixpoint sets (``cross_meets``).
 """
 
 from __future__ import annotations
@@ -51,14 +64,34 @@ from .report import ReportBuilder, fmt, fset
 # predicates
 
 
+def _pulled(alg, f):
+    """(image, pulled) for a self-map f of an algebra of at most 255 elements:
+    f as ``bytes``, and f(x) -> f(y) at byte x * n + y."""
+    image, luts = bytes(f), alg.luts
+    return image, b"".join([image.translate(luts[v]) for v in f])
+
+
 def is_endomorphism(alg, f):
-    imp = alg.imp
-    return all(f[imp[x][y]] == imp[f[x]][f[y]] for x in alg.elements for y in alg.elements)
+    """f(x -> y) = f(x) -> f(y) for all x, y: while n <= 255, the table
+    translated through f equals the table pulled back along f, as bytes."""
+    if alg.n > 255:
+        imp = alg.imp
+        return all(f[imp[x][y]] == imp[f[x]][f[y]] for x in alg.elements for y in alg.elements)
+    image, pulled = _pulled(alg, f)
+    return alg.flat.translate(image.ljust(256, b"\0")) == pulled
 
 
 def is_isotone(alg, f):
-    leq = alg.leq
-    return all(leq[f[x]][f[y]] for x in alg.elements for y in alg.elements if leq[x][y])
+    """x <= y gives f(x) <= f(y): while n <= 255, the unit cells of the table,
+    as a bitmask of bytes, lie within those of the table pulled back along f."""
+    if alg.n > 255:
+        leq = alg.leq
+        return all(leq[f[x]][f[y]] for x in alg.elements for y in alg.elements if leq[x][y])
+    _, pulled = _pulled(alg, f)
+    one = alg.one
+    is_one = bytes(one) + b"\1" + bytes(255 - one)
+    below = int.from_bytes(alg.flat.translate(is_one), "little")
+    return not below & ~int.from_bytes(pulled.translate(is_one), "little")
 
 
 def is_extensive(alg, f):
@@ -103,11 +136,19 @@ def search_endomorphisms(alg):
 class CeLattice(MapLattice):
     """All closure endomorphisms, i.e. the isotone multipliers of ``mult``,
     with the lattice structure that ``MapLattice`` builds and re-checks;
-    ``kernels[i]`` and ``fixes[i]`` are the kernel and fixpoints of ``carrier[i]``."""
+    ``kernels[i]`` and ``fixes[i]`` are the kernel and fixpoints of ``carrier[i]``.
+
+    After the lattice, construction re-checks that every translation
+    x |-> p -> x, a closure endomorphism of every algebra, is in the carrier.
+    """
 
     def __init__(self, alg, mult):
         carrier = (f for f in mult.carrier if is_isotone(alg, f))
         super().__init__(alg, carrier, "closure endomorphisms")
+        for p in alg.elements:
+            t = translation(alg, p)
+            if t not in self._index:
+                raise InvariantViolation(f"{self.what}: translation by {p} is not in the carrier: {t}")
         self.kernels = tuple(kernel(alg, f) for f in self.carrier)
         self.fixes = tuple(fixpoints(alg, f) for f in self.carrier)
 
@@ -160,26 +201,28 @@ def ce_from_monomial_filter(alg, members):
     return f
 
 
-def closure_endos_via_filters(alg, monomials):
-    """Second route to the carrier: one closure endomorphism per monomial filter."""
-    return sorted(ce_from_monomial_filter(alg, j) for j in monomials)
+def closure_endos_via_filters(ctx, monomials):
+    """Second route to the carrier: one closure endomorphism per monomial filter,
+    read from ``ctx.monomial_ce``."""
+    return sorted(map(ctx.monomial_ce, monomials))
 
 
-def monomial_roundtrip(alg, filter_sets):
+def monomial_roundtrip(ctx, filter_sets):
     """(failures, skips) for the filter -> closure endomorphism -> kernel round trip.
 
     Filters with a class lacking a greatest element cannot be round-tripped;
     they are reported as skips carrying the structured witness.  No valid
-    finite algebra produces one, but the path stays total.
+    finite algebra produces one, but the path stays total.  Each closure
+    endomorphism is read from ``ctx.monomial_ce``.
     """
     failures, skips = [], []
     for members in filter_sets:
         try:
-            f = ce_from_monomial_filter(alg, members)
+            f = ctx.monomial_ce(members)
         except NonMonomialFilterError as e:
             skips.append(fmt(filter=fset(members), reason=str(e)))
             continue
-        if kernel(alg, f) != members:
+        if kernel(ctx.alg, f) != members:
             failures.append(fmt(filter=fset(members), map=f))
     return failures, skips
 
@@ -217,15 +260,19 @@ def special_witness(alg, members):
     """A pair (a, b) violating specialness, or None.
 
     Special: for every a and every b in the subset, some p has p -> a in the
-    subset while p -> b = b.
+    subset while p -> b = b.  Those p are the union of ``sources[a][v]`` over
+    the members v, and ``sources[b][b]``; the first a, then the first b,
+    whose masks are disjoint is the witness.
     """
-    imp = alg.imp
-    for a in alg.elements:
-        for bm in bits(members):
-            if not any(
-                members >> imp[p][a] & 1 and imp[p][bm] == bm for p in alg.elements
-            ):
-                return (a, bm)
+    src = alg.sources
+    fixing = [(b, src[b][b]) for b in bits(members)]
+    for a, col in enumerate(src):
+        lands = 0
+        for v in bits(members):
+            lands |= col[v]
+        for b, fix in fixing:
+            if not lands & fix:
+                return (a, b)
     return None
 
 
@@ -233,9 +280,9 @@ def is_special(alg, members):
     return special_witness(alg, members) is None
 
 
-def special_subsets(alg):
-    """Every special subset, the empty one included, in binary counting order."""
-    return [s for s in subsets(alg.n) if is_special(alg, s)]
+def special_witnesses(alg):
+    """``special_witness`` of every subset, indexed by its bitmask."""
+    return tuple(special_witness(alg, s) for s in subsets(alg.n))
 
 
 def special_closure_retracts(alg, special):
@@ -250,10 +297,14 @@ def ce_from_retract(alg, members):
     least member above it.  Domain errors carry the offending element or
     pair.
     """
+    return ce_of_special_retract(alg, members, special_witness(alg, members))
+
+
+def ce_of_special_retract(alg, members, pair):
+    """``ce_from_retract`` given ``pair``, the ``special_witness`` of members."""
     least = _least_above(alg, members)
     if None in least:
         raise NotClosureRetractError(least.index(None))
-    pair = special_witness(alg, members)
     if pair is not None:
         raise NotSpecialError(pair)
     f = tuple(least)
@@ -265,17 +316,51 @@ def ce_from_retract(alg, members):
 
 
 def cross_meets(alg, s, t):
-    """All compatible meets of cross pairs; the join of fixpoint sets."""
-    meets = alg.compatible_meet_table
-    ys = list(bits(t))
-    out = 0
+    """All compatible meets of cross pairs; the join of fixpoint sets.
+
+    The pairs of s x t, as bits x * n + y, meet ``compatible_meet_pairs[m]``
+    exactly when m is one of those compatible meets.
+    """
+    n = alg.n
+    pairs = 0
     for x in bits(s):
-        row = meets[x]
-        for y in ys:
-            m = row[y]
-            if m is not None:
-                out |= 1 << m
+        pairs |= t << (x * n)
+    out = 0
+    for m, found in enumerate(alg.compatible_meet_pairs):
+        if found & pairs:
+            out |= 1 << m
     return out
+
+
+def least_above_misses(alg, maps, sets):
+    """(above, landing) for each map f paired with a subset r of ``sets``, in order.
+
+    ``above`` lists the (f, a) where f(a) is not the one least member of r
+    above a, ``landing`` those where it is not the one least member of r
+    of the form x -> a.  The least members of a mask are the members in
+    the down-set ``sources[y][one]`` of every member y.
+    """
+    one = alg.one
+    up = [row[one] for row in alg.preimages]
+    down = [col[one] for col in alg.sources]
+    # values[a]: the bitmask of the x -> a
+    values = [sum(1 << v for v, xs in enumerate(col) if xs) for col in alg.sources]
+
+    def least(mask):
+        low = mask
+        for y in bits(mask):
+            low &= down[y]
+        return low
+
+    above, landing = [], []
+    for f, r in zip(maps, sets):
+        for a in alg.elements:
+            fa = 1 << f[a]
+            if least(r & up[a]) != fa:
+                above.append((f, a))
+            if least(r & values[a]) != fa:
+                landing.append((f, a))
+    return above, landing
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +393,7 @@ def ce_structure_report(ctx):
         [] if ce.lattice.is_distributive else [fmt(size=len(carrier))],
         detail=f"{len(carrier)} closure endomorphisms",
     )
-    via_filters = closure_endos_via_filters(alg, ctx.monomials)
+    via_filters = closure_endos_via_filters(ctx, ctx.monomials)
     b.check(
         "isotone-multipliers-equal-monomial-route",
         [] if list(carrier) == via_filters else [fmt(direct=len(carrier), via=len(via_filters))],
@@ -355,11 +440,12 @@ def isotone_kernel_special_report(ctx):
     """For every multiplier: isotone <=> kernel is a filter <=> fixpoints special."""
     b = ReportBuilder("isotone-kernel-special")
     alg, mult = ctx.alg, ctx.multipliers
+    witnesses = ctx.special_witnesses
     fails = []
     for f in mult.carrier:
         iso = is_isotone(alg, f)
         ker = is_filter(alg, kernel(alg, f))
-        spe = is_special(alg, fixpoints(alg, f))
+        spe = witnesses[fixpoints(alg, f)] is None
         ce = is_closure_endomorphism(alg, f)
         if not iso == ker == spe == ce:
             fails.append(fmt(map=f, isotone=iso, kernel_filter=ker, special=spe, closure=ce))
@@ -429,9 +515,9 @@ def kernel_embedding_report(ctx):
     )
     b.check(
         "roundtrip-from-endomorphism",
-        [fmt(map=f) for f, k in zip(carrier, kernels) if ce_from_monomial_filter(alg, k) != f],
+        [fmt(map=f) for f, k in zip(carrier, kernels) if ctx.monomial_ce(k) != f],
     )
-    failures, skips = monomial_roundtrip(alg, fl.carrier)
+    failures, skips = monomial_roundtrip(ctx, fl.carrier)
     b.check("roundtrip-from-filter", failures)
     for s in skips:
         b.skip("roundtrip-from-filter-skipped", s)
@@ -454,7 +540,7 @@ def fixpoint_embedding_report(ctx):
         for j, g in enumerate(carrier):
             if fixes[ce.lattice.join_table[i][j]] != fixes[i] & fixes[j]:
                 comp_fails.append(fmt(f=f, g=g))
-            if fixes[ce.lattice.meet_table[i][j]] != cross_meets(alg, fixes[i], fixes[j]):
+            if fixes[ce.lattice.meet_table[i][j]] != ctx.cross_meets(fixes[i], fixes[j]):
                 meet_fails.append(fmt(f=f, g=g))
     b.check("composition-to-intersection", comp_fails)
     b.check("meet-to-cross-meets", meet_fails)
@@ -477,29 +563,16 @@ def fixpoint_embedding_report(ctx):
         [] if set(fixes) == set(retracts) else [fmt(fixes=len(set(fixes)), retracts=len(retracts))],
         detail=f"{len(retracts)} special closure retracts",
     )
-    leq, imp = alg.leq, alg.imp
-    min_fails = []
-    image_form_fails = []
-    for f, r in zip(carrier, fixes):
-        for a in alg.elements:
-            ups = [x for x in bits(r) if leq[a][x]]
-            least = [x for x in ups if all(leq[x][y] for y in ups)]
-            if len(least) != 1 or f[a] != least[0]:
-                min_fails.append(fmt(map=f, a=a))
-            # the same minimum over the members of the form x -> a
-            landing = [s for s in bits(r) if any(imp[x][a] == s for x in alg.elements)]
-            low = [s for s in landing if all(leq[s][t] for t in landing)]
-            if len(low) != 1 or f[a] != low[0]:
-                image_form_fails.append(fmt(map=f, a=a))
-    b.check("image-is-least-above", min_fails)
-    b.check("least-above-equals-least-implication-image", image_form_fails)
+    above, landing = least_above_misses(alg, carrier, fixes)
+    b.check("image-is-least-above", [fmt(map=f, a=a) for f, a in above])
+    b.check("least-above-equals-least-implication-image", [fmt(map=f, a=a) for f, a in landing])
     b.check(
         "roundtrip-from-retract",
-        [fmt(retract=fset(r)) for r in retracts if fixpoints(alg, ce_from_retract(alg, r)) != r],
+        [fmt(retract=fset(r)) for r in retracts if fixpoints(alg, ctx.retract_ce(r)) != r],
     )
     b.check(
         "roundtrip-from-endomorphism",
-        [fmt(map=f) for f, r in zip(carrier, fixes) if ce_from_retract(alg, r) != f],
+        [fmt(map=f) for f, r in zip(carrier, fixes) if ctx.retract_ce(r) != f],
     )
 
     alpha_fails = []
@@ -524,7 +597,7 @@ def fixpoint_embedding_report(ctx):
                     dual_fails.append(fmt(j=fset(j), k=fset(k)))
                 if pair.get(fl.join(j, k)) != pair[j] & pair[k]:
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="join-to-meet"))
-                if pair.get(j & k) != cross_meets(alg, pair[j], pair[k]):
+                if pair.get(j & k) != ctx.cross_meets(pair[j], pair[k]):
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="meet-to-join"))
     b.check("monomial-retract-duality", dual_fails)
 
@@ -540,7 +613,7 @@ def fixpoint_embedding_report(ctx):
         for j, s in enumerate(retracts):
             if rl.meet_table[i][j] != ridx.get(r & s):
                 lattice_op_fails.append(fmt(r=fset(r), s=fset(s), law="meet"))
-            if rl.join_table[i][j] != ridx.get(cross_meets(alg, r, s)):
+            if rl.join_table[i][j] != ridx.get(ctx.cross_meets(r, s)):
                 lattice_op_fails.append(fmt(r=fset(r), s=fset(s), law="join"))
     b.check("retract-lattice-operations", lattice_op_fails)
     return b.done()
@@ -638,7 +711,7 @@ def implication_extras_report(ctx):
     nabla_fails = []
     for f, ff in zip(carrier, fixes):
         for g, fg in zip(carrier, fixes):
-            if cross_meets(alg, ff, fg) != fl.join(ff, fg):
+            if ctx.cross_meets(ff, fg) != fl.join(ff, fg):
                 nabla_fails.append(fmt(f=f, g=g))
     b.check("fixpoint-join-is-filter-join", nabla_fails)
 

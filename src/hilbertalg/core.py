@@ -16,7 +16,11 @@ table may satisfy both inequality laws while inducing only a preorder.
 Meets, joins and compatible meets are tables of the algebra, each built
 once, on first use, from the up- and down-sets of the order as bitmasks;
 ``partial_meet``, ``partial_join`` and ``compatible_meet`` look them up.
-Every element subset is an int bitmask, bit x set iff x is a member.
+Every element subset is an int bitmask, bit x set iff x is a member.  The
+algebra also keeps, on first use, the mask tables ``preimages`` and
+``sources`` of its rows and columns, ``compatible_meet_pairs``, and, while
+n <= 255, its table as ``flat`` bytes and its rows as 256-byte ``luts``:
+the kernels of ``filters`` and ``closure`` read them.
 
 The re-checks that take O(n^3) steps run as byte kernels while every
 element fits a byte (n <= 255): rows are ``bytes``, a gather through a
@@ -136,8 +140,7 @@ class FiniteHilbertAlgebra:
         n, meet = self.n, self.meet_table
         if n > 255:
             return self._compatible_meets_by_pair()
-        imp = self.imp
-        flat = b"".join(map(bytes, imp))
+        imp, flat = self.imp, self.flat
         leq = flat.translate(bytes(self.one) + b"\1" + bytes(255 - self.one))
         # below[y * n + c]: c <= y
         below = b"".join([leq[c::n] for c in range(n)])
@@ -185,9 +188,39 @@ class FiniteHilbertAlgebra:
 
     @cached_property
     def preimages(self):
-        """preimages[x][v]: the bitmask of the y with x -> y = v."""
+        """preimages[x][v]: the bitmask of the y with x -> y = v; ``preimages[x][one]`` is the up-set of x."""
         rng = self.elements
         return tuple(tuple(sum(1 << y for y in rng if row[y] == v) for v in rng) for row in self.imp)
+
+    @cached_property
+    def sources(self):
+        """sources[y][v]: the bitmask of the x with x -> y = v; ``sources[y][one]`` is the down-set of y."""
+        rng, imp = self.elements, self.imp
+        return tuple(tuple(sum(1 << x for x in rng if imp[x][y] == v) for v in rng) for y in rng)
+
+    @cached_property
+    def flat(self):
+        """The table as n * n ``bytes``, x -> y at byte x * n + y; for n <= 255 only."""
+        return b"".join(map(bytes, self.imp))
+
+    @cached_property
+    def luts(self):
+        """Each row as ``bytes`` padded to 256, so that ``b.translate(luts[x])``
+        reads x -> v for each byte v < n of b; for n <= 255 only."""
+        pad = bytes(256 - self.n)
+        return tuple(bytes(row) + pad for row in self.imp)
+
+    @cached_property
+    def compatible_meet_pairs(self):
+        """compatible_meet_pairs[m]: the bitmask of the pairs (x, y), bit x * n + y,
+        whose compatible meet is m; n masks of n * n bits, as many bits as ``preimages``."""
+        n = self.n
+        pairs = [0] * n
+        for x, row in enumerate(self.compatible_meet_table):
+            for y, m in enumerate(row):
+                if m is not None:
+                    pairs[m] |= 1 << (x * n + y)
+        return tuple(pairs)
 
     @cached_property
     def colors(self):

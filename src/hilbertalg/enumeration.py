@@ -34,6 +34,7 @@ from .core import (
     axiom_violations,
     validate_hilbert,
 )
+from .closure import is_endomorphism
 from .lattice import FiniteLattice, bits, isomorphism, refine
 from .multipliers import compose, identity_map, map_table
 from .report import ReportBuilder, fmt
@@ -351,10 +352,17 @@ class EndoMonoid:
 
 
 def endomorphism_monoid(ctx):
-    """The endomorphisms of ``ctx.alg`` as a monoid, its composition table built and re-checked."""
+    """The endomorphisms of ``ctx.alg`` as a monoid, its composition table built and re-checked.
+
+    Each map is re-checked to be an endomorphism too, so a foreign map that
+    keeps the set a closed monoid is caught.
+    """
     maps, identity = tuple(ctx.endomorphisms), identity_map(ctx.alg)
     if identity not in maps:
         raise InvariantViolation(f"endomorphisms miss the identity {identity}")
+    for f in maps:
+        if not is_endomorphism(ctx.alg, f):
+            raise InvariantViolation(f"endomorphisms hold a non-endomorphism {f}")
     mon = EndoMonoid(maps=maps, identity=maps.index(identity))
     mon.table  # built now: the re-check that the maps are closed under composition
     return mon

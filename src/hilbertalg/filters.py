@@ -8,6 +8,12 @@ carrier lattice as the closure endomorphism lattice, which it contains
 (by kernels) as the monomial filters.  Under reverse inclusion it is also
 the minimal Brouwerian extension of the algebra, which ``principal``
 embeds; ``adjoint.minimal_brouwerian_extension`` re-checks that.
+
+``class_of`` and ``monomial_max`` are mask kernels: the congruence class
+of a is the union of ``preimages[a][v]`` and of ``sources[a][v]`` over the
+members v, intersected, and its greatest elements are the members inside
+the up-set of every member.  ``is_filter`` and ``filter_generated`` read
+``preimages`` the same way.
 """
 
 from __future__ import annotations
@@ -120,24 +126,34 @@ def all_filters(alg):
 
 
 def class_of(alg, members, a):
-    """Congruence class of a modulo the filter: both implications land in it."""
-    imp = alg.imp
-    return sum(
-        1 << b for b in alg.elements if members >> imp[a][b] & members >> imp[b][a] & 1
-    )
+    """Congruence class of a modulo the filter: both implications land in it.
+
+    The b with a -> b in the filter are the union of ``preimages[a][v]``,
+    and the b with b -> a in it the union of ``sources[a][v]``, over the
+    members v.
+    """
+    row, col = alg.preimages[a], alg.sources[a]
+    to = back = 0
+    for v in bits(members):
+        to |= row[v]
+        back |= col[v]
+    return to & back
 
 
 def monomial_max(alg, members, a):
     """Greatest element of the congruence class of a, or None.
 
-    On a valid algebra a greatest element is automatically unique; several
-    maximal candidates can only appear on broken tables and also yield None.
+    The greatest elements are the members of the class inside the up-set
+    ``preimages[x][one]`` of every member x.  On a valid algebra a greatest
+    element is automatically unique; several maximal candidates can only
+    appear on broken tables and also yield None.
     """
-    cls = list(bits(class_of(alg, members, a)))
-    leq = alg.leq
-    tops = [m for m in cls if all(leq[x][m] for x in cls)]
-    if len(tops) == 1:
-        return tops[0]
+    cls = tops = class_of(alg, members, a)
+    pre, one = alg.preimages, alg.one
+    for x in bits(cls):
+        tops &= pre[x][one]
+    if tops and not tops & (tops - 1):
+        return tops.bit_length() - 1
     return None
 
 

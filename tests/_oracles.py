@@ -366,6 +366,74 @@ def pointwise_order_scan(alg, maps):
     return [[pointwise_leq_scan(alg, f, g) for g in maps] for f in maps]
 
 
+def class_of_scan(alg, members, a):
+    imp = alg.imp
+    return sum(
+        1 << b for b in alg.elements if members >> imp[a][b] & members >> imp[b][a] & 1
+    )
+
+
+def monomial_max_scan(alg, members, a):
+    cls = list(bits(class_of_scan(alg, members, a)))
+    leq = alg.leq
+    tops = [m for m in cls if all(leq[x][m] for x in cls)]
+    if len(tops) == 1:
+        return tops[0]
+    return None
+
+
+def special_witness_scan(alg, members):
+    imp = alg.imp
+    for a in alg.elements:
+        for bm in bits(members):
+            if not any(
+                members >> imp[p][a] & 1 and imp[p][bm] == bm for p in alg.elements
+            ):
+                return (a, bm)
+    return None
+
+
+def cross_meets_scan(alg, s, t):
+    meets = alg.compatible_meet_table
+    ys = list(bits(t))
+    out = 0
+    for x in bits(s):
+        row = meets[x]
+        for y in ys:
+            m = row[y]
+            if m is not None:
+                out |= 1 << m
+    return out
+
+
+def is_endomorphism_scan(alg, f):
+    imp = alg.imp
+    return all(f[imp[x][y]] == imp[f[x]][f[y]] for x in alg.elements for y in alg.elements)
+
+
+def is_isotone_scan(alg, f):
+    leq = alg.leq
+    return all(leq[f[x]][f[y]] for x in alg.elements for y in alg.elements if leq[x][y])
+
+
+def least_above_misses_scan(alg, maps, sets):
+    """The two least-above loops of the fixpoint-embedding report, over maps paired with sets."""
+    leq, imp = alg.leq, alg.imp
+    above, landing = [], []
+    for f, r in zip(maps, sets):
+        for a in alg.elements:
+            ups = [x for x in bits(r) if leq[a][x]]
+            least = [x for x in ups if all(leq[x][y] for y in ups)]
+            if len(least) != 1 or f[a] != least[0]:
+                above.append((f, a))
+            # the same minimum over the members of the form x -> a
+            lands = [s for s in bits(r) if any(imp[x][a] == s for x in alg.elements)]
+            low = [s for s in lands if all(leq[s][t] for t in lands)]
+            if len(low) != 1 or f[a] != low[0]:
+                landing.append((f, a))
+    return above, landing
+
+
 # ---------------------------------------------------------------------------
 # scans that lean on the library's predicates and operations
 

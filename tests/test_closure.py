@@ -26,7 +26,6 @@ from hilbertalg import (
     is_isotone,
     is_monomial,
     is_multiplier,
-    is_special,
     kernel,
     search_endomorphisms,
     special_closure_retracts,
@@ -38,10 +37,10 @@ from hilbertalg.closure import (
     fixpoint_filter_report,
     idempotent_composition_report,
     implication_extras_report,
+    is_special,
     isotone_kernel_special_report,
     kernel_embedding_report,
     monomial_roundtrip,
-    special_subsets,
 )
 from hilbertalg.core import subset_key
 
@@ -127,7 +126,7 @@ def test_ce_equals_filter_route(algebras4):
     from hilbertalg.closure import closure_endos_via_filters
 
     for alg in algebras4:
-        assert list(Structures(alg).ce.carrier) == closure_endos_via_filters(alg, all_filters(alg).carrier)
+        assert list(Structures(alg).ce.carrier) == closure_endos_via_filters(Structures(alg), all_filters(alg).carrier)
 
 
 def test_kernels(godel3, algebras4):
@@ -157,8 +156,8 @@ def test_isotone_kernel_special_report(algebras4):
         assert report.ok, report.as_dict()
 
 
-def test_endomorphism_search(algebras4, godel3):
-    for alg in algebras4:
+def test_endomorphism_search(catalog5, godel3):
+    for alg in (e.algebra for e in catalog5):
         assert search_endomorphisms(alg) == endomorphisms_brute(alg)
         assert endomorphisms_bruteforce(alg) == endomorphisms_brute(alg)
     assert search_endomorphisms(godel3) == [
@@ -213,7 +212,7 @@ def test_mock_monomial_domain_error(mock_nonmonomial):
     assert err.value.element == 0
     assert err.value.class_members == mask({0, 1})
     fails, skips = monomial_roundtrip(
-        mock, [mask({3}), bad, mask(range(4))]
+        Structures(mock), [mask({3}), bad, mask(range(4))]
     )
     assert fails == []
     assert len(skips) == 1 and "no greatest element" in skips[0]
@@ -275,7 +274,7 @@ def test_fixpoint_embedding_report(algebras4):
 
 
 def test_special_retract_scan(tarski3):
-    retracts = special_closure_retracts(tarski3, special_subsets(tarski3))
+    retracts = special_closure_retracts(tarski3, Structures(tarski3).special_subsets)
     ce = Structures(tarski3).ce
     assert set(retracts) == {fixpoints(tarski3, f) for f in ce.carrier}
 

@@ -281,7 +281,7 @@ def test_canonical_form_invariant_under_any_relabeling(perm):
     assert canonical_table(alg.imp, alg.one) == canonical_table(TARSKI3_TABLE, 2)
 
 
-def test_endomorphism_monoids(chain2, godel3, tarski3, algebras4):
+def test_endomorphism_monoids(chain2, godel3, tarski3, catalog5):
     assert endomorphism_monoid(Structures(chain2)).maps == ((0, 1), (1, 1))
     assert endomorphism_monoid(Structures(godel3)).maps == (
         (0, 1, 2),
@@ -292,7 +292,7 @@ def test_endomorphism_monoids(chain2, godel3, tarski3, algebras4):
     mon = endomorphism_monoid(Structures(tarski3))
     assert len(mon) == 7
     assert (1, 0, 2) in mon.maps  # the atom swap automorphism
-    for alg in algebras4:
+    for alg in (e.algebra for e in catalog5):
         m = endomorphism_monoid(Structures(alg))
         assert list(m.maps) == endomorphisms_brute(alg)
         assert m.maps[m.identity] == tuple(alg.elements)

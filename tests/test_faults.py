@@ -12,22 +12,26 @@ it yields the orbit.  Every one-cell change of every hit through size 5,
 2 428 tables, is fed to it in place of that hit.
 
 The multiplier algebra and the endomorphism monoid re-check the map sets
-``search_maps`` finds.  On every algebra of size <= 4 each is fed every set
-that is the true one with one map dropped, or with one self-map of the
-algebra from outside it added (1 595 self-maps in all).
+``search_maps`` finds, and the closure endomorphism lattice re-checks the
+multipliers it is cut out of.  On every algebra of size <= 4 each is fed
+every set that is the true one with one map dropped, or with one self-map
+of the algebra from outside it added (1 595 self-maps in all).
 """
 
 from itertools import product
+from types import SimpleNamespace
 
 from hilbertalg import (
     FilterLattice,
     InvariantViolation,
     MultiplierAlgebra,
     Structures,
+    all_closure_endos,
     enumeration,
     filter_generated,
     filters,
     identity_map,
+    is_isotone,
     multipliers,
 )
 
@@ -115,7 +119,7 @@ def test_every_multiplier_set_one_map_off_raises(algebras4, monkeypatch):
 def test_endomorphism_sets_one_map_off_raise_or_are_closed_monoids(algebras4):
     caught = {"drop": 0, "add": 0}
     passed = {"drop": 0, "add": 0}
-    no_identity = 0
+    no_identity = foreign = 0
     for alg in algebras4:
         true = tuple(Structures(alg).endomorphisms)
         identity = identity_map(alg)
@@ -127,12 +131,42 @@ def test_endomorphism_sets_one_map_off_raise_or_are_closed_monoids(algebras4):
             except InvariantViolation as e:
                 caught[kind] += 1
                 no_identity += str(e) == f"endomorphisms miss the identity {identity}"
+                foreign += str(e).startswith("endomorphisms hold a non-endomorphism ")
                 continue
             # all a closure re-check sees: the identity, and every composite in the set
             assert identity in stand_in, stand_in
             assert all(compose_scan(f, g) in stand_in for f in stand_in for g in stand_in), stand_in
             passed[kind] += 1
     assert no_identity == 10
-    assert caught == {"drop": 87, "add": 1482}
-    # a missing endomorphism, or a foreign map, that leaves a closed monoid: no closure re-check sees it
-    assert passed == {"drop": 12, "add": 14}
+    # every map is re-checked to be an endomorphism before the closure re-check,
+    # so that re-check catches every foreign map, 14 of which keep a closed monoid
+    assert foreign == 1496
+    assert caught == {"drop": 87, "add": 1496}
+    # a missing endomorphism that leaves a closed monoid: no re-check sees it
+    assert passed == {"drop": 12, "add": 0}
+
+
+def test_multiplier_sets_one_map_off_raise_or_cut_out_the_true_closure_endomorphisms(algebras4):
+    caught = {"drop": 0, "add": 0}
+    passed = {"drop": 0, "add": 0}
+    missing_translation = 0
+    for alg in algebras4:
+        true = MultiplierAlgebra(alg).carrier
+        ce = all_closure_endos(alg, SimpleNamespace(carrier=true)).carrier
+        for kind, stand_in in one_map_off(true, alg.n):
+            try:
+                got = all_closure_endos(alg, SimpleNamespace(carrier=stand_in)).carrier
+            except InvariantViolation as e:
+                caught[kind] += 1
+                missing_translation += "closure endomorphisms: translation by" in str(e)
+                continue
+            # only a map the isotone cut leaves out can be dropped or added unseen
+            off = set(true).symmetric_difference(stand_in).pop()
+            assert not is_isotone(alg, off), (kind, off)
+            assert got == ce, (kind, off)
+            passed[kind] += 1
+    # every closure endomorphism dropped, and every isotone foreign map added, raises;
+    # 13 of the drops, each a translation, only by the re-check that translations are in
+    assert caught == {"drop": 42, "add": 237}
+    assert missing_translation == 13
+    assert passed == {"drop": 13, "add": 1303}

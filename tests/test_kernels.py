@@ -22,7 +22,16 @@ from hilbertalg import (
     core,
     validate_hilbert,
 )
+from hilbertalg import closure
 from hilbertalg.cli import main
+from hilbertalg.closure import (
+    cross_meets,
+    is_endomorphism,
+    is_isotone,
+    least_above_misses,
+    special_witness,
+)
+from hilbertalg.filters import class_of, monomial_max
 from hilbertalg.lattice import bound_table, is_partial_order
 from hilbertalg.multipliers import (
     closed_table,
@@ -40,15 +49,22 @@ from hilbertalg.suites import ALGEBRA_SUITES, run_algebra_suites
 from _oracles import (
     axiom_violations_brute,
     bound_table_scan,
+    class_of_scan,
     compatible_meet_table_scan,
     compose_scan,
+    cross_meets_scan,
     is_distributive_scan,
+    is_endomorphism_scan,
+    is_isotone_scan,
     is_partial_order_scan,
+    least_above_misses_scan,
+    monomial_max_scan,
     pointwise_imp_scan,
     pointwise_leq_scan,
     pointwise_meet_scan,
     pointwise_order_scan,
     residual_table_scan,
+    special_witness_scan,
 )
 from test_lattice import CHAIN3, DIAMOND4, M3, N5, pool
 
@@ -365,3 +381,91 @@ def test_more_than_255_elements_leave_the_byte_kernels(monkeypatch):
 
     assert FiniteLattice(product_order(DIAMOND4, chain(64))).is_distributive
     assert not FiniteLattice(product_order(M3, chain(52))).is_distributive
+
+
+def unit_fixing_maps(alg):
+    return [f for f in product(alg.elements, repeat=alg.n) if f[alg.one] == alg.one]
+
+
+def assert_correspondence_kernels_match(alg, subsets, maps):
+    """class_of, monomial_max, special_witness, cross_meets, is_endomorphism,
+    is_isotone and least_above_misses against their scans, on the given
+    subsets, pairs of subsets and maps, and the maps paired with the subsets.
+    Returns the number of (subset, a) without one greatest class element."""
+    without_max = 0
+    for s in subsets:
+        for a in alg.elements:
+            assert class_of(alg, s, a) == class_of_scan(alg, s, a), (alg.imp, s, a)
+            m = monomial_max(alg, s, a)
+            assert m == monomial_max_scan(alg, s, a), (alg.imp, s, a)
+            without_max += m is None
+        assert special_witness(alg, s) == special_witness_scan(alg, s), (alg.imp, s)
+    # a broken table can have no compatible meet table: then both raise alike
+    first = outcome(cross_meets, alg, 0, 0)
+    assert first == outcome(cross_meets_scan, alg, 0, 0)
+    if not isinstance(first, str):
+        for s in subsets:
+            for t in subsets:
+                assert cross_meets(alg, s, t) == cross_meets_scan(alg, s, t), (alg.imp, s, t)
+    for f in maps:
+        assert is_endomorphism(alg, f) == is_endomorphism_scan(alg, f), (alg.imp, f)
+        assert is_isotone(alg, f) == is_isotone_scan(alg, f), (alg.imp, f)
+    paired = ([f for f in maps for _ in subsets], [r for _ in maps for r in subsets])
+    assert least_above_misses(alg, *paired) == least_above_misses_scan(alg, *paired), alg.imp
+    return without_max
+
+
+def test_correspondence_kernels_match_the_scans_up_to_four_elements(algebras4):
+    # every subset and every unit-fixing self-map
+    for alg in algebras4:
+        assert_correspondence_kernels_match(alg, range(1 << alg.n), unit_fixing_maps(alg))
+
+
+def test_correspondence_kernels_match_the_scans_at_five_elements(size5):
+    # every subset, with the multipliers and endomorphisms for maps
+    assert len(size5) == 21
+    for alg in size5:
+        s = Structures(alg)
+        maps = sorted(set(s.multipliers.carrier) | set(s.endomorphisms))
+        assert_correspondence_kernels_match(alg, range(1 << alg.n), maps)
+
+
+def test_correspondence_kernels_match_the_scans_on_one_cell_changes(algebras4):
+    # every one-cell change up to three elements and eight of each four-element table
+    rng = random.Random(4)
+    mutants = []
+    for alg in algebras4:
+        n, table = alg.n, alg.imp
+        if n <= 3:
+            mutants += [
+                [[v if (i, j) == (x, y) else c for j, c in enumerate(row)] for i, row in enumerate(table)]
+                for x in range(n)
+                for y in range(n)
+                for v in range(n)
+                if v != table[x][y]
+            ]
+        else:
+            mutants += one_cell_mutations(table, 8, rng)
+    assert len(mutants) == 4 + 2 * 18 + 6 * 8
+    without_max = broken_meets = 0
+    for table in mutants:
+        n = len(table)
+        alg = FiniteHilbertAlgebra(table, n - 1)
+        without_max += assert_correspondence_kernels_match(alg, range(1 << n), unit_fixing_maps(alg))
+        broken_meets += isinstance(outcome(compatible_meets, alg), str)
+    assert without_max > 0 and broken_meets > 0
+
+
+def test_map_predicates_leave_the_byte_kernels_above_255_elements(monkeypatch):
+    n = 256  # one element too many for a byte each
+    monkeypatch.setattr(closure, "_pulled", None)
+    alg = FiniteHilbertAlgebra(flat_table(n), n - 1)
+    identity, one = tuple(range(n)), (n - 1,) * n
+    swap = (1, 0) + identity[2:]  # exchanges two atoms
+    to_top = (n - 1,) + identity[1:]  # sends one atom to the unit
+    unit_down = identity[:-1] + (0,)  # sends the unit to an atom
+    verdicts = []
+    for f in (identity, one, swap, to_top, unit_down):
+        verdicts.append((is_endomorphism(alg, f), is_isotone(alg, f)))
+        assert verdicts[-1] == (is_endomorphism_scan(alg, f), is_isotone_scan(alg, f))
+    assert verdicts == [(True, True)] * 4 + [(False, False)]

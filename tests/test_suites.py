@@ -122,7 +122,7 @@ BUILDERS = [
     "all_filters",
     "search_endomorphisms",
     "finitely_generated_ce",
-    "special_subsets",
+    "special_witnesses",
     "special_closure_retracts",
     "adjoint_semilattice",
     "minimal_brouwerian_extension",
