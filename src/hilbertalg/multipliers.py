@@ -11,6 +11,17 @@ composition as join and pointwise meet as meet).
 ``CarrierLattice`` is the one re-checked lattice on a carrier: the
 multiplier, closure endomorphism (``MapLattice``) and filter lattices are
 its subclasses.
+
+``_per_table`` is a module-level memo shared by every multiplier algebra
+of a process.  Across a catalog the multiplier algebras share a handful
+of index-level tables (4 distinct order matrices and 4 distinct
+implication tables among the 95 algebras of size 6, 7 and 7 among the 550
+of size 7), so the re-checks that read only such a table run once per
+distinct table: the ``FiniteLattice`` of the order matrix, with its cached
+``is_distributive``, and the ``validate_hilbert`` and ``classify`` verdict
+on the implication table.  Each is keyed by the whole table; an exception
+is raised again on every call, never kept.  So the memo holds one entry
+per distinct table the process has met.
 """
 
 from __future__ import annotations
@@ -167,6 +178,28 @@ def search_multipliers(alg):
     return search_maps(alg, alg.leq, implied, partial(is_multiplier, alg), "multiplier")
 
 
+_per_table = {}  # ("order", matrix) or ("implication", table, top) -> its re-check's result
+
+
+def _once_per_table(key, check):
+    """``check()``, kept in ``_per_table`` under ``key`` the first time it returns;
+    for an equal key, the kept result."""
+    try:
+        return _per_table[key]
+    except KeyError:
+        _per_table[key] = result = check()
+        return result
+
+
+def _is_implication_algebra(table, top):
+    """Whether the index-level table with unit ``top`` passes ``validate_hilbert``
+    and is an implication algebra; decided once per distinct (table, top)."""
+    return _once_per_table(
+        ("implication", table, top),
+        lambda: classify(validate_hilbert(table, top)).implication_algebra,
+    )
+
+
 def closed_table(carrier, index, op, what, name):
     """``index`` of op(f, g) for every pair of the carrier, which must be closed under op;
     ``what`` and ``name`` name the carrier and op in the ``InvariantViolation``."""
@@ -234,7 +267,7 @@ class CarrierLattice:
         join_table = self.closed(join, join_name)
         meet_table = self.closed(meet, meet_name)
         try:
-            self.lattice = lat = FiniteLattice(order(carrier))
+            self.lattice = lat = self.lattice_of(order(carrier))
         except LatticeError as err:
             raise InvariantViolation(f"{what}: order is not a lattice: {err}") from err
         if lat.bottom != index.get(bottom) or lat.top != index.get(top):
@@ -245,6 +278,10 @@ class CarrierLattice:
             raise InvariantViolation(f"{what}: {meet_name} is not the meet")
         if not lat.is_distributive:
             raise InvariantViolation(f"{what}: lattice is not distributive")
+
+    def lattice_of(self, leq):
+        """The ``FiniteLattice`` of the order matrix ``leq``, built afresh."""
+        return FiniteLattice(leq)
 
     def closed(self, op, name):
         """The table of op on the carrier, re-checked closed by ``closed_table``."""
@@ -284,11 +321,18 @@ class MultiplierAlgebra(MapLattice):
     Besides the lattice, ``imp_table`` gives pointwise implication;
     construction also re-checks that the lattice is Boolean and that
     pointwise implication makes the carrier a bounded implication algebra.
-    Every re-check runs in full on every multiplier algebra.  Those of
-    O(m^3) steps in the m multipliers are byte kernels while m <= 255:
-    distributivity of the lattice, and the axioms (``validate_hilbert``)
-    and the compatible meets (``classify``) of pointwise implication; a
-    failure is reported by the loop over single instances.
+
+    The re-checks that read the maps run on every multiplier algebra: the
+    search's check of each map, the closed tables of composition,
+    pointwise meet and pointwise implication, their equality with the
+    lattice's join and meet, the bounds and the complement law.  The
+    re-checks that read only an index-level table run once per distinct
+    table (``_per_table``): the lattice of the pointwise order matrix and
+    its distributivity, and ``validate_hilbert`` and ``classify`` of the
+    pointwise implication table with its top.  Each of those is a function
+    of its table alone, so a repeat on an equal table cannot give another
+    answer.  Those of O(m^3) steps in the m multipliers are byte kernels
+    while m <= 255; a failure is reported by the loop over single instances.
     """
 
     def __init__(self, alg):
@@ -305,13 +349,51 @@ class MultiplierAlgebra(MapLattice):
                 raise InvariantViolation("complement law for meet fails")
             if join[i][c] != self.top_index:
                 raise InvariantViolation("complement law for join fails")
-        inner = validate_hilbert(self.imp_table, self.top_index)
-        if not classify(inner).implication_algebra:
+        if not _is_implication_algebra(self.imp_table, self.top_index):
             raise InvariantViolation("multipliers do not form an implication algebra")
+
+    def lattice_of(self, leq):
+        """The ``FiniteLattice`` of the order matrix ``leq``, built once per distinct matrix."""
+        leq = tuple(map(tuple, leq))
+        return _once_per_table(("order", leq), lambda: FiniteLattice(leq))
 
 
 def all_multipliers(alg):
     return MultiplierAlgebra(alg)
+
+
+def _pair_laws(alg, carrier):
+    """A test of laws (f) to (i) of ``multiplier_calculus_report`` for one map f
+    of the carrier against every g of it and every x, for n <= 255 only.
+
+    Position x of every map is one ``bytes`` object ``cols[x]``.  With
+    a = f(x), g(f(x)) over all g is ``cols[a]``, and each right side is
+    ``cols[x]`` translated through a 256-byte lookup: b |-> (a -> b) -> a
+    for (f), against a repeated; row a -> x of the table for (g); f for
+    (h); and b |-> (a -> b) -> b for (i).
+    """
+    n, m = alg.n, len(carrier)
+    imp, luts = alg.imp, alg.luts
+    pad = bytes(256 - n)
+    cols = [bytes(p) for p in zip(*carrier)]
+    absorbing = [bytes(imp[imp[a][b]][a] for b in alg.elements) + pad for a in alg.elements]
+    joining = [bytes(imp[imp[a][b]][b] for b in alg.elements) + pad for a in alg.elements]
+    constant = [bytes([a]) * m for a in alg.elements]
+
+    def hold(f):
+        image = bytes(f) + pad
+        for x, a in enumerate(f):
+            col, gfx = cols[x], cols[a]
+            if (
+                col.translate(absorbing[a]) != constant[a]
+                or gfx != col.translate(luts[imp[a][x]])
+                or gfx != col.translate(image)
+                or gfx != col.translate(joining[a])
+            ):
+                return False
+        return True
+
+    return hold
 
 
 def multiplier_calculus_report(ctx):
@@ -323,12 +405,17 @@ def multiplier_calculus_report(ctx):
       (e) ffx = fx                    (f) fx = (fx -> gx) -> fx
       (g) gfx = (fx -> x) -> gx       (h) gfx = fgx
       (i) gfx = (fx -> gx) -> gx
+
+    Laws (f) to (i) are tested for each f against every g at once by
+    ``_pair_laws`` while n <= 255; for an f that fails it, and for every f
+    above 255 elements, the loop over single (g, x) lists the witnesses.
     """
     alg, mult = ctx.alg, ctx.multipliers
     imp, one = alg.imp, alg.one
     leq = alg.leq
     b = ReportBuilder("multiplier-calculus")
     fails = {law: [] for law in "abcdefghi"}
+    pair_laws_hold = _pair_laws(alg, mult.carrier) if alg.n <= 255 else None
     for f in mult.carrier:
         if f[one] != one:
             fails["a"].append(fmt(map=f))
@@ -342,6 +429,8 @@ def multiplier_calculus_report(ctx):
                 fails["d"].append(fmt(map=f, x=x))
             if f[fx] != fx:
                 fails["e"].append(fmt(map=f, x=x))
+        if pair_laws_hold is not None and pair_laws_hold(f):
+            continue
         for g in mult.carrier:
             for x in alg.elements:
                 fx, gx = f[x], g[x]

@@ -20,6 +20,7 @@ from hilbertalg import (
 )
 from hilbertalg.core import subset_key, subsets
 from hilbertalg.lattice import bits
+from hilbertalg.report import ReportBuilder, fmt
 
 
 def all_subsets(n):
@@ -360,6 +361,62 @@ def pointwise_imp_scan(alg, f, g):
 def pointwise_meet_scan(alg, f, g):
     """The pointwise meet, with None where two images have no meet."""
     return tuple(alg.meet_table[a][b] for a, b in zip(f, g))
+
+
+def multiplier_laws_scan(ctx):
+    """``multiplier_calculus_report`` with every law, (f) to (i) too, tested for
+    each single (f, g, x), in the order the report lists its witnesses.
+
+    The laws, for all multipliers f, g and elements x:
+      (a) f1 = 1                      (b) x <= fx
+      (c) fx = (fx -> x) -> x         (d) fx = (fx -> x) -> fx
+      (e) ffx = fx                    (f) fx = (fx -> gx) -> fx
+      (g) gfx = (fx -> x) -> gx       (h) gfx = fgx
+      (i) gfx = (fx -> gx) -> gx
+    """
+    alg, mult = ctx.alg, ctx.multipliers
+    imp, one = alg.imp, alg.one
+    leq = alg.leq
+    b = ReportBuilder("multiplier-calculus")
+    fails = {law: [] for law in "abcdefghi"}
+    for f in mult.carrier:
+        if f[one] != one:
+            fails["a"].append(fmt(map=f))
+        for x in alg.elements:
+            fx = f[x]
+            if not leq[x][fx]:
+                fails["b"].append(fmt(map=f, x=x))
+            if fx != imp[imp[fx][x]][x]:
+                fails["c"].append(fmt(map=f, x=x))
+            if fx != imp[imp[fx][x]][fx]:
+                fails["d"].append(fmt(map=f, x=x))
+            if f[fx] != fx:
+                fails["e"].append(fmt(map=f, x=x))
+        for g in mult.carrier:
+            for x in alg.elements:
+                fx, gx = f[x], g[x]
+                if fx != imp[imp[fx][gx]][fx]:
+                    fails["f"].append(fmt(f=f, g=g, x=x))
+                if g[fx] != imp[imp[fx][x]][gx]:
+                    fails["g"].append(fmt(f=f, g=g, x=x))
+                if g[fx] != f[gx]:
+                    fails["h"].append(fmt(f=f, g=g, x=x))
+                if g[fx] != imp[imp[fx][gx]][gx]:
+                    fails["i"].append(fmt(f=f, g=g, x=x))
+    names = {
+        "a": "unit-fixed",
+        "b": "extensive",
+        "c": "peirce-closure",
+        "d": "peirce-absorption",
+        "e": "idempotent",
+        "f": "pair-absorption",
+        "g": "composition-formula",
+        "h": "commuting",
+        "i": "composition-as-join",
+    }
+    for law in "abcdefghi":
+        b.check(f"law-{law}-{names[law]}", fails[law])
+    return b.done()
 
 
 def pointwise_order_scan(alg, maps):

@@ -15,7 +15,10 @@ The multiplier algebra and the endomorphism monoid re-check the map sets
 ``search_maps`` finds, and the closure endomorphism lattice re-checks the
 multipliers it is cut out of.  On every algebra of size <= 4 each is fed
 every set that is the true one with one map dropped, or with one self-map
-of the algebra from outside it added (1 595 self-maps in all).
+of the algebra from outside it added (1 595 self-maps in all).  The
+multiplier algebra's sweep runs twice: after the true algebras, whose
+index-level tables the module memo then holds, and with that memo cleared
+before each stand-in.
 """
 
 from itertools import product
@@ -103,17 +106,38 @@ def one_map_off(true, n):
             yield "add", tuple(sorted(true + (f,)))
 
 
-def test_every_multiplier_set_one_map_off_raises(algebras4, monkeypatch):
+def multiplier_sets_one_map_off_caught(algebras, monkeypatch, cold):
+    """How many one-map-off stand-ins of each kind ``MultiplierAlgebra`` rejects;
+    with ``cold``, the index-level re-checks' memo is cleared before each."""
     caught = {"drop": 0, "add": 0}
-    truths = [(alg, MultiplierAlgebra(alg).carrier) for alg in algebras4]
+    truths = [(alg, MultiplierAlgebra(alg).carrier) for alg in algebras]
     for alg, true in truths:
         for kind, stand_in in one_map_off(true, alg.n):
             monkeypatch.setattr(multipliers, "search_multipliers", lambda a: stand_in)
+            if cold:
+                multipliers._per_table.clear()
             try:
                 MultiplierAlgebra(alg)
             except InvariantViolation:
                 caught[kind] += 1
-    assert caught == {"drop": 55, "add": 1540}
+    return caught
+
+
+def test_every_multiplier_set_one_map_off_raises(algebras4, monkeypatch):
+    # the true algebras are built first, so their tables are remembered
+    assert multiplier_sets_one_map_off_caught(algebras4, monkeypatch, cold=False) == {
+        "drop": 55,
+        "add": 1540,
+    }
+
+
+def test_every_multiplier_set_one_map_off_raises_with_every_table_rechecked_afresh(
+    algebras4, monkeypatch
+):
+    assert multiplier_sets_one_map_off_caught(algebras4, monkeypatch, cold=True) == {
+        "drop": 55,
+        "add": 1540,
+    }
 
 
 def test_endomorphism_sets_one_map_off_raise_or_are_closed_monoids(algebras4):

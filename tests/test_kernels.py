@@ -5,6 +5,7 @@ import json
 import random
 from functools import partial
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,10 @@ from hilbertalg import (
     axiom_violations,
     classify,
     core,
+    multiplier_calculus_report,
     validate_hilbert,
 )
-from hilbertalg import closure
+from hilbertalg import closure, multipliers
 from hilbertalg.cli import main
 from hilbertalg.closure import (
     cross_meets,
@@ -59,6 +61,7 @@ from _oracles import (
     is_partial_order_scan,
     least_above_misses_scan,
     monomial_max_scan,
+    multiplier_laws_scan,
     pointwise_imp_scan,
     pointwise_leq_scan,
     pointwise_meet_scan,
@@ -469,3 +472,70 @@ def test_map_predicates_leave_the_byte_kernels_above_255_elements(monkeypatch):
         verdicts.append((is_endomorphism(alg, f), is_isotone(alg, f)))
         assert verdicts[-1] == (is_endomorphism_scan(alg, f), is_isotone_scan(alg, f))
     assert verdicts == [(True, True)] * 4 + [(False, False)]
+
+
+def calculus_carriers(catalog5):
+    """(algebra, carrier): the multipliers of every algebra of size <= 5; then,
+    on which laws fail, for each algebra of size 3 its unit-fixing self-maps,
+    and its multipliers with each other unit-fixing self-map added; and the
+    multipliers of each algebra of size 3 or 4 on every one-cell change of
+    its table, where each of laws (f), (g) and (i) fails alone for some f."""
+    carriers = [(e.algebra, MultiplierAlgebra(e.algebra).carrier) for e in catalog5]
+    for alg in (e.algebra for e in catalog5 if e.algebra.n == 3):
+        maps, true = unit_fixing_maps(alg), MultiplierAlgebra(alg).carrier
+        carriers.append((alg, maps))
+        carriers += [(alg, true + (f,)) for f in maps if f not in true]
+    for alg in (e.algebra for e in catalog5 if e.algebra.n in (3, 4)):
+        true = MultiplierAlgebra(alg).carrier
+        for x, y, v in product(alg.elements, repeat=3):
+            if v != alg.imp[x][y]:
+                table = [list(row) for row in alg.imp]
+                table[x][y] = v
+                carriers.append((FiniteHilbertAlgebra(table, alg.one), true))
+    return carriers
+
+
+def calculus_report(alg, carrier, report):
+    ctx = SimpleNamespace(alg=alg, multipliers=SimpleNamespace(carrier=tuple(carrier)))
+    return report(ctx).as_dict()
+
+
+def test_pair_laws_kernel_matches_the_single_instances(catalog5):
+    verdicts = {True: 0, False: 0}
+    for alg, carrier in calculus_carriers(catalog5):
+        hold = multipliers._pair_laws(alg, carrier)
+        imp = alg.imp
+        for f in carrier:
+            # laws (f) to (i) of multiplier_calculus_report, one (g, x) at a time
+            scan = all(
+                f[x] == imp[imp[f[x]][g[x]]][f[x]]
+                and g[f[x]] == imp[imp[f[x]][x]][g[x]]
+                and g[f[x]] == f[g[x]]
+                and g[f[x]] == imp[imp[f[x]][g[x]]][g[x]]
+                for g in carrier
+                for x in alg.elements
+            )
+            assert hold(f) == scan, (alg.imp, f)
+            verdicts[scan] += 1
+    assert verdicts == {True: 1561, False: 1114}
+
+
+def test_multiplier_calculus_matches_the_scan(catalog5):
+    failing = 0
+    for alg, carrier in calculus_carriers(catalog5):
+        report = calculus_report(alg, carrier, multiplier_calculus_report)
+        assert report == calculus_report(alg, carrier, multiplier_laws_scan), (alg.imp, carrier)
+        failing += not report["ok"]
+    assert failing == 238
+
+
+def test_multiplier_calculus_leaves_the_byte_kernel_above_255_elements(monkeypatch):
+    n = 256  # one element too many for a byte each
+    monkeypatch.setattr(multipliers, "_pair_laws", None)
+    alg = FiniteHilbertAlgebra(flat_table(n), n - 1)
+    identity, one = tuple(range(n)), (n - 1,) * n
+    swap = (1, 0) + identity[2:]  # exchanges two atoms: no multiplier
+    for carrier, ok in (((identity, one), True), ((identity, one, swap), False)):
+        report = calculus_report(alg, carrier, multiplier_calculus_report)
+        assert report == calculus_report(alg, carrier, multiplier_laws_scan)
+        assert report["ok"] is ok

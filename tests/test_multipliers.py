@@ -3,7 +3,9 @@ from functools import partial
 import pytest
 
 from hilbertalg import (
+    HilbertAxiomError,
     InvariantViolation,
+    MultiplierAlgebra,
     Structures,
     all_multipliers,
     classify,
@@ -23,6 +25,8 @@ from hilbertalg import (
     translation,
     validate_hilbert,
 )
+from hilbertalg import multipliers
+from hilbertalg.enumeration import classes
 from hilbertalg.lattice import FiniteLattice
 from hilbertalg.multipliers import CarrierLattice, MapLattice, search_maps
 
@@ -214,3 +218,78 @@ def test_map_lattice_bounds_are_the_identity_and_unit_maps(tarski3):
     maps = [identity_map(tarski3), translation(tarski3, 0)]
     with pytest.raises(InvariantViolation, match=r"maps: bounds are not \(0, 1, 2\) and \(2, 2, 2\)"):
         MapLattice(tarski3, maps, "maps")
+
+
+@pytest.fixture(scope="module")
+def algebras6():
+    """Every algebra of size 1 through 6."""
+    return [alg for k in range(1, 7) for alg in classes(k)[0]]
+
+
+def shared_tables(mult):
+    lat = mult.lattice
+    return (
+        mult.carrier,
+        lat.leq,
+        lat.join_table,
+        lat.meet_table,
+        mult.imp_table,
+        mult.identity_index,
+        mult.top_index,
+    )
+
+
+def test_multiplier_algebras_built_cold_equal_those_built_warm(algebras6):
+    for alg in algebras6:
+        all_multipliers(alg)  # leaves every table of the catalog in the memo
+    warm = [all_multipliers(alg) for alg in algebras6]
+    for alg, mult in zip(algebras6, warm):
+        multipliers._per_table.clear()
+        assert shared_tables(all_multipliers(alg)) == shared_tables(mult)
+
+
+def test_each_distinct_index_level_table_is_rechecked_once(algebras6, monkeypatch):
+    calls = {"FiniteLattice": 0, "validate_hilbert": 0}
+
+    def counting(name):
+        fn = getattr(multipliers, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(multipliers, name, counting(name))
+    multipliers._per_table.clear()
+    size6 = [alg for alg in algebras6 if alg.n == 6]
+    assert len(size6) == 95
+    for alg in size6:
+        MultiplierAlgebra(alg)
+    # 4 distinct order matrices and 4 distinct pointwise implication tables
+    assert calls == {"FiniteLattice": 4, "validate_hilbert": 4}
+    assert len(multipliers._per_table) == 8
+
+
+def test_a_failed_recheck_is_never_remembered(godel3, monkeypatch):
+    kept = dict(multipliers._per_table)
+    # reflexivity fails at 0 and 1
+    table, top = ((0, 2, 2), (0, 0, 2), (0, 1, 2)), 2
+    messages = []
+    for _ in range(2):
+        with pytest.raises(HilbertAxiomError) as err:
+            multipliers._is_implication_algebra(table, top)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("not a Hilbert algebra: reflexivity: (0), reflexivity: (1), ")
+    # an order on the four multipliers of godel3 with 0 below 1 and 2, and 3 apart
+    order = [[i == j or (i == 0 and j < 3) for j in range(4)] for i in range(4)]
+    monkeypatch.setattr(multipliers, "pointwise_order", lambda alg, maps: order)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvariantViolation) as err:
+            MultiplierAlgebra(godel3)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "multipliers: order is not a lattice: no unique join for (0, 3)"
+    assert multipliers._per_table == kept
