@@ -19,7 +19,15 @@ are unions and intersections of masks: ``sources`` (the x with
 x -> y = v), the up- and down-sets, and ``compatible_meet_pairs``.
 ``is_endomorphism`` and ``is_isotone`` compare the table translated
 through f with the table pulled back along f, as ``bytes`` through
-``luts``, while n <= 255, and scan element by element above that.  The
+``luts``, while n <= 255, and scan element by element above that.
+``search_endomorphisms`` runs the ``multipliers.search_maps`` plan with
+f(x -> y) = f(x) -> f(y) as its rule.  Two reports test their pairs and
+laws at once before they list witnesses: ``idempotent_stable`` decides
+for each endomorphism whether its composites with the idempotent ones
+stay idempotent from masks of those idempotents, and
+``ce_structure_report`` tests closure, the order characterizations and
+the endomorphism laws (``endomorphism_laws``) on columns, order matrices
+and byte lanes, and runs its loops only where a test fails.  The
 reports read what ``structures.Structures`` shares instead of building
 it again: the closure endomorphism of each filter (``monomial_ce``) and
 of each special closure retract (``retract_ce``), the special witness of
@@ -29,7 +37,8 @@ of fixpoint sets (``cross_meets``).
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
+from operator import and_, eq, getitem, or_
 
 from .core import (
     InvariantViolation,
@@ -42,7 +51,7 @@ from .core import (
     subsets,
 )
 from .filters import class_of, is_filter, monomial_max
-from .lattice import FiniteLattice, _Least, bits, masks
+from .lattice import FiniteLattice, _Least, bits, inclusion_order, masks
 from .multipliers import (
     MapLattice,
     compose,
@@ -51,9 +60,12 @@ from .multipliers import (
     identity_map,
     join_translation,
     kernel,
+    map_columns,
+    map_plan,
     pointwise_imp,
     pointwise_leq,
     pointwise_meet,
+    pointwise_order,
     search_maps,
     translation,
 )
@@ -95,12 +107,12 @@ def is_isotone(alg, f):
 
 
 def is_extensive(alg, f):
-    leq = alg.leq
-    return all(leq[x][f[x]] for x in alg.elements)
+    return all(map(getitem, alg.leq, f))
 
 
 def is_idempotent(f):
-    return all(f[v] == v for v in set(f))
+    """f(f(x)) = f(x) for every x, i.e. f fixes its image."""
+    return all(map(eq, map(f.__getitem__, f), f))
 
 
 def is_closure_operator(alg, f):
@@ -117,16 +129,8 @@ def is_closure_endomorphism(alg, f):
 
 def search_endomorphisms(alg):
     """All endomorphisms, propagating f(x -> y) = f(x) -> f(y) from chosen values."""
-    imp = alg.imp
-
-    def implied(a, b, img, known):
-        for x in known:
-            fx = img[x]
-            yield imp[x][a], imp[fx][b]
-            yield imp[a][x], imp[b][fx]
-
-    anything = [[True] * alg.n] * alg.n
-    return search_maps(alg, anything, implied, partial(is_endomorphism, alg), "endomorphism")
+    plan = map_plan(alg, [[True] * alg.n] * alg.n, homomorphic=True)
+    return search_maps(alg, plan, partial(is_endomorphism, alg), "endomorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +371,100 @@ def least_above_misses(alg, maps, sets):
 # reports
 
 
+def _closed_fails(carrier, columns, op):
+    """The (f, g) whose op(f, g) is not in the carrier: none when every entry
+    of the ``map_columns`` ``columns`` is in it, else the loop over pairs."""
+    if columns is not None and not any(None in column for column in columns):
+        return []
+    members = set(carrier)
+    return [fmt(f=f, g=g) for f in carrier for g in carrier if op(f, g) not in members]
+
+
+def _order_fails(alg, carrier, kernels, fixes, i):
+    """The order-characterization failures of ``carrier[i]`` against every map."""
+    f, out = carrier[i], []
+    for j, g in enumerate(carrier):
+        le = pointwise_leq(alg, f, g)
+        if le != (compose(f, g) == g):
+            out.append(fmt(f=f, g=g, law="composition"))
+        if le != (not kernels[i] & ~kernels[j]):
+            out.append(fmt(f=f, g=g, law="kernels"))
+        if le != (not fixes[j] & ~fixes[i]):
+            out.append(fmt(f=f, g=g, law="fixpoints"))
+    return out
+
+
+def endomorphism_law_fails(alg, f):
+    """The endomorphism, bound-transfer and meet-preservation failures of one
+    map f, instance by instance."""
+    out = []
+    imp, leq = alg.imp, alg.leq
+    for x in alg.elements:
+        for y in alg.elements:
+            if f[imp[x][y]] != imp[f[x]][f[y]]:
+                out.append(fmt(map=f, law="endomorphism", x=x, y=y))
+            for z in alg.elements:
+                if leq[x][imp[y][z]] and not leq[f[x]][imp[f[y]][f[z]]]:
+                    out.append(fmt(map=f, law="bound-transfer", x=x, y=y, z=z))
+            m = compatible_meet(alg, x, y)
+            if m is not None:
+                fm = compatible_meet(alg, f[x], f[y])
+                if fm is None or f[m] != fm:
+                    out.append(fmt(map=f, law="meet-preservation", x=x, y=y))
+    return out
+
+
+def endomorphism_laws(alg):
+    """A test that ``endomorphism_law_fails`` of a map is empty, or None above
+    255 elements or where some element is no x -> y.
+
+    Once f is an endomorphism, f(y) -> f(z) is f(y -> z), so bound transfer
+    says that x <= u gives f(x) <= f(u) for every u of the form y -> z:
+    with every element of that form, that f is isotone.  Meet preservation
+    compares, in byte lanes, the compatible meet table translated through
+    f with the same table pulled back along f, where the meet exists.
+    """
+    n = alg.n
+    if n > 255 or len(set(alg.flat)) != n:
+        return None
+    rows = [bytes(255 if m is None else m for m in row) for row in alg.compatible_meet_table]
+    meets = b"".join(rows)
+    luts = [row + b"\xff" * (256 - n) for row in rows]
+    defined = int.from_bytes(meets.translate(b"\xff" * 255 + b"\0"), "little")
+
+    def hold(f):
+        if not (is_endomorphism(alg, f) and is_isotone(alg, f)):
+            return False
+        image = bytes(f)
+        mapped = meets.translate(image + b"\xff" * (256 - n))
+        pulled = b"".join([image.translate(luts[v]) for v in f])
+        return not (int.from_bytes(mapped, "little") ^ int.from_bytes(pulled, "little")) & defined
+
+    return hold
+
+
 def ce_structure_report(ctx):
-    """Closure of the carrier, lattice structure, and the dual construction route."""
+    """Closure of the carrier, lattice structure, and the dual construction route.
+
+    While n <= 255, four loops first run a test that can only tell that
+    nothing fails: closure under composition and under pointwise meet on
+    ``map_columns``; the order characterizations on ``pointwise_order``,
+    the composition columns and the inclusion orders, a map at a time;
+    and the endomorphism laws on ``endomorphism_laws``, a map at a time.
+    Where a test does not pass, the loop lists the witnesses.
+    """
     b = ReportBuilder("ce-structure")
     alg, ce = ctx.alg, ctx.ce
     carrier = ce.carrier
-    members = set(carrier)
-
-    b.check(
-        "closed-under-composition",
-        [fmt(f=f, g=g) for f in carrier for g in carrier if compose(f, g) not in members],
-    )
+    kernels, fixes = ce.kernels, ce.fixes
+    fast = alg.n <= 255 and bool(carrier)
+    index = {f: i for i, f in enumerate(carrier)}
+    comp = map_columns(carrier, index) if fast else None
+    meets = map_columns(carrier, index, alg.meet_table) if fast else None
+    b.check("closed-under-composition", _closed_fails(carrier, comp, compose))
     b.check(
         "closed-under-pointwise-meet",
-        [fmt(f=f, g=g) for f in carrier for g in carrier if pointwise_meet(alg, f, g) not in members],
+        _closed_fails(carrier, meets, partial(pointwise_meet, alg)),
     )
     b.check(
         "bounded",
@@ -400,33 +484,28 @@ def ce_structure_report(ctx):
     )
 
     order_fails = []
-    kernels, fixes = ce.kernels, ce.fixes
-    for i, f in enumerate(carrier):
-        for j, g in enumerate(carrier):
-            le = pointwise_leq(alg, f, g)
-            if le != (compose(f, g) == g):
-                order_fails.append(fmt(f=f, g=g, law="composition"))
-            if le != (not kernels[i] & ~kernels[j]):
-                order_fails.append(fmt(f=f, g=g, law="kernels"))
-            if le != (not fixes[j] & ~fixes[i]):
-                order_fails.append(fmt(f=f, g=g, law="fixpoints"))
+    if fast and not any(None in column for column in comp):
+        # row i of each: f_i <= g_j; f_i after g_j is g_j; kernel i within
+        # kernel j; fixpoints j within fixpoints i
+        rows = zip(
+            pointwise_order(alg, carrier),
+            zip(*([c == j for c in column] for j, column in enumerate(comp))),
+            inclusion_order(kernels),
+            zip(*inclusion_order(fixes)),
+        )
+        for i, (le, absorbed, kernel_le, fix_ge) in enumerate(rows):
+            if not le == list(absorbed) == kernel_le == list(fix_ge):
+                order_fails += _order_fails(alg, carrier, kernels, fixes, i)
+    else:
+        for i in range(len(carrier)):
+            order_fails += _order_fails(alg, carrier, kernels, fixes, i)
     b.check("order-characterizations", order_fails)
 
     law_fails = []
-    imp, leq = alg.imp, alg.leq
+    hold = endomorphism_laws(alg)
     for f in carrier:
-        for x in alg.elements:
-            for y in alg.elements:
-                if f[imp[x][y]] != imp[f[x]][f[y]]:
-                    law_fails.append(fmt(map=f, law="endomorphism", x=x, y=y))
-                for z in alg.elements:
-                    if leq[x][imp[y][z]] and not leq[f[x]][imp[f[y]][f[z]]]:
-                        law_fails.append(fmt(map=f, law="bound-transfer", x=x, y=y, z=z))
-                m = compatible_meet(alg, x, y)
-                if m is not None:
-                    fm = compatible_meet(alg, f[x], f[y])
-                    if fm is None or f[m] != fm:
-                        law_fails.append(fmt(map=f, law="meet-preservation", x=x, y=y))
+        if hold is None or not hold(f):
+            law_fails += endomorphism_law_fails(alg, f)
     b.check("endomorphism-laws", law_fails)
 
     b.check(
@@ -453,16 +532,42 @@ def isotone_kernel_special_report(ctx):
     return b.done()
 
 
+def idempotent_stable(maps, idems):
+    """For each map f of ``maps``, whether t after f is idempotent for every t of ``idems``.
+
+    t after f is idempotent when t(f(w)) = w for each w = t(v), v in the
+    image of f.  With ``sent[w][v]`` the mask of the t with t(v) = w, that
+    says: for each w, the union of ``sent[w][v]`` over the image of f has
+    no t outside ``sent[w][f(w)]``.  The unions are taken once per image.
+    """
+    if not idems:
+        return [True] * len(maps)
+    n = len(idems[0])
+    sent = [[0] * n for _ in range(n)]
+    for i, t in enumerate(idems):
+        for v, w in enumerate(t):
+            sent[w][v] |= 1 << i
+    outside = [tuple(~m for m in column) for column in sent]
+    unions = {}
+    out = []
+    for f in maps:
+        image = frozenset(f)
+        union = unions.get(image)
+        if union is None:
+            union = unions[image] = [reduce(or_, map(column.__getitem__, image)) for column in sent]
+        out.append(not any(map(and_, union, map(getitem, outside, f))))
+    return out
+
+
 def idempotent_composition_report(ctx):
     """Closure operators among endomorphisms are exactly those whose composite
-    with every idempotent endomorphism stays idempotent."""
+    with every idempotent endomorphism stays idempotent (``idempotent_stable``)."""
     b = ReportBuilder("idempotent-composition")
     alg, endos = ctx.alg, ctx.endomorphisms
     idems = [t for t in endos if is_idempotent(t)]
     fails = []
-    for f in endos:
+    for f, stable in zip(endos, idempotent_stable(endos, idems)):
         closure = is_closure_operator(alg, f)
-        stable = all(is_idempotent(compose(t, f)) for t in idems)
         if closure != stable:
             fails.append(fmt(map=f, closure=closure, stable=stable))
     b.check(

@@ -12,6 +12,15 @@ composition as join and pointwise meet as meet).
 multiplier, closure endomorphism (``MapLattice``) and filter lattices are
 its subclasses.
 
+``search_maps`` finds both the multipliers and (for ``closure``) the
+endomorphisms.  Both are fixed by their values on a generating set, and
+the search propagates from each value it branches on the same cells
+whatever the value is, so ``map_plan`` compiles it once per algebra into
+a ``MapPlan``: the elements to branch on, and at each, the cells derived
+and the cells checked.  ``search_maps`` walks the plan depth first, with
+the checks on the branch value alone as one mask of admitted values;
+every map it finds is re-checked, and the identity must be among them.
+
 ``_per_table`` is a module-level memo shared by every multiplier algebra
 of a process.  Across a catalog the multiplier algebras share a handful
 of index-level tables (4 distinct order matrices and 4 distinct
@@ -26,17 +35,25 @@ per distinct table the process has met.
 
 from __future__ import annotations
 
-from functools import partial
-from operator import getitem
+from bisect import bisect_left
+from functools import partial, reduce
+from operator import and_, getitem, itemgetter
+from typing import NamedTuple
 
 from .core import InvariantViolation, classify, validate_hilbert
-from .lattice import FiniteLattice, LatticeError, masks
+from .lattice import FiniteLattice, LatticeError, bits, masks
 from .report import ReportBuilder, fmt
 
 
 def is_multiplier(alg, f):
-    imp = alg.imp
-    return all(f[imp[x][y]] == imp[x][f[y]] for x in alg.elements for y in alg.elements)
+    """f(x -> y) = x -> f(y) for all x, y: while n <= 255, the table translated
+    through f equals f translated through every row, as bytes."""
+    if alg.n > 255:
+        imp = alg.imp
+        return all(f[imp[x][y]] == imp[x][f[y]] for x in alg.elements for y in alg.elements)
+    image = bytes(f)
+    through = b"".join([image.translate(lut) for lut in alg.luts])
+    return alg.flat.translate(image.ljust(256, b"\0")) == through
 
 
 def identity_map(alg):
@@ -106,62 +123,226 @@ def fixpoints(alg, f):
     return sum(1 << x for x, v in enumerate(f) if v == x)
 
 
-def search_maps(alg, allowed, implied, check, what):
-    """Every self-map f with f(1) = 1 that propagation admits, sorted.
+class Step(NamedTuple):
+    """One level of a ``MapPlan``: branch ``element`` on each of ``values``,
+    then set each derived cell and test each checked cell.
 
-    Values are only branched on where not already forced; a chosen value v
-    for element e must have ``allowed[e][v]``.  Assigning a -> b also
-    assigns every pair of ``implied(a, b, img, known)``, where ``img`` is the
-    partial map and ``known`` lists its assigned elements in order; a
-    conflicting pair backtracks.  Finished maps are re-checked by ``check``,
-    and one that fails it raises ``InvariantViolation`` as a non-``what``.
+    ``derived`` and ``checks`` hold triples (cell, x, y): the map's value at
+    ``cell`` is read from x and y as the plan's rule says.  A derived cell
+    is set from its one triple, in order, so x and y are set before it; a
+    checked cell, set at this level or before, must equal its triple.
     """
-    n = alg.n
-    img = [None] * n
+
+    element: int
+    values: tuple
+    derived: tuple
+    checks: tuple
+
+
+class MapPlan(NamedTuple):
+    """The fixed branch and propagation steps of a map search on one algebra.
+
+    With ``homomorphic`` the rule of a triple (cell, x, y) is
+    f(cell) = f(x) -> f(y), for endomorphisms; without it, it is
+    f(cell) = x -> f(y), for multipliers.
+    """
+
+    homomorphic: bool
+    steps: tuple
+
+
+def map_plan(alg, allowed, homomorphic):
+    """The ``MapPlan`` of the propagating search for maps with f(1) = 1.
+
+    The search sets f(1) = 1 first, then branches on the least element not
+    yet set, on each value v with ``allowed[e][v]``.  Each element a that
+    gets a value propagates every cell its rule reaches: x -> a and a -> x
+    for each x set before it (homomorphic), or x -> a for every element x.
+    The elements set are the closure of those branched on under these
+    steps, whatever values are chosen, so the branch elements, and each
+    level's derived and checked cells, are fixed per algebra: a cell met
+    the first time is derived from that triple, and every later meeting
+    of it is a check.
+    """
+    n, imp, one = alg.n, alg.imp, alg.one
+    done = [False] * n
     known = []
-    results = []
-
-    def assign(e, v, trail):
-        stack = [(e, v)]
-        while stack:
-            a, b = stack.pop()
-            cur = img[a]
-            if cur is not None:
-                if cur != b:
-                    return False
-                continue
-            img[a] = b
-            trail.append(a)
+    steps = []
+    e = one
+    while e is not None:
+        done[e] = True
+        derived, checks = [], []
+        queue = [e]
+        for a in queue:
             known.append(a)
-            stack.extend(implied(a, b, img, known))
-        return True
+            if homomorphic:
+                pairs = dict.fromkeys(p for x in known for p in ((x, a), (a, x)))
+            else:
+                pairs = ((x, a) for x in alg.elements)
+            for x, y in pairs:
+                cell = imp[x][y]
+                if done[cell]:
+                    checks.append((cell, x, y))
+                else:
+                    done[cell] = True
+                    derived.append((cell, x, y))
+                    queue.append(cell)
+        values = (one,) if e == one else tuple(v for v in alg.elements if allowed[e][v])
+        steps.append(Step(e, values, tuple(derived), tuple(checks)))
+        e = next((i for i in alg.elements if not done[i]), None)
+    return MapPlan(homomorphic, tuple(steps))
 
-    def undo(trail):
-        for a in trail:
-            img[a] = None
-            known.pop()
 
-    def extend():
-        e = next((i for i in range(n) if img[i] is None), None)
-        if e is None:
-            f = tuple(img)
-            if not check(f):
-                raise InvariantViolation(f"propagation produced a non-{what} {f}")
-            results.append(f)
-            return
-        for v in range(n):
-            if not allowed[e][v]:
+def _gather(indices):
+    """A function of a sequence s giving the tuple of s[i] for i in ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda s: (s[i],)
+    return itemgetter(*indices)
+
+
+class _Masks:
+    """The tables of value masks that turn a check into a mask on the branch value.
+
+    A check (cell, x, y) of the step on e, whose other cells are set at
+    earlier steps, admits the values v of e in one mask read from the
+    values u and w of those cells: with f(cell) = f(x) -> f(y), e at y
+    alone reads ``preimages[u][w]`` (x, cell), e at x alone
+    ``sources[u][w]`` (y, cell), and e at the cell alone ``bit[u][w]``
+    (x, y); e at two places reads ``fixed_right[u]`` (x),
+    ``fixed_left[u]`` (y) or ``diagonal[u]`` (cell), and at all three the
+    one mask ``idempotent``.  With f(cell) = x -> f(y), x is fixed, so the
+    tables are row x of the same ones.
+    """
+
+    def __init__(self, alg):
+        imp, rng = alg.imp, alg.elements
+        self.preimages, self.sources = alg.preimages, alg.sources
+        self.bit = tuple(tuple(1 << v for v in row) for row in imp)
+        self.fixed_right = tuple(sum(1 << v for v in rng if row[v] == v) for row in imp)
+        self.fixed_left = tuple(sum(1 << v for v in rng if imp[v][w] == v) for w in rng)
+        self.diagonal = tuple(sum(1 << v for v in rng if imp[v][v] == u) for u in rng)
+        self.idempotent = sum(1 << v for v in rng if imp[v][v] == v)
+
+    def filter(self, homomorphic, e, check):
+        """(mask, ()), (table, (p,)) or (table, (p, q)): the values of e the check
+        admits are ``mask``, ``table[f(p)]`` or ``table[f(p)][f(q)]``."""
+        cell, x, y = check
+        if not homomorphic:
+            if cell == e:
+                return (self.fixed_right[x], ()) if y == e else (self.bit[x], (y,))
+            return self.preimages[x], (cell,)
+        if cell != e:
+            if x != e:
+                return self.preimages, (x, cell)
+            return (self.diagonal, (cell,)) if y == e else (self.sources, (y, cell))
+        if x != e:
+            return (self.fixed_right, (x,)) if y == e else (self.bit, (x, y))
+        return (self.idempotent, ()) if y == e else (self.fixed_left, (y,))
+
+
+def _compiled(alg, plan, step, tables):
+    """(element, allowed, pairs, singles, derived, tested) for one step of the DFS.
+
+    Each check whose cells other than e are set at earlier steps becomes a
+    mask on the value of e: ``allowed`` is the mask of the values and the
+    checks read no cell, ``pairs`` (tables, p, q) and ``singles`` (tables,
+    p) gather the others.  The other checks, ``tested`` (cells, x, y), are
+    compared after the derived cells are set.
+    """
+    imp, homomorphic, e = alg.imp, plan.homomorphic, step.element
+    here = {c for c, _, _ in step.derived}
+    allowed = sum(1 << v for v in step.values)
+    two, one, rest = [], [], []
+    for check in step.checks:
+        cell, x, y = check
+        reads = (cell, x, y) if homomorphic else (cell, y)
+        if e not in reads or here.intersection(reads):
+            rest.append(check)
+            continue
+        table, args = tables.filter(homomorphic, e, check)
+        if not args:
+            allowed &= table
+        else:
+            (two if len(args) == 2 else one).append((table,) + args)
+    pairs = singles = tested = None
+    if two:
+        t, p, q = zip(*two)
+        pairs = (t, _gather(p), _gather(q))
+    if one:
+        t, p = zip(*one)
+        singles = (t, _gather(p))
+    if rest:
+        cells, xs, ys = zip(*rest)
+        # the left operands: rows read through the map, or fixed rows
+        left = _gather(xs) if homomorphic else tuple(map(imp.__getitem__, xs))
+        tested = (_gather(cells), left, _gather(ys))
+    derived = step.derived if homomorphic else tuple((c, imp[x], y) for c, x, y in step.derived)
+    return e, allowed, pairs, singles, derived, tested
+
+
+def search_maps(alg, plan, check, what):
+    """Every map the ``MapPlan`` admits, sorted.
+
+    One depth-first walk over the plan's steps, with nothing to undo, as
+    each step writes only its own cells.  At each step the checks that
+    read the branch value and earlier cells only are one mask of the
+    values they admit (``_compiled``); for each value in it the derived
+    cells are set and the other checks compared, all at once.  Finished
+    maps are re-checked by ``check``, and one that fails it raises
+    ``InvariantViolation`` as a non-``what``.  The identity, a map of each
+    kind on every table, must be among them: a plan that derives a cell
+    wrongly loses it.
+    """
+    imp, homomorphic = alg.imp, plan.homomorphic
+    rows = imp.__getitem__
+    tables = _Masks(alg)
+    levels = [_compiled(alg, plan, step, tables) for step in plan.steps]
+    img = [alg.one] * alg.n
+    results = []
+    last = len(levels) - 1
+    depth, pending = 0, []
+    while depth >= 0:
+        if len(pending) == depth:
+            _, allowed, pairs, singles, _, _ = levels[depth]
+            if pairs is not None:
+                t, p, q = pairs
+                allowed = reduce(and_, map(getitem, map(getitem, t, p(img)), q(img)), allowed)
+            if singles is not None:
+                t, p = singles
+                allowed = reduce(and_, map(getitem, t, p(img)), allowed)
+            pending.append(bits(allowed))
+        e, _, _, _, derived, tested = levels[depth]
+        for v in pending[-1]:
+            img[e] = v
+            if homomorphic:
+                for c, x, y in derived:
+                    img[c] = imp[img[x]][img[y]]
+            else:
+                for c, row, y in derived:
+                    img[c] = row[img[y]]
+            if tested is not None:
+                cells, left, ys = tested
+                lefts = map(rows, left(img)) if homomorphic else left
+                if cells(img) != tuple(map(getitem, lefts, ys(img))):
+                    continue
+            if depth == last:
+                f = tuple(img)
+                if not check(f):
+                    raise InvariantViolation(f"propagation produced a non-{what} {f}")
+                results.append(f)
                 continue
-            trail = []
-            if assign(e, v, trail):
-                extend()
-            undo(trail)
-
-    trail = []
-    if assign(alg.one, alg.one, trail):  # f(1) = 1 for every multiplier and endomorphism
-        extend()
-    undo(trail)
-    return sorted(results)
+            depth += 1
+            break
+        else:
+            pending.pop()
+            depth -= 1
+    results.sort()
+    identity = identity_map(alg)
+    i = bisect_left(results, identity)
+    if results[i : i + 1] != [identity]:
+        raise InvariantViolation(f"propagation missed the identity {identity}")
+    return results
 
 
 def search_multipliers(alg):
@@ -170,12 +351,8 @@ def search_multipliers(alg):
     Each chosen value v for element e must satisfy e <= v, since every
     multiplier is extensive.
     """
-    imp = alg.imp
-
-    def implied(a, b, img, known):
-        return ((row[a], row[b]) for row in imp)
-
-    return search_maps(alg, alg.leq, implied, partial(is_multiplier, alg), "multiplier")
+    plan = map_plan(alg, alg.leq, homomorphic=False)
+    return search_maps(alg, plan, partial(is_multiplier, alg), "multiplier")
 
 
 _per_table = {}  # ("order", matrix) or ("implication", table, top) -> its re-check's result
@@ -211,39 +388,41 @@ def closed_table(carrier, index, op, what, name):
     return table
 
 
-def map_table(carrier, index, op, what, name, values=None):
-    """``closed_table`` for a carrier of self-maps of 0..n-1, built a column at a time.
+def map_columns(carrier, index, values=None):
+    """For each g of a carrier of self-maps of at most 255 elements, the
+    ``index.get`` of op(f, g) over all f, None where it is not in the carrier.
 
     op(f, g) is f after g when ``values`` is None, else the pointwise
     operation op(f, g)[x] = values[f[x]][g[x]].  Position x of all maps is
-    one bytes object; for a column g, position x of op(f, g) over all f is
-    position g[x], or position x translated through column g[x] of
-    ``values`` (None reads as 255, which no map holds).  With n > 255, or
-    once a result lies outside the carrier, ``closed_table`` builds the
-    table and raises its own messages.
+    one bytes object, and ``at[x][v]`` is position x of op(f, g) over all f
+    for any g with g[x] = v: position v, or position x translated through
+    column v of ``values`` (None reads as 255, which no map holds).
     """
-    if not carrier or len(carrier[0]) > 255:
-        return closed_table(carrier, index, op, what, name)
     n = len(carrier[0])
     positions = [bytes(p) for p in zip(*carrier)]
     if values is None:
-        def columns(g):
-            return [positions[v] for v in g]
+        at = [positions] * n
     else:
         luts = [
             bytes(255 if row[v] is None else row[v] for row in values).ljust(256, b"\xff")
             for v in range(n)
         ]
-
-        def columns(g):
-            return [p.translate(luts[v]) for p, v in zip(positions, g)]
+        at = [[p.translate(lut) for lut in luts] for p in positions]
     get = index.get
-    by_column = []
-    for g in carrier:
-        column = list(map(get, zip(*columns(g))))
-        if None in column:
-            return closed_table(carrier, index, op, what, name)
-        by_column.append(column)
+    return [list(map(get, zip(*map(getitem, at, g)))) for g in carrier]
+
+
+def map_table(carrier, index, op, what, name, values=None):
+    """``closed_table`` for a carrier of self-maps of 0..n-1, built a column at
+    a time by ``map_columns``.  With n > 255, or once a result lies outside
+    the carrier, ``closed_table`` builds the table and raises its own
+    messages.
+    """
+    if not carrier or len(carrier[0]) > 255:
+        return closed_table(carrier, index, op, what, name)
+    by_column = map_columns(carrier, index, values)
+    if any(None in column for column in by_column):
+        return closed_table(carrier, index, op, what, name)
     return tuple(zip(*by_column))
 
 

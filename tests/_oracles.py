@@ -12,11 +12,14 @@ from hilbertalg import (
     InvariantViolation,
     axiom_violations,
     class_of,
+    compatible_meet,
     compose,
     is_endomorphism,
     is_multiplier,
+    is_relative_subsemilattice,
     is_subalgebra,
     pointwise_leq,
+    pointwise_meet,
 )
 from hilbertalg.core import subset_key, subsets
 from hilbertalg.lattice import bits
@@ -419,6 +422,84 @@ def multiplier_laws_scan(ctx):
     return b.done()
 
 
+def ce_structure_scan(ctx):
+    """``ce_structure_report`` with every pair and every law instance tested
+    one at a time, in the order the report lists its witnesses."""
+    b = ReportBuilder("ce-structure")
+    alg, ce = ctx.alg, ctx.ce
+    carrier = ce.carrier
+    members = set(carrier)
+
+    b.check(
+        "closed-under-composition",
+        [fmt(f=f, g=g) for f in carrier for g in carrier if compose(f, g) not in members],
+    )
+    b.check(
+        "closed-under-pointwise-meet",
+        [fmt(f=f, g=g) for f in carrier for g in carrier if pointwise_meet(alg, f, g) not in members],
+    )
+    b.check(
+        "bounded",
+        []
+        if ce.lattice.bottom == ce.identity_index and ce.lattice.top == ce.top_index
+        else [fmt(bottom=ce.lattice.bottom, top=ce.lattice.top)],
+    )
+    b.check(
+        "distributive",
+        [] if ce.lattice.is_distributive else [fmt(size=len(carrier))],
+        detail=f"{len(carrier)} closure endomorphisms",
+    )
+    via_filters = sorted(map(ctx.monomial_ce, ctx.monomials))
+    b.check(
+        "isotone-multipliers-equal-monomial-route",
+        [] if list(carrier) == via_filters else [fmt(direct=len(carrier), via=len(via_filters))],
+    )
+
+    order_fails = []
+    kernels, fixes = ce.kernels, ce.fixes
+    for i, f in enumerate(carrier):
+        for j, g in enumerate(carrier):
+            le = pointwise_leq(alg, f, g)
+            if le != (compose(f, g) == g):
+                order_fails.append(fmt(f=f, g=g, law="composition"))
+            if le != (not kernels[i] & ~kernels[j]):
+                order_fails.append(fmt(f=f, g=g, law="kernels"))
+            if le != (not fixes[j] & ~fixes[i]):
+                order_fails.append(fmt(f=f, g=g, law="fixpoints"))
+    b.check("order-characterizations", order_fails)
+
+    law_fails = []
+    imp, leq = alg.imp, alg.leq
+    for f in carrier:
+        for x in alg.elements:
+            for y in alg.elements:
+                if f[imp[x][y]] != imp[f[x]][f[y]]:
+                    law_fails.append(fmt(map=f, law="endomorphism", x=x, y=y))
+                for z in alg.elements:
+                    if leq[x][imp[y][z]] and not leq[f[x]][imp[f[y]][f[z]]]:
+                        law_fails.append(fmt(map=f, law="bound-transfer", x=x, y=y, z=z))
+                m = compatible_meet(alg, x, y)
+                if m is not None:
+                    fm = compatible_meet(alg, f[x], f[y])
+                    if fm is None or f[m] != fm:
+                        law_fails.append(fmt(map=f, law="meet-preservation", x=x, y=y))
+    b.check("endomorphism-laws", law_fails)
+
+    b.check(
+        "fixpoints-relative-subsemilattice",
+        [fmt(map=f) for f, r in zip(carrier, fixes) if not is_relative_subsemilattice(alg, r)],
+    )
+    return b.done()
+
+
+def idempotent_stable_scan(maps, idems):
+    """For each map f, whether t after f is idempotent for every t of ``idems``."""
+    def idempotent(g):
+        return all(g[v] == v for v in set(g))
+
+    return [all(idempotent(compose_scan(t, f)) for t in idems) for f in maps]
+
+
 def pointwise_order_scan(alg, maps):
     return [[pointwise_leq_scan(alg, f, g) for g in maps] for f in maps]
 
@@ -468,6 +549,11 @@ def is_endomorphism_scan(alg, f):
     return all(f[imp[x][y]] == imp[f[x]][f[y]] for x in alg.elements for y in alg.elements)
 
 
+def is_multiplier_scan(alg, f):
+    imp = alg.imp
+    return all(f[imp[x][y]] == imp[x][f[y]] for x in alg.elements for y in alg.elements)
+
+
 def is_isotone_scan(alg, f):
     leq = alg.leq
     return all(leq[f[x]][f[y]] for x in alg.elements for y in alg.elements if leq[x][y])
@@ -503,6 +589,93 @@ def multipliers_bruteforce(alg):
 def endomorphisms_bruteforce(alg):
     """All n^n self-maps filtered by the library's ``is_endomorphism``."""
     return sorted(f for f in product(range(alg.n), repeat=alg.n) if is_endomorphism(alg, f))
+
+
+def search_maps_propagating(alg, allowed, implied, check, what):
+    """Every self-map f with f(1) = 1 that propagation admits, sorted: the
+    library's search before it ran on a fixed plan.
+
+    Values are only branched on where not already forced; a chosen value v
+    for element e must have ``allowed[e][v]``.  Assigning a -> b also
+    assigns every pair of ``implied(a, b, img, known)``, where ``img`` is the
+    partial map and ``known`` lists its assigned elements in order; a
+    conflicting pair backtracks.  Finished maps are re-checked by ``check``,
+    and one that fails it raises ``InvariantViolation`` as a non-``what``.
+    """
+    n = alg.n
+    img = [None] * n
+    known = []
+    results = []
+
+    def assign(e, v, trail):
+        stack = [(e, v)]
+        while stack:
+            a, b = stack.pop()
+            cur = img[a]
+            if cur is not None:
+                if cur != b:
+                    return False
+                continue
+            img[a] = b
+            trail.append(a)
+            known.append(a)
+            stack.extend(implied(a, b, img, known))
+        return True
+
+    def undo(trail):
+        for a in trail:
+            img[a] = None
+            known.pop()
+
+    def extend():
+        e = next((i for i in range(n) if img[i] is None), None)
+        if e is None:
+            f = tuple(img)
+            if not check(f):
+                raise InvariantViolation(f"propagation produced a non-{what} {f}")
+            results.append(f)
+            return
+        for v in range(n):
+            if not allowed[e][v]:
+                continue
+            trail = []
+            if assign(e, v, trail):
+                extend()
+            undo(trail)
+
+    trail = []
+    if assign(alg.one, alg.one, trail):
+        extend()
+    undo(trail)
+    return sorted(results)
+
+
+def multipliers_propagated(alg):
+    """All multipliers, propagating f(x -> a) = x -> f(a) from extensive chosen values."""
+    imp = alg.imp
+
+    def implied(a, b, img, known):
+        return ((row[a], row[b]) for row in imp)
+
+    return search_maps_propagating(
+        alg, alg.leq, implied, lambda f: is_multiplier(alg, f), "multiplier"
+    )
+
+
+def endomorphisms_propagated(alg):
+    """All endomorphisms, propagating f(x -> y) = f(x) -> f(y) from chosen values."""
+    imp = alg.imp
+
+    def implied(a, b, img, known):
+        for x in known:
+            fx = img[x]
+            yield imp[x][a], imp[fx][b]
+            yield imp[a][x], imp[b][fx]
+
+    anything = [[True] * alg.n] * alg.n
+    return search_maps_propagating(
+        alg, anything, implied, lambda f: is_endomorphism(alg, f), "endomorphism"
+    )
 
 
 def is_filter_via_bounds(alg, members):

@@ -18,6 +18,7 @@ from hilbertalg import (
     InvariantViolation,
     LatticeError,
     MultiplierAlgebra,
+    is_multiplier,
     axiom_violations,
     classify,
     core,
@@ -27,17 +28,27 @@ from hilbertalg import (
 from hilbertalg import closure, multipliers
 from hilbertalg.cli import main
 from hilbertalg.closure import (
+    ce_structure_report,
     cross_meets,
+    endomorphism_law_fails,
+    endomorphism_laws,
+    idempotent_stable,
     is_endomorphism,
+    is_extensive,
+    is_idempotent,
     is_isotone,
     least_above_misses,
+    search_endomorphisms,
     special_witness,
 )
+from hilbertalg.enumeration import classes
 from hilbertalg.filters import class_of, monomial_max
 from hilbertalg.lattice import bound_table, is_partial_order
 from hilbertalg.multipliers import (
     closed_table,
     compose,
+    fixpoints,
+    kernel,
     map_table,
     pointwise_imp,
     pointwise_leq,
@@ -51,13 +62,16 @@ from hilbertalg.suites import ALGEBRA_SUITES, run_algebra_suites
 from _oracles import (
     axiom_violations_brute,
     bound_table_scan,
+    ce_structure_scan,
     class_of_scan,
     compatible_meet_table_scan,
     compose_scan,
     cross_meets_scan,
+    idempotent_stable_scan,
     is_distributive_scan,
     is_endomorphism_scan,
     is_isotone_scan,
+    is_multiplier_scan,
     is_partial_order_scan,
     least_above_misses_scan,
     monomial_max_scan,
@@ -392,7 +406,8 @@ def unit_fixing_maps(alg):
 
 def assert_correspondence_kernels_match(alg, subsets, maps):
     """class_of, monomial_max, special_witness, cross_meets, is_endomorphism,
-    is_isotone and least_above_misses against their scans, on the given
+    is_isotone, is_multiplier, is_extensive, is_idempotent and
+    least_above_misses against their scans, on the given
     subsets, pairs of subsets and maps, and the maps paired with the subsets.
     Returns the number of (subset, a) without one greatest class element."""
     without_max = 0
@@ -413,6 +428,9 @@ def assert_correspondence_kernels_match(alg, subsets, maps):
     for f in maps:
         assert is_endomorphism(alg, f) == is_endomorphism_scan(alg, f), (alg.imp, f)
         assert is_isotone(alg, f) == is_isotone_scan(alg, f), (alg.imp, f)
+        assert is_multiplier(alg, f) == is_multiplier_scan(alg, f), (alg.imp, f)
+        assert is_extensive(alg, f) == all(alg.leq[x][f[x]] for x in alg.elements), (alg.imp, f)
+        assert is_idempotent(f) == all(f[v] == v for v in set(f)), f
     paired = ([f for f in maps for _ in subsets], [r for _ in maps for r in subsets])
     assert least_above_misses(alg, *paired) == least_above_misses_scan(alg, *paired), alg.imp
     return without_max
@@ -463,15 +481,25 @@ def test_map_predicates_leave_the_byte_kernels_above_255_elements(monkeypatch):
     n = 256  # one element too many for a byte each
     monkeypatch.setattr(closure, "_pulled", None)
     alg = FiniteHilbertAlgebra(flat_table(n), n - 1)
+    monkeypatch.setattr(FiniteHilbertAlgebra, "luts", None)
     identity, one = tuple(range(n)), (n - 1,) * n
     swap = (1, 0) + identity[2:]  # exchanges two atoms
     to_top = (n - 1,) + identity[1:]  # sends one atom to the unit
     unit_down = identity[:-1] + (0,)  # sends the unit to an atom
     verdicts = []
     for f in (identity, one, swap, to_top, unit_down):
-        verdicts.append((is_endomorphism(alg, f), is_isotone(alg, f)))
-        assert verdicts[-1] == (is_endomorphism_scan(alg, f), is_isotone_scan(alg, f))
-    assert verdicts == [(True, True)] * 4 + [(False, False)]
+        verdicts.append((is_endomorphism(alg, f), is_isotone(alg, f), is_multiplier(alg, f)))
+        assert verdicts[-1] == (
+            is_endomorphism_scan(alg, f),
+            is_isotone_scan(alg, f),
+            is_multiplier_scan(alg, f),
+        )
+    # the atom sent to the unit is the join translation by that atom
+    assert verdicts == [(True, True, True)] * 2 + [
+        (True, True, False),
+        (True, True, True),
+        (False, False, False),
+    ]
 
 
 def calculus_carriers(catalog5):
@@ -539,3 +567,202 @@ def test_multiplier_calculus_leaves_the_byte_kernel_above_255_elements(monkeypat
         report = calculus_report(alg, carrier, multiplier_calculus_report)
         assert report == calculus_report(alg, carrier, multiplier_laws_scan)
         assert report["ok"] is ok
+
+
+def test_idempotent_stability_matches_the_composition_loop():
+    # the endomorphisms of every algebra of size <= 6 against their idempotents,
+    # then every unit-fixing self-map of each algebra of size <= 3 against its
+    # idempotent ones
+    verdicts = {True: 0, False: 0}
+    for alg in (a for k in range(1, 7) for a in classes(k)[0]):
+        carriers = [search_endomorphisms(alg)]
+        if alg.n <= 3:
+            carriers.append(unit_fixing_maps(alg))
+        for maps in carriers:
+            idems = [t for t in maps if is_idempotent(t)]
+            got = idempotent_stable(maps, idems)
+            assert got == idempotent_stable_scan(maps, idems), alg.imp
+            for v in got:
+                verdicts[v] += 1
+    assert idempotent_stable([(0, 1)], []) == [True]
+    assert verdicts == {True: 1263, False: 6797}
+
+
+def test_endomorphism_law_kernel_matches_the_loop():
+    # 50 random self-maps of every algebra of size 4 to 6, and the endomorphisms up to size 5
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for alg in (a for k in (4, 5, 6) for a in classes(k)[0]):
+        hold = endomorphism_laws(alg)
+        maps = [tuple(rng.randrange(alg.n) for _ in alg.elements) for _ in range(50)]
+        if alg.n <= 5:
+            maps += search_endomorphisms(alg)
+        for f in maps:
+            verdict = hold(f)
+            assert verdict == (not endomorphism_law_fails(alg, f)), (alg.imp, f)
+            verdicts[verdict] += 1
+    assert verdicts == {True: 844, False: 6065}
+
+
+def test_endomorphism_law_kernel_reads_the_compatible_meets(algebras4):
+    # every endomorphism preserves compatible meets, so the meet lanes decide
+    # only on a compatible meet table with one cell changed (to None or to
+    # another element), which the loop reads too
+    decided = 0
+    for alg in algebras4:
+        endos = search_endomorphisms(alg)
+        table = alg.compatible_meet_table
+        for x, y in product(alg.elements, repeat=2):
+            for m in (None, *alg.elements):
+                if m == table[x][y]:
+                    continue
+                changed = FiniteHilbertAlgebra(alg.imp, alg.one)
+                rows = [list(row) for row in table]
+                rows[x][y] = m
+                vars(changed)["compatible_meet_table"] = tuple(map(tuple, rows))
+                hold = endomorphism_laws(changed)
+                for f in endos:
+                    fails = endomorphism_law_fails(changed, f)
+                    assert hold(f) == (not fails), (alg.imp, x, y, m, f)
+                    decided += bool(fails)
+    assert decided == 3475
+
+
+def test_endomorphism_law_kernel_on_one_cell_changes(algebras4):
+    # every one-cell change of every algebra of size <= 4 that the kernel takes,
+    # with every self-map: an endomorphism of a broken table need not be
+    # isotone; each table is taken as it is, and again with no compatible
+    # meets, where bound transfer alone decides
+    tables = not_isotone = 0
+    for alg in algebras4:
+        for x, y, v in product(alg.elements, repeat=3):
+            if v == alg.imp[x][y]:
+                continue
+            table = [list(row) for row in alg.imp]
+            table[x][y] = v
+            changed = FiniteHilbertAlgebra(table, alg.one)
+            taken = outcome(endomorphism_laws, changed)
+            if taken is None or isinstance(taken, str):
+                continue
+            meetless = FiniteHilbertAlgebra(table, alg.one)
+            vars(meetless)["compatible_meet_table"] = ((None,) * alg.n,) * alg.n
+            tables += 1
+            for b in (changed, meetless):
+                hold = endomorphism_laws(b)
+                for f in product(alg.elements, repeat=alg.n):
+                    if not is_endomorphism(b, f):
+                        assert not hold(f)
+                        continue
+                    assert hold(f) == (not endomorphism_law_fails(b, f)), (table, f)
+                    not_isotone += not is_isotone(b, f)
+    assert (tables, not_isotone) == (260, 72)
+
+
+def test_endomorphism_law_kernel_leaves_more_than_255_elements_to_the_loop():
+    assert endomorphism_laws(FiniteHilbertAlgebra(flat_table(256), 255)) is None
+    # 0 is no x -> y of this (broken) table
+    assert endomorphism_laws(FiniteHilbertAlgebra([[1, 1], [1, 1]], 1)) is None
+    assert endomorphism_laws(FiniteHilbertAlgebra(flat_table(3), 2)) is not None
+
+
+def ce_stand_in(ctx, carrier):
+    """``ctx`` with the closure endomorphism carrier replaced by ``carrier``:
+    its kernels and fixpoints follow it, and the lattice is the true one."""
+    alg, ce = ctx.alg, ctx.ce
+    stand_in = SimpleNamespace(
+        carrier=carrier,
+        kernels=tuple(kernel(alg, f) for f in carrier),
+        fixes=tuple(fixpoints(alg, f) for f in carrier),
+        lattice=ce.lattice,
+        identity_index=ce.identity_index,
+        top_index=ce.top_index,
+    )
+    return SimpleNamespace(
+        alg=alg, ce=stand_in, monomials=ctx.monomials, monomial_ce=ctx.monomial_ce
+    )
+
+
+def report_outcome(report, ctx):
+    try:
+        return report(ctx).as_dict()
+    except InvariantViolation as e:
+        return f"raised: {e}"
+
+
+def test_ce_structure_kernels_match_the_loop_with_one_foreign_map(catalog5):
+    # the true carriers of every algebra of size <= 5, then each carrier of an
+    # algebra of size <= 4 with one unit-fixing self-map from outside it added
+    failed = {}
+    for alg in (e.algebra for e in catalog5):
+        ctx = Structures(alg)
+        carriers = [ctx.ce.carrier]
+        if alg.n <= 4:
+            true = ctx.ce.carrier
+            carriers += [tuple(sorted(true + (f,))) for f in unit_fixing_maps(alg) if f not in true]
+        for carrier in carriers:
+            stand_in = ce_stand_in(ctx, carrier)
+            got = report_outcome(ce_structure_report, stand_in)
+            assert got == report_outcome(ce_structure_scan, stand_in), (alg.imp, carrier)
+            if isinstance(got, str):
+                failed["raised"] = failed.get("raised", 0) + 1
+            else:
+                for check in got["checks"]:
+                    if check["status"] == "fail":
+                        failed[check["name"]] = failed.get(check["name"], 0) + 1
+    # a foreign map fails from 3 to 7 of the checks; 135 have no pointwise meet with another map
+    assert failed == {
+        "closed-under-composition": 179,
+        "closed-under-pointwise-meet": 175,
+        "isotone-multipliers-equal-monomial-route": 228,
+        "order-characterizations": 214,
+        "endomorphism-laws": 209,
+        "fixpoints-relative-subsemilattice": 3,
+        "raised": 135,
+    }
+
+
+def test_ce_structure_order_test_reads_each_characterization(catalog5):
+    # the true carriers with their kernels, or their fixpoint sets, rotated by
+    # one map: only that characterization can fail, on some rows only
+    laws = {}
+    for alg in (e.algebra for e in catalog5):
+        ctx = Structures(alg)
+        carrier = ctx.ce.carrier
+        if len(carrier) < 2:
+            continue
+        for name in ("kernels", "fixes"):
+            stand_in = ce_stand_in(ctx, carrier)
+            sets = getattr(stand_in.ce, name)
+            setattr(stand_in.ce, name, sets[1:] + sets[:1])
+            got = ce_structure_report(stand_in).as_dict()
+            assert got == ce_structure_scan(stand_in).as_dict(), (alg.imp, name)
+            for check in got["checks"]:
+                if check["name"] == "order-characterizations" and check["status"] == "fail":
+                    law = check["witness"].split("law=")[1].split()[0]
+                    laws[law] = laws.get(law, 0) + int(check["detail"].split()[0])
+    # failing instances, by the law of each report's first witness
+    assert laws == {"kernels": 570, "fixpoints": 570}
+
+
+def test_ce_structure_leaves_more_than_255_elements_to_the_loop(monkeypatch):
+    n = 256  # one element too many for a byte each
+    alg = FiniteHilbertAlgebra(flat_table(n), n - 1)
+    identity, one = tuple(range(n)), (n - 1,) * n
+    carrier = (identity, one)
+    ce = SimpleNamespace(
+        carrier=carrier,
+        kernels=tuple(kernel(alg, f) for f in carrier),
+        fixes=tuple(fixpoints(alg, f) for f in carrier),
+        lattice=SimpleNamespace(bottom=0, top=1, is_distributive=True),
+        identity_index=0,
+        top_index=1,
+    )
+    monomial_ce = dict(zip(ce.kernels, carrier))
+    ctx = SimpleNamespace(alg=alg, ce=ce, monomials=ce.kernels, monomial_ce=monomial_ce.get)
+    # the n^3 law loop takes minutes at this size: each map is handed to it once
+    looped = []
+    monkeypatch.setattr(closure, "endomorphism_law_fails", lambda alg, f: looped.append(f) or [])
+    monkeypatch.setattr(closure, "map_columns", None)
+    monkeypatch.setattr(closure, "pointwise_order", None)
+    assert ce_structure_report(ctx).ok
+    assert looped == [identity, one]

@@ -1,3 +1,4 @@
+import random
 from functools import partial
 
 import pytest
@@ -21,6 +22,7 @@ from hilbertalg import (
     pointwise_imp,
     pointwise_leq,
     pointwise_meet,
+    search_endomorphisms,
     search_multipliers,
     translation,
     validate_hilbert,
@@ -28,14 +30,18 @@ from hilbertalg import (
 from hilbertalg import multipliers
 from hilbertalg.enumeration import classes
 from hilbertalg.lattice import FiniteLattice
-from hilbertalg.multipliers import CarrierLattice, MapLattice, search_maps
+from hilbertalg.multipliers import CarrierLattice, MapLattice, map_plan, search_maps
 
+from test_faults import labellings, relabel
+from test_kernels import flat_table
 from _oracles import (
+    endomorphisms_propagated,
     is_block,
     mask,
     multiplier_orbit,
     multipliers_brute,
     multipliers_bruteforce,
+    multipliers_propagated,
     peirce_map,
 )
 
@@ -69,20 +75,89 @@ def test_non_multiplier_example(godel3):
     assert godel3.imp[1][f[0]] == 2
 
 
-def test_search_matches_bruteforce(algebras4):
-    for alg in algebras4:
+def test_search_matches_bruteforce(catalog5):
+    for alg in (e.algebra for e in catalog5):
         assert search_multipliers(alg) == multipliers_brute(alg)
         assert multipliers_bruteforce(alg) == multipliers_brute(alg)
 
 
-def test_search_maps_rechecks_finished_maps(godel3):
-    # with nothing propagated, extensive maps that are no multipliers come out
-    def implied(a, b, img, known):
-        return ()
+def without_checks(plan):
+    return plan._replace(steps=tuple(step._replace(checks=()) for step in plan.steps))
 
+
+def test_search_maps_rechecks_finished_maps(godel3):
+    # with no check left, extensive maps that are no multipliers come out
+    plan = map_plan(godel3, godel3.leq, homomorphic=False)
+    assert sum(len(step.checks) for step in plan.steps) > 0
     check = partial(is_multiplier, godel3)
     with pytest.raises(InvariantViolation, match=r"propagation produced a non-multiplier \("):
-        search_maps(godel3, godel3.leq, implied, check, "multiplier")
+        search_maps(godel3, without_checks(plan), check, "multiplier")
+
+
+def test_search_maps_rechecks_that_the_identity_is_found(godel3):
+    # every value of the first branch element is refused, so no map comes out
+    plan = map_plan(godel3, godel3.leq, homomorphic=False)
+    first = plan.steps[1]._replace(values=())
+    plan = plan._replace(steps=(plan.steps[0], first) + plan.steps[2:])
+    check = partial(is_multiplier, godel3)
+    with pytest.raises(InvariantViolation, match=r"^propagation missed the identity \(0, 1, 2\)$"):
+        search_maps(godel3, plan, check, "multiplier")
+
+
+def test_plan_matches_the_propagating_search(algebras6):
+    # every algebra of size <= 6, each also relabelled at random, where the
+    # plans derive cells and compare checks that read them; then the flat
+    # 7-element algebra
+    rng = random.Random(6)
+    algebras = []
+    for alg in algebras6:
+        perm = rng.sample(range(alg.n - 1), alg.n - 1) + [alg.one]
+        algebras += [alg, relabel(alg, perm)]
+    algebras.append(validate_hilbert(flat_table(7), 6))
+    sizes, derived, reading = [], 0, 0
+    for alg in algebras:
+        endos = search_endomorphisms(alg)
+        assert endos == endomorphisms_propagated(alg), alg.imp
+        mults = search_multipliers(alg)
+        assert mults == multipliers_propagated(alg), alg.imp
+        sizes.append((len(endos), len(mults)))
+        for homomorphic in (True, False):
+            for step in map_plan(alg, alg.leq, homomorphic).steps:
+                here = {cell for cell, _, _ in step.derived}
+                derived += len(here)
+                for cell, x, y in step.checks:
+                    reading += bool(here.intersection((cell, x, y) if homomorphic else (cell, y)))
+    assert len(sizes) == 253
+    assert sizes[-1] == (13327, 64)
+    assert (derived, reading) == (60, 457)
+
+
+def test_each_plan_sets_every_element_once(godel3, algebras4):
+    # godel3: the unit first, then 0 and 1, neither of them x -> y of others
+    plan = map_plan(godel3, [[True] * 3] * 3, homomorphic=True)
+    assert [(step.element, step.values, step.derived) for step in plan.steps] == [
+        (2, (2,), ()),
+        (0, (0, 1, 2), ()),
+        (1, (0, 1, 2), ()),
+    ]
+    derived = {True: 0, False: 0}
+    for alg in (b for a in algebras4 for b in labellings(a)):
+        for homomorphic in (True, False):
+            plan = map_plan(alg, alg.leq, homomorphic)
+            branched = [step.element for step in plan.steps]
+            assert branched[0] == alg.one and branched[1:] == sorted(branched[1:])
+            before = set()
+            for step in plan.steps:
+                before.add(step.element)
+                for cell, x, y in step.derived:
+                    assert cell not in before and alg.imp[x][y] == cell
+                    assert y in before and (x in before or not homomorphic)
+                    before.add(cell)
+                for cell, x, y in step.checks:
+                    assert alg.imp[x][y] == cell and {cell, y} <= before
+            assert before == set(alg.elements)
+            derived[homomorphic] += sum(len(step.derived) for step in plan.steps)
+    assert derived == {True: 4, False: 6}
 
 
 def test_multiplier_carriers(chain2, godel3, tarski3):
