@@ -11,7 +11,9 @@ special closure retracts, where the retract condition asks every up-set
 implemented with their inverses, and every surrounding theorem has a
 report function that checks it exhaustively on a given algebra.  Element
 subsets are int bitmasks, so inclusion is ``not a & ~b``; the reports read
-each kernel and fixpoint set from ``CeLattice.kernels`` and ``fixes``.
+each kernel and fixpoint set from ``CeLattice.kernels`` and ``fixes``,
+check each identification on its explicit map, never by an isomorphism
+search, and compare two closure endomorphisms by ``ce.lattice.leq``.
 
 The predicates the reports run most are kernels on the algebra's n x n
 tables.  ``special_witness``, ``cross_meets`` and ``least_above_misses``
@@ -525,7 +527,8 @@ def isotone_kernel_special_report(ctx):
         iso = is_isotone(alg, f)
         ker = is_filter(alg, kernel(alg, f))
         spe = witnesses[fixpoints(alg, f)] is None
-        ce = is_closure_endomorphism(alg, f)
+        # is_closure_endomorphism, with its isotone test read from iso
+        ce = iso and is_endomorphism(alg, f) and is_extensive(alg, f) and is_idempotent(f)
         if not iso == ker == spe == ce:
             fails.append(fmt(map=f, isotone=iso, kernel_filter=ker, special=spe, closure=ce))
     b.check("three-way-equivalence", fails, detail=f"{len(mult.carrier)} multipliers")
@@ -657,9 +660,9 @@ def fixpoint_embedding_report(ctx):
         "order-reversing",
         [
             fmt(f=f, g=g)
-            for f, r in zip(carrier, fixes)
-            for g, s in zip(carrier, fixes)
-            if pointwise_leq(alg, f, g) != (not s & ~r)
+            for f, r, row in zip(carrier, fixes, ce.lattice.leq)
+            for g, s, le in zip(carrier, fixes, row)
+            if le != (not s & ~r)
         ],
     )
     retracts = ctx.retracts
@@ -689,16 +692,19 @@ def fixpoint_embedding_report(ctx):
                 alpha_fails.append(fmt(subset=fset(s), reason="not a subalgebra"))
     b.check("special-subsets-translation-closed", alpha_fails)
 
-    # explicit duality between monomial filters and special closure retracts
+    # explicit duality between monomial filters and special closure retracts,
+    # an anti-isomorphism when onto the retracts and reversing inclusion both ways
     monomials = ctx.monomials
     dual_fails = []
     pair = dict(zip(ce.kernels, fixes))
-    if set(pair) != set(monomials):
+    reverses = set(pair) == set(monomials)
+    if not reverses:
         dual_fails.append(fmt(reason="kernel range mismatch"))
     else:
         for j in monomials:
             for k in monomials:
                 if (not j & ~k) != (not pair[k] & ~pair[j]):
+                    reverses = False
                     dual_fails.append(fmt(j=fset(j), k=fset(k)))
                 if pair.get(fl.join(j, k)) != pair[j] & pair[k]:
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="join-to-meet"))
@@ -706,12 +712,12 @@ def fixpoint_embedding_report(ctx):
                     dual_fails.append(fmt(j=fset(j), k=fset(k), law="meet-to-join"))
     b.check("monomial-retract-duality", dual_fails)
 
-    ml = FiniteLattice.from_subsets(monomials)
-    rl = FiniteLattice.from_subsets(retracts)
+    anti = reverses and set(pair.values()) == set(retracts)
     b.check(
         "lattice-anti-isomorphism",
-        [] if ml.anti_isomorphism(rl) is not None else [fmt(monomial=len(monomials), retracts=len(retracts))],
+        [] if anti else [fmt(monomial=len(monomials), retracts=len(retracts))],
     )
+    rl = FiniteLattice.from_subsets(retracts)
     lattice_op_fails = []
     ridx = {r: i for i, r in enumerate(retracts)}
     for i, r in enumerate(retracts):
@@ -732,7 +738,8 @@ def implication_extras_report(ctx):
         return b.done()
     alg, mult, ce, fl = ctx.alg, ctx.multipliers, ctx.ce, ctx.filters
     carrier, kernels, fixes = ce.carrier, ce.kernels, ce.fixes
-    imp = alg.imp
+    leq, imp = ce.lattice.leq, alg.imp
+    index = {f: i for i, f in enumerate(carrier)}
 
     b.check(
         "every-multiplier-isotone",
@@ -761,55 +768,47 @@ def implication_extras_report(ctx):
         [fmt(map=f) for f, r in zip(carrier, fixes) if not is_filter(alg, r)],
     )
 
+    # every translation is in the carrier: CeLattice re-checks it
+    translations = [translation(alg, p) for p in alg.elements]
     heredity_fails = []
-    for f in carrier:
-        for p in alg.elements:
-            if pointwise_leq(alg, f, translation(alg, p)):
-                if f != translation(alg, imp[f[p]][p]):
-                    heredity_fails.append(fmt(map=f, p=p))
+    for f, row in zip(carrier, leq):
+        for p, t in enumerate(translations):
+            if row[index[t]] and f != translations[imp[f[p]][p]]:
+                heredity_fails.append(fmt(map=f, p=p))
     b.check("below-translation-is-translation", heredity_fails)
 
     comp_fails = []
     duality_fails = []
     for f, r in zip(carrier, fixes):
         neg = tuple(imp[f[x]][x] for x in alg.elements)
-        if neg not in set(carrier):
+        if neg not in index:
             comp_fails.append(fmt(map=f, reason="complement not closure endomorphism"))
             continue
         if pointwise_meet(alg, f, neg) != identity_map(alg) or compose(f, neg) != constant_one(alg):
             comp_fails.append(fmt(map=f, complement=neg))
-        if r != kernels[ce.index(neg)]:
+        if r != kernels[index[neg]]:
             duality_fails.append(fmt(map=f, complement=neg))
     b.check("boolean-complement", comp_fails)
     b.check("fixpoints-equal-complement-kernel", duality_fails)
 
-    delta_fails = []
-    deltas = set()
-    for p in alg.elements:
-        d = join_translation(alg, p)
-        deltas.add(d)
-        if d not in set(carrier):
+    deltas = [join_translation(alg, p) for p in alg.elements]
+    delta_fails, upward_fails = [], []
+    for p, d in enumerate(deltas):
+        if d not in index:
             delta_fails.append(fmt(p=p, reason="not a closure endomorphism"))
+            upward_fails.append(fmt(p=p, reason="not a closure endomorphism"))
             continue
         if any(d[x] != partial_join(alg, p, x) for x in alg.elements):
             delta_fails.append(fmt(p=p, map=d))
+        upward_fails += [fmt(p=p, map=f) for f, le in zip(carrier, leq[index[d]]) if le and f not in deltas]
     b.check("join-translation-is-join-with-p", delta_fails)
-    b.check(
-        "join-translations-upward-closed",
-        [
-            fmt(p=p, map=f)
-            for p in alg.elements
-            for f in carrier
-            if pointwise_leq(alg, join_translation(alg, p), f) and f not in deltas
-        ],
-    )
+    b.check("join-translations-upward-closed", upward_fails)
     embed_fails = []
-    for p in alg.elements:
-        for q in alg.elements:
-            dp, dq = join_translation(alg, p), join_translation(alg, q)
+    for p, dp in enumerate(deltas):
+        for q, dq in enumerate(deltas):
             if p != q and dp == dq:
                 embed_fails.append(fmt(p=p, q=q, reason="not injective"))
-            if pointwise_imp(alg, dp, dq) != join_translation(alg, imp[p][q]):
+            if pointwise_imp(alg, dp, dq) != deltas[imp[p][q]]:
                 embed_fails.append(fmt(p=p, q=q, reason="implication not preserved"))
     b.check("join-translation-embedding", embed_fails)
 

@@ -2,11 +2,11 @@
 
 Used as the uniform container for filter lattices, closure-endomorphism
 lattices and ideal lattices.  ``refine`` and ``isomorphism`` serve every
-isomorphism test of the package: lattices compare their join tables (a
-bijection preserves joins exactly when it preserves the order), an
-anti-isomorphism carries one join table onto the other lattice's meet
-table, and endomorphism monoids and algebras compare their composition and
-implication tables with the identity or the unit marked.  Colour refinement
+isomorphism search of the package, and only the cross-survey runs one:
+lattices compare their join tables (a bijection preserves joins exactly
+when it preserves the order), and endomorphism monoids and algebras compare
+their composition and implication tables with the identity or the unit
+marked.  Colour refinement
 splits the elements into classes no isomorphism can mix; an iterative
 backtracking search then maps class onto class.
 
@@ -288,8 +288,3 @@ class FiniteLattice:
     def isomorphism(self, other):
         """A bijection preserving the order both ways, or None."""
         return isomorphism(self.join_table, self._colors, other.join_table, other._colors)
-
-    def anti_isomorphism(self, other):
-        """A bijection reversing the order, or None."""
-        meet = other.meet_table
-        return isomorphism(self.join_table, self._colors, meet, refine(meet))

@@ -14,15 +14,20 @@ from hilbertalg import (
     class_of,
     compatible_meet,
     compose,
+    fixpoints,
+    is_closure_endomorphism,
     is_endomorphism,
+    is_filter,
+    is_isotone,
     is_multiplier,
     is_relative_subsemilattice,
     is_subalgebra,
+    kernel,
     pointwise_leq,
     pointwise_meet,
 )
 from hilbertalg.core import subset_key, subsets
-from hilbertalg.lattice import bits
+from hilbertalg.lattice import bits, isomorphism, refine
 from hilbertalg.report import ReportBuilder, fmt
 
 
@@ -236,6 +241,34 @@ def axiom_violations_brute(table, one):
 def dual_lattice(lat):
     """The same carrier with the order reversed."""
     return FiniteLattice([[lat.leq[j][i] for j in range(lat.size)] for i in range(lat.size)])
+
+
+def lattice_anti_isomorphism(a, b):
+    """A bijection from the lattice a onto the lattice b reversing the order, or None.
+
+    The reference search: ``lattice.isomorphism`` from a's join table onto
+    b's meet table, each coloured by ``refine``.  The suites check their
+    (anti-)isomorphisms on the paper's explicit maps instead.
+    """
+    meet = b.meet_table
+    return isomorphism(a.join_table, refine(a.join_table), meet, refine(meet))
+
+
+def isotone_kernel_special_scan(ctx):
+    """``isotone_kernel_special_report`` with each verdict computed on its own,
+    the closure verdict by ``is_closure_endomorphism``."""
+    b = ReportBuilder("isotone-kernel-special")
+    alg, carrier = ctx.alg, ctx.multipliers.carrier
+    fails = []
+    for f in carrier:
+        iso = is_isotone(alg, f)
+        ker = is_filter(alg, kernel(alg, f))
+        spe = ctx.special_witnesses[fixpoints(alg, f)] is None
+        ce = is_closure_endomorphism(alg, f)
+        if not iso == ker == spe == ce:
+            fails.append(fmt(map=f, isotone=iso, kernel_filter=ker, special=spe, closure=ce))
+    b.check("three-way-equivalence", fails, detail=f"{len(carrier)} multipliers")
+    return b.done()
 
 
 def adjoint_ideals_brute(adj):

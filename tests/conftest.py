@@ -5,6 +5,7 @@ from hilbertalg import (
     enumerate_algebras,
     validate_hilbert,
 )
+from hilbertalg.enumeration import classes
 
 # three-element fixtures: the chain 0 < a < 1 with the linear (Goedel)
 # implication, and the implication (Tarski) algebra with atoms a, b under 1
@@ -59,6 +60,12 @@ def algebras4(catalog4):
 def catalog5():
     """Catalog entries for every algebra of size 1 through 5."""
     return [e for k in range(1, 6) for e in enumerate_algebras(k).entries]
+
+
+@pytest.fixture(scope="session")
+def algebras6():
+    """Every algebra of size 1 through 6."""
+    return [alg for k in range(1, 7) for alg in classes(k)[0]]
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,7 @@ from hilbertalg.closure import (
     endomorphism_law_fails,
     endomorphism_laws,
     idempotent_stable,
+    isotone_kernel_special_report,
     is_endomorphism,
     is_extensive,
     is_idempotent,
@@ -73,6 +74,7 @@ from _oracles import (
     is_isotone_scan,
     is_multiplier_scan,
     is_partial_order_scan,
+    isotone_kernel_special_scan,
     least_above_misses_scan,
     monomial_max_scan,
     multiplier_laws_scan,
@@ -719,6 +721,38 @@ def test_ce_structure_kernels_match_the_loop_with_one_foreign_map(catalog5):
         "fixpoints-relative-subsemilattice": 3,
         "raised": 135,
     }
+
+
+def test_isotone_kernel_special_matches_the_closure_oracle_with_one_foreign_map(monkeypatch, catalog5):
+    # the multipliers of every algebra of size <= 5, then each multiplier
+    # carrier of an algebra of size <= 4 with one unit-fixing self-map from
+    # outside it added; the report pulls the table back along each map at
+    # most twice, for its isotone test and then its endomorphism test
+    pulls = []
+    real = closure._pulled
+    monkeypatch.setattr(closure, "_pulled", lambda alg, f: pulls.append(f) or real(alg, f))
+    failed = tried = 0
+    for alg in (e.algebra for e in catalog5):
+        ctx = Structures(alg)
+        carriers = [ctx.multipliers.carrier]
+        if alg.n <= 4:
+            true = ctx.multipliers.carrier
+            carriers += [true + (f,) for f in unit_fixing_maps(alg) if f not in true]
+        for carrier in carriers:
+            stand_in = SimpleNamespace(
+                alg=alg,
+                multipliers=SimpleNamespace(carrier=carrier),
+                special_witnesses=ctx.special_witnesses,
+            )
+            pulls.clear()
+            got = isotone_kernel_special_report(stand_in).as_dict()
+            assert len(pulls) <= 2 * len(carrier), (alg.imp, carrier)
+            tried += 1
+            assert got == isotone_kernel_special_scan(stand_in).as_dict(), (alg.imp, carrier)
+            if not got["ok"]:
+                failed += 1
+    # 31 true carriers and 350 with a foreign map, 334 of which break the equivalence
+    assert (tried, failed) == (381, 334)
 
 
 def test_ce_structure_order_test_reads_each_characterization(catalog5):

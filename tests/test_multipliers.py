@@ -28,7 +28,6 @@ from hilbertalg import (
     validate_hilbert,
 )
 from hilbertalg import multipliers
-from hilbertalg.enumeration import classes
 from hilbertalg.lattice import FiniteLattice
 from hilbertalg.multipliers import CarrierLattice, MapLattice, map_plan, search_maps
 
@@ -293,12 +292,6 @@ def test_map_lattice_bounds_are_the_identity_and_unit_maps(tarski3):
     maps = [identity_map(tarski3), translation(tarski3, 0)]
     with pytest.raises(InvariantViolation, match=r"maps: bounds are not \(0, 1, 2\) and \(2, 2, 2\)"):
         MapLattice(tarski3, maps, "maps")
-
-
-@pytest.fixture(scope="module")
-def algebras6():
-    """Every algebra of size 1 through 6."""
-    return [alg for k in range(1, 7) for alg in classes(k)[0]]
 
 
 def shared_tables(mult):
