@@ -7,7 +7,7 @@ verification suites that check the structure theorems on concrete algebras.
 """
 
 from .adjoint import (
-    adjoint_ideal_lattice,
+    adjoint_ideals,
     adjoint_semilattice,
     compact_elements,
     composite_translation,
@@ -68,7 +68,6 @@ from .filters import (
     class_of,
     filter_generated,
     is_filter,
-    is_monomial,
     monomial_max,
 )
 from .lattice import FiniteLattice, LatticeError
@@ -84,7 +83,6 @@ from .multipliers import (
     kernel,
     multiplier_calculus_report,
     pointwise_imp,
-    pointwise_leq,
     pointwise_meet,
     search_multipliers,
     translation,

@@ -18,7 +18,7 @@ and the embedding ``principal``.
 from __future__ import annotations
 
 from .core import InvariantViolation, partial_meet, subset_key, subsets
-from .lattice import FiniteLattice, bits, inclusion_order
+from .lattice import bits, inclusion_order
 from .multipliers import (
     compose,
     identity_map,
@@ -273,28 +273,29 @@ def brouwerian_extension_report(ctx):
     return b.done()
 
 
-def adjoint_ideal_lattice(adj):
-    """Lattice of nonempty down-sets of the adjoint semilattice closed under join.
+def adjoint_ideals(adj):
+    """The nonempty down-sets of the adjoint semilattice closed under join,
+    smallest first, as bitmasks of carrier indices.
 
     The carrier is finite, so an ideal holds the join of all its members and
     is the down-set of that join: the ideals are the principal down-sets,
     one per element, ``lattice.down``.  Each is re-checked to be closed
-    under join.  Returns (ideals, lattice); ideals are bitmasks of carrier
-    indices.
+    under join.  Ordered by inclusion they form the ideal lattice,
+    ``FiniteLattice.from_subsets`` of the result.
     """
     join = adj.lattice.join_table
     ideals = sorted(adj.lattice.down, key=subset_key)
     for s in ideals:
         if any(not s >> join[i][j] & 1 for i in bits(s) for j in bits(s)):
             raise InvariantViolation(f"down-set {fset(s)} is not closed under join")
-    return tuple(ideals), FiniteLattice.from_subsets(ideals)
+    return tuple(ideals)
 
 
 def filter_ideal_bridge_report(ctx):
     """The filter lattice is isomorphic to the ideal lattice of the adjoint semilattice."""
     b = ReportBuilder("filter-ideal-bridge")
     adj, fl = ctx.adjoint, ctx.filters
-    ideals, _ = adjoint_ideal_lattice(adj)
+    ideals = adjoint_ideals(adj)
     kernels, down = adj.kernels, adj.lattice.down
     # kernel i |-> down-set of i: onto both, and inclusion both ways
     onto = set(kernels) == set(fl.carrier) and set(down) == set(ideals)

@@ -23,18 +23,21 @@ x -> y = v), the up- and down-sets, and ``compatible_meet_pairs``.
 through f with the table pulled back along f, as ``bytes`` through
 ``luts``, while n <= 255, and scan element by element above that.
 ``search_endomorphisms`` runs the ``multipliers.search_maps`` plan with
-f(x -> y) = f(x) -> f(y) as its rule.  Two reports test their pairs and
-laws at once before they list witnesses: ``idempotent_stable`` decides
-for each endomorphism whether its composites with the idempotent ones
-stay idempotent from masks of those idempotents, and
-``ce_structure_report`` tests closure, the order characterizations and
-the endomorphism laws (``endomorphism_laws``) on columns, order matrices
-and byte lanes, and runs its loops only where a test fails.  The
-reports read what ``structures.Structures`` shares instead of building
-it again: the closure endomorphism of each filter (``monomial_ce``) and
-of each special closure retract (``retract_ce``), the special witness of
-every subset (``special_witnesses``), and the cross meets of each pair
-of fixpoint sets (``cross_meets``).
+f(x -> y) = f(x) -> f(y) as its rule.  Two reports test their maps at
+once before they list witnesses: ``idempotent_stable`` decides for each
+endomorphism whether its composites with the idempotent ones stay
+idempotent from masks of those idempotents, and ``ce_structure_report``
+tests the endomorphism laws (``endomorphism_laws``) in byte lanes and
+runs its loop only where the test fails.  ``CeLattice`` raises unless its
+carrier is closed under composition and pointwise meet, so
+``ce_structure_report`` takes both closures from its construction and
+reads the order characterizations off ``ce.lattice``.  The reports read
+what ``structures.Structures`` shares instead of building it again: the
+closure endomorphism of each filter (``monomial_ce``), which also gives
+each class maximum, and of each special closure retract
+(``retract_ce``), the special witness of every subset
+(``special_witnesses``), and the cross meets of each pair of fixpoint
+sets (``cross_meets``).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .core import (
     subsets,
 )
 from .filters import class_of, is_filter, monomial_max
-from .lattice import FiniteLattice, _Least, bits, inclusion_order, masks
+from .lattice import FiniteLattice, _Least, bits, masks
 from .multipliers import (
     MapLattice,
     compose,
@@ -62,12 +65,9 @@ from .multipliers import (
     identity_map,
     join_translation,
     kernel,
-    map_columns,
     map_plan,
     pointwise_imp,
-    pointwise_leq,
     pointwise_meet,
-    pointwise_order,
     search_maps,
     translation,
 )
@@ -373,29 +373,6 @@ def least_above_misses(alg, maps, sets):
 # reports
 
 
-def _closed_fails(carrier, columns, op):
-    """The (f, g) whose op(f, g) is not in the carrier: none when every entry
-    of the ``map_columns`` ``columns`` is in it, else the loop over pairs."""
-    if columns is not None and not any(None in column for column in columns):
-        return []
-    members = set(carrier)
-    return [fmt(f=f, g=g) for f in carrier for g in carrier if op(f, g) not in members]
-
-
-def _order_fails(alg, carrier, kernels, fixes, i):
-    """The order-characterization failures of ``carrier[i]`` against every map."""
-    f, out = carrier[i], []
-    for j, g in enumerate(carrier):
-        le = pointwise_leq(alg, f, g)
-        if le != (compose(f, g) == g):
-            out.append(fmt(f=f, g=g, law="composition"))
-        if le != (not kernels[i] & ~kernels[j]):
-            out.append(fmt(f=f, g=g, law="kernels"))
-        if le != (not fixes[j] & ~fixes[i]):
-            out.append(fmt(f=f, g=g, law="fixpoints"))
-    return out
-
-
 def endomorphism_law_fails(alg, f):
     """The endomorphism, bound-transfer and meet-preservation failures of one
     map f, instance by instance."""
@@ -448,26 +425,21 @@ def endomorphism_laws(alg):
 def ce_structure_report(ctx):
     """Closure of the carrier, lattice structure, and the dual construction route.
 
-    While n <= 255, four loops first run a test that can only tell that
-    nothing fails: closure under composition and under pointwise meet on
-    ``map_columns``; the order characterizations on ``pointwise_order``,
-    the composition columns and the inclusion orders, a map at a time;
-    and the endomorphism laws on ``endomorphism_laws``, a map at a time.
-    Where a test does not pass, the loop lists the witnesses.
+    Building ``ctx.ce`` re-checked that the carrier is closed under
+    composition and pointwise meet, and that those are the join and meet
+    of its pointwise order ``ce.lattice.leq``, so the two closure checks
+    pass by construction, and the order characterizations read that order
+    and the join table.  The endomorphism laws run ``endomorphism_laws``
+    first, a map at a time, and the loop lists the witnesses of each map
+    that does not pass it.
     """
     b = ReportBuilder("ce-structure")
     alg, ce = ctx.alg, ctx.ce
     carrier = ce.carrier
     kernels, fixes = ce.kernels, ce.fixes
-    fast = alg.n <= 255 and bool(carrier)
-    index = {f: i for i, f in enumerate(carrier)}
-    comp = map_columns(carrier, index) if fast else None
-    meets = map_columns(carrier, index, alg.meet_table) if fast else None
-    b.check("closed-under-composition", _closed_fails(carrier, comp, compose))
-    b.check(
-        "closed-under-pointwise-meet",
-        _closed_fails(carrier, meets, partial(pointwise_meet, alg)),
-    )
+    # building ctx.ce re-checked both closures (CarrierLattice.closed), and raises on any witness
+    b.check("closed-under-composition", [])
+    b.check("closed-under-pointwise-meet", [])
     b.check(
         "bounded",
         []
@@ -485,22 +457,16 @@ def ce_structure_report(ctx):
         [] if list(carrier) == via_filters else [fmt(direct=len(carrier), via=len(via_filters))],
     )
 
+    # f <= g; f after g is g; kernel of f within kernel of g; fixpoints of g within those of f
     order_fails = []
-    if fast and not any(None in column for column in comp):
-        # row i of each: f_i <= g_j; f_i after g_j is g_j; kernel i within
-        # kernel j; fixpoints j within fixpoints i
-        rows = zip(
-            pointwise_order(alg, carrier),
-            zip(*([c == j for c in column] for j, column in enumerate(comp))),
-            inclusion_order(kernels),
-            zip(*inclusion_order(fixes)),
-        )
-        for i, (le, absorbed, kernel_le, fix_ge) in enumerate(rows):
-            if not le == list(absorbed) == kernel_le == list(fix_ge):
-                order_fails += _order_fails(alg, carrier, kernels, fixes, i)
-    else:
-        for i in range(len(carrier)):
-            order_fails += _order_fails(alg, carrier, kernels, fixes, i)
+    for i, (f, row, joins) in enumerate(zip(carrier, ce.lattice.leq, ce.lattice.join_table)):
+        for j, (g, le, h) in enumerate(zip(carrier, row, joins)):
+            if le != (h == j):
+                order_fails.append(fmt(f=f, g=g, law="composition"))
+            if le != (not kernels[i] & ~kernels[j]):
+                order_fails.append(fmt(f=f, g=g, law="kernels"))
+            if le != (not fixes[j] & ~fixes[i]):
+                order_fails.append(fmt(f=f, g=g, law="fixpoints"))
     b.check("order-characterizations", order_fails)
 
     law_fails = []
@@ -617,8 +583,8 @@ def kernel_embedding_report(ctx):
         [
             fmt(map=f, a=a)
             for f, k in zip(carrier, kernels)
-            for a in alg.elements
-            if f[a] != monomial_max(alg, k, a)
+            for a, m in enumerate(ctx.monomial_ce(k))
+            if f[a] != m
         ],
     )
     b.check(

@@ -156,7 +156,3 @@ def monomial_max(alg, members, a):
         return tops.bit_length() - 1
     return None
 
-
-def is_monomial(alg, members):
-    """True iff every congruence class of the filter has a greatest element."""
-    return all(monomial_max(alg, members, a) is not None for a in alg.elements)

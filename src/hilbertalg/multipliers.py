@@ -80,10 +80,6 @@ def compose(f, g):
     return tuple(map(f.__getitem__, g))
 
 
-def pointwise_leq(alg, f, g):
-    return all(map(getitem, map(alg.leq.__getitem__, f), g))
-
-
 def pointwise_imp(alg, f, g):
     return tuple(map(getitem, map(alg.imp.__getitem__, f), g))
 

@@ -11,9 +11,10 @@ and ``compatible_meet_pairs``), are cached on the algebra.
 re-checked as the adjoint semilattice, and ``extension`` is the filter
 lattice ``filters`` itself, once re-checked as the minimal Brouwerian
 extension.  The element subsets the suites relate, as int bitmasks, are
-computed once too: ``ce.kernels``, ``ce.fixes`` and ``monomials``.  Every
-filter join the suites re-check is ``filters.join(j, k)``, and ``filters``
-closes each seed once.
+computed once too: ``ce.kernels``, ``ce.fixes`` and ``monomials``, the
+filters whose ``monomial_ce`` entry is a map.  Every filter join the
+suites re-check is ``filters.join(j, k)``, and ``filters`` closes each
+seed once.
 
 The three correspondences of the closure endomorphism lattice are shared
 the same way, each result computed on first use and kept here, never in a
@@ -23,7 +24,9 @@ of each special closure retract; and ``cross_meets`` joins each pair of
 fixpoint sets.  ``special_witnesses``, the specialness witness of every
 subset, serves ``special_subsets``, ``retract_ce`` and the suites.  So the
 re-checks inside ``ce_from_monomial_filter`` and ``ce_from_retract`` run
-once for each filter or retract, however many suites read them.
+once for each filter or retract, however many suites read them, and so
+does ``monomial_max`` on each element: ``monomials`` and every class
+maximum a suite compares are read from ``monomial_ce``.
 
 One memo of derived structures lives in a module, because what it keeps
 repeats across algebras: ``multipliers._per_table`` holds, for each
@@ -52,13 +55,17 @@ from .closure import (
     special_witnesses,
 )
 from .core import FiniteHilbertAlgebra, classify
-from .filters import all_filters, is_monomial
+from .filters import all_filters
 from .multipliers import all_multipliers
 
 
 class _Memo(dict):
     """``fn(*args)`` for each args it is called with, computed once; an
-    exception of the types ``keep`` is kept too, and raised again."""
+    exception of the types ``keep`` is kept too, and raised again.
+
+    A kept exception is stored, and raised each time, without a traceback:
+    raised again as it is, it would carry the frames of every call before
+    this one, and keep them alive."""
 
     def __init__(self, fn, keep=()):
         super().__init__()
@@ -68,13 +75,13 @@ class _Memo(dict):
         try:
             self[args] = value = self.fn(*args)
         except self.keep as err:
-            self[args] = value = err
+            self[args] = value = err.with_traceback(None)
         return value
 
     def __call__(self, *args):
         value = self[args]
         if isinstance(value, BaseException):
-            raise value
+            raise value.with_traceback(None)
         return value
 
 
@@ -103,8 +110,11 @@ class Structures:
 
     @cached_property
     def monomials(self):
-        """The monomial filters, smallest first."""
-        return tuple(j for j in self.filters.carrier if is_monomial(self.alg, j))
+        """The monomial filters, smallest first: those ``monomial_ce`` does not reject."""
+        entries = self.monomial_ce
+        return tuple(
+            j for j in self.filters.carrier if not isinstance(entries[(j,)], NonMonomialFilterError)
+        )
 
     @cached_property
     def endomorphisms(self):

@@ -23,8 +23,6 @@ from hilbertalg import (
     is_relative_subsemilattice,
     is_subalgebra,
     kernel,
-    pointwise_leq,
-    pointwise_meet,
 )
 from hilbertalg.core import subset_key, subsets
 from hilbertalg.lattice import bits, isomorphism, refine
@@ -457,7 +455,8 @@ def multiplier_laws_scan(ctx):
 
 def ce_structure_scan(ctx):
     """``ce_structure_report`` with every pair and every law instance tested
-    one at a time, in the order the report lists its witnesses."""
+    one at a time on the maps, in the order the report lists its witnesses.
+    A pair whose pointwise meet is missing somewhere is a closure witness."""
     b = ReportBuilder("ce-structure")
     alg, ce = ctx.alg, ctx.ce
     carrier = ce.carrier
@@ -469,7 +468,7 @@ def ce_structure_scan(ctx):
     )
     b.check(
         "closed-under-pointwise-meet",
-        [fmt(f=f, g=g) for f in carrier for g in carrier if pointwise_meet(alg, f, g) not in members],
+        [fmt(f=f, g=g) for f in carrier for g in carrier if pointwise_meet_scan(alg, f, g) not in members],
     )
     b.check(
         "bounded",
@@ -492,8 +491,8 @@ def ce_structure_scan(ctx):
     kernels, fixes = ce.kernels, ce.fixes
     for i, f in enumerate(carrier):
         for j, g in enumerate(carrier):
-            le = pointwise_leq(alg, f, g)
-            if le != (compose(f, g) == g):
+            le = pointwise_leq_scan(alg, f, g)
+            if le != (compose_scan(f, g) == g):
                 order_fails.append(fmt(f=f, g=g, law="composition"))
             if le != (not kernels[i] & ~kernels[j]):
                 order_fails.append(fmt(f=f, g=g, law="kernels"))
@@ -731,8 +730,8 @@ def multiplier_orbit(alg, x, mult):
 
 def subtraction(alg, f, g, carrier):
     """Least h with g <= f o h, over the closure endomorphism carrier."""
-    candidates = [h for h in carrier if pointwise_leq(alg, g, compose(f, h))]
-    least = [h for h in candidates if all(pointwise_leq(alg, h, k) for k in candidates)]
+    candidates = [h for h in carrier if pointwise_leq_scan(alg, g, compose(f, h))]
+    least = [h for h in candidates if all(pointwise_leq_scan(alg, h, k) for k in candidates)]
     if len(least) != 1:
         raise InvariantViolation(f"subtraction has no least solution for {f}, {g}")
     return least[0]
@@ -789,6 +788,15 @@ def congruence_classes(alg, members):
             assigned[b] = True
         classes.append(cls)
     return CongruenceClasses(members, tuple(classes))
+
+
+def is_monomial_scan(alg, members):
+    """True iff every congruence class of the filter has a greatest element."""
+    leq = alg.leq
+    return all(
+        any(all(leq[x][m] for x in bits(cls)) for m in bits(cls))
+        for cls in congruence_classes(alg, members).classes
+    )
 
 
 def lower_set(alg, members, a):

@@ -5,7 +5,8 @@ import pytest
 from hilbertalg import (
     InvariantViolation,
     Structures,
-    adjoint_ideal_lattice,
+    FiniteLattice,
+    adjoint_ideals,
     all_filters,
     compact_elements,
     compose,
@@ -14,7 +15,6 @@ from hilbertalg import (
     filter_generated,
     identity_map,
     minimal_brouwerian_extension,
-    pointwise_leq,
     translation,
     validate_hilbert,
 )
@@ -27,7 +27,7 @@ from hilbertalg.adjoint import (
     join_density_report,
 )
 
-from _oracles import adjoint_ideals_brute, all_subsets, mask, subtraction
+from _oracles import adjoint_ideals_brute, all_subsets, mask, pointwise_leq_scan, subtraction
 
 
 def test_composite_translation_basics(tarski3, algebras4):
@@ -71,7 +71,7 @@ def test_subtraction_examples(tarski3, algebras4):
         for f in carrier:
             assert subtraction(alg, eps, f, carrier) == f
             for g in carrier:
-                if pointwise_leq(alg, g, f):
+                if pointwise_leq_scan(alg, g, f):
                     assert subtraction(alg, f, g, carrier) == eps
 
 
@@ -84,7 +84,7 @@ def test_subtraction_residuation(algebras4):
                 s = subtraction(alg, f, g, carrier)
                 assert carrier[sub[i][j]] == s  # the table agrees with the map-level scan
                 for h in carrier:
-                    assert pointwise_leq(alg, g, compose(f, h)) == pointwise_leq(
+                    assert pointwise_leq_scan(alg, g, compose(f, h)) == pointwise_leq_scan(
                         alg, s, h
                     )
 
@@ -173,11 +173,13 @@ def test_extension_report(algebras4):
 
 
 def test_ideal_lattice_shapes(godel3, tarski3, singleton):
-    ideals, lat = adjoint_ideal_lattice(Structures(godel3).adjoint)
+    ideals = adjoint_ideals(Structures(godel3).adjoint)
+    lat = FiniteLattice.from_subsets(ideals)
     assert len(ideals) == 3 and all(lat.leq[i][j] for i in range(3) for j in range(3) if i <= j)
-    ideals, lat = adjoint_ideal_lattice(Structures(tarski3).adjoint)
+    ideals = adjoint_ideals(Structures(tarski3).adjoint)
+    lat = FiniteLattice.from_subsets(ideals)
     assert len(ideals) == 4 and lat.join(1, 2) == 3
-    ideals, _ = adjoint_ideal_lattice(Structures(singleton).adjoint)
+    ideals = adjoint_ideals(Structures(singleton).adjoint)
     assert len(ideals) == 1
 
 
@@ -187,9 +189,10 @@ def test_filter_ideal_bridge(catalog5):
         ctx = Structures(alg)
         report = filter_ideal_bridge_report(ctx)
         assert report.ok, report.as_dict()
-        ideals, ilat = adjoint_ideal_lattice(ctx.adjoint)
+        ideals = adjoint_ideals(ctx.adjoint)
         assert list(ideals) == list(map(mask, adjoint_ideals_brute(ctx.adjoint)))
         assert len(ideals) == len(all_filters(alg))
+        ilat = FiniteLattice.from_subsets(ideals)
         assert ilat.isomorphism(all_filters(alg).lattice) is not None
 
 
@@ -202,7 +205,7 @@ def test_ideal_lattice_rechecks_the_join_table(tarski3):
     broken.lattice = copy(adj.lattice)
     broken.lattice.join_table = tuple(map(tuple, join))
     with pytest.raises(InvariantViolation, match="not closed under join"):
-        adjoint_ideal_lattice(broken)
+        adjoint_ideals(broken)
 
 
 def test_filter_ideal_bridge_on_the_flat_seven_element_algebra():

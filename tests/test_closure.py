@@ -1,3 +1,4 @@
+import traceback
 from itertools import product
 
 import pytest
@@ -24,7 +25,6 @@ from hilbertalg import (
     is_filter,
     is_idempotent,
     is_isotone,
-    is_monomial,
     is_multiplier,
     kernel,
     search_endomorphisms,
@@ -49,6 +49,7 @@ from _oracles import (
     endomorphisms_brute,
     endomorphisms_bruteforce,
     filters_brute,
+    is_monomial_scan,
     mask,
     peirce_map,
 )
@@ -218,6 +219,21 @@ def test_mock_monomial_domain_error(mock_nonmonomial):
     assert len(skips) == 1 and "no greatest element" in skips[0]
 
 
+def test_kept_monomial_error_is_raised_with_a_traceback_of_constant_depth(mock_nonmonomial):
+    # Structures.monomial_ce keeps the NonMonomialFilterError of the filter and
+    # raises it on every call: with the traceback of that call alone, not one
+    # grown by the frames of every call before it
+    ctx = Structures(mock_nonmonomial)
+    bad = mask({2, 3})
+    depths = []
+    for _ in range(5):
+        with pytest.raises(NonMonomialFilterError) as err:
+            ctx.monomial_ce(bad)
+        assert err.value is ctx.monomial_ce[(bad,)]
+        depths.append(len(traceback.extract_tb(err.value.__traceback__)))
+    assert len(set(depths)) == 1, depths
+
+
 def test_special_and_retract_examples(godel3, tarski3, fixtures):
     for alg in fixtures:
         universe = mask(alg.elements)
@@ -326,5 +342,5 @@ def test_kernels_fixes_and_monomials_are_the_computed_subsets(catalog5):
             assert ce.kernels[i] == kernel(alg, f)
             assert ce.fixes[i] == fixpoints(alg, f)
         # against the filters of the brute-force scan, smallest first
-        monomials = [mask(j) for j in filters_brute(alg) if is_monomial(alg, mask(j))]
+        monomials = [mask(j) for j in filters_brute(alg) if is_monomial_scan(alg, mask(j))]
         assert list(ctx.monomials) == monomials

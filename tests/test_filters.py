@@ -8,7 +8,6 @@ from hilbertalg import (
     filter_generated,
     filters,
     is_filter,
-    is_monomial,
     monomial_max,
     partial_join,
 )
@@ -19,6 +18,7 @@ from _oracles import (
     congruence_classes,
     filters_brute,
     is_filter_via_bounds,
+    is_monomial_scan,
     lower_set,
     mask,
 )
@@ -250,7 +250,7 @@ def test_class_cofinal_in_lower_set(algebras4):
 def test_monomial_maxima(algebras4):
     for alg in algebras4:
         for f in every_filter(alg):
-            assert is_monomial(alg, f)
+            assert is_monomial_scan(alg, f)
             for a in alg.elements:
                 m = monomial_max(alg, f, a)
                 ideal = lower_set(alg, f, a)
@@ -268,4 +268,4 @@ def test_mock_monomial_surface(mock_nonmonomial):
     assert is_filter(mock, j)
     assert class_of(mock, j, 0) == mask({0, 1})
     assert monomial_max(mock, j, 0) is None
-    assert not is_monomial(mock, j)
+    assert not is_monomial_scan(mock, j)

@@ -52,7 +52,6 @@ from hilbertalg.multipliers import (
     kernel,
     map_table,
     pointwise_imp,
-    pointwise_leq,
     pointwise_meet,
     pointwise_order,
     search_multipliers,
@@ -214,7 +213,6 @@ def test_map_operations_match_the_scans(catalog4):
         for f in maps:
             for g in maps:
                 assert compose(f, g) == compose_scan(f, g)
-                assert pointwise_leq(alg, f, g) == pointwise_leq_scan(alg, f, g)
                 assert pointwise_imp(alg, f, g) == pointwise_imp_scan(alg, f, g)
                 meet = pointwise_meet_scan(alg, f, g)
                 if None in meet:
@@ -669,13 +667,24 @@ def test_endomorphism_law_kernel_leaves_more_than_255_elements_to_the_loop():
 
 def ce_stand_in(ctx, carrier):
     """``ctx`` with the closure endomorphism carrier replaced by ``carrier``:
-    its kernels and fixpoints follow it, and the lattice is the true one."""
+    its kernels and fixpoints follow it, and so do the order and the join
+    table of its lattice, read off the maps by the scans (the join None
+    where f after g is outside the carrier).  The bounds and distributivity
+    are the true lattice's."""
     alg, ce = ctx.alg, ctx.ce
+    index = {f: i for i, f in enumerate(carrier)}
+    lattice = SimpleNamespace(
+        leq=pointwise_order_scan(alg, carrier),
+        join_table=[[index.get(compose_scan(f, g)) for g in carrier] for f in carrier],
+        bottom=ce.lattice.bottom,
+        top=ce.lattice.top,
+        is_distributive=ce.lattice.is_distributive,
+    )
     stand_in = SimpleNamespace(
         carrier=carrier,
         kernels=tuple(kernel(alg, f) for f in carrier),
         fixes=tuple(fixpoints(alg, f) for f in carrier),
-        lattice=ce.lattice,
+        lattice=lattice,
         identity_index=ce.identity_index,
         top_index=ce.top_index,
     )
@@ -684,17 +693,15 @@ def ce_stand_in(ctx, carrier):
     )
 
 
-def report_outcome(report, ctx):
-    try:
-        return report(ctx).as_dict()
-    except InvariantViolation as e:
-        return f"raised: {e}"
-
-
 def test_ce_structure_kernels_match_the_loop_with_one_foreign_map(catalog5):
     # the true carriers of every algebra of size <= 5, then each carrier of an
-    # algebra of size <= 4 with one unit-fixing self-map from outside it added
-    failed = {}
+    # algebra of size <= 4 with one unit-fixing self-map from outside it added.
+    # The report takes both closures from the construction of a CeLattice,
+    # which never holds such a carrier: its isotone cut drops a foreign map
+    # that is not isotone, and its re-checks raise on every one that is
+    # (test_faults).  So they pass in the report while the scan lists their
+    # witnesses; every other check is the scan's.
+    failed, unclosed = {}, {}
     for alg in (e.algebra for e in catalog5):
         ctx = Structures(alg)
         carriers = [ctx.ce.carrier]
@@ -703,24 +710,26 @@ def test_ce_structure_kernels_match_the_loop_with_one_foreign_map(catalog5):
             carriers += [tuple(sorted(true + (f,))) for f in unit_fixing_maps(alg) if f not in true]
         for carrier in carriers:
             stand_in = ce_stand_in(ctx, carrier)
-            got = report_outcome(ce_structure_report, stand_in)
-            assert got == report_outcome(ce_structure_scan, stand_in), (alg.imp, carrier)
-            if isinstance(got, str):
-                failed["raised"] = failed.get("raised", 0) + 1
-            else:
-                for check in got["checks"]:
+            got = ce_structure_report(stand_in).as_dict()["checks"]
+            want = ce_structure_scan(stand_in).as_dict()["checks"]
+            assert got[:2] == [
+                {"name": "closed-under-composition", "status": "pass"},
+                {"name": "closed-under-pointwise-meet", "status": "pass"},
+            ]
+            assert got[2:] == want[2:], (alg.imp, carrier)
+            for checks, counts in ((got, failed), (want[:2], unclosed)):
+                for check in checks:
                     if check["status"] == "fail":
-                        failed[check["name"]] = failed.get(check["name"], 0) + 1
-    # a foreign map fails from 3 to 7 of the checks; 135 have no pointwise meet with another map
+                        counts[check["name"]] = counts.get(check["name"], 0) + 1
+    # each of the 363 foreign maps fails 2 to 4 of the other checks, and all but
+    # 15 of them leave the carrier open under composition or pointwise meet
     assert failed == {
-        "closed-under-composition": 179,
-        "closed-under-pointwise-meet": 175,
-        "isotone-multipliers-equal-monomial-route": 228,
-        "order-characterizations": 214,
-        "endomorphism-laws": 209,
+        "isotone-multipliers-equal-monomial-route": 363,
+        "order-characterizations": 349,
+        "endomorphism-laws": 306,
         "fixpoints-relative-subsemilattice": 3,
-        "raised": 135,
     }
+    assert unclosed == {"closed-under-composition": 300, "closed-under-pointwise-meet": 310}
 
 
 def test_isotone_kernel_special_matches_the_closure_oracle_with_one_foreign_map(monkeypatch, catalog5):
@@ -787,7 +796,13 @@ def test_ce_structure_leaves_more_than_255_elements_to_the_loop(monkeypatch):
         carrier=carrier,
         kernels=tuple(kernel(alg, f) for f in carrier),
         fixes=tuple(fixpoints(alg, f) for f in carrier),
-        lattice=SimpleNamespace(bottom=0, top=1, is_distributive=True),
+        lattice=SimpleNamespace(
+            leq=((True, True), (False, True)),
+            join_table=((0, 1), (1, 1)),
+            bottom=0,
+            top=1,
+            is_distributive=True,
+        ),
         identity_index=0,
         top_index=1,
     )
@@ -796,7 +811,5 @@ def test_ce_structure_leaves_more_than_255_elements_to_the_loop(monkeypatch):
     # the n^3 law loop takes minutes at this size: each map is handed to it once
     looped = []
     monkeypatch.setattr(closure, "endomorphism_law_fails", lambda alg, f: looped.append(f) or [])
-    monkeypatch.setattr(closure, "map_columns", None)
-    monkeypatch.setattr(closure, "pointwise_order", None)
     assert ce_structure_report(ctx).ok
     assert looped == [identity, one]

@@ -172,7 +172,7 @@ def test_kernels_and_fixpoint_sets_are_computed_once_per_closure_endomorphism(mo
     originals = [
         (multipliers.kernel, "kernel"),
         (multipliers.fixpoints, "fixpoints"),
-        (filters.is_monomial, "is_monomial"),
+        (filters.monomial_max, "monomial_max"),
     ]
     for fn, name in originals:
         wrapped = counting(name, fn)
@@ -210,8 +210,30 @@ def test_kernels_and_fixpoint_sets_are_computed_once_per_closure_endomorphism(mo
         ("isotone-kernel-special", "kernel"): len(carrier),
         ("isotone-kernel-special", "fixpoints"): len(carrier),
     }
-    # is_monomial: once per filter, to build ctx.monomials
-    assert sum(name == "is_monomial" for _, name, _ in calls) == len(ctx.filters)
+    # monomial_max: once per filter and element, to build ctx.monomial_ce
+    assert sum(name == "monomial_max" for _, name, _ in calls) == len(ctx.filters) * ctx.alg.n
+
+
+def test_class_maxima_are_computed_once_per_filter_and_element(monkeypatch, catalog5):
+    # over the 14 suites on one Structures, monomial_max sees each (filter,
+    # element) at most once: ctx.monomials and every class maximum a suite
+    # compares are read from ctx.monomial_ce
+    seen = Counter()
+    real = filters.monomial_max
+
+    def counting(alg, members, a):
+        seen[members, a] += 1
+        return real(alg, members, a)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("hilbertalg.") and getattr(module, "monomial_max", None) is real:
+            monkeypatch.setattr(module, "monomial_max", counting)
+    for alg in (e.algebra for e in catalog5):
+        seen.clear()
+        ctx = Structures(alg)
+        assert all(r.ok for r in run_algebra_suites(ctx, list(ALGEBRA_SUITES))), alg.imp
+        assert set(seen) == {(j, a) for j in ctx.filters.carrier for a in alg.elements}, alg.imp
+        assert max(seen.values()) == 1, alg.imp
 
 
 def test_bounds_are_computed_once_per_algebra(monkeypatch, catalog4):
