@@ -177,11 +177,12 @@ class NonMonomialFilterError(ValueError):
     """A congruence class of the filter has no greatest element."""
 
     def __init__(self, element, class_members):
+        super().__init__(element, class_members)  # so that copy.copy rebuilds it
         self.element = element
         self.class_members = class_members
-        super().__init__(
-            f"class of {element} = {fset(class_members)} has no greatest element"
-        )
+
+    def __str__(self):
+        return f"class of {self.element} = {fset(self.class_members)} has no greatest element"
 
 
 def ce_from_monomial_filter(alg, members):

@@ -20,18 +20,15 @@ Every element subset is an int bitmask, bit x set iff x is a member.  The
 algebra also keeps, on first use, the mask tables ``preimages`` and
 ``sources`` of its rows and columns, ``compatible_meet_pairs``, and, while
 n <= 255, its table as ``flat`` bytes and its rows as 256-byte ``luts``:
-the kernels of ``filters`` and ``closure`` read them.
+the kernels of ``filters``, ``closure`` and ``multipliers`` read them.
 
-The re-checks that take O(n^3) steps run as byte kernels while every
-element fits a byte (n <= 255): rows are ``bytes``, a gather through a
-row is ``bytes.translate`` with the row padded to 256 bytes, and a test of
-many instances at once is a bitmask test on ``int.from_bytes``.  So
-``axiom_violations`` decides every axiom instance (``_holds``), and
-``compatible_meet_table`` the candidates of a whole row.  A table the
-kernel rejects, and any table of more than 255 elements, goes to the loop
-over single instances, which reports the failure: ``_listed_violations``
-lists the failed instances and ``_compatible_meets_by_pair`` raises the
-violation.
+The two re-checks that take O(n^3) steps are plain loops over single
+instances: ``axiom_violations`` lists every failed axiom instance, and
+``compatible_meet_table`` raises ``InvariantViolation`` at the first pair
+that breaks the law.  Each runs once per search class, per algebra and
+per distinct multiplier table: 194 axiom checks and 99 compatible meet
+tables for the whole size-6 enumeration, too few for a byte kernel to
+pay for its code.
 """
 
 from __future__ import annotations
@@ -129,49 +126,14 @@ class FiniteHilbertAlgebra:
     def compatible_meet_table(self):
         """compatible_meet_table[x][y]: the compatible meet of x and y, or None.
 
-        For each x, the common lower bounds c of x and y with x <= y -> c,
-        over all (y, c) at once, are byte lanes: c <= x repeats one column
-        of the order, c <= y is the transposed order, and x <= y -> c
-        translates the table through row x of the order.  They must be
-        exactly the meet of each pair that the meet makes compatible.  With
-        more than 255 elements, or where they are not, the pairs are
-        scanned one by one, which raises the violation.
+        Scanned pair by pair: the common lower bounds c of x and y with
+        x <= y -> c, lowest first.  Two of them, or one that differs from
+        the meet, raise ``InvariantViolation``.
         """
-        n, meet = self.n, self.meet_table
-        if n > 255:
-            return self._compatible_meets_by_pair()
-        imp, flat = self.imp, self.flat
-        leq = flat.translate(bytes(self.one) + b"\1" + bytes(255 - self.one))
-        # below[y * n + c]: c <= y
-        below = b"".join([leq[c::n] for c in range(n)])
-        lower = int.from_bytes(below, "little")
-        pad = bytes(256 - n)
-        onehot = {None: bytes(n)}
-        onehot.update((c, bytes(c) + b"\1" + bytes(n - 1 - c)) for c in range(n))
-        rows = []
-        for x, meet_x in enumerate(meet):
-            leq_x = leq[x * n : x * n + n]
-            found = (
-                int.from_bytes(below[x * n : x * n + n] * n, "little")
-                & lower
-                & int.from_bytes(flat.translate(leq_x + pad), "little")
-            )
-            row = tuple(
-                [c if c is not None and leq_x[imp[y][c]] else None for y, c in enumerate(meet_x)]
-            )
-            if found != int.from_bytes(b"".join(map(onehot.__getitem__, row)), "little"):
-                return self._compatible_meets_by_pair()
-            rows.append(row)
-        return tuple(rows)
-
-    def _compatible_meets_by_pair(self):
-        """``compatible_meet_table`` pair by pair, raising ``InvariantViolation`` for
-        two compatible meets or one that differs from the meet."""
         leq, imp, meet, rng = self.leq, self.imp, self.meet_table, self.elements
         down = masks(tuple(zip(*leq)))
 
         def compatible(x, y):
-            # the common lower bounds c, lowest first, with x <= y -> c
             imp_y, leq_x = imp[y], leq[x]
             found = [c for c in bits(down[x] & down[y]) if leq_x[imp_y[c]]]
             if len(found) > 1:
@@ -244,86 +206,15 @@ class FiniteHilbertAlgebra:
         return f"FiniteHilbertAlgebra(n={self.n}, one={self.one})"
 
 
-def _holds(rows, one):
-    """Whether the checked table of rows (at most 255 of them) has no failed axiom instance.
-
-    Every instance of every law is decided on whole rows as ``bytes``.  With
-    ``luts[b]`` row b padded to a 256-byte lookup, ``flat.translate(luts[b])``
-    is b -> (a -> z) at a * n + z for all a, z at once; joined over b it is
-    the left side x -> (y -> z) of every exchange instance.  The order's
-    up-sets are n-bit masks, read off the flat table in one ``int`` parse,
-    and one pass over the pairs t < s checks antisymmetry and transitivity.
-    The order then embeds in bit codes: code(a) holds the s <= a that are
-    not the join of the elements below them, and a <= b iff code(a) is
-    within code(b), as a minimal element of down(a) outside down(b) is such
-    an s.  Exchange compares the codes of both sides in byte lanes, eight
-    code bits a plane, one ``int.from_bytes`` per side and plane.
-    """
-    n = len(rows)
-    rb = list(map(bytes, rows))
-    flat = b"".join(rb)
-    ones = bytes((one,)) * n
-    if flat[:: n + 1] != ones or flat[one::n] != ones:
-        return False  # reflexivity, top
-    pad = bytes(256 - n)
-    luts = [r + pad for r in rb]
-    through = [flat.translate(lut) for lut in luts]
-    # x -> (y -> x) is through[x] at y * n + x
-    if b"".join([t[x::n] for x, t in enumerate(through)]) != ones * n:
-        return False  # weakening
-    leq = flat.translate(bytes(one) + b"\1" + bytes(255 - one))
-    # bit x * n + y of the parsed matrix is x <= y
-    matrix = int(leq.translate(b"01" + bytes(254))[::-1], 2)
-    full = (1 << n) - 1
-    up = [matrix >> i & full for i in range(0, n * n, n)]
-    # bounds[s]: the common upper bounds of the elements below s
-    bounds = [full] * n
-    for t, u in enumerate(up):
-        above = u ^ 1 << t
-        w = above
-        while w:
-            low = w & -w
-            s = low.bit_length() - 1
-            if up[s] & ~above:
-                return False  # antisymmetry or transitivity
-            bounds[s] &= u
-            w ^= low
-    # planes[k]: bit j of byte a set iff the (8k + j)-th code element is <= a
-    planes = []
-    j = 0
-    for s, (u, b) in enumerate(zip(up, bounds)):
-        if b & ~u:
-            if not j & 7:
-                planes.append(0)
-            planes[-1] |= int.from_bytes(leq[s * n : s * n + n], "little") << (j & 7)
-            j += 1
-    # x -> (y -> z) <= (x -> y) -> (x -> z), with the right side row y of
-    # block x being x -> z for all z translated through row x -> y
-    lhs = b"".join(through)
-    rhs = b"".join([r.translate(luts[v]) for r in rb for v in r])
-    for plane in planes:
-        code = plane.to_bytes(n, "little") + pad
-        if int.from_bytes(lhs.translate(code), "little") & ~int.from_bytes(
-            rhs.translate(code), "little"
-        ):
-            return False  # exchange
-    return True
-
-
 def axiom_violations(table, one):
     """Every failed axiom instance of the table, in a deterministic order.
 
     Structurally bad input raises ``MalformedTableError``, which is a
     different condition from a well-formed table failing the axioms.
     Violations are reported exhaustively rather than fail-fast so that the
-    list can be consumed as a search/scoring oracle.  ``_holds`` decides
-    every instance at once; a table it rejects, or one of more than 255
-    elements, is listed instance by instance.
+    list can be consumed as a search/scoring oracle.
     """
-    imp = _checked_table(table, one)
-    if len(imp) <= 255 and _holds(imp, one):
-        return []
-    return _listed_violations(imp, one)
+    return _listed_violations(_checked_table(table, one), one)
 
 
 def _listed_violations(imp, one):

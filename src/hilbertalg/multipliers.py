@@ -506,8 +506,9 @@ class MultiplierAlgebra(MapLattice):
     its distributivity, and ``validate_hilbert`` and ``classify`` of the
     pointwise implication table with its top.  Each of those is a function
     of its table alone, so a repeat on an equal table cannot give another
-    answer.  Those of O(m^3) steps in the m multipliers are byte kernels
-    while m <= 255; a failure is reported by the loop over single instances.
+    answer.  Of those of O(m^3) steps in the m multipliers, distributivity
+    is a byte kernel while m <= 255; the axioms and compatible meets are
+    loops over single instances.
     """
 
     def __init__(self, alg):

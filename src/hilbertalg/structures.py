@@ -39,6 +39,7 @@ memo is bounded by the distinct tables a process meets.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -63,9 +64,10 @@ class _Memo(dict):
     """``fn(*args)`` for each args it is called with, computed once; an
     exception of the types ``keep`` is kept too, and raised again.
 
-    A kept exception is stored, and raised each time, without a traceback:
-    raised again as it is, it would carry the frames of every call before
-    this one, and keep them alive."""
+    A kept exception is stored without a traceback, and each call raises a
+    ``copy.copy`` of it: raised as it is, the stored object would carry the
+    frames of the caller that caught it, and keep them alive until the next
+    call.  So a kept exception type must be rebuilt by ``copy.copy``."""
 
     def __init__(self, fn, keep=()):
         super().__init__()
@@ -81,7 +83,7 @@ class _Memo(dict):
     def __call__(self, *args):
         value = self[args]
         if isinstance(value, BaseException):
-            raise value.with_traceback(None)
+            raise copy.copy(value)
         return value
 
 

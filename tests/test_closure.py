@@ -1,4 +1,6 @@
+import gc
 import traceback
+import weakref
 from itertools import product
 
 import pytest
@@ -221,17 +223,36 @@ def test_mock_monomial_domain_error(mock_nonmonomial):
 
 def test_kept_monomial_error_is_raised_with_a_traceback_of_constant_depth(mock_nonmonomial):
     # Structures.monomial_ce keeps the NonMonomialFilterError of the filter and
-    # raises it on every call: with the traceback of that call alone, not one
-    # grown by the frames of every call before it
+    # raises a copy of it on every call: with the traceback of that call alone,
+    # not one grown by the frames of every call before it
     ctx = Structures(mock_nonmonomial)
     bad = mask({2, 3})
+    kept = ctx.monomial_ce[(bad,)]
     depths = []
     for _ in range(5):
         with pytest.raises(NonMonomialFilterError) as err:
             ctx.monomial_ce(bad)
-        assert err.value is ctx.monomial_ce[(bad,)]
+        assert type(err.value) is type(kept) and str(err.value) == str(kept)
+        assert kept.__traceback__ is None
         depths.append(len(traceback.extract_tb(err.value.__traceback__)))
     assert len(set(depths)) == 1, depths
+
+    class Local:
+        pass
+
+    def catching():
+        # the kept error must not hold this frame, and so its local, once it returns
+        local = Local()
+        try:
+            ctx.monomial_ce(bad)
+        except NonMonomialFilterError:
+            pass
+        return weakref.ref(local)
+
+    alive = catching()
+    gc.collect()
+    assert kept.__traceback__ is None
+    assert alive() is None
 
 
 def test_special_and_retract_examples(godel3, tarski3, fixtures):

@@ -1,6 +1,7 @@
 import random
 import sys
-from functools import cache
+from collections import Counter
+from functools import cache, cached_property
 from itertools import permutations, zip_longest
 from math import factorial
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertalg import core, enumeration
+from hilbertalg import core, enumeration, multipliers
 from hilbertalg.enumeration import survey_record
 from hilbertalg.lattice import is_partial_order
 from hilbertalg import (
@@ -81,6 +82,34 @@ def test_search_validates_each_class_once(monkeypatch):
         validated.clear()
         list(search_valid_tables(n))
         assert len(validated) == classes, n
+
+
+def test_enumerating_size_six_checks_each_table_once(monkeypatch):
+    # the axioms and compatible meets are re-checked once per class and per
+    # distinct multiplier table: 95 search hits, 95 algebras and 4 multiplier tables
+    checked = []
+    real_violations = core.axiom_violations
+
+    def counting(table, one):
+        checked.append(len(table))
+        return real_violations(table, one)
+
+    monkeypatch.setattr(core, "axiom_violations", counting)
+    monkeypatch.setattr(enumeration, "axiom_violations", counting)
+    built = []
+    real_meets = FiniteHilbertAlgebra.compatible_meet_table.func
+
+    def building(alg):
+        built.append(alg.n)
+        return real_meets(alg)
+
+    prop = cached_property(building)
+    prop.__set_name__(FiniteHilbertAlgebra, "compatible_meet_table")
+    monkeypatch.setattr(FiniteHilbertAlgebra, "compatible_meet_table", prop)
+    multipliers._per_table.clear()
+    enumerate_algebras(6)
+    assert Counter(checked) == {6: 190, 8: 2, 16: 1, 32: 1}
+    assert Counter(built) == {6: 95, 8: 2, 16: 1, 32: 1}
 
 
 def test_unlabelled_posets_are_one_per_class():
