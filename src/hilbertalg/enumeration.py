@@ -17,8 +17,16 @@ relabelling keeps a table valid, so the other members are not checked
 again.  The canonical form of a table is the least member of its orbit; the
 walk that expands a class maps each member to it, and that serves
 ``canonical_table`` for every table the search yields: one orbit walk per
-class, not one per raw table.  Isomorphism witnesses, endomorphism monoids
-and the cross-algebra survey live here as well.
+class, not one per raw table.  The walk holds the table as bytes and makes
+each relabelling in two steps, every label at once by ``bytes.translate``
+and every cell into its place by one precomputed ``itemgetter``.
+
+Isomorphism witnesses, endomorphism monoids and the cross-algebra survey
+live here as well.  An endomorphism monoid is re-checked closed under
+composition without its table (``composite_outside``): the right products
+of greedy generators are grown from the identity, and each must be one of
+the maps.  The table is built only where the survey compares two monoids
+of one size, and it re-checks closure again.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .core import (
 )
 from .closure import is_endomorphism
 from .lattice import FiniteLattice, bits, isomorphism, refine
-from .multipliers import compose, identity_map, map_table
+from .multipliers import _gather, compose, identity_map, map_table
 from .report import ReportBuilder, fmt
 from .structures import Structures
 
@@ -86,10 +94,12 @@ def unlabelled_posets(points):
 
 @cache
 def _relabellings(n):
-    """Every relabelling of 0..n-1 that fixes the unit n-1, as (lab, src).
+    """Every relabelling of 0..n-1 that fixes the unit n-1, as (lut, src, gather).
 
-    ``lab[x]`` is the new label of x, and ``src[k]`` is the flat cell of the
-    original table that lands on flat cell k (row-major) of the relabelled one.
+    ``lut[x]`` is the new label of x, padded to a 256-byte ``bytes.translate``
+    table, and ``src[k]`` is the flat cell of the original table that lands on
+    flat cell k (row-major) of the relabelled one; ``gather`` picks the cells
+    ``src`` of a sequence into a tuple.
     """
     out = []
     for perm in permutations(range(n - 1)):
@@ -97,13 +107,16 @@ def _relabellings(n):
         inv = [0] * n
         for x, a in enumerate(lab):
             inv[a] = x
-        out.append((lab, tuple(inv[a] * n + inv[b] for a in range(n) for b in range(n))))
+        src = tuple(inv[a] * n + inv[b] for a in range(n) for b in range(n))
+        out.append((bytes(lab).ljust(256, b"\0"), src, _gather(src)))
     return tuple(out)
 
 
-def _relabel(flat, rel):
-    lab, src = rel
-    return tuple([lab[flat[s]] for s in src])
+def _relabel(data, rel):
+    """The relabelling ``rel`` of a flat table given as bytes, as a tuple of ints:
+    every label translated at once, then the cells gathered into their places."""
+    lut, _, gather = rel
+    return gather(data.translate(lut))
 
 
 def _orbit(flat, n):
@@ -113,7 +126,8 @@ def _orbit(flat, n):
     one for ``canonical_table``; the returned dict is not that memo.
     """
     global _orbit_least
-    orbit = dict.fromkeys(_relabel(flat, r) for r in _relabellings(n))
+    data = bytes(flat)
+    orbit = dict.fromkeys([_relabel(data, r) for r in _relabellings(n)])
     _orbit_least = dict.fromkeys(orbit, _rows(min(orbit), n))
     return orbit
 
@@ -159,7 +173,10 @@ def _tables_over(up):
 
     def assign(x, y, v):
         table[x][y] = v
-        return all(watch_eval(t) for t in tuple(watchers.get((x, y), ())))
+        for t in tuple(watchers.get((x, y), ())):
+            if not watch_eval(t):
+                return False
+        return True
 
     rng = range(n)
     if not all(watch_eval((x, y, z)) for x in rng for y in rng for z in rng):
@@ -182,7 +199,7 @@ def _tables_over(up):
 
 
 def _rows(flat, n):
-    return tuple(flat[i : i + n] for i in range(0, n * n, n))
+    return tuple(zip(*[iter(flat)] * n))
 
 
 def search_valid_tables(n):
@@ -214,17 +231,17 @@ def _least_relabelling(flat, n):
     the first cell where they exceed the best so far.
     """
     best = None
-    for lab, src in _relabellings(n):
+    for lut, src, _ in _relabellings(n):
         if best is not None:
             for s, b in zip(src, best):
-                c = lab[flat[s]]
+                c = lut[flat[s]]
                 if c != b:
                     break
             else:
                 continue  # equal to the best so far
             if c > b:
                 continue
-        best = tuple([lab[flat[s]] for s in src])
+        best = tuple([lut[flat[s]] for s in src])
     return best
 
 
@@ -239,17 +256,24 @@ def canonical_table(table, one):
     Every member of an orbit under the unit-fixing relabellings has the same
     least relabelling, the orbit's minimum.  The unit is moved last and the
     table looked up in the memo of the last orbit walked; the search's walk
-    of a class puts every table it yields there.  A table outside it has its
-    own orbit walked.  The result is exact for any table, Hilbert algebra or
-    not; ``_least_relabelling`` is the reference.
+    of a class puts every table it yields there; a table whose unit is
+    already last, as every search table's is, is only flattened.  A table
+    outside the memo has its own orbit walked, once its entries are checked
+    to lie in 0..n-1 (IndexError otherwise).  The result is exact for any
+    table, Hilbert algebra or not; ``_least_relabelling`` is the reference.
     """
     n = len(table)
-    order = [x for x in range(n) if x != one] + [one]
-    pos = [0] * n
-    for i, x in enumerate(order):
-        pos[x] = i
-    flat = tuple([pos[table[x][y]] for x in order for y in order])
+    if one == n - 1:
+        flat = tuple(chain.from_iterable(table))
+    else:
+        order = [x for x in range(n) if x != one] + [one]
+        pos = [0] * n
+        for i, x in enumerate(order):
+            pos[x] = i
+        flat = tuple([pos[table[x][y]] for x in order for y in order])
     if flat not in _orbit_least:
+        if len(flat) != n * n or not set(flat) <= set(range(n)):
+            raise IndexError(f"not a {n} x {n} table of entries 0..{n - 1}")
         _orbit(flat, n)
     return _orbit_least[flat]
 
@@ -351,8 +375,42 @@ class EndoMonoid:
         return _monoid_colors(self)
 
 
+def composite_outside(maps, identity):
+    """A composite of ``maps`` that is not one of them, or None when the maps
+    are closed under composition.
+
+    The check is that the maps are the monoid of greedy generators: each map
+    not yet reached becomes one.  The right products of the generators are
+    grown from the identity, as in the walk of Froidure and Pin, "Algorithms
+    for computing finite semigroups" (1997): on a new generator g, each
+    element x reached so far gives x after g, and each new element x gives x
+    after every generator.  Every product must be one of the maps, and each
+    map is reached, a generator at the latest as the identity after itself.
+    That takes |maps| times |generators| compositions, not |maps|^2.
+    """
+    members, seen = set(maps), {identity}
+    reached, gens = [identity], []
+    for g in maps:
+        if g in seen:
+            continue
+        gens.append(g)
+        start, i = len(reached), 0
+        while i < len(reached):
+            x = reached[i]
+            for k in gens if i >= start else (g,):
+                h = compose(x, k)
+                if h not in seen:
+                    if h not in members:
+                        return h
+                    seen.add(h)
+                    reached.append(h)
+            i += 1
+    return None
+
+
 def endomorphism_monoid(ctx):
-    """The endomorphisms of ``ctx.alg`` as a monoid, its composition table built and re-checked.
+    """The endomorphisms of ``ctx.alg`` as a monoid, re-checked closed under
+    composition by ``composite_outside``; its table is left unbuilt.
 
     Each map is re-checked to be an endomorphism too, so a foreign map that
     keeps the set a closed monoid is caught.
@@ -363,9 +421,10 @@ def endomorphism_monoid(ctx):
     for f in maps:
         if not is_endomorphism(ctx.alg, f):
             raise InvariantViolation(f"endomorphisms hold a non-endomorphism {f}")
-    mon = EndoMonoid(maps=maps, identity=maps.index(identity))
-    mon.table  # built now: the re-check that the maps are closed under composition
-    return mon
+    h = composite_outside(maps, identity)
+    if h is not None:
+        raise InvariantViolation(f"endomorphisms not closed under composition: {h}")
+    return EndoMonoid(maps=maps, identity=maps.index(identity))
 
 
 def _monoid_colors(m):
@@ -404,8 +463,8 @@ def survey_record(ctx):
     """The survey record of ``ctx.alg``.
 
     The endomorphisms are re-checked closed under composition here, once per
-    algebra, but the record keeps only the maps: the survey needs a monoid's
-    table only where another monoid has the same size.
+    algebra, without a table: the survey builds a monoid's table only where
+    another monoid has the same size.
     """
     mon = endomorphism_monoid(ctx)
     index = {f: i for i, f in enumerate(mon.maps)}
@@ -415,7 +474,7 @@ def survey_record(ctx):
     return SurveyRecord(
         filters=filters,
         adjoint=adjoint,
-        monoid=EndoMonoid(maps=mon.maps, identity=mon.identity),
+        monoid=mon,
         ce_idx=sum(1 << index[f] for f in ctx.ce.carrier),
         implicative_semilattice=ctx.flags.implicative_semilattice,
     )

@@ -384,6 +384,14 @@ def compose_scan(f, g):
     return tuple(f[v] for v in g)
 
 
+def composition_table_scan(maps):
+    """The index of f after g for every pair of the maps, None where the
+    composite is not one of them: the full table that an endomorphism
+    monoid's closure under composition was once re-checked on."""
+    index = {f: i for i, f in enumerate(maps)}
+    return tuple(tuple(index.get(compose_scan(f, g)) for g in maps) for f in maps)
+
+
 def pointwise_leq_scan(alg, f, g):
     return all(alg.leq[f[x]][g[x]] for x in alg.elements)
 

@@ -251,7 +251,27 @@ def test_canonical_table_matches_bruteforce_in_any_order(monkeypatch, order):
         assert len(orbits) > len(cases) * 9 // 10
 
 
+def orbit_by_cells(flat, n):
+    """The orbit walk of a flat table one cell at a time: its relabelling by
+    each unit-fixing permutation in ``permutations`` order, repeats dropped."""
+    rows = [flat[i : i + n] for i in range(0, n * n, n)]
+    walk = (relabel(rows, perm + (n - 1,)) for perm in permutations(range(n - 1)))
+    return list(dict.fromkeys(tuple(c for row in t for c in row) for t in walk))
+
+
+def off_hilbert_tables(rng):
+    """Twelve random tables of each size 2 to 5 that fail the axioms."""
+    for n in range(2, 6):
+        found = 0
+        while found < 12:
+            table = tuple(tuple(rng.choices(range(n), k=n)) for _ in range(n))
+            if core.axiom_violations(table, n - 1):
+                found += 1
+                yield table
+
+
 def test_canonical_table_matches_bruteforce_off_hilbert_tables():
+    # the unit last reads the table as it is; elsewhere, it is moved last first
     rng = random.Random(4)
     tables = [((0,) * 4,) * 4, tuple(tuple(range(4)) for _ in range(4))]
     tables += [tuple(tuple(rng.choices(range(4), k=4)) for _ in range(4)) for _ in range(20)]
@@ -260,6 +280,30 @@ def test_canonical_table_matches_bruteforce_off_hilbert_tables():
         for one in (3, 1):
             assert canonical_table(table, one) == canonical_table_brute(table, one)
             assert len(enumeration._orbit_least) <= factorial(3)
+    for table in off_hilbert_tables(random.Random(29)):
+        for one in range(len(table)):
+            assert canonical_table(table, one) == canonical_table_brute(table, one)
+
+
+@pytest.mark.parametrize("one", [2, 0])
+def test_canonical_table_rejects_an_entry_outside_the_elements(one):
+    # with the unit last the table is read as it is, so its entries are checked
+    for bad in (3, 200):
+        table = [list(row) for row in TARSKI3_TABLE]
+        table[0][1] = bad
+        with pytest.raises(IndexError):
+            canonical_table(table, one)
+
+
+def test_orbit_walk_is_the_cell_by_cell_walk():
+    tables = [t for n in range(1, 6) for t in search_valid_tables(n)]
+    tables += off_hilbert_tables(random.Random(28))
+    for table in tables:
+        n = len(table)
+        flat = tuple(c for row in table for c in row)
+        walked = list(enumeration._orbit(flat, n))
+        assert walked == orbit_by_cells(flat, n)
+        assert all(type(c) is int for member in walked for c in member)
 
 
 def test_classes_walk_one_orbit_per_class_to_canonicalise(monkeypatch):
@@ -354,6 +398,13 @@ def test_monoid_table_is_rechecked_closed_under_composition():
     maps = ((0, 1, 2), (1, 2, 2))  # (1, 2, 2) after itself is (2, 2, 2)
     with pytest.raises(core.InvariantViolation, match=r"^endomorphisms not closed under composition: \(2, 2, 2\)$"):
         enumeration.EndoMonoid(maps, 0).table
+
+
+def test_monoid_is_rechecked_closed_under_composition_without_its_table(godel3):
+    ctx = Structures(godel3)
+    vars(ctx)["endomorphisms"] = ((0, 1, 2), (1, 2, 2))  # (1, 2, 2) after itself is (2, 2, 2)
+    with pytest.raises(core.InvariantViolation, match=r"^endomorphisms not closed under composition: \(2, 2, 2\)$"):
+        endomorphism_monoid(ctx)
 
 
 def test_monoid_isomorphism_between_relabelings(godel3):

@@ -20,6 +20,10 @@ multiplier algebra's sweep runs twice: after the true algebras, whose
 index-level tables the module memo then holds, and with that memo cleared
 before each stand-in.
 
+The endomorphism monoid checks closure under composition on greedy
+generators; on each one-map-off stand-in of the endomorphisms that holds
+the identity it must give the verdict of the full scanned table.
+
 ``search_maps`` itself runs a ``MapPlan``, fixed per algebra.  On every
 labelling of every algebra of size <= 4 (42 tables) both plans are run
 with one check dropped, and with one derived cell read from another pair
@@ -29,7 +33,7 @@ takes the identity with it.
 """
 
 from functools import partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from types import SimpleNamespace
 
 from hilbertalg import (
@@ -48,9 +52,10 @@ from hilbertalg import (
     multipliers,
     validate_hilbert,
 )
+from hilbertalg.enumeration import composite_outside
 from hilbertalg.multipliers import map_plan, search_maps
 
-from _oracles import axiom_violations_brute, compose_scan
+from _oracles import axiom_violations_brute, compose_scan, composition_table_scan
 
 
 def test_every_stand_in_closure_raises_or_builds_the_true_carrier(tarski3, monkeypatch):
@@ -206,6 +211,20 @@ def test_multiplier_sets_one_map_off_raise_or_cut_out_the_true_closure_endomorph
     assert caught == {"drop": 42, "add": 237}
     assert missing_translation == 13
     assert passed == {"drop": 13, "add": 1303}
+
+
+def test_generator_check_gives_the_full_table_verdict_on_every_stand_in(algebras4):
+    verdicts = {True: 0, False: 0}
+    for alg in algebras4:
+        identity = identity_map(alg)
+        for _, stand_in in one_map_off(tuple(Structures(alg).endomorphisms), alg.n):
+            if identity in stand_in:
+                closed = composite_outside(stand_in, identity) is None
+                assert closed == (None not in chain.from_iterable(composition_table_scan(stand_in)))
+                verdicts[closed] += 1
+    # the 26 closed monoids: the 12 drops that pass the sweep above, and the 14
+    # foreign maps that keep a closed monoid, which only the endomorphism check sees
+    assert verdicts == {True: 26, False: 1559}
 
 
 def relabel(alg, perm):

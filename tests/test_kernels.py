@@ -4,7 +4,7 @@ scans they replaced (``_oracles``): the same results, and the same errors."""
 import json
 import random
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
 
 import pytest
@@ -42,13 +42,14 @@ from hilbertalg.closure import (
     search_endomorphisms,
     special_witness,
 )
-from hilbertalg.enumeration import classes
+from hilbertalg.enumeration import classes, composite_outside, endomorphism_monoid
 from hilbertalg.filters import class_of, monomial_max
 from hilbertalg.lattice import bound_table, is_partial_order
 from hilbertalg.multipliers import (
     closed_table,
     compose,
     fixpoints,
+    identity_map,
     kernel,
     map_table,
     pointwise_imp,
@@ -66,6 +67,7 @@ from _oracles import (
     class_of_scan,
     compatible_meet_table_scan,
     compose_scan,
+    composition_table_scan,
     cross_meets_scan,
     idempotent_stable_scan,
     is_distributive_scan,
@@ -309,6 +311,24 @@ def test_map_table_raises_the_reference_messages(godel3, tarski3):
 def test_map_table_leaves_more_than_255_elements_to_closed_table():
     identity = tuple(range(300))  # too many values for one byte each
     assert map_table((identity,), {identity: 0}, compose, "maps", "composition") == ((0,),)
+
+
+def test_monoid_closure_on_generators_matches_the_full_table(algebras6):
+    # the endomorphisms' closure checked on greedy generators and on the scanned
+    # composition table: the same verdict, and the monoid's table left unbuilt
+    for alg in algebras6:
+        ctx = Structures(alg)
+        maps, identity = tuple(ctx.endomorphisms), identity_map(alg)
+        assert composite_outside(maps, identity) is None
+        assert None not in chain.from_iterable(composition_table_scan(maps))
+        mon = endomorphism_monoid(ctx)
+        assert mon.maps == maps and "table" not in vars(mon)
+
+
+def test_flat_seven_element_monoid_is_checked_without_its_table():
+    # the full table would have 13 327^2 cells: its oracle is left out
+    mon = endomorphism_monoid(Structures(validate_hilbert(flat_table(7), 6)))
+    assert len(mon) == 13327 and "table" not in vars(mon)
 
 
 def flat_table(n):
