@@ -56,7 +56,7 @@ from .core import (
     subsets,
 )
 from .filters import class_of, is_filter, monomial_max
-from .lattice import FiniteLattice, _Least, bits, masks
+from .lattice import FiniteLattice, _Least, bits
 from .multipliers import (
     MapLattice,
     compose,
@@ -177,7 +177,9 @@ class NonMonomialFilterError(ValueError):
     """A congruence class of the filter has no greatest element."""
 
     def __init__(self, element, class_members):
-        super().__init__(element, class_members)  # so that copy.copy rebuilds it
+        # args are the constructor's, so that pickle rebuilds the error when a
+        # --jobs worker sends it back to the parent
+        super().__init__(element, class_members)
         self.element = element
         self.class_members = class_members
 
@@ -254,7 +256,7 @@ class NotSpecialError(ValueError):
 
 def _least_above(alg, members):
     """For each element, the least member above it, or None where there is none."""
-    up = masks(alg.leq)
+    up = [row[alg.one] for row in alg.preimages]
     least = _Least(up)
     return [least[u & members] for u in up]
 

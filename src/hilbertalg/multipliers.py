@@ -21,22 +21,23 @@ and the cells checked.  ``search_maps`` walks the plan depth first, with
 the checks on the branch value alone as one mask of admitted values;
 every map it finds is re-checked, and the identity must be among them.
 
-``_per_table`` is a module-level memo shared by every multiplier algebra
-of a process.  Across a catalog the multiplier algebras share a handful
-of index-level tables (4 distinct order matrices and 4 distinct
-implication tables among the 95 algebras of size 6, 7 and 7 among the 550
-of size 7), so the re-checks that read only such a table run once per
-distinct table: the ``FiniteLattice`` of the order matrix, with its cached
+``_order_lattice`` and ``_is_implication_algebra`` are module-level
+``functools.cache`` functions shared by every multiplier algebra of a
+process.  Across a catalog the multiplier algebras share a handful of
+index-level tables (4 distinct order matrices and 4 distinct implication
+tables among the 95 algebras of size 6, 7 and 7 among the 550 of size 7),
+so the re-checks that read only such a table run once per distinct table:
+the ``FiniteLattice`` of the order matrix, with its cached
 ``is_distributive``, and the ``validate_hilbert`` and ``classify`` verdict
-on the implication table.  Each is keyed by the whole table; an exception
-is raised again on every call, never kept.  So the memo holds one entry
-per distinct table the process has met.
+on the implication table.  Each is keyed by the whole table; ``cache``
+keeps no exception, so a failed re-check is raised again on every call.
+So each cache holds one entry per distinct table the process has met.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import and_, getitem, itemgetter
 from typing import NamedTuple
 
@@ -351,26 +352,18 @@ def search_multipliers(alg):
     return search_maps(alg, plan, partial(is_multiplier, alg), "multiplier")
 
 
-_per_table = {}  # ("order", matrix) or ("implication", table, top) -> its re-check's result
+@cache
+def _order_lattice(leq):
+    """The ``FiniteLattice`` of the order matrix ``leq``, a tuple of tuples;
+    built once per distinct matrix."""
+    return FiniteLattice(leq)
 
 
-def _once_per_table(key, check):
-    """``check()``, kept in ``_per_table`` under ``key`` the first time it returns;
-    for an equal key, the kept result."""
-    try:
-        return _per_table[key]
-    except KeyError:
-        _per_table[key] = result = check()
-        return result
-
-
+@cache
 def _is_implication_algebra(table, top):
     """Whether the index-level table with unit ``top`` passes ``validate_hilbert``
     and is an implication algebra; decided once per distinct (table, top)."""
-    return _once_per_table(
-        ("implication", table, top),
-        lambda: classify(validate_hilbert(table, top)).implication_algebra,
-    )
+    return classify(validate_hilbert(table, top)).implication_algebra
 
 
 def closed_table(carrier, index, op, what, name):
@@ -502,13 +495,15 @@ class MultiplierAlgebra(MapLattice):
     pointwise meet and pointwise implication, their equality with the
     lattice's join and meet, the bounds and the complement law.  The
     re-checks that read only an index-level table run once per distinct
-    table (``_per_table``): the lattice of the pointwise order matrix and
-    its distributivity, and ``validate_hilbert`` and ``classify`` of the
-    pointwise implication table with its top.  Each of those is a function
-    of its table alone, so a repeat on an equal table cannot give another
-    answer.  Of those of O(m^3) steps in the m multipliers, distributivity
-    is a byte kernel while m <= 255; the axioms and compatible meets are
-    loops over single instances.
+    table, each through a module-level ``functools.cache``:
+    ``_order_lattice``, the lattice of the pointwise order matrix and its
+    distributivity, and ``_is_implication_algebra``, ``validate_hilbert``
+    and ``classify`` of the pointwise implication table with its top.  Each
+    of those is a function of its table alone, so a repeat on an equal
+    table cannot give another answer; a failure is not kept, and is raised
+    again on a repeat.  Of those of O(m^3) steps in the m multipliers,
+    distributivity is a byte kernel while m <= 255; the axioms and
+    compatible meets are loops over single instances.
     """
 
     def __init__(self, alg):
@@ -530,8 +525,7 @@ class MultiplierAlgebra(MapLattice):
 
     def lattice_of(self, leq):
         """The ``FiniteLattice`` of the order matrix ``leq``, built once per distinct matrix."""
-        leq = tuple(map(tuple, leq))
-        return _once_per_table(("order", leq), lambda: FiniteLattice(leq))
+        return _order_lattice(tuple(map(tuple, leq)))
 
 
 def all_multipliers(alg):

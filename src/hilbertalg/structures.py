@@ -12,36 +12,39 @@ re-checked as the adjoint semilattice, and ``extension`` is the filter
 lattice ``filters`` itself, once re-checked as the minimal Brouwerian
 extension.  The element subsets the suites relate, as int bitmasks, are
 computed once too: ``ce.kernels``, ``ce.fixes`` and ``monomials``, the
-filters whose ``monomial_ce`` entry is a map.  Every filter join the
+filters ``monomial_ce`` does not reject.  Every filter join the
 suites re-check is ``filters.join(j, k)``, and ``filters`` closes each
 seed once.
 
 The three correspondences of the closure endomorphism lattice are shared
-the same way, each result computed on first use and kept here, never in a
-module: ``monomial_ce`` builds the closure endomorphism of each filter, or
-keeps the ``NonMonomialFilterError`` it raises; ``retract_ce`` builds that
-of each special closure retract; and ``cross_meets`` joins each pair of
-fixpoint sets.  ``special_witnesses``, the specialness witness of every
-subset, serves ``special_subsets``, ``retract_ce`` and the suites.  So the
-re-checks inside ``ce_from_monomial_filter`` and ``ce_from_retract`` run
-once for each filter or retract, however many suites read them, and so
-does ``monomial_max`` on each element: ``monomials`` and every class
-maximum a suite compares are read from ``monomial_ce``.
+the same way, each a ``functools.cache`` built per ``Structures``, never in
+a module: ``monomial_ce`` builds the closure endomorphism of each filter;
+``retract_ce`` builds that of each special closure retract; and
+``cross_meets`` joins each pair of fixpoint sets.  ``cache`` keeps no
+exception, so a ``NonMonomialFilterError`` is raised afresh, with its own
+traceback, on every call; no filter of a finite algebra raises it, since
+each is finitely generated and so monomial.  ``special_witnesses``, the
+specialness witness of every subset, serves ``special_subsets``,
+``retract_ce`` and the suites.  So the re-checks inside
+``ce_from_monomial_filter`` and ``ce_from_retract`` run once for each
+filter or retract, however many suites read them, and so does
+``monomial_max`` on each element: ``monomials`` and every class maximum a
+suite compares are read from ``monomial_ce``.
 
-One memo of derived structures lives in a module, because what it keeps
-repeats across algebras: ``multipliers._per_table`` holds, for each
-distinct index-level table of a multiplier algebra, the lattice of its
-pointwise order matrix or the verdict on its pointwise implication table,
-and no algebra or map.  Those tables repeat across a catalog (4 and 4
-among the 95 algebras of size 6, 7 and 7 among the 550 of size 7), so the
-memo is bounded by the distinct tables a process meets.
+Two caches of derived structures live in a module, because what they keep
+repeats across algebras: ``multipliers._order_lattice`` and
+``multipliers._is_implication_algebra`` hold, for each distinct
+index-level table of a multiplier algebra, the lattice of its pointwise
+order matrix or the verdict on its pointwise implication table, and no
+algebra or map.  Those tables repeat across a catalog (4 and 4 among the
+95 algebras of size 6, 7 and 7 among the 550 of size 7), so the caches are
+bounded by the distinct tables a process meets.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .adjoint import adjoint_semilattice, minimal_brouwerian_extension
 from .closure import (
@@ -58,33 +61,6 @@ from .closure import (
 from .core import FiniteHilbertAlgebra, classify
 from .filters import all_filters
 from .multipliers import all_multipliers
-
-
-class _Memo(dict):
-    """``fn(*args)`` for each args it is called with, computed once; an
-    exception of the types ``keep`` is kept too, and raised again.
-
-    A kept exception is stored without a traceback, and each call raises a
-    ``copy.copy`` of it: raised as it is, the stored object would carry the
-    frames of the caller that caught it, and keep them alive until the next
-    call.  So a kept exception type must be rebuilt by ``copy.copy``."""
-
-    def __init__(self, fn, keep=()):
-        super().__init__()
-        self.fn, self.keep = fn, keep
-
-    def __missing__(self, args):
-        try:
-            self[args] = value = self.fn(*args)
-        except self.keep as err:
-            self[args] = value = err.with_traceback(None)
-        return value
-
-    def __call__(self, *args):
-        value = self[args]
-        if isinstance(value, BaseException):
-            raise copy.copy(value)
-        return value
 
 
 @dataclass(frozen=True)
@@ -112,11 +88,16 @@ class Structures:
 
     @cached_property
     def monomials(self):
-        """The monomial filters, smallest first: those ``monomial_ce`` does not reject."""
-        entries = self.monomial_ce
-        return tuple(
-            j for j in self.filters.carrier if not isinstance(entries[(j,)], NonMonomialFilterError)
-        )
+        """The monomial filters, smallest first: those for which ``monomial_ce``
+        does not raise ``NonMonomialFilterError``."""
+        return tuple(j for j in self.filters.carrier if self._is_monomial(j))
+
+    def _is_monomial(self, j):
+        try:
+            self.monomial_ce(j)
+        except NonMonomialFilterError:
+            return False
+        return True
 
     @cached_property
     def endomorphisms(self):
@@ -143,21 +124,21 @@ class Structures:
 
     @cached_property
     def monomial_ce(self):
-        """``monomial_ce(j)``: ``ce_from_monomial_filter`` of the filter j, or the
-        ``NonMonomialFilterError`` it raised, raised again."""
-        return _Memo(partial(ce_from_monomial_filter, self.alg), NonMonomialFilterError)
+        """``monomial_ce(j)``: ``ce_from_monomial_filter`` of the filter j, built
+        once; a ``NonMonomialFilterError`` is not kept, and is raised on every call."""
+        return cache(partial(ce_from_monomial_filter, self.alg))
 
     @cached_property
     def retract_ce(self):
         """``retract_ce(r)``: ``ce_from_retract`` of r, with its witness read
         from ``special_witnesses``."""
         alg, witnesses = self.alg, self.special_witnesses
-        return _Memo(lambda r: ce_of_special_retract(alg, r, witnesses[r]))
+        return cache(lambda r: ce_of_special_retract(alg, r, witnesses[r]))
 
     @cached_property
     def cross_meets(self):
         """``cross_meets(s, t)``: the compatible meets of s x t, the join of fixpoint sets."""
-        return _Memo(partial(cross_meets, self.alg))
+        return cache(partial(cross_meets, self.alg))
 
     @cached_property
     def adjoint(self):

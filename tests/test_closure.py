@@ -2,6 +2,7 @@ import gc
 import traceback
 import weakref
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +33,9 @@ from hilbertalg import (
     search_endomorphisms,
     special_closure_retracts,
     translation,
+    validate_hilbert,
 )
+from hilbertalg import structures
 from hilbertalg.closure import (
     ce_structure_report,
     fixpoint_embedding_report,
@@ -46,6 +49,7 @@ from hilbertalg.closure import (
 )
 from hilbertalg.core import subset_key
 
+from test_kernels import flat_table
 from _oracles import (
     closure_endos_brute,
     endomorphisms_brute,
@@ -221,27 +225,28 @@ def test_mock_monomial_domain_error(mock_nonmonomial):
     assert len(skips) == 1 and "no greatest element" in skips[0]
 
 
-def test_kept_monomial_error_is_raised_with_a_traceback_of_constant_depth(mock_nonmonomial):
-    # Structures.monomial_ce keeps the NonMonomialFilterError of the filter and
-    # raises a copy of it on every call: with the traceback of that call alone,
-    # not one grown by the frames of every call before it
+def test_monomial_error_is_raised_afresh_with_a_traceback_of_constant_depth(mock_nonmonomial):
+    # Structures.monomial_ce keeps no NonMonomialFilterError: each call raises
+    # a new one, with the traceback of that call alone, not one grown by the
+    # frames of every call before it
     ctx = Structures(mock_nonmonomial)
     bad = mask({2, 3})
-    kept = ctx.monomial_ce[(bad,)]
-    depths = []
+    errors, depths = [], []
     for _ in range(5):
         with pytest.raises(NonMonomialFilterError) as err:
             ctx.monomial_ce(bad)
-        assert type(err.value) is type(kept) and str(err.value) == str(kept)
-        assert kept.__traceback__ is None
+        errors.append(err.value)
         depths.append(len(traceback.extract_tb(err.value.__traceback__)))
+    assert len({id(e) for e in errors}) == 5
+    assert len({str(e) for e in errors}) == 1
     assert len(set(depths)) == 1, depths
+    assert ctx.monomial_ce.cache_info().currsize == 0
 
     class Local:
         pass
 
     def catching():
-        # the kept error must not hold this frame, and so its local, once it returns
+        # nothing may hold the error, and so this frame and its local, once it returns
         local = Local()
         try:
             ctx.monomial_ce(bad)
@@ -251,8 +256,38 @@ def test_kept_monomial_error_is_raised_with_a_traceback_of_constant_depth(mock_n
 
     alive = catching()
     gc.collect()
-    assert kept.__traceback__ is None
     assert alive() is None
+
+
+def test_monomial_ce_builds_a_map_once_and_an_error_on_every_call(mock_nonmonomial, monkeypatch):
+    built = []
+
+    def counting(alg, members):
+        built.append(members)
+        return ce_from_monomial_filter(alg, members)
+
+    # patched before the Structures is built, so its monomial_ce calls through it
+    monkeypatch.setattr(structures, "ce_from_monomial_filter", counting)
+    ctx = Structures(mock_nonmonomial)
+    bad, top = mask({2, 3}), mask(range(4))
+    for members in (bad, bad, top, top):
+        try:
+            ctx.monomial_ce(members)
+        except NonMonomialFilterError:
+            pass
+    assert built == [bad, bad, top]
+    # the invalid table has no filter lattice: monomials reads three of its filters
+    vars(ctx)["filters"] = SimpleNamespace(carrier=(mask({3}), bad, top))
+    assert ctx.monomials == (mask({3}), top)
+
+
+def test_every_filter_of_a_finite_algebra_is_monomial(algebras6):
+    # every filter of a finite algebra is finitely generated, so monomial: on
+    # every algebra of size <= 6 and on the flat 7-element algebra, monomial_ce
+    # rejects none
+    for alg in algebras6 + [validate_hilbert(flat_table(7), 6)]:
+        ctx = Structures(alg)
+        assert ctx.monomials == ctx.filters.carrier, alg.imp
 
 
 def test_special_and_retract_examples(godel3, tarski3, fixtures):

@@ -106,7 +106,8 @@ def test_enumerating_size_six_checks_each_table_once(monkeypatch):
     prop = cached_property(building)
     prop.__set_name__(FiniteHilbertAlgebra, "compatible_meet_table")
     monkeypatch.setattr(FiniteHilbertAlgebra, "compatible_meet_table", prop)
-    multipliers._per_table.clear()
+    multipliers._order_lattice.cache_clear()
+    multipliers._is_implication_algebra.cache_clear()
     enumerate_algebras(6)
     assert Counter(checked) == {6: 190, 8: 2, 16: 1, 32: 1}
     assert Counter(built) == {6: 95, 8: 2, 16: 1, 32: 1}

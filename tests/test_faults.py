@@ -17,8 +17,8 @@ multipliers it is cut out of.  On every algebra of size <= 4 each is fed
 every set that is the true one with one map dropped, or with one self-map
 of the algebra from outside it added (1 595 self-maps in all).  The
 multiplier algebra's sweep runs twice: after the true algebras, whose
-index-level tables the module memo then holds, and with that memo cleared
-before each stand-in.
+index-level tables the module caches then hold, and with those caches
+cleared before each stand-in.
 
 The endomorphism monoid checks closure under composition on greedy
 generators; on each one-map-off stand-in of the endomorphisms that holds
@@ -125,14 +125,15 @@ def one_map_off(true, n):
 
 def multiplier_sets_one_map_off_caught(algebras, monkeypatch, cold):
     """How many one-map-off stand-ins of each kind ``MultiplierAlgebra`` rejects;
-    with ``cold``, the index-level re-checks' memo is cleared before each."""
+    with ``cold``, the index-level re-checks' caches are cleared before each."""
     caught = {"drop": 0, "add": 0}
     truths = [(alg, MultiplierAlgebra(alg).carrier) for alg in algebras]
     for alg, true in truths:
         for kind, stand_in in one_map_off(true, alg.n):
             monkeypatch.setattr(multipliers, "search_multipliers", lambda a: stand_in)
             if cold:
-                multipliers._per_table.clear()
+                multipliers._order_lattice.cache_clear()
+                multipliers._is_implication_algebra.cache_clear()
             try:
                 MultiplierAlgebra(alg)
             except InvariantViolation:

@@ -309,10 +309,11 @@ def shared_tables(mult):
 
 def test_multiplier_algebras_built_cold_equal_those_built_warm(algebras6):
     for alg in algebras6:
-        all_multipliers(alg)  # leaves every table of the catalog in the memo
+        all_multipliers(alg)  # leaves every table of the catalog in the caches
     warm = [all_multipliers(alg) for alg in algebras6]
     for alg, mult in zip(algebras6, warm):
-        multipliers._per_table.clear()
+        multipliers._order_lattice.cache_clear()
+        multipliers._is_implication_algebra.cache_clear()
         assert shared_tables(all_multipliers(alg)) == shared_tables(mult)
 
 
@@ -330,18 +331,26 @@ def test_each_distinct_index_level_table_is_rechecked_once(algebras6, monkeypatc
 
     for name in calls:
         monkeypatch.setattr(multipliers, name, counting(name))
-    multipliers._per_table.clear()
+    multipliers._order_lattice.cache_clear()
+    multipliers._is_implication_algebra.cache_clear()
     size6 = [alg for alg in algebras6 if alg.n == 6]
     assert len(size6) == 95
     for alg in size6:
         MultiplierAlgebra(alg)
     # 4 distinct order matrices and 4 distinct pointwise implication tables
     assert calls == {"FiniteLattice": 4, "validate_hilbert": 4}
-    assert len(multipliers._per_table) == 8
+    assert multipliers._order_lattice.cache_info().currsize == 4
+    assert multipliers._is_implication_algebra.cache_info().currsize == 4
+
+
+def entries_and_misses():
+    """(entries, misses) of each of the two index-level caches."""
+    caches = multipliers._order_lattice, multipliers._is_implication_algebra
+    return [(c.cache_info().currsize, c.cache_info().misses) for c in caches]
 
 
 def test_a_failed_recheck_is_never_remembered(godel3, monkeypatch):
-    kept = dict(multipliers._per_table)
+    before = entries_and_misses()
     # reflexivity fails at 0 and 1
     table, top = ((0, 2, 2), (0, 0, 2), (0, 1, 2)), 2
     messages = []
@@ -360,4 +369,5 @@ def test_a_failed_recheck_is_never_remembered(godel3, monkeypatch):
             MultiplierAlgebra(godel3)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == "multipliers: order is not a lattice: no unique join for (0, 3)"
-    assert multipliers._per_table == kept
+    # each of the two failures of each check was computed afresh, and none kept
+    assert entries_and_misses() == [(size, misses + 2) for size, misses in before]
