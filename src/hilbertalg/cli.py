@@ -380,7 +380,9 @@ def build_parser():
     p.add_argument("--enumerate", type=int, metavar="N")
     p.add_argument("--suite", action="append", metavar="NAME",
                    help=f"all or one of: {', '.join(suite_names())}")
-    p.add_argument("--jobs", type=int, help="worker processes (default: HILBERTALG_JOBS, else 1)")
+    p.add_argument("--jobs", type=int,
+                   help="worker processes for the algebras after the first, which verify "
+                        "checks itself (default: HILBERTALG_JOBS, else 1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_verify)

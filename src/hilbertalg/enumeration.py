@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, permutations
+from itertools import chain, permutations, product
 
 from .core import (
     FiniteHilbertAlgebra,
@@ -43,7 +43,7 @@ from .core import (
     validate_hilbert,
 )
 from .closure import is_endomorphism
-from .lattice import FiniteLattice, bits, isomorphism, refine
+from .lattice import FiniteLattice, _rank, bits, isomorphism, refine
 from .multipliers import _gather, compose, identity_map, map_table
 from .report import ReportBuilder, fmt
 from .structures import Structures
@@ -63,33 +63,73 @@ class EnumerationBound(ValueError):
     pass
 
 
-def _poset_table(up):
-    """The flat table of the poset ``up`` under a top unit: x -> y = 1 if x <= y, else y."""
-    one = len(up)
-    rng = range(one + 1)
-    return tuple(one if y == one or x < one and up[x] >> y & 1 else y for x in rng for y in rng)
-
-
 @cache
 def unlabelled_posets(points):
     """One poset per isomorphism class on 0..points-1, as up-set bitmasks.
 
-    Bit j of ``up[i]`` is set when i <= j.  Every poset has a minimal point,
-    and removing it leaves a poset whose up-sets include that point's strict
-    up-set; so adding a new minimal point under each up-set of each smaller
-    poset reaches every class.  The least relabelling of each poset's table
-    picks one representative per class.
+    Bit j of ``up[i]`` is set when i <= j.  The first of the ``_candidates``
+    with each ``_poset_key`` is kept.
     """
     if points == 0:
         return ((),)
-    new = 1 << (points - 1)
     found = {}
+    for grown in _candidates(points):
+        found.setdefault(_poset_key(grown), grown)
+    return tuple(found.values())
+
+
+def _candidates(points):
+    """Posets on 0..points-1 that together reach every isomorphism class.
+
+    Every poset has a minimal point, and removing it leaves a poset whose
+    up-sets include that point's strict up-set; so adding a new minimal
+    point under each up-set of each smaller class representative reaches
+    every class.
+    """
+    new = 1 << (points - 1)
     for up in unlabelled_posets(points - 1):
         for mask in range(new):
             if all(up[i] | mask == mask for i in range(points - 1) if mask >> i & 1):
-                grown = up + (mask | new,)
-                found.setdefault(_least_relabelling(_poset_table(grown), points + 1), grown)
-    return tuple(found.values())
+                yield up + (mask | new,)
+
+
+def _poset_key(up):
+    """A canonical form of the poset ``up``: two posets have the same key
+    exactly when they are isomorphic.
+
+    The points are coloured by (up-set size, down-set size), and the colours
+    refined by the sorted colours of each point's up-set and down-set until
+    no class splits.  Each colour is the rank of its key in sorted order, so
+    an isomorphism keeps colours.  The key is the sorted colours and the
+    least up-set masks over the orders that sort the points by colour,
+    permuting only within a colour class.  Equal keys are the same poset
+    relabelled, so the key is complete.
+    """
+    p = len(up)
+    down = [0] * p
+    for i, mask in enumerate(up):
+        for j in bits(mask):
+            down[j] |= 1 << i
+    colours = _rank([(up[i].bit_count(), down[i].bit_count()) for i in range(p)])
+    while True:
+        refined = _rank([
+            (colours[i], tuple(sorted(colours[j] for j in bits(up[i]))),
+             tuple(sorted(colours[j] for j in bits(down[i]))))
+            for i in range(p)
+        ])
+        if refined == colours:
+            break
+        colours = refined
+    classes = [[i for i in range(p) if colours[i] == c] for c in range(max(colours) + 1)]
+
+    def relabelled(parts):
+        order = tuple(chain.from_iterable(parts))
+        pos = [0] * p
+        for a, i in enumerate(order):
+            pos[i] = a
+        return tuple([sum(1 << pos[j] for j in bits(up[i])) for i in order])
+
+    return tuple(sorted(colours)), min(map(relabelled, product(*map(permutations, classes))))
 
 
 @cache
@@ -224,27 +264,6 @@ def search_valid_tables(n):
                 yield _rows(flat, n)
 
 
-def _least_relabelling(flat, n):
-    """The least unit-fixing relabelling of a flat table with unit n-1.
-
-    Candidates are compared cell by cell in row-major order and dropped at
-    the first cell where they exceed the best so far.
-    """
-    best = None
-    for lut, src, _ in _relabellings(n):
-        if best is not None:
-            for s, b in zip(src, best):
-                c = lut[flat[s]]
-                if c != b:
-                    break
-            else:
-                continue  # equal to the best so far
-            if c > b:
-                continue
-        best = tuple([lut[flat[s]] for s in src])
-    return best
-
-
 # every member of the last orbit walked by ``_orbit``, mapped to the orbit's
 # least member as a table; at most (n-1)! entries
 _orbit_least = {}
@@ -260,7 +279,8 @@ def canonical_table(table, one):
     already last, as every search table's is, is only flattened.  A table
     outside the memo has its own orbit walked, once its entries are checked
     to lie in 0..n-1 (IndexError otherwise).  The result is exact for any
-    table, Hilbert algebra or not; ``_least_relabelling`` is the reference.
+    table, Hilbert algebra or not; ``least_relabelling`` in
+    ``tests/_oracles.py`` is the reference.
     """
     n = len(table)
     if one == n - 1:

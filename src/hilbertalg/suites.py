@@ -2,10 +2,11 @@
 
 Every suite takes the ``Structures`` context of one algebra, so the suites
 run on an algebra share each structure they build, and so does the
-algebra's cross-survey record when the worker is asked for one.  Workers
-only ever receive plain tables, suite names and that request, and every
-suite is a pure function of the algebra, so reports are identical for any
-worker count.
+algebra's cross-survey record when the worker is asked for one.  A catalog
+run with several jobs checks its first algebra in the calling process and
+hands the rest to a pool of worker processes.  Workers only ever receive
+plain tables, suite names and that request, and every suite is a pure
+function of the algebra, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -88,11 +89,15 @@ def _worker(payload):
 def iter_catalog(algebras, names, jobs=1, survey=False):
     """Yield (reports, survey record or None) for each algebra, in catalog order.
 
-    Each item is computed when it is asked for, or, with a pool, yielded as
-    soon as it and every item before it are done; closing the generator
-    early cancels the algebras not yet started.  With ``survey`` each worker
-    also returns the ``survey_record`` of its algebra.  At most one worker
-    process per algebra is started, however large jobs is.
+    Each item is computed when it is asked for.  With more than one job and
+    more than one algebra, the first algebra is still checked in this
+    process, and only then does a pool start, whose workers take the
+    algebras after the first; each of their items is yielded as soon as it
+    and every item before it are done.  Closing the generator early cancels
+    the algebras not yet started, and closing it after the first item
+    starts no pool.  With ``survey`` each item also holds the
+    ``survey_record`` of its algebra.  At most one worker process per
+    algebra after the first is started, however large jobs is.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -100,12 +105,15 @@ def iter_catalog(algebras, names, jobs=1, survey=False):
     if jobs == 1 or len(payloads) < 2:
         yield from map(_worker, payloads)
         return
+    # the parent checks the first algebra while no pool exists, so its item
+    # does not wait for the import, the fork and a round trip
+    yield _worker(payloads[0])
     # imported here: enumerate and one-job runs start no pool, and skip loading it
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads) - 1))
     try:
-        yield from pool.map(_worker, payloads)
+        yield from pool.map(_worker, payloads[1:])
     finally:
         pool.shutdown(cancel_futures=True)
 

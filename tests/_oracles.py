@@ -25,6 +25,7 @@ from hilbertalg import (
     kernel,
 )
 from hilbertalg.core import subset_key, subsets
+from hilbertalg.enumeration import _relabellings
 from hilbertalg.lattice import bits, isomorphism, refine
 from hilbertalg.report import ReportBuilder, fmt
 
@@ -162,6 +163,36 @@ def canonical_table_brute(table, one):
         cand = tuple(tuple(row) for row in out)
         if best is None or cand < best:
             best = cand
+    return best
+
+
+def poset_table(up):
+    """The flat table of the poset ``up`` (up-set bitmasks) under a top unit:
+    x -> y = 1 if x <= y, else y."""
+    one = len(up)
+    rng = range(one + 1)
+    return tuple(one if y == one or x < one and up[x] >> y & 1 else y for x in rng for y in rng)
+
+
+def least_relabelling(flat, n):
+    """The least unit-fixing relabelling of a flat table with unit n-1.
+
+    Candidates run over the library's ``enumeration._relabellings`` and are
+    compared cell by cell in row-major order, dropped at the first cell where
+    they exceed the best so far.
+    """
+    best = None
+    for lut, src, _ in _relabellings(n):
+        if best is not None:
+            for s, b in zip(src, best):
+                c = lut[flat[s]]
+                if c != b:
+                    break
+            else:
+                continue  # equal to the best so far
+            if c > b:
+                continue
+        best = tuple([lut[flat[s]] for s in src])
     return best
 
 

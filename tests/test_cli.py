@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -218,9 +219,9 @@ def printed_before_each_call(monkeypatch, module, name, argv):
     buf, seen = io.StringIO(), []
     real = getattr(module, name)
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         seen.append(buf.getvalue())
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recording)
     with contextlib.redirect_stdout(buf):
@@ -233,6 +234,15 @@ def test_verify_prints_each_block_before_the_next_algebra_runs(monkeypatch):
     seen = printed_before_each_call(monkeypatch, suites, "_worker", argv)
     assert seen[0] == "enumerated 6 algebra(s) of size 4\n"
     assert [out.count("\n== algebra") for out in seen] == list(range(6))
+    assert not any("cross-survey" in out for out in seen)
+
+
+def test_verify_at_two_jobs_prints_the_first_block_before_the_pool_starts(monkeypatch):
+    argv = ["verify", "--enumerate", "4", "--suite", "all", "--jobs", "2"]
+    seen = printed_before_each_call(monkeypatch, concurrent.futures, "ProcessPoolExecutor", argv)
+    assert len(seen) == 1  # one pool, for the five algebras after the first
+    assert seen[0].startswith("enumerated 6 algebra(s) of size 4\n== algebra")
+    assert seen[0].count("\n== algebra") == 1
     assert not any("cross-survey" in out for out in seen)
 
 

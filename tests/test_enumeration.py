@@ -30,7 +30,9 @@ from _oracles import (
     algebra_isomorphism_brute,
     canonical_table_brute,
     endomorphisms_brute,
+    least_relabelling,
     poset_canonical_brute,
+    poset_table,
     valid_tables_brute,
 )
 from conftest import GODEL3_TABLE, TARSKI3_TABLE
@@ -123,6 +125,28 @@ def test_unlabelled_posets_are_one_per_class():
             assert is_partial_order(leq)
             forms.add(poset_canonical_brute(leq))
         assert len(forms) == count
+
+
+def test_poset_key_partitions_the_candidates_as_the_least_relabelling():
+    # both are complete invariants, so each class of one is a class of the other
+    for points in range(1, 7):
+        pairs = {
+            (enumeration._poset_key(up), least_relabelling(poset_table(up), points + 1))
+            for up in enumeration._candidates(points)
+        }
+        assert len({key for key, _ in pairs}) == len(pairs) == len({form for _, form in pairs})
+
+
+def test_poset_key_is_the_same_under_every_relabelling():
+    for points in range(1, 6):
+        for up in enumeration.unlabelled_posets(points):
+            keys = set()
+            for perm in permutations(range(points)):
+                moved = [0] * points
+                for i, mask in enumerate(up):
+                    moved[perm[i]] = sum(1 << perm[j] for j in range(points) if mask >> j & 1)
+                keys.add(enumeration._poset_key(tuple(moved)))
+            assert len(keys) == 1, up
 
 
 def test_raw_count_is_sum_of_orbit_sizes():

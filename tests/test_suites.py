@@ -39,13 +39,14 @@ def test_pool_never_exceeds_one_worker_per_algebra(monkeypatch, algebras4):
     PoolRecorder.sizes = []
     algs = algebras4[:3]
     names = ["join-density"]
+    # the parent checks the first algebra, so the pool gets the other two
     got = run_catalog_suites(algs, names, jobs=100000)
-    assert PoolRecorder.sizes == [3]
+    assert PoolRecorder.sizes == [2]
     assert [[r.as_dict() for r in rs] for rs in got] == [
         [r.as_dict() for r in run_algebra_suites(Structures(a), names)] for a in algs
     ]
     run_catalog_suites(algs, names, jobs=2)
-    assert PoolRecorder.sizes == [3, 2]
+    assert PoolRecorder.sizes == [2, 2]
 
 
 def comparable(items):
@@ -94,10 +95,30 @@ def test_closing_iter_catalog_early_cancels_the_pool(monkeypatch, algebras4):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
     items = iter_catalog(algebras4, ["join-density"], jobs=2)
-    next(items)
+    next(items)  # the parent's own item
+    next(items)  # the pool's first
     assert PoolRecorder.shutdowns == []
     items.close()
     assert PoolRecorder.shutdowns == [True]
+
+
+def test_iter_catalog_yields_the_first_item_before_any_pool_starts(monkeypatch, algebras4):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
+    PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
+    ran = []
+
+    def worker(payload):
+        ran.append(os.getpid())
+        return real(payload)
+
+    real = suites._worker
+    monkeypatch.setattr(suites, "_worker", worker)
+    items = iter_catalog(algebras4, ["join-density"], jobs=2)
+    next(items)
+    assert ran == [os.getpid()]
+    assert PoolRecorder.sizes == []
+    items.close()
+    assert PoolRecorder.sizes == [] and PoolRecorder.shutdowns == []
 
 
 def test_pool_refuses_fewer_than_one_job(algebras4):
