@@ -19,9 +19,10 @@ The predicates the reports run most are kernels on the algebra's n x n
 tables.  ``special_witness``, ``cross_meets`` and ``least_above_misses``
 are unions and intersections of masks: ``sources`` (the x with
 x -> y = v), the up- and down-sets, and ``compatible_meet_pairs``.
-``is_endomorphism`` and ``is_isotone`` compare the table translated
-through f with the table pulled back along f, as ``bytes`` through
-``luts``, while n <= 255, and scan element by element above that.
+``is_endomorphism`` compares the table translated through f with the
+table pulled back along f, as ``bytes`` through ``luts``, while n <= 255,
+and scans element by element above that; ``is_isotone`` is one loop over
+the order.
 ``search_endomorphisms`` runs the ``multipliers.search_maps`` plan with
 f(x -> y) = f(x) -> f(y) as its rule.  Two reports test their maps at
 once before they list witnesses: ``idempotent_stable`` decides for each
@@ -78,34 +79,21 @@ from .report import ReportBuilder, fmt, fset
 # predicates
 
 
-def _pulled(alg, f):
-    """(image, pulled) for a self-map f of an algebra of at most 255 elements:
-    f as ``bytes``, and f(x) -> f(y) at byte x * n + y."""
-    image, luts = bytes(f), alg.luts
-    return image, b"".join([image.translate(luts[v]) for v in f])
-
-
 def is_endomorphism(alg, f):
     """f(x -> y) = f(x) -> f(y) for all x, y: while n <= 255, the table
     translated through f equals the table pulled back along f, as bytes."""
     if alg.n > 255:
         imp = alg.imp
         return all(f[imp[x][y]] == imp[f[x]][f[y]] for x in alg.elements for y in alg.elements)
-    image, pulled = _pulled(alg, f)
+    image, luts = bytes(f), alg.luts
+    pulled = b"".join([image.translate(luts[v]) for v in f])
     return alg.flat.translate(image.ljust(256, b"\0")) == pulled
 
 
 def is_isotone(alg, f):
-    """x <= y gives f(x) <= f(y): while n <= 255, the unit cells of the table,
-    as a bitmask of bytes, lie within those of the table pulled back along f."""
-    if alg.n > 255:
-        leq = alg.leq
-        return all(leq[f[x]][f[y]] for x in alg.elements for y in alg.elements if leq[x][y])
-    _, pulled = _pulled(alg, f)
-    one = alg.one
-    is_one = bytes(one) + b"\1" + bytes(255 - one)
-    below = int.from_bytes(alg.flat.translate(is_one), "little")
-    return not below & ~int.from_bytes(pulled.translate(is_one), "little")
+    """x <= y gives f(x) <= f(y)."""
+    leq = alg.leq
+    return all(leq[f[x]][f[y]] for x in alg.elements for y in alg.elements if leq[x][y])
 
 
 def is_extensive(alg, f):

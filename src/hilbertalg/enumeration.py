@@ -1,25 +1,27 @@
 """Exhaustive generation of all Hilbert algebras of a given size.
 
-In a Hilbert algebra x -> y = 1 exactly when x <= y, so the natural order
-fixes every unit cell of the table.  The search is therefore poset-first.
-For each unlabelled poset on the n-1 points below the unit (each one a
-smaller poset with a new minimal point added under one of its up-sets), the
-unit is put on top and the order cells are pinned: x -> y = 1 iff x <= y,
-and 1 -> x = x.  Every other cell x -> y takes some v != 1 with y <= v, the
-weakening law.  These free cells are filled depth-first, and every exchange
-instance is watched so that once its inner lookups resolve, its final
-inequality is checked against the pinned order.  The tables found for one
-poset are deduped by orbit: each new class is expanded to its distinct
+A finite Hilbert algebra A is a ->-subalgebra of its minimal Brouwerian
+extension E(A) that generates it under meets (A. Diego, "Sur les algebres
+de Hilbert", 1966; W. C. Nemitz, "Implicative semi-lattices", 1965).  E(A)
+is a finite Heyting algebra, the down-sets O(P) of its poset P of
+join-irreducibles, and a subset generates it under meets exactly when it
+holds every meet-irreducible, the complement of the up-set of a point.  So
+each class of n-element algebras is a set S of n down-sets of a poset P on
+k < n points that holds those k and the top and is closed under
+a -> b = P minus up(a minus b); ``_extension_tables`` lists them for each
+unlabelled poset.  E(A) is unique up to isomorphism over A, so two
+isomorphic algebras come from the same poset, and the tables of one poset
+are deduped by orbit: each new class is expanded to its distinct
 relabellings, which are all yielded and all marked seen, so the search
 yields every labelled table once.  Each orbit is re-validated from scratch
-once, on the hit that starts it, so the pinning cannot admit a bad table;
-relabelling keeps a table valid, so the other members are not checked
-again.  The canonical form of a table is the least member of its orbit; the
-walk that expands a class maps each member to it, and that serves
-``canonical_table`` for every table the search yields: one orbit walk per
-class, not one per raw table.  The walk holds the table as bytes and makes
-each relabelling in two steps, every label at once by ``bytes.translate``
-and every cell into its place by one precomputed ``itemgetter``.
+once, on the table that starts it; relabelling keeps a table valid, so the
+other members are not checked again.  The canonical form of a table is the
+least member of its orbit; the walk that expands a class maps each member
+to it, and that serves ``canonical_table`` for every table the search
+yields: one orbit walk per class, not one per raw table.  The walk holds
+the table as bytes and makes each relabelling in two steps, every label at
+once by ``bytes.translate`` and every cell into its place by one
+precomputed ``itemgetter``.
 
 Isomorphism witnesses, endomorphism monoids and the cross-algebra survey
 live here as well.  An endomorphism monoid is re-checked closed under
@@ -31,10 +33,10 @@ of one size, and it re-checks closure again.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import chain, permutations, product
+from functools import cache, cached_property, reduce
+from itertools import chain, combinations, groupby, permutations, product
+from operator import itemgetter, or_
 
 from .core import (
     FiniteHilbertAlgebra,
@@ -51,8 +53,8 @@ from .structures import Structures
 SEARCH_BOUND = 6
 
 # unlabelled posets on 0..16 points (OEIS A000112; Brinkmann & McKay,
-# "Posets on up to 16 points", Order 19, 2002): the search runs once per
-# poset on n-1 points
+# "Posets on up to 16 points", Order 19, 2002): size n reads the posets on
+# up to n-1 points
 POSET_COUNTS = (
     1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284, 46749427,
     1104891746, 33823827452, 1338193159771, 68275077901156, 4483130665195087,
@@ -172,70 +174,30 @@ def _orbit(flat, n):
     return orbit
 
 
-def _tables_over(up):
-    """Every valid flat table whose order is the poset ``up`` under a top unit."""
-    one = len(up)
-    n = one + 1
-    leq = [[bool(up[x] >> y & 1) for y in range(one)] + [True] for x in range(one)]
-    leq.append([False] * one + [True])
-    table = [[one if leq[x][y] else None for y in range(n)] for x in range(one)]
-    table.append(list(range(n)))
-    watchers = defaultdict(set)
+def _extension_tables(n):
+    """(up, flat) for each n-element ->-subalgebra S of O(P), the down-sets of a
+    poset ``up`` on k < n points, that holds the top and the meet-irreducibles.
 
-    def watch_eval(t):
-        """False once the exchange instance t resolves to lhs -> rhs != 1.
+    S lists the k meet-irreducibles P minus up(p), then n-1-k further
+    down-sets in ``combinations`` order, then the top P; it is kept when
+    a -> b = P minus up(a minus b) stays in S, and ``flat`` is its table by
+    those indices, so the unit is n-1.
+    """
+    for k in range(n):
+        top = (1 << k) - 1
+        for up in unlabelled_posets(k):
 
-        Until then, t waits on the first unknown cell of its evaluation chain.
-        Every unit cell is pinned, so lhs -> rhs = 1 exactly when lhs <= rhs.
-        """
-        x, y, z = t
-        v1 = table[y][z]
-        if v1 is None:
-            watchers[(y, z)].add(t)
-            return True
-        lhs = table[x][v1]
-        if lhs is None:
-            watchers[(x, v1)].add(t)
-            return True
-        v3 = table[x][y]
-        if v3 is None:
-            watchers[(x, y)].add(t)
-            return True
-        v4 = table[x][z]
-        if v4 is None:
-            watchers[(x, z)].add(t)
-            return True
-        rhs = table[v3][v4]
-        if rhs is None:
-            watchers[(v3, v4)].add(t)
-            return True
-        return leq[lhs][rhs]
+            def above(a):
+                return reduce(or_, [up[i] for i in bits(a)], 0)
 
-    def assign(x, y, v):
-        table[x][y] = v
-        for t in tuple(watchers.get((x, y), ())):
-            if not watch_eval(t):
-                return False
-        return True
-
-    rng = range(n)
-    if not all(watch_eval((x, y, z)) for x in rng for y in rng for z in rng):
-        return
-    free = [(x, y) for x in range(one) for y in range(one) if not leq[x][y]]
-    # weakening: y <= (x -> y), and only order cells hold the unit
-    above = [[v for v in range(one) if leq[y][v]] for y in range(one)]
-
-    def dfs(k):
-        if k == len(free):
-            yield tuple(chain.from_iterable(table))
-            return
-        x, y = free[k]
-        for v in above[y]:
-            if assign(x, y, v):
-                yield from dfs(k + 1)
-            table[x][y] = None
-
-    yield from dfs(0)
+            irreducible = [top & ~u for u in up]
+            further = [d for d in range(top) if not above(top & ~d) & d and d not in irreducible]
+            for extra in combinations(further, n - 1 - k):
+                s = irreducible + list(extra) + [top]
+                index = {d: i for i, d in enumerate(s)}
+                flat = tuple([index.get(top & ~above(a & ~b)) for a in s for b in s])
+                if None not in flat:
+                    yield up, flat
 
 
 def _rows(flat, n):
@@ -245,19 +207,21 @@ def _rows(flat, n):
 def search_valid_tables(n):
     """Yield every Hilbert-algebra table on 0..n-1 with unit n-1, each labelled table once.
 
-    Each new hit of the poset search is re-validated before its orbit is
-    built; its relabellings are valid with it and are yielded unchecked.
+    Each table of ``_extension_tables`` outside the orbits already yielded
+    for its poset starts a class: it is re-validated before its orbit is
+    built, and its relabellings, valid with it, are yielded unchecked.
     """
-    for up in unlabelled_posets(n - 1):
+    for _, hits in groupby(_extension_tables(n), key=itemgetter(0)):
         seen = set()
-        for hit in _tables_over(up):
+        for _, hit in hits:
             if hit in seen:
                 continue
             rows = _rows(hit, n)
             if axiom_violations(rows, n - 1):
                 raise InvariantViolation(f"search produced an invalid table {rows}")
-            # a later hit isomorphic to this one has the same order, so the
-            # relabelling between them is a poset automorphism: it is in the orbit
+            # an isomorphism between two algebras extends to one between their
+            # extensions, so a later table isomorphic to this one comes from
+            # the same poset, where the orbit marks it seen
             orbit = _orbit(hit, n)
             seen.update(orbit)
             for flat in orbit:

@@ -4,8 +4,9 @@ Everything here quantifies over raw product spaces and uses only the
 defining conditions, never the library's search or propagation routines.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from hilbertalg import (
     FiniteLattice,
@@ -25,7 +26,7 @@ from hilbertalg import (
     kernel,
 )
 from hilbertalg.core import subset_key, subsets
-from hilbertalg.enumeration import _relabellings
+from hilbertalg.enumeration import _relabellings, unlabelled_posets
 from hilbertalg.lattice import bits, isomorphism, refine
 from hilbertalg.report import ReportBuilder, fmt
 
@@ -747,6 +748,98 @@ def endomorphisms_propagated(alg):
     return search_maps_propagating(
         alg, anything, implied, lambda f: is_endomorphism(alg, f), "endomorphism"
     )
+
+
+def tables_over(up):
+    """Every valid flat table whose order is the poset ``up`` under a top unit.
+
+    The library's table search before it read the classes off minimal
+    Brouwerian extensions: the order cells are pinned, every other cell
+    x -> y takes some v != 1 with y <= v (weakening), and each exchange
+    instance waits on the first unknown cell of its evaluation chain.
+    """
+    one = len(up)
+    n = one + 1
+    leq = [[bool(up[x] >> y & 1) for y in range(one)] + [True] for x in range(one)]
+    leq.append([False] * one + [True])
+    table = [[one if leq[x][y] else None for y in range(n)] for x in range(one)]
+    table.append(list(range(n)))
+    watchers = defaultdict(set)
+
+    def watch_eval(t):
+        """False once the exchange instance t resolves to lhs -> rhs != 1.
+
+        Until then, t waits on the first unknown cell of its evaluation chain.
+        Every unit cell is pinned, so lhs -> rhs = 1 exactly when lhs <= rhs.
+        """
+        x, y, z = t
+        v1 = table[y][z]
+        if v1 is None:
+            watchers[(y, z)].add(t)
+            return True
+        lhs = table[x][v1]
+        if lhs is None:
+            watchers[(x, v1)].add(t)
+            return True
+        v3 = table[x][y]
+        if v3 is None:
+            watchers[(x, y)].add(t)
+            return True
+        v4 = table[x][z]
+        if v4 is None:
+            watchers[(x, z)].add(t)
+            return True
+        rhs = table[v3][v4]
+        if rhs is None:
+            watchers[(v3, v4)].add(t)
+            return True
+        return leq[lhs][rhs]
+
+    def assign(x, y, v):
+        table[x][y] = v
+        for t in tuple(watchers.get((x, y), ())):
+            if not watch_eval(t):
+                return False
+        return True
+
+    rng = range(n)
+    if not all(watch_eval((x, y, z)) for x in rng for y in rng for z in rng):
+        return
+    free = [(x, y) for x in range(one) for y in range(one) if not leq[x][y]]
+    # weakening: y <= (x -> y), and only order cells hold the unit
+    above = [[v for v in range(one) if leq[y][v]] for y in range(one)]
+
+    def dfs(k):
+        if k == len(free):
+            yield tuple(chain.from_iterable(table))
+            return
+        x, y = free[k]
+        for v in above[y]:
+            if assign(x, y, v):
+                yield from dfs(k + 1)
+            table[x][y] = None
+
+    yield from dfs(0)
+
+
+def valid_tables_searched(n):
+    """Every valid table with unit n-1, sorted: the hits of ``tables_over`` on
+    each unlabelled poset of n-1 points, each expanded to its unit-fixing
+    relabellings one cell at a time."""
+    one = n - 1
+    found = set()
+    for up in unlabelled_posets(one):
+        for hit in tables_over(up):
+            if hit in found:
+                continue
+            for perm in permutations(range(one)):
+                lab = perm + (one,)
+                moved = [0] * (n * n)
+                for x in range(n):
+                    for y in range(n):
+                        moved[lab[x] * n + lab[y]] = lab[hit[x * n + y]]
+                found.add(tuple(moved))
+    return sorted(tuple(zip(*[iter(flat)] * n)) for flat in found)
 
 
 def is_filter_via_bounds(alg, members):

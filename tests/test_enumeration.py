@@ -1,9 +1,10 @@
 import random
 import sys
 from collections import Counter
-from functools import cache, cached_property
-from itertools import permutations, zip_longest
+from functools import cache, cached_property, reduce
+from itertools import combinations, permutations, zip_longest
 from math import factorial
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from _oracles import (
     poset_canonical_brute,
     poset_table,
     valid_tables_brute,
+    valid_tables_searched,
 )
 from conftest import GODEL3_TABLE, TARSKI3_TABLE
 
@@ -75,6 +77,66 @@ def test_search_yields_each_valid_table_once():
         tables = list(search_valid_tables(n))
         assert len(tables) == len(set(tables)) == total
         assert not any(core.axiom_violations(t, n - 1) for t in tables)
+
+
+def test_search_matches_the_table_search_oracle():
+    # the poset-pinned table search, expanded cell by cell: the one route
+    # through sizes 5 and 6 that does not read minimal Brouwerian extensions
+    for n in range(1, 7):
+        assert sorted(search_valid_tables(n)) == valid_tables_searched(n), n
+
+
+def closed_extension_sets(up, n):
+    """Every n-set S of down-sets of the poset ``up`` that holds the top and
+    each meet-irreducible, and where a -> b = {x : down(x) & a <= b} stays
+    in S, as a frozenset of down-set masks; found by scanning subsets."""
+    k = len(up)
+    top = (1 << k) - 1
+    below = [sum(1 << j for j in range(k) if up[j] >> i & 1) for i in range(k)]
+    downs = [d for d in range(top + 1) if all(below[i] & ~d == 0 for i in range(k) if d >> i & 1)]
+
+    def imp(a, b):
+        return sum(1 << x for x in range(k) if not below[x] & a & ~b)
+
+    irreducible = []
+    for d in downs:
+        strictly_above = [e for e in downs if e != d and d & ~e == 0]
+        if strictly_above and reduce(and_, strictly_above) != d:
+            irreducible.append(d)
+    assert len(irreducible) == k
+    rest = [d for d in downs if d != top and d not in irreducible]
+    for extra in combinations(rest, n - 1 - k):
+        s = frozenset(irreducible + [top] + list(extra))
+        if all(imp(a, b) in s for a in s for b in s):
+            yield s
+
+
+def test_raw_counts_by_orbit_stabiliser_over_poset_automorphisms():
+    # Aut(A) is the stabiliser of S in Aut(P), found over every permutation
+    # of P's points, so sum (n-1)!/|Aut(A)| over the classes counts the tables
+    for n, classes, raw in ((1, 1, 1), (2, 1, 1), (3, 2, 3), (4, 6, 22), (5, 21, 303), (6, 95, 7021)):
+        found, total = 0, 0
+        per_poset = Counter(up for up, _ in enumeration._extension_tables(n))
+        for k in range(n):
+            for up in enumeration.unlabelled_posets(k):
+                autos = [
+                    p for p in permutations(range(k))
+                    if all((up[i] >> j & 1) == (up[p[i]] >> p[j] & 1) for i in range(k) for j in range(k))
+                ]
+
+                def moved(d, p):
+                    return sum(1 << p[i] for i in range(k) if d >> i & 1)
+
+                sets = list(closed_extension_sets(up, n))
+                assert len(sets) == per_poset[up], (n, up)
+                reps = set()
+                for s in sets:
+                    images = [frozenset(moved(d, p) for d in s) for p in autos]
+                    if not reps.intersection(images):
+                        reps.add(s)
+                        total += factorial(n - 1) // images.count(s)
+                found += len(reps)
+        assert (found, total) == (classes, raw), n
 
 
 def test_search_validates_each_class_once(monkeypatch):

@@ -7,9 +7,10 @@ of the 8 seeds a mask that holds the unit, one of 4, 5, 6, 7: 4^8 = 65 536
 stand-ins in all, swept in a few seconds.  ``test_filters`` pins the
 message each re-check gives on one stand-in it catches.
 
-The table search re-validates each hit, the first table of an orbit, before
-it yields the orbit.  Every one-cell change of every hit through size 5,
-2 428 tables, is fed to it in place of that hit.
+The table search re-validates each hit, the first table of an orbit among
+the minimal Brouwerian extension tables of one poset, before it yields the
+orbit.  Every one-cell change of every hit through size 5, 2 428 tables, is
+fed to it in place of all of them.
 
 The multiplier algebra and the endomorphism monoid re-check the map sets
 ``search_maps`` finds, and the closure endomorphism lattice re-checks the
@@ -75,13 +76,14 @@ def test_every_stand_in_closure_raises_or_builds_the_true_carrier(tarski3, monke
 
 
 def search_hits(n):
-    """(poset, hit) for each table the poset search returns outside the orbits before it."""
-    for up in enumeration.unlabelled_posets(n - 1):
-        seen = set()
-        for flat in enumeration._tables_over(up):
-            if flat not in seen:
-                seen.update(enumeration._orbit(flat, n))
-                yield up, flat
+    """(poset, hit) for each table of ``_extension_tables`` outside the orbits before it on its poset."""
+    seen, last = set(), None
+    for up, flat in enumeration._extension_tables(n):
+        if up != last:
+            seen, last = set(), up
+        if flat not in seen:
+            seen.update(enumeration._orbit(flat, n))
+            yield up, flat
 
 
 def test_every_one_cell_change_of_a_search_hit_raises_or_yields_valid_tables(monkeypatch):
@@ -96,7 +98,7 @@ def test_every_one_cell_change_of_a_search_hit_raises_or_yields_valid_tables(mon
                         continue
                     changed = hit[:cell] + (v,) + hit[cell + 1 :]
                     monkeypatch.setattr(
-                        enumeration, "_tables_over", lambda u: iter([changed] if u == up else [])
+                        enumeration, "_extension_tables", lambda size: iter([(up, changed)])
                     )
                     try:
                         tables = list(enumeration.search_valid_tables(n))
