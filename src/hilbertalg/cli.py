@@ -382,7 +382,8 @@ def build_parser():
                    help=f"all or one of: {', '.join(suite_names())}")
     p.add_argument("--jobs", type=int,
                    help="worker processes for the algebras after the first, which verify "
-                        "checks itself (default: HILBERTALG_JOBS, else 1)")
+                        "checks itself; without os.fork (Windows), verify checks every "
+                        "algebra itself (default: HILBERTALG_JOBS, else 1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -239,10 +238,11 @@ def test_verify_prints_each_block_before_the_next_algebra_runs(monkeypatch):
 
 def test_verify_at_two_jobs_prints_the_first_block_before_the_pool_starts(monkeypatch):
     argv = ["verify", "--enumerate", "4", "--suite", "all", "--jobs", "2"]
-    seen = printed_before_each_call(monkeypatch, concurrent.futures, "ProcessPoolExecutor", argv)
-    assert len(seen) == 1  # one pool, for the five algebras after the first
-    assert seen[0].startswith("enumerated 6 algebra(s) of size 4\n== algebra")
-    assert seen[0].count("\n== algebra") == 1
+    seen = printed_before_each_call(monkeypatch, os, "fork", argv)
+    assert len(seen) == 2  # two workers, for the five algebras after the first
+    for out in seen:
+        assert out.startswith("enumerated 6 algebra(s) of size 4\n== algebra")
+        assert out.count("\n== algebra") == 1
     assert not any("cross-survey" in out for out in seen)
 
 

@@ -1,8 +1,8 @@
 """Every name a module of the package imports is read somewhere in that module,
 every name the package exports is read by another of its modules or by the
 README's library sketch, the sketch runs and gives the values its comments
-state, only ``filters`` reads ``filter_generated``, and importing the CLI
-loads no process pool.
+state, only ``filters`` reads ``filter_generated``, and the CLI loads no
+process pool module, even when it forks workers.
 
 ``__init__.py`` is left out of the first guard: it imports names to
 re-export them, and the second guard checks those.
@@ -122,8 +122,13 @@ def test_only_filters_reads_filter_generated(module):
 
 
 def test_the_cli_loads_no_process_pool_until_one_starts():
-    # enumerate and one-job runs never start a pool; iter_catalog imports it when it does
-    code = "import sys, hilbertalg.cli; print('concurrent.futures' in sys.modules)"
+    # verify forks its workers itself, so not even a --jobs 2 run loads a pool module
+    code = (
+        "import contextlib, io, sys, hilbertalg.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert hilbertalg.cli.main(['verify', '--enumerate', '4', '--suite', 'all', '--jobs', '2']) == 0\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'logging'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"

@@ -1,6 +1,8 @@
-import concurrent.futures
+import contextlib
 import os
+import signal
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -17,36 +19,56 @@ from hilbertalg.suites import (
 from test_golden import GOLDEN_DIR, run_cli
 
 
-class PoolRecorder:
-    """Stands in for ProcessPoolExecutor: records max_workers and each
-    shutdown's cancel_futures, maps lazily in-process."""
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once it has run for ``seconds``."""
 
-    sizes = []
-    shutdowns = []
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
 
-    def __init__(self, max_workers):
-        PoolRecorder.sizes.append(max_workers)
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
-    def map(self, fn, items):
-        return map(fn, items)
 
-    def shutdown(self, wait=True, cancel_futures=False):
-        PoolRecorder.shutdowns.append(cancel_futures)
+class ForkRecorder:
+    """Wraps ``os.fork``: records the pid of each worker forked from this process."""
+
+    def __init__(self, monkeypatch):
+        self.pids = []
+        self.real = os.fork
+        monkeypatch.setattr(os, "fork", self)
+
+    def __call__(self):
+        pid = self.real()
+        if pid:
+            self.pids.append(pid)
+        return pid
+
+    def assert_reaped(self):
+        """Every recorded worker has ended and been waited for."""
+        for pid in self.pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 def test_pool_never_exceeds_one_worker_per_algebra(monkeypatch, algebras4):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
-    PoolRecorder.sizes = []
+    forks = ForkRecorder(monkeypatch)
     algs = algebras4[:3]
     names = ["join-density"]
-    # the parent checks the first algebra, so the pool gets the other two
+    # the parent checks the first algebra, so two workers take the other two
     got = run_catalog_suites(algs, names, jobs=100000)
-    assert PoolRecorder.sizes == [2]
+    assert len(forks.pids) == 2
     assert [[r.as_dict() for r in rs] for rs in got] == [
         [r.as_dict() for r in run_algebra_suites(Structures(a), names)] for a in algs
     ]
     run_catalog_suites(algs, names, jobs=2)
-    assert PoolRecorder.sizes == [2, 2]
+    assert len(forks.pids) == 4
+    forks.assert_reaped()
 
 
 def comparable(items):
@@ -79,8 +101,7 @@ def test_iter_catalog_runs_one_worker_per_item_taken(monkeypatch, algebras4):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_iter_catalog_items_match_each_algebra_run_alone(monkeypatch, algebras4, jobs):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
-    PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
+    forks = ForkRecorder(monkeypatch)
     names = ["join-density", "cross-survey"]
     want = comparable(list(iter_catalog(algebras4, names, jobs=jobs, survey=True)))
     assert len(want) == len(algebras4)
@@ -88,23 +109,31 @@ def test_iter_catalog_items_match_each_algebra_run_alone(monkeypatch, algebras4,
     # one by one, in catalog order, against each algebra run on its own
     alone = [list(iter_catalog([a], names, survey=True))[0] for a in algebras4]
     assert comparable(alone) == want
-    assert PoolRecorder.sizes == ([2, 2] if jobs == 2 else [])
+    assert len(forks.pids) == (4 if jobs == 2 else 0)
+    forks.assert_reaped()
 
 
 def test_closing_iter_catalog_early_cancels_the_pool(monkeypatch, algebras4):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
-    PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
+    parent = os.getpid()
+
+    def stall():
+        if os.getpid() != parent:
+            time.sleep(90)
+
+    # a worker that takes the fourth algebra would run for a minute and a half
+    monkeypatch.setitem(ALGEBRA_SUITES, "join-density", failing_on(algebras4[3], stall))
+    forks = ForkRecorder(monkeypatch)
     items = iter_catalog(algebras4, ["join-density"], jobs=2)
     next(items)  # the parent's own item
-    next(items)  # the pool's first
-    assert PoolRecorder.shutdowns == []
-    items.close()
-    assert PoolRecorder.shutdowns == [True]
+    next(items)  # the workers' first
+    assert len(forks.pids) == 2
+    with within(30):
+        items.close()
+    forks.assert_reaped()
 
 
 def test_iter_catalog_yields_the_first_item_before_any_pool_starts(monkeypatch, algebras4):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
-    PoolRecorder.sizes, PoolRecorder.shutdowns = [], []
+    forks = ForkRecorder(monkeypatch)
     ran = []
 
     def worker(payload):
@@ -116,9 +145,84 @@ def test_iter_catalog_yields_the_first_item_before_any_pool_starts(monkeypatch, 
     items = iter_catalog(algebras4, ["join-density"], jobs=2)
     next(items)
     assert ran == [os.getpid()]
-    assert PoolRecorder.sizes == []
+    assert forks.pids == []
     items.close()
-    assert PoolRecorder.sizes == [] and PoolRecorder.shutdowns == []
+    assert forks.pids == []
+
+
+def test_without_fork_every_algebra_is_checked_in_this_process(monkeypatch, algebras4):
+    names = ["join-density", "cross-survey"]
+    want = comparable(iter_catalog(algebras4, names, jobs=1, survey=True))
+    ran = []
+
+    def worker(payload):
+        ran.append(os.getpid())
+        return real(payload)
+
+    real = suites._worker
+    monkeypatch.setattr(suites, "_worker", worker)
+    monkeypatch.delattr(os, "fork")
+    assert comparable(iter_catalog(algebras4, names, jobs=2, survey=True)) == want
+    assert ran == [os.getpid()] * len(algebras4)
+
+
+def failing_on(alg, fail):
+    """join-density, except that on ``alg`` it calls ``fail()`` instead."""
+    real = ALGEBRA_SUITES["join-density"]
+
+    def suite(ctx):
+        if ctx.alg.imp == alg.imp:
+            fail()
+        return real(ctx)
+
+    return suite
+
+
+def items_until_error(items):
+    """The items taken before ``items`` raised, and what it raised."""
+    taken = []
+    with pytest.raises(Exception) as raised:
+        for reports, _ in items:
+            taken.append([r.as_dict() for r in reports])
+    return taken, raised
+
+
+def test_an_error_in_a_worker_surfaces_after_the_items_before_its_algebra(monkeypatch, algebras4):
+    def fail():
+        raise core.InvariantViolation("planted on the fourth algebra")
+
+    # patched before any fork, so the workers inherit the patch
+    monkeypatch.setitem(ALGEBRA_SUITES, "join-density", failing_on(algebras4[3], fail))
+    results = {jobs: items_until_error(iter_catalog(algebras4, ["join-density"], jobs=jobs)) for jobs in (1, 2)}
+    (serial, want), (pooled, got) = results[1], results[2]
+    assert len(serial) == 3 and pooled == serial
+    assert want.type is core.InvariantViolation and got.type is want.type
+    assert str(got.value) == str(want.value) == "planted on the fourth algebra"
+
+
+def test_a_worker_that_dies_makes_iter_catalog_raise_and_leaves_no_process(monkeypatch, algebras4):
+    parent = os.getpid()
+
+    def fail():
+        if os.getpid() != parent:
+            os._exit(3)
+
+    monkeypatch.setitem(ALGEBRA_SUITES, "join-density", failing_on(algebras4[3], fail))
+    with within(30):
+        _, raised = items_until_error(iter_catalog(algebras4, ["join-density"], jobs=2))
+    assert raised.type is not TimeoutError, "iter_catalog hung after a worker died"
+    with pytest.raises(ChildProcessError):  # no child of this process is left, alive or not
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_more_workers_than_cores_take_every_algebra_once(size5):
+    # the workers share one task pipe: an index read twice, or lost, would
+    # duplicate an item, drop one or leave the parent waiting
+    names = ["join-density"]
+    want = [[r.as_dict() for r in rs] for rs in run_catalog_suites(size5, names)]
+    with within(60):
+        got = run_catalog_suites(size5, names, jobs=(os.cpu_count() or 1) + 2)
+    assert [[r.as_dict() for r in rs] for rs in got] == want
 
 
 def test_pool_refuses_fewer_than_one_job(algebras4):
