@@ -205,27 +205,14 @@ def _classes(size):
         raise _input_error(e) from None
 
 
-def _jobs(option):
-    """--jobs if given, else HILBERTALG_JOBS, else 1; fewer than one job is an input error."""
-    if option is not None:
-        name, value = "--jobs", option
-    else:
-        name, value = "HILBERTALG_JOBS", os.environ.get("HILBERTALG_JOBS", "1")
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise _input_error(f"{name} must be at least 1, got {value!r}")
-    return jobs
-
-
 def cmd_verify(args):
     try:
         names = resolve_suites(args.suite or ["all"])
     except ValueError as e:
         raise _input_error(e) from None
-    jobs = _jobs(args.jobs)
+    jobs = args.jobs
+    if jobs < 1:
+        raise _input_error(f"--jobs must be at least 1, got {jobs}")
     if (args.path is None) == (args.enumerate is None):
         raise _input_error("give exactly one of an algebra file and --enumerate N")
 
@@ -380,10 +367,10 @@ def build_parser():
     p.add_argument("--enumerate", type=int, metavar="N")
     p.add_argument("--suite", action="append", metavar="NAME",
                    help=f"all or one of: {', '.join(suite_names())}")
-    p.add_argument("--jobs", type=int,
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the algebras after the first, which verify "
                         "checks itself; without os.fork (Windows), verify checks every "
-                        "algebra itself (default: HILBERTALG_JOBS, else 1)")
+                        "algebra itself (default: 1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -16,7 +16,7 @@ check each identification on its explicit map, never by an isomorphism
 search, and compare two closure endomorphisms by ``ce.lattice.leq``.
 
 The predicates the reports run most are kernels on the algebra's n x n
-tables.  ``special_witness``, ``cross_meets`` and ``least_above_misses``
+tables.  ``special_witness``, ``cross_meets`` and ``least_implication_misses``
 are unions and intersections of masks: ``sources`` (the x with
 x -> y = v), the up- and down-sets, and ``compatible_meet_pairs``.
 ``is_endomorphism`` compares the table translated through f with the
@@ -35,10 +35,10 @@ carrier is closed under composition and pointwise meet, so
 reads the order characterizations off ``ce.lattice``.  The reports read
 what ``structures.Structures`` shares instead of building it again: the
 closure endomorphism of each filter (``monomial_ce``), which also gives
-each class maximum, and of each special closure retract
-(``retract_ce``), the special witness of every subset
-(``special_witnesses``), and the cross meets of each pair of fixpoint
-sets (``cross_meets``).
+each class maximum, and of each special closure retract (``retract_ce``),
+which also gives each least-above image, the special witness of every
+subset (``special_witnesses``), and the cross meets of each pair of
+fixpoint sets (``cross_meets``).
 """
 
 from __future__ import annotations
@@ -133,16 +133,20 @@ class CeLattice(MapLattice):
     ``kernels[i]`` and ``fixes[i]`` are the kernel and fixpoints of ``carrier[i]``.
 
     After the lattice, construction re-checks that every translation
-    x |-> p -> x, a closure endomorphism of every algebra, is in the carrier.
+    x |-> p -> x, a closure endomorphism of every algebra, is in the carrier,
+    and keeps its index there as ``translations[p]``.
     """
 
     def __init__(self, alg, mult):
         carrier = (f for f in mult.carrier if is_isotone(alg, f))
         super().__init__(alg, carrier, "closure endomorphisms")
+        at = []
         for p in alg.elements:
             t = translation(alg, p)
             if t not in self._index:
                 raise InvariantViolation(f"{self.what}: translation by {p} is not in the carrier: {t}")
+            at.append(self._index[t])
+        self.translations = tuple(at)
         self.kernels = tuple(kernel(alg, f) for f in self.carrier)
         self.fixes = tuple(fixpoints(alg, f) for f in self.carrier)
 
@@ -329,35 +333,25 @@ def cross_meets(alg, s, t):
     return out
 
 
-def least_above_misses(alg, maps, sets):
-    """(above, landing) for each map f paired with a subset r of ``sets``, in order.
+def least_implication_misses(alg, maps, sets):
+    """The (f, a), for each map f paired with a subset r of ``sets`` in order,
+    where f(a) is not the one least member of r of the form x -> a.
 
-    ``above`` lists the (f, a) where f(a) is not the one least member of r
-    above a, ``landing`` those where it is not the one least member of r
-    of the form x -> a.  The least members of a mask are the members in
-    the down-set ``sources[y][one]`` of every member y.
+    The least members of a mask are the members in the down-set
+    ``sources[y][one]`` of every member y.
     """
-    one = alg.one
-    up = [row[one] for row in alg.preimages]
-    down = [col[one] for col in alg.sources]
+    down = [col[alg.one] for col in alg.sources]
     # values[a]: the bitmask of the x -> a
     values = [sum(1 << v for v, xs in enumerate(col) if xs) for col in alg.sources]
-
-    def least(mask):
-        low = mask
-        for y in bits(mask):
-            low &= down[y]
-        return low
-
-    above, landing = [], []
+    misses = []
     for f, r in zip(maps, sets):
         for a in alg.elements:
-            fa = 1 << f[a]
-            if least(r & up[a]) != fa:
-                above.append((f, a))
-            if least(r & values[a]) != fa:
-                landing.append((f, a))
-    return above, landing
+            low = lands = r & values[a]
+            for y in bits(lands):
+                low &= down[y]
+            if low != 1 << f[a]:
+                misses.append((f, a))
+    return misses
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +622,19 @@ def fixpoint_embedding_report(ctx):
         [] if set(fixes) == set(retracts) else [fmt(fixes=len(set(fixes)), retracts=len(retracts))],
         detail=f"{len(retracts)} special closure retracts",
     )
-    above, landing = least_above_misses(alg, carrier, fixes)
-    b.check("image-is-least-above", [fmt(map=f, a=a) for f, a in above])
-    b.check("least-above-equals-least-implication-image", [fmt(map=f, a=a) for f, a in landing])
+    b.check(
+        "image-is-least-above",
+        [
+            fmt(map=f, a=a)
+            for f, r in zip(carrier, fixes)
+            for a, m in enumerate(ctx.retract_ce(r))
+            if f[a] != m
+        ],
+    )
+    b.check(
+        "least-above-equals-least-implication-image",
+        [fmt(map=f, a=a) for f, a in least_implication_misses(alg, carrier, fixes)],
+    )
     b.check(
         "roundtrip-from-retract",
         [fmt(retract=fset(r)) for r in retracts if fixpoints(alg, ctx.retract_ce(r)) != r],
@@ -725,12 +729,11 @@ def implication_extras_report(ctx):
         [fmt(map=f) for f, r in zip(carrier, fixes) if not is_filter(alg, r)],
     )
 
-    # every translation is in the carrier: CeLattice re-checks it
-    translations = [translation(alg, p) for p in alg.elements]
+    at = ce.translations
     heredity_fails = []
-    for f, row in zip(carrier, leq):
-        for p, t in enumerate(translations):
-            if row[index[t]] and f != translations[imp[f[p]][p]]:
+    for i, (f, row) in enumerate(zip(carrier, leq)):
+        for p, t in enumerate(at):
+            if row[t] and i != at[imp[f[p]][p]]:
                 heredity_fails.append(fmt(map=f, p=p))
     b.check("below-translation-is-translation", heredity_fails)
 

@@ -136,12 +136,12 @@ def _poset_key(up):
 
 @cache
 def _relabellings(n):
-    """Every relabelling of 0..n-1 that fixes the unit n-1, as (lut, src, gather).
+    """Every relabelling of 0..n-1 that fixes the unit n-1, as (lut, gather).
 
     ``lut[x]`` is the new label of x, padded to a 256-byte ``bytes.translate``
-    table, and ``src[k]`` is the flat cell of the original table that lands on
-    flat cell k (row-major) of the relabelled one; ``gather`` picks the cells
-    ``src`` of a sequence into a tuple.
+    table, and ``gather`` picks from a flat sequence, into a tuple, the cell
+    of the original table that lands on each flat cell (row-major) of the
+    relabelled one.
     """
     out = []
     for perm in permutations(range(n - 1)):
@@ -149,15 +149,15 @@ def _relabellings(n):
         inv = [0] * n
         for x, a in enumerate(lab):
             inv[a] = x
-        src = tuple(inv[a] * n + inv[b] for a in range(n) for b in range(n))
-        out.append((bytes(lab).ljust(256, b"\0"), src, _gather(src)))
+        gather = _gather([inv[a] * n + inv[b] for a in range(n) for b in range(n)])
+        out.append((bytes(lab).ljust(256, b"\0"), gather))
     return tuple(out)
 
 
 def _relabel(data, rel):
     """The relabelling ``rel`` of a flat table given as bytes, as a tuple of ints:
     every label translated at once, then the cells gathered into their places."""
-    lut, _, gather = rel
+    lut, gather = rel
     return gather(data.translate(lut))
 
 

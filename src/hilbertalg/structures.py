@@ -27,9 +27,10 @@ each is finitely generated and so monomial.  ``special_witnesses``, the
 specialness witness of every subset, serves ``special_subsets``,
 ``retract_ce`` and the suites.  So the re-checks inside
 ``ce_from_monomial_filter`` and ``ce_from_retract`` run once for each
-filter or retract, however many suites read them, and so does
-``monomial_max`` on each element: ``monomials`` and every class maximum a
-suite compares are read from ``monomial_ce``.
+filter or retract, however many suites read them, and so do
+``monomial_max`` on each element and the least-above map of each retract:
+``monomials`` and every class maximum a suite compares are read from
+``monomial_ce``, and every least-above image from ``retract_ce``.
 
 Two caches of derived structures live in a module, because what they keep
 repeats across algebras: ``multipliers._order_lattice`` and

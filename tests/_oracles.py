@@ -75,6 +75,74 @@ def endomorphisms_brute(alg):
     )
 
 
+def quotient(alg, members):
+    """A/F for the filter F given as a bitmask, as (table, one): its elements
+    are the congruence classes ``class_of`` gives, in the order of their
+    least elements, each acting through that element."""
+    at, reps = [None] * alg.n, []
+    for a in alg.elements:
+        if at[a] is None:
+            cls = class_of(alg, members, a)
+            assert all(class_of(alg, members, x) == cls for x in bits(cls)), (alg.imp, members)
+            for x in bits(cls):
+                at[x] = len(reps)
+            reps.append(a)
+    imp = alg.imp
+    return [[at[imp[x][y]] for y in reps] for x in reps], at[alg.one]
+
+
+def embedding_count(table, one, alg):
+    """The number of injective homomorphisms from the algebra ``table`` with
+    unit ``one`` into alg, by backtracking.
+
+    The elements take values in turn, the unit first, each a value unused so
+    far; each instance x -> y = z is checked at the step that assigns the
+    last of x, y and z.
+    """
+    k, imp = len(table), alg.imp
+    order = [one] + [x for x in range(k) if x != one]
+    step = {x: i for i, x in enumerate(order)}
+    checks = [[] for _ in order]
+    for x in range(k):
+        for y in range(k):
+            z = table[x][y]
+            checks[max(step[x], step[y], step[z])].append((x, y, z))
+    img = [None] * k
+
+    def extend(i, used):
+        if i == k:
+            return 1
+        total = 0
+        for v in alg.elements:
+            if not used >> v & 1:
+                img[order[i]] = v
+                if all(img[z] == imp[img[x]][img[y]] for x, y, z in checks[i]):
+                    total += extend(i + 1, used | 1 << v)
+        return total
+
+    return extend(0, 0)
+
+
+def embedding_count_brute(table, one, alg):
+    """``embedding_count`` over every injective map of the elements into alg."""
+    k, imp = len(table), alg.imp
+    return sum(
+        all(g[table[x][y]] == imp[g[x]][g[y]] for x in range(k) for y in range(k))
+        for g in permutations(alg.elements, k)
+    )
+
+
+def endomorphism_count(alg, filter_sets):
+    """#End(alg) from the filters of alg, given as bitmasks, without a map search.
+
+    A Hilbert algebra is 1-regular: f(x) = f(y) exactly when x -> y and
+    y -> x are in the kernel F = f^-1(1), a filter.  So every endomorphism is
+    the quotient map onto A/F followed by an embedding A/F -> A, one for
+    each (F, embedding), and #End(A) is the sum over F of the embeddings.
+    """
+    return sum(embedding_count(*quotient(alg, f), alg) for f in filter_sets)
+
+
 def closure_endos_brute(alg):
     """Direct definition: endomorphism + extensive + isotone + idempotent."""
     imp, leq = alg.imp, alg.leq
@@ -180,10 +248,15 @@ def least_relabelling(flat, n):
 
     Candidates run over the library's ``enumeration._relabellings`` and are
     compared cell by cell in row-major order, dropped at the first cell where
-    they exceed the best so far.
+    they exceed the best so far.  ``src[k]`` is the cell of the table that
+    lands on cell k of the candidate, derived here from its labels alone.
     """
     best = None
-    for lut, src, _ in _relabellings(n):
+    for lut, _ in _relabellings(n):
+        inv = [0] * n
+        for x in range(n):
+            inv[lut[x]] = x
+        src = [inv[a] * n + inv[b] for a in range(n) for b in range(n)]
         if best is not None:
             for s, b in zip(src, best):
                 c = lut[flat[s]]
@@ -631,22 +704,29 @@ def is_isotone_scan(alg, f):
     return all(leq[f[x]][f[y]] for x in alg.elements for y in alg.elements if leq[x][y])
 
 
-def least_above_misses_scan(alg, maps, sets):
-    """The two least-above loops of the fixpoint-embedding report, over maps paired with sets."""
+def least_above_scan(alg, members):
+    """For each element a, the list of least members of the subset above a:
+    one where the subset is a closure retract and the order antisymmetric."""
+    leq = alg.leq
+    out = []
+    for a in alg.elements:
+        ups = [x for x in bits(members) if leq[a][x]]
+        out.append([x for x in ups if all(leq[x][y] for y in ups)])
+    return out
+
+
+def least_implication_misses_scan(alg, maps, sets):
+    """The least-implication loop of the fixpoint-embedding report, over maps paired with sets."""
     leq, imp = alg.leq, alg.imp
-    above, landing = [], []
+    misses = []
     for f, r in zip(maps, sets):
         for a in alg.elements:
-            ups = [x for x in bits(r) if leq[a][x]]
-            least = [x for x in ups if all(leq[x][y] for y in ups)]
-            if len(least) != 1 or f[a] != least[0]:
-                above.append((f, a))
-            # the same minimum over the members of the form x -> a
+            # the minimum over the members of the form x -> a
             lands = [s for s in bits(r) if any(imp[x][a] == s for x in alg.elements)]
             low = [s for s in lands if all(leq[s][t] for t in lands)]
             if len(low) != 1 or f[a] != low[0]:
-                landing.append((f, a))
-    return above, landing
+                misses.append((f, a))
+    return misses
 
 
 # ---------------------------------------------------------------------------

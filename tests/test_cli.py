@@ -331,16 +331,21 @@ def test_input_and_axiom_errors_share_one_exit_path(tmp_path, capsys):
         assert "input error" in capsys.readouterr().err
 
 
-def test_verify_refuses_bad_jobs_variable(godel3_file, monkeypatch, capsys):
-    for value in ("0", "abc", "-3"):
+def test_the_jobs_variable_no_longer_changes_verify(monkeypatch, capsys):
+    # --jobs, default 1, is the only setting of the worker count: with the
+    # variable set, verify still checks every algebra itself and forks nothing
+    argv = ["verify", "--enumerate", "3", "--suite", "ce-structure"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+
+    def no_fork():
+        raise AssertionError("verify forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for value in ("0", "abc", "2"):
         monkeypatch.setenv("HILBERTALG_JOBS", value)
-        assert main(["verify", godel3_file]) == 2
-        err = capsys.readouterr().err
-        assert f"input error: HILBERTALG_JOBS must be at least 1, got '{value}'" in err
-        assert main(["validate", godel3_file]) == 0  # other commands ignore it
-        capsys.readouterr()
-    monkeypatch.setenv("HILBERTALG_JOBS", "2")
-    assert main(["verify", godel3_file, "--suite", "ce-structure"]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -52,12 +52,16 @@ from hilbertalg.core import subset_key
 from test_kernels import flat_table
 from _oracles import (
     closure_endos_brute,
+    embedding_count,
+    embedding_count_brute,
+    endomorphism_count,
     endomorphisms_brute,
     endomorphisms_bruteforce,
     filters_brute,
     is_monomial_scan,
     mask,
     peirce_map,
+    quotient,
 )
 
 
@@ -173,6 +177,23 @@ def test_endomorphism_search(catalog5, godel3):
         (1, 2, 2),
         (2, 2, 2),
     ]
+
+
+def test_embedding_count_matches_every_injective_map_up_to_four_elements(algebras4):
+    for alg in algebras4:
+        for f in Structures(alg).filters.carrier:
+            q = quotient(alg, f)
+            assert embedding_count(*q, alg) == embedding_count_brute(*q, alg), (alg.imp, f)
+
+
+def test_endomorphisms_are_counted_again_through_quotients(algebras6):
+    # every endomorphism is the quotient map onto A/F, F its kernel, followed
+    # by an embedding A/F -> A: the count needs no map search
+    assert len(algebras6) == 126
+    for alg in algebras6 + [validate_hilbert(flat_table(7), 6)]:
+        count = endomorphism_count(alg, Structures(alg).filters.carrier)
+        assert count == len(search_endomorphisms(alg)), alg.imp
+    assert count == 13327
 
 
 def test_non_closure_endomorphism_fails_idempotent_composite(godel3):

@@ -38,7 +38,7 @@ from hilbertalg.closure import (
     is_extensive,
     is_idempotent,
     is_isotone,
-    least_above_misses,
+    least_implication_misses,
     search_endomorphisms,
     special_witness,
 )
@@ -76,7 +76,8 @@ from _oracles import (
     is_multiplier_scan,
     is_partial_order_scan,
     isotone_kernel_special_scan,
-    least_above_misses_scan,
+    least_above_scan,
+    least_implication_misses_scan,
     monomial_max_scan,
     multiplier_laws_scan,
     pointwise_imp_scan,
@@ -423,14 +424,21 @@ def unit_fixing_maps(alg):
 
 
 def assert_correspondence_kernels_match(alg, subsets, maps):
-    """class_of, monomial_max, special_witness, cross_meets, is_endomorphism,
-    is_isotone, is_multiplier, is_extensive, is_idempotent and
-    least_above_misses against their scans, on the given
-    subsets, pairs of subsets and maps, and the maps paired with the subsets.
-    Returns the number of (subset, a) without one greatest class element."""
+    """class_of, monomial_max, the least-above map of ``ce_from_retract``,
+    special_witness, cross_meets, is_endomorphism, is_isotone, is_multiplier,
+    is_extensive, is_idempotent and least_implication_misses against their
+    scans, on the given subsets, pairs of subsets and maps, and the maps
+    paired with the subsets.  Returns the number of (subset, a) without one
+    greatest class element."""
     without_max = 0
     for s in subsets:
-        for a in alg.elements:
+        for a, got, least in zip(alg.elements, closure._least_above(alg, s), least_above_scan(alg, s)):
+            # lattice._Least gives the lowest of several least members, which
+            # only an order that is not antisymmetric has
+            if len(least) <= 1:
+                assert got == (least[0] if least else None), (alg.imp, s, a)
+            else:
+                assert got in least, (alg.imp, s, a)
             assert class_of(alg, s, a) == class_of_scan(alg, s, a), (alg.imp, s, a)
             m = monomial_max(alg, s, a)
             assert m == monomial_max_scan(alg, s, a), (alg.imp, s, a)
@@ -450,7 +458,7 @@ def assert_correspondence_kernels_match(alg, subsets, maps):
         assert is_extensive(alg, f) == all(alg.leq[x][f[x]] for x in alg.elements), (alg.imp, f)
         assert is_idempotent(f) == all(f[v] == v for v in set(f)), f
     paired = ([f for f in maps for _ in subsets], [r for _ in maps for r in subsets])
-    assert least_above_misses(alg, *paired) == least_above_misses_scan(alg, *paired), alg.imp
+    assert least_implication_misses(alg, *paired) == least_implication_misses_scan(alg, *paired), alg.imp
     return without_max
 
 

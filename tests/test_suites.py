@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, core, filters, multipliers, structures, suites
+from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, closure, core, filters, multipliers, structures, suites
 from hilbertalg.lattice import bound_table
 from hilbertalg.suites import (
     ALGEBRA_SUITES,
@@ -358,6 +358,32 @@ def test_class_maxima_are_computed_once_per_filter_and_element(monkeypatch, cata
         ctx = Structures(alg)
         assert all(r.ok for r in run_algebra_suites(ctx, list(ALGEBRA_SUITES))), alg.imp
         assert set(seen) == {(j, a) for j in ctx.filters.carrier for a in alg.elements}, alg.imp
+        assert max(seen.values()) == 1, alg.imp
+
+
+def test_least_above_images_are_computed_once_per_retract(monkeypatch, catalog5):
+    # once ctx.retracts is built (is_closure_retract reads _least_above of
+    # every special subset), the 14 suites build the least-above map of each
+    # fixpoint set at most once, and only for ctx.retract_ce: every
+    # least-above image a suite compares is read from it
+    seen = Counter()
+    real = closure._least_above
+
+    def counting(alg, members):
+        caller = sys._getframe(1)
+        assert caller.f_code is closure.ce_of_special_retract.__code__
+        assert caller.f_back.f_code.co_filename == structures.__file__
+        seen[members] += 1
+        return real(alg, members)
+
+    for alg in (e.algebra for e in catalog5):
+        ctx = Structures(alg)
+        ctx.retracts
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(closure, "_least_above", counting)
+            assert all(r.ok for r in run_algebra_suites(ctx, list(ALGEBRA_SUITES))), alg.imp
+        assert set(seen) == set(ctx.ce.fixes) == set(ctx.retracts), alg.imp
         assert max(seen.values()) == 1, alg.imp
 
 
