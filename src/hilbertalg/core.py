@@ -314,7 +314,7 @@ def generated(start, gens, op):
 
 def subset_key(s):
     """Sort key listing element subsets smallest first."""
-    return (s.bit_count(), list(bits(s)))
+    return (s.bit_count(), bits(s))
 
 
 def is_relative_subsemilattice(alg, members):

@@ -33,12 +33,25 @@ def masks(rows):
     return [sum(compress(powers, row)) for row in rows]
 
 
-def bits(mask):
-    """The indices of the set bits of mask, lowest first."""
+def _members(mask):
+    found = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        found.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(found)
+
+
+_BYTE_MEMBERS = tuple(map(_members, range(256)))
+
+
+def bits(mask):
+    """The indices of the set bits of mask, lowest first, as a tuple.
+
+    Masks below 256, nearly every mask of an algebra of at most 8 elements,
+    are read from a table.
+    """
+    return _BYTE_MEMBERS[mask] if mask < 256 else _members(mask)
 
 
 def inclusion_order(sets):

@@ -308,7 +308,8 @@ def search_maps(alg, plan, check, what):
             if singles is not None:
                 t, p = singles
                 allowed = reduce(and_, map(getitem, t, p(img)), allowed)
-            pending.append(bits(allowed))
+            # an iterator, resumed after each descent
+            pending.append(iter(bits(allowed)))
         e, _, _, _, derived, tested = levels[depth]
         for v in pending[-1]:
             img[e] = v

@@ -30,7 +30,8 @@ specialness witness of every subset, serves ``special_subsets``,
 filter or retract, however many suites read them, and so do
 ``monomial_max`` on each element and the least-above map of each retract:
 ``monomials`` and every class maximum a suite compares are read from
-``monomial_ce``, and every least-above image from ``retract_ce``.
+``monomial_ce``, and ``retracts`` and every least-above image from
+``retract_ce``.
 
 Two caches of derived structures live in a module, because what they keep
 repeats across algebras: ``multipliers._order_lattice`` and
@@ -50,16 +51,16 @@ from functools import cache, cached_property, partial
 from .adjoint import adjoint_semilattice, minimal_brouwerian_extension
 from .closure import (
     NonMonomialFilterError,
+    NotClosureRetractError,
     all_closure_endos,
     ce_from_monomial_filter,
     ce_of_special_retract,
     cross_meets,
     finitely_generated_ce,
     search_endomorphisms,
-    special_closure_retracts,
     special_witnesses,
 )
-from .core import FiniteHilbertAlgebra, classify
+from .core import FiniteHilbertAlgebra, classify, subset_key
 from .filters import all_filters
 from .multipliers import all_multipliers
 
@@ -120,8 +121,16 @@ class Structures:
 
     @cached_property
     def retracts(self):
-        """The special closure retracts, smallest first."""
-        return special_closure_retracts(self.alg, self.special_subsets)
+        """The special closure retracts, smallest first: the special subsets
+        for which ``retract_ce`` does not raise ``NotClosureRetractError``."""
+        return sorted(filter(self._is_retract, self.special_subsets), key=subset_key)
+
+    def _is_retract(self, s):
+        try:
+            self.retract_ce(s)
+        except NotClosureRetractError:
+            return False
+        return True
 
     @cached_property
     def monomial_ce(self):

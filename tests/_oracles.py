@@ -402,6 +402,14 @@ def adjoint_ideals_brute(adj):
 # kernels replaced; each gives the same result and raises the same error.
 
 
+def bits_scan(mask):
+    """The indices of the set bits of mask, lowest first, one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_partial_order_scan(leq):
     n = len(leq)
     for i in range(n):

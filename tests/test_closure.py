@@ -366,10 +366,14 @@ def test_fixpoint_embedding_report(algebras4):
         assert report.ok, report.as_dict()
 
 
-def test_special_retract_scan(tarski3):
-    retracts = special_closure_retracts(tarski3, Structures(tarski3).special_subsets)
-    ce = Structures(tarski3).ce
-    assert set(retracts) == {fixpoints(tarski3, f) for f in ce.carrier}
+def test_special_retract_scan(tarski3, catalog5):
+    # Structures.retracts, the special subsets retract_ce accepts, is the
+    # scan's list in the same order, and the fixpoint sets of the carrier
+    for alg in [tarski3, *(e.algebra for e in catalog5)]:
+        ctx = Structures(alg)
+        retracts = special_closure_retracts(alg, ctx.special_subsets)
+        assert ctx.retracts == retracts, alg.imp
+        assert set(retracts) == {fixpoints(alg, f) for f in ctx.ce.carrier}, alg.imp
 
 
 def test_implication_extras(catalog4, godel3):

@@ -4,8 +4,10 @@ README's library sketch, the sketch runs and gives the values its comments
 state, only ``filters`` reads ``filter_generated``, and the CLI loads no
 process pool module, even when it forks workers.
 
-``__init__.py`` is left out of the first guard: it imports names to
-re-export them, and the second guard checks those.
+The package reads its exports from their submodules on first use, through
+the ``_EXPORTS`` table of ``__init__.py``; the second guard reads that
+table's names.  Importing one module loads only what it imports, the CLI
+still loads every module, and each export is its submodule's object.
 """
 
 import ast
@@ -13,8 +15,13 @@ import os
 import re
 import subprocess
 import sys
+import types
+from importlib import import_module
 
 import pytest
+
+import hilbertalg
+from hilbertalg import multipliers
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hilbertalg")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -51,7 +58,7 @@ def test_the_guard_finds_an_unused_import():
     assert unused_imports(source) == [(1, "fixpoints"), (2, "os")]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
 def test_no_unused_imports(module):
     assert unused_imports(read(os.path.join(SRC, module))) == []
 
@@ -70,21 +77,25 @@ def names_read(source):
     return names
 
 
+def exported_names(init_source):
+    """The names of the ``_EXPORTS`` table, exported name -> submodule, of init_source."""
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("no _EXPORTS table")
+
+
 def unread_exports(init_source, sources):
-    """The names init_source imports that none of sources reads."""
+    """The names init_source exports that none of sources reads."""
     read_somewhere = set().union(*map(names_read, sources))
-    return [
-        alias.asname or alias.name
-        for node in ast.walk(ast.parse(init_source))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if (alias.asname or alias.name) not in read_somewhere
-    ]
+    return [name for name in exported_names(init_source) if name not in read_somewhere]
 
 
 def test_the_guard_finds_an_export_nothing_reads():
-    init = "from .core import kernel, orphan\nfrom .lattice import bits\n"
+    init = '_EXPORTS = {"kernel": "core", "orphan": "core", "bits": "lattice"}\n'
     assert unread_exports(init, ["kernel(1)\n", "from .lattice import bits\n"]) == ["orphan"]
+    with pytest.raises(AssertionError):
+        unread_exports("from .core import kernel\n", [])
 
 
 def test_every_export_is_read_in_the_package_or_the_readme_sketch():
@@ -105,6 +116,8 @@ def test_the_readme_sketch_gives_the_values_its_comments_state():
     assert values["partial_meet(alg, 0, 1)"] is None
     assert values["s.filters.closure(0b001)"] == 0b101
     assert values["s.filters.join(0b101, 0b110)"] == 0b111
+    assert values["s.retracts"] == [0b100, 0b101, 0b110, 0b111]
+    assert values["special_closure_retracts(alg, s.special_subsets)"] == values["s.retracts"]
     assert values["s.monomial_ce(0b101)"] == (2, 1, 2)
     assert values["s.cross_meets(0b101, 0b110)"] == 0b111
     assert values["fset(fixpoints(alg, f))"] == "{1,2}"
@@ -132,3 +145,48 @@ def test_the_cli_loads_no_process_pool_until_one_starts():
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def modules_loaded_by(statement):
+    """The hilbertalg modules a fresh interpreter holds after running statement."""
+    code = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'hilbertalg'))"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(out.stdout))
+
+
+def test_importing_core_loads_only_core_and_lattice():
+    assert modules_loaded_by("import hilbertalg.core") == {"hilbertalg", "hilbertalg.core", "hilbertalg.lattice"}
+
+
+def test_importing_the_cli_loads_every_module():
+    # perfbench's tracer rebinds functions of every module after importing hilbertalg.cli alone
+    every = {f"hilbertalg.{m[:-3]}" for m in MODULES if m != "__main__.py"}
+    assert len(every) == 12
+    assert modules_loaded_by("import hilbertalg.cli") == {"hilbertalg", *every}
+
+
+def test_every_export_is_its_submodules_object_and_is_listed():
+    listed = dir(hilbertalg)
+    for name in hilbertalg.__all__:
+        module = hilbertalg._EXPORTS.get(name)
+        if module is None:  # a submodule, which star imports still bind
+            assert isinstance(getattr(hilbertalg, name), types.ModuleType), name
+        else:
+            assert getattr(hilbertalg, name) is getattr(import_module(f"hilbertalg.{module}"), name), name
+        assert name in listed, name
+    namespace = {}
+    exec("from hilbertalg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hilbertalg.__all__)
+    assert "__version__" in vars(hilbertalg)
+
+
+def test_an_export_is_read_from_its_submodule_on_every_access(monkeypatch):
+    replacement = object()
+    monkeypatch.setattr(multipliers, "kernel", replacement)
+    assert hilbertalg.kernel is replacement
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hilbertalg.no_such_name

@@ -4,9 +4,9 @@ from itertools import permutations
 import pytest
 
 from hilbertalg import FiniteLattice, LatticeError, Structures
-from hilbertalg.lattice import cover_pairs, inclusion_order, isomorphism, refine
+from hilbertalg.lattice import bits, cover_pairs, inclusion_order, isomorphism, refine
 
-from _oracles import cover_pairs_scan, dual_lattice, lattice_anti_isomorphism, mask
+from _oracles import bits_scan, cover_pairs_scan, dual_lattice, lattice_anti_isomorphism, mask
 
 
 def from_covers(cover_lists):
@@ -23,6 +23,15 @@ def from_covers(cover_lists):
                         leq[i][k] = True
                         changed = True
     return leq
+
+
+def test_bits_lists_the_members_as_a_tuple_like_the_scan():
+    # below 256 bits reads a table, from 256 on it scans: both sides of the cut
+    rng = random.Random(4)
+    wide = [(1 << 64) - 1, 1 << 100, *(rng.getrandbits(k) for k in (9, 16, 33, 70, 200) for _ in range(20))]
+    for m in [*range(1 << 12), *wide]:
+        got = bits(m)
+        assert type(got) is tuple and got == tuple(bits_scan(m)), m
 
 
 CHAIN3 = from_covers([[1], [2], []])
