@@ -33,8 +33,8 @@ pay for its code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .lattice import bits, bound_table, masks, refine
 
@@ -47,8 +47,7 @@ class InvariantViolation(RuntimeError):
     """A fact that holds in every valid algebra failed to hold."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed axiom instance; ``elements`` are the witnessing indices."""
 
     axiom: str
@@ -327,8 +326,7 @@ def is_relative_subsemilattice(alg, members):
     return True
 
 
-@dataclass(frozen=True)
-class AlgebraClass:
+class AlgebraClass(NamedTuple):
     implication_algebra: bool
     implicative_semilattice: bool
 

@@ -33,10 +33,10 @@ of one size, and it re-checks closure again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations, groupby, permutations, product
 from operator import itemgetter, or_
+from typing import NamedTuple
 
 from .core import (
     FiniteHilbertAlgebra,
@@ -267,8 +267,7 @@ def are_isomorphic(a, b):
     return isomorphism(a.imp, a.colors, b.imp, b.colors)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     algebra: FiniteHilbertAlgebra
     filter_count: int
     multiplier_count: int
@@ -277,11 +276,11 @@ class CatalogEntry:
     implicative_semilattice: bool
 
 
-@dataclass(frozen=True)
 class AlgebraCatalog:
-    n: int
-    entries: tuple
-    raw_count: int
+    def __init__(self, n, entries, raw_count):
+        self.n = n
+        self.entries = entries
+        self.raw_count = raw_count
 
     def __len__(self):
         return len(self.entries)
@@ -334,7 +333,6 @@ def enumerate_algebras(n):
 # endomorphism monoids
 
 
-@dataclass(frozen=True)
 class EndoMonoid:
     """All endomorphisms under composition, with ``maps[identity]`` the identity.
 
@@ -342,8 +340,9 @@ class EndoMonoid:
     use, and re-checks that the maps are closed under composition.
     """
 
-    maps: tuple
-    identity: int
+    def __init__(self, maps, identity):
+        self.maps = maps
+        self.identity = identity
 
     def __len__(self):
         return len(self.maps)
@@ -426,8 +425,7 @@ def monoid_isomorphism(m1, m2):
 # cross-algebra survey
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     """What the cross-survey compares of one algebra, read off its ``Structures``.
 
     ``filters`` and ``adjoint`` are the filter and closure endomorphism

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lattice import bits
 
@@ -14,8 +14,7 @@ SKIP = "skip"
 _TAGS = {PASS: "PASS", FAIL: "FAIL", SKIP: "SKIP"}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     witness: str | None = None
@@ -43,10 +42,9 @@ class CheckResult:
         return out
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def ok(self):
@@ -73,7 +71,7 @@ class ReportBuilder:
     """Accumulates check results; a failing check carries its first witness."""
 
     def __init__(self, name):
-        self.report = VerificationReport(name)
+        self.report = VerificationReport(name, [])
         self._last = time.perf_counter()
 
     def _push(self, name, status, witness=None, detail=None):

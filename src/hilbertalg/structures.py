@@ -45,7 +45,6 @@ bounded by the distinct tables a process meets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 from .adjoint import adjoint_semilattice, minimal_brouwerian_extension
@@ -60,16 +59,16 @@ from .closure import (
     search_endomorphisms,
     special_witnesses,
 )
-from .core import FiniteHilbertAlgebra, classify, subset_key
+from .core import classify, subset_key
 from .filters import all_filters
 from .multipliers import all_multipliers
 
 
-@dataclass(frozen=True)
 class Structures:
     """Lazily built, read-only structures of ``alg``."""
 
-    alg: FiniteHilbertAlgebra
+    def __init__(self, alg):
+        self.alg = alg
 
     @cached_property
     def flags(self):

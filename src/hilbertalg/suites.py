@@ -4,10 +4,10 @@ Every suite takes the ``Structures`` context of one algebra, so the suites
 run on an algebra share each structure they build, and so does the
 algebra's cross-survey record when the worker is asked for one.  A catalog
 run with several jobs checks its first algebra in the calling process and
-then forks worker processes for the rest.  Workers inherit the plain
-tables, suite names and that request, are sent only algebra indices, and
-send back each pickled item; every suite is a pure function of the
-algebra, so reports are identical for any worker count.
+then forks worker processes for the rest.  Workers inherit the algebras,
+suite names and that request, are sent only algebra indices, and send
+back each pickled item; every suite is a pure function of the algebra,
+so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .closure import (
     isotone_kernel_special_report,
     kernel_embedding_report,
 )
-from .core import FiniteHilbertAlgebra
 from .enumeration import survey_record
 from .multipliers import multiplier_calculus_report
 from .structures import Structures
@@ -82,15 +81,14 @@ def run_algebra_suites(ctx, names):
     return [ALGEBRA_SUITES[name](ctx) for name in names if name != CROSS_SUITE]
 
 
-def _worker(payload):
-    """(reports, survey record or None) of one algebra, from one ``Structures``."""
-    table, one, names, survey = payload
-    ctx = Structures(FiniteHilbertAlgebra(table, one))
+def _worker(alg, names, survey):
+    """(reports, survey record or None) of ``alg``, from one ``Structures``."""
+    ctx = Structures(alg)
     reports = run_algebra_suites(ctx, names)
     return reports, survey_record(ctx) if survey else None
 
 
-def _serve(tasks, results, payloads):
+def _serve(tasks, results, algebras, names, survey):
     """The loop of one forked worker: read the next 4-byte index from the
     shared pipe ``tasks`` until it ends, and write each (index, failed,
     item or (exception, its traceback)) to its own pipe ``results`` as one
@@ -101,7 +99,7 @@ def _serve(tasks, results, payloads):
         while index := os.read(tasks, 4):
             i = int.from_bytes(index, "little")
             try:
-                failed, item = False, _worker(payloads[i])
+                failed, item = False, _worker(algebras[i], names, survey)
             except Exception as e:
                 import traceback
 
@@ -111,10 +109,10 @@ def _serve(tasks, results, payloads):
             out.flush()
 
 
-def _forked_items(payloads, workers):
-    """Yield ``_worker`` of each payload, in order, from ``workers`` forked processes.
+def _forked_items(algebras, names, survey, workers):
+    """Yield ``_worker`` of each algebra, in order, from ``workers`` forked processes.
 
-    The workers inherit the payloads and take their indices from one shared
+    The workers inherit the algebras and take their indices from one shared
     task pipe, which is kept at most two per worker deep, so the algebras
     are handed out as workers come free.  Every result pipe is drained as
     its data arrives, however far it runs ahead of the item yielded next.
@@ -130,7 +128,7 @@ def _forked_items(payloads, workers):
     # each worker gets a copy of every unflushed buffer; flushed, it holds none to write
     for stream in (sys.stdout, sys.stderr):
         stream.flush()
-    total, queued, done, want = len(payloads), 0, {}, 0
+    total, queued, done, want = len(algebras), 0, {}, 0
     tasks_r, tasks_w = os.pipe()
     readers = {}  # the result pipe of each worker not yet reaped -> its pid
 
@@ -168,7 +166,7 @@ def _forked_items(payloads, workers):
                     for fd in [results_r, tasks_w, *readers]:
                         if fd is not None:
                             os.close(fd)
-                    _serve(tasks_r, results_w, payloads)
+                    _serve(tasks_r, results_w, algebras, names, survey)
                     code = 0
                 finally:
                     os._exit(code)
@@ -232,18 +230,20 @@ def iter_catalog(algebras, names, jobs=1, survey=False):
     Where ``os.fork`` is missing, every algebra is checked in this process.
     With ``survey`` each item also holds the ``survey_record`` of its
     algebra.  At most one worker per algebra after the first is forked,
-    however large jobs is.
+    however large jobs is.  Each algebra is checked as given, not rebuilt
+    from its table, so it keeps the tables it caches on first use.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    payloads = [(alg.imp, alg.one, tuple(names), survey) for alg in algebras]
-    if jobs == 1 or len(payloads) < 2 or not hasattr(os, "fork"):
-        yield from map(_worker, payloads)
+    algebras, names = list(algebras), tuple(names)
+    if jobs == 1 or len(algebras) < 2 or not hasattr(os, "fork"):
+        for alg in algebras:
+            yield _worker(alg, names, survey)
         return
     # the parent checks the first algebra before any fork, so its item
     # does not wait for the workers to start and hand a result back
-    yield _worker(payloads[0])
-    yield from _forked_items(payloads[1:], min(jobs, len(payloads) - 1))
+    yield _worker(algebras[0], names, survey)
+    yield from _forked_items(algebras[1:], names, survey, min(jobs, len(algebras) - 1))
 
 
 def run_catalog_suites(algebras, names, jobs=1):

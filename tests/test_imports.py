@@ -135,12 +135,15 @@ def test_only_filters_reads_filter_generated(module):
 
 
 def test_the_cli_loads_no_process_pool_until_one_starts():
-    # verify forks its workers itself, so not even a --jobs 2 run loads a pool module
+    # verify forks its workers itself, so not even a --jobs 2 run loads a pool
+    # module; its records are named tuples and plain classes, so nothing loads
+    # dataclasses, nor inspect, which dataclasses imports
     code = (
         "import contextlib, io, sys, hilbertalg.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert hilbertalg.cli.main(['verify', '--enumerate', '4', '--suite', 'all', '--jobs', '2']) == 0\n"
-        "print(sorted({'concurrent.futures', 'multiprocessing', 'logging'} & set(sys.modules)))"
+        "unwanted = {'concurrent.futures', 'multiprocessing', 'logging', 'dataclasses', 'inspect'}\n"
+        "print(sorted(unwanted & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

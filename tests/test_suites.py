@@ -1,13 +1,15 @@
 import contextlib
 import os
+import pickle
 import signal
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, closure, core, filters, multipliers, structures, suites
+from hilbertalg import FiniteHilbertAlgebra, Structures, adjoint, cli, closure, core, enumeration, filters, multipliers, report, structures, suites
 from hilbertalg.lattice import bound_table
 from hilbertalg.suites import (
     ALGEBRA_SUITES,
@@ -85,9 +87,9 @@ def comparable(items):
 def test_iter_catalog_runs_one_worker_per_item_taken(monkeypatch, algebras4):
     ran = []
 
-    def worker(payload):
-        ran.append(payload)
-        return real(payload)
+    def worker(alg, names, survey):
+        ran.append(alg)
+        return real(alg, names, survey)
 
     real = suites._worker
     monkeypatch.setattr(suites, "_worker", worker)
@@ -136,9 +138,9 @@ def test_iter_catalog_yields_the_first_item_before_any_pool_starts(monkeypatch, 
     forks = ForkRecorder(monkeypatch)
     ran = []
 
-    def worker(payload):
+    def worker(alg, names, survey):
         ran.append(os.getpid())
-        return real(payload)
+        return real(alg, names, survey)
 
     real = suites._worker
     monkeypatch.setattr(suites, "_worker", worker)
@@ -155,9 +157,9 @@ def test_without_fork_every_algebra_is_checked_in_this_process(monkeypatch, alge
     want = comparable(iter_catalog(algebras4, names, jobs=1, survey=True))
     ran = []
 
-    def worker(payload):
+    def worker(alg, names, survey):
         ran.append(os.getpid())
-        return real(payload)
+        return real(alg, names, survey)
 
     real = suites._worker
     monkeypatch.setattr(suites, "_worker", worker)
@@ -228,6 +230,47 @@ def test_more_workers_than_cores_take_every_algebra_once(size5):
 def test_pool_refuses_fewer_than_one_job(algebras4):
     with pytest.raises(ValueError):
         run_catalog_suites(algebras4[:2], ["join-density"], jobs=0)
+
+
+def test_each_record_survives_a_pickle_round_trip(catalog4):
+    # the forked workers pickle reports and survey records back to the parent
+    entry = catalog4[-1]
+    ctx = Structures(entry.algebra)
+    reports = run_algebra_suites(ctx, list(ALGEBRA_SUITES))
+    records = [
+        core.axiom_violations(((2, 2, 2), (0, 2, 2), (0, 0, 2)), 2)[0],
+        ctx.flags,
+        entry,
+        enumeration.survey_record(ctx),
+        reports[0].checks[0],
+        reports[0],
+    ]
+    assert [type(r).__name__ for r in records] == [
+        "Violation",
+        "AlgebraClass",
+        "CatalogEntry",
+        "SurveyRecord",
+        "CheckResult",
+        "VerificationReport",
+    ]
+    for record in records:
+        back = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+        assert type(back) is type(record)
+        if isinstance(record, enumeration.SurveyRecord):
+            # its lattices and monoid compare by identity: compare what they hold
+            assert comparable([((), back)]) == comparable([((), record)])
+        else:
+            assert back == record
+
+
+def test_the_suites_give_equal_reports_when_run_twice(monkeypatch, algebras4):
+    # with the clock stopped, every field of every check is a pure function of the algebra
+    monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    for alg in algebras4:
+        first = run_algebra_suites(Structures(alg), list(ALGEBRA_SUITES))
+        again = run_algebra_suites(Structures(alg), list(ALGEBRA_SUITES))
+        assert len(first) == 14 and first == again
+        assert first[0] != type(first[0])(first[0].name, first[0].checks[1:])
 
 
 def test_the_runner_gives_each_suites_own_report(algebras4):
