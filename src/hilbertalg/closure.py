@@ -36,9 +36,10 @@ reads the order characterizations off ``ce.lattice``.  The reports read
 what ``structures.Structures`` shares instead of building it again: the
 closure endomorphism of each filter (``monomial_ce``), which also gives
 each class maximum, and of each special closure retract (``retract_ce``),
-which also gives each least-above image, the special witness of every
-subset (``special_witnesses``), and the cross meets of each pair of
-fixpoint sets (``cross_meets``).
+which also gives each least-above image, and the cross meets of each pair
+of fixpoint sets (``cross_meets``).  Specialness is tested where a report
+reads it: ``isotone_kernel_special_report`` tests the fixpoint set of each
+multiplier, and ``ce_from_retract`` each subset it is given.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .core import (
     is_subalgebra,
     partial_join,
     subset_key,
-    subsets,
 )
 from .filters import class_of, is_filter, monomial_max
 from .lattice import FiniteLattice, _Least, bits
@@ -202,12 +202,6 @@ def ce_from_monomial_filter(alg, members):
     return f
 
 
-def closure_endos_via_filters(ctx, monomials):
-    """Second route to the carrier: one closure endomorphism per monomial filter,
-    read from ``ctx.monomial_ce``."""
-    return sorted(map(ctx.monomial_ce, monomials))
-
-
 def monomial_roundtrip(ctx, filter_sets):
     """(failures, skips) for the filter -> closure endomorphism -> kernel round trip.
 
@@ -281,11 +275,6 @@ def is_special(alg, members):
     return special_witness(alg, members) is None
 
 
-def special_witnesses(alg):
-    """``special_witness`` of every subset, indexed by its bitmask."""
-    return tuple(special_witness(alg, s) for s in subsets(alg.n))
-
-
 def special_closure_retracts(alg, special):
     """The closure retracts among the given special subsets, smallest first."""
     return sorted((s for s in special if is_closure_retract(alg, s)), key=subset_key)
@@ -298,14 +287,10 @@ def ce_from_retract(alg, members):
     least member above it.  Domain errors carry the offending element or
     pair.
     """
-    return ce_of_special_retract(alg, members, special_witness(alg, members))
-
-
-def ce_of_special_retract(alg, members, pair):
-    """``ce_from_retract`` given ``pair``, the ``special_witness`` of members."""
     least = _least_above(alg, members)
     if None in least:
         raise NotClosureRetractError(least.index(None))
+    pair = special_witness(alg, members)
     if pair is not None:
         raise NotSpecialError(pair)
     f = tuple(least)
@@ -436,7 +421,8 @@ def ce_structure_report(ctx):
         [] if ce.lattice.is_distributive else [fmt(size=len(carrier))],
         detail=f"{len(carrier)} closure endomorphisms",
     )
-    via_filters = closure_endos_via_filters(ctx, ctx.monomials)
+    # the second route to the carrier: the closure endomorphism of each monomial filter
+    via_filters = sorted(map(ctx.monomial_ce, ctx.monomials))
     b.check(
         "isotone-multipliers-equal-monomial-route",
         [] if list(carrier) == via_filters else [fmt(direct=len(carrier), via=len(via_filters))],
@@ -472,12 +458,11 @@ def isotone_kernel_special_report(ctx):
     """For every multiplier: isotone <=> kernel is a filter <=> fixpoints special."""
     b = ReportBuilder("isotone-kernel-special")
     alg, mult = ctx.alg, ctx.multipliers
-    witnesses = ctx.special_witnesses
     fails = []
     for f in mult.carrier:
         iso = is_isotone(alg, f)
         ker = is_filter(alg, kernel(alg, f))
-        spe = witnesses[fixpoints(alg, f)] is None
+        spe = is_special(alg, fixpoints(alg, f))
         # is_closure_endomorphism, with its isotone test read from iso
         ce = iso and is_endomorphism(alg, f) and is_extensive(alg, f) and is_idempotent(f)
         if not iso == ker == spe == ce:

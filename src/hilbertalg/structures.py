@@ -21,13 +21,15 @@ the same way, each a ``functools.cache`` built per ``Structures``, never in
 a module: ``monomial_ce`` builds the closure endomorphism of each filter;
 ``retract_ce`` builds that of each special closure retract; and
 ``cross_meets`` joins each pair of fixpoint sets.  ``cache`` keeps no
-exception, so a ``NonMonomialFilterError`` is raised afresh, with its own
-traceback, on every call; no filter of a finite algebra raises it, since
-each is finitely generated and so monomial.  ``special_witnesses``, the
-specialness witness of every subset, serves ``special_subsets``,
-``retract_ce`` and the suites.  So the re-checks inside
-``ce_from_monomial_filter`` and ``ce_from_retract`` run once for each
-filter or retract, however many suites read them, and so do
+exception, so a ``NonMonomialFilterError``, ``NotClosureRetractError`` or
+``NotSpecialError`` is raised afresh, with its own traceback, on every
+call; no filter of a finite algebra raises the first, since each is
+finitely generated and so monomial.  Specialness is tested where it is
+read, never tabulated over every subset: ``special_subsets`` tests each
+subset, for the one suite that quantifies over them all
+(``fixpoint-embedding``), and ``retract_ce`` tests the subset it is given.
+So the re-checks inside ``ce_from_monomial_filter`` and ``ce_from_retract``
+run once for each filter or retract, however many suites read them, and so do
 ``monomial_max`` on each element and the least-above map of each retract:
 ``monomials`` and every class maximum a suite compares are read from
 ``monomial_ce``, and ``retracts`` and every least-above image from
@@ -53,13 +55,13 @@ from .closure import (
     NotClosureRetractError,
     all_closure_endos,
     ce_from_monomial_filter,
-    ce_of_special_retract,
+    ce_from_retract,
     cross_meets,
     finitely_generated_ce,
+    is_special,
     search_endomorphisms,
-    special_witnesses,
 )
-from .core import classify, subset_key
+from .core import classify, subset_key, subsets
 from .filters import all_filters
 from .multipliers import all_multipliers
 
@@ -109,14 +111,9 @@ class Structures:
         return finitely_generated_ce(self.alg)
 
     @cached_property
-    def special_witnesses(self):
-        """``special_witness`` of every subset, indexed by its bitmask."""
-        return special_witnesses(self.alg)
-
-    @cached_property
     def special_subsets(self):
         """Every special subset, the empty one included, in binary counting order."""
-        return [s for s, pair in enumerate(self.special_witnesses) if pair is None]
+        return [s for s in subsets(self.alg.n) if is_special(self.alg, s)]
 
     @cached_property
     def retracts(self):
@@ -139,10 +136,10 @@ class Structures:
 
     @cached_property
     def retract_ce(self):
-        """``retract_ce(r)``: ``ce_from_retract`` of r, with its witness read
-        from ``special_witnesses``."""
-        alg, witnesses = self.alg, self.special_witnesses
-        return cache(lambda r: ce_of_special_retract(alg, r, witnesses[r]))
+        """``retract_ce(r)``: ``ce_from_retract`` of r, built once; a
+        ``NotClosureRetractError`` or ``NotSpecialError`` is not kept, and is
+        raised on every call."""
+        return cache(partial(ce_from_retract, self.alg))
 
     @cached_property
     def cross_meets(self):

@@ -359,14 +359,15 @@ def lattice_anti_isomorphism(a, b):
 
 def isotone_kernel_special_scan(ctx):
     """``isotone_kernel_special_report`` with each verdict computed on its own,
-    the closure verdict by ``is_closure_endomorphism``."""
+    the specialness verdict by ``special_witness_scan`` and the closure verdict
+    by ``is_closure_endomorphism``."""
     b = ReportBuilder("isotone-kernel-special")
     alg, carrier = ctx.alg, ctx.multipliers.carrier
     fails = []
     for f in carrier:
         iso = is_isotone(alg, f)
         ker = is_filter(alg, kernel(alg, f))
-        spe = ctx.special_witnesses[fixpoints(alg, f)] is None
+        spe = special_witness_scan(alg, fixpoints(alg, f)) is None
         ce = is_closure_endomorphism(alg, f)
         if not iso == ker == spe == ce:
             fails.append(fmt(map=f, isotone=iso, kernel_filter=ker, special=spe, closure=ce))

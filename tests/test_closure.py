@@ -35,7 +35,7 @@ from hilbertalg import (
     translation,
     validate_hilbert,
 )
-from hilbertalg import structures
+from hilbertalg import closure, structures
 from hilbertalg.closure import (
     ce_structure_report,
     fixpoint_embedding_report,
@@ -134,10 +134,9 @@ def test_ce_against_direct_definition(algebras4):
 
 
 def test_ce_equals_filter_route(algebras4):
-    from hilbertalg.closure import closure_endos_via_filters
-
     for alg in algebras4:
-        assert list(Structures(alg).ce.carrier) == closure_endos_via_filters(Structures(alg), all_filters(alg).carrier)
+        ctx = Structures(alg)
+        assert list(ctx.ce.carrier) == sorted(map(ctx.monomial_ce, all_filters(alg).carrier))
 
 
 def test_kernels(godel3, algebras4):
@@ -165,6 +164,22 @@ def test_isotone_kernel_special_report(algebras4):
     for alg in algebras4:
         report = isotone_kernel_special_report(Structures(alg))
         assert report.ok, report.as_dict()
+
+
+def test_isotone_kernel_special_tests_only_the_fixpoint_set_of_each_multiplier(monkeypatch, catalog5):
+    # on every algebra of size <= 5 and on the 32-element Boolean algebra, the
+    # report tests the specialness of each multiplier's fixpoint set at most
+    # once, and tabulates no specialness of other subsets on the context
+    tested = []
+    real = closure.special_witness
+    monkeypatch.setattr(closure, "special_witness", lambda alg, s: tested.append(s) or real(alg, s))
+    boolean32 = validate_hilbert([[(31 & ~a) | b for b in range(32)] for a in range(32)], 31)
+    for alg in [*(e.algebra for e in catalog5), boolean32]:
+        ctx = Structures(alg)
+        tested.clear()
+        assert isotone_kernel_special_report(ctx).ok, alg.imp
+        assert len(tested) <= len(ctx.multipliers.carrier), alg.imp
+        assert not [name for name in vars(ctx) if name.startswith("special_")], alg.imp
 
 
 def test_endomorphism_search(catalog5, godel3):
@@ -342,6 +357,24 @@ def test_retract_domain_errors(godel3, tarski3):
     assert err.value.pair == (0, 1)
     with pytest.raises(NotClosureRetractError):
         ce_from_retract(godel3, mask([]))
+
+
+def test_retract_ce_raises_its_domain_errors_on_every_call(godel3, tarski3):
+    # Structures.retract_ce keeps no error: each call raises a new one, carrying
+    # the same element or pair as ce_from_retract, and nothing is cached
+    for alg, members, error, attr, value in (
+        (godel3, mask({1, 2}), NotSpecialError, "pair", (0, 1)),
+        (tarski3, mask({0, 1}), NotClosureRetractError, "element", 2),
+    ):
+        ctx = Structures(alg)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(error) as err:
+                ctx.retract_ce(members)
+            errors.append(err.value)
+        assert len({id(e) for e in errors}) == 3
+        assert {getattr(e, attr) for e in errors} == {value}
+        assert ctx.retract_ce.cache_info().currsize == 0
 
 
 def test_cross_meets_examples(godel3, tarski3):

@@ -773,11 +773,7 @@ def test_isotone_kernel_special_matches_the_closure_oracle_with_one_foreign_map(
             true = ctx.multipliers.carrier
             carriers += [true + (f,) for f in unit_fixing_maps(alg) if f not in true]
         for carrier in carriers:
-            stand_in = SimpleNamespace(
-                alg=alg,
-                multipliers=SimpleNamespace(carrier=carrier),
-                special_witnesses=ctx.special_witnesses,
-            )
+            stand_in = SimpleNamespace(alg=alg, multipliers=SimpleNamespace(carrier=carrier))
             pulls.clear()
             got = isotone_kernel_special_report(stand_in).as_dict()
             assert len(pulls) <= len(carrier), (alg.imp, carrier)

@@ -290,7 +290,6 @@ BUILDERS = [
     "all_filters",
     "search_endomorphisms",
     "finitely_generated_ce",
-    "special_witnesses",
     "adjoint_semilattice",
     "minimal_brouwerian_extension",
 ]
@@ -413,7 +412,7 @@ def test_least_above_images_are_computed_once_per_retract(monkeypatch, catalog5)
 
     def counting(alg, members):
         caller = sys._getframe(1)
-        assert caller.f_code is closure.ce_of_special_retract.__code__
+        assert caller.f_code is closure.ce_from_retract.__code__
         assert caller.f_back.f_code.co_filename == structures.__file__
         seen[members] += 1
         return real(alg, members)
