@@ -21,7 +21,6 @@ _EXPORTS = {
     "adjoint_ideals": "adjoint",
     "adjoint_semilattice": "adjoint",
     "compact_elements": "adjoint",
-    "composite_translation": "adjoint",
     "minimal_brouwerian_extension": "adjoint",
     "CeLattice": "closure",
     "NonMonomialFilterError": "closure",

@@ -4,7 +4,9 @@ Composites of translations form an upper semilattice with a subtraction
 operation (the adjoint semilattice); over a finite algebra it exhausts all
 closure endomorphisms, so ``adjoint_semilattice`` re-checks the closure
 endomorphism lattice and returns it: the join is composition and the
-subtraction is the lattice's residual.  The kernel map matches it with the
+subtraction is the lattice's residual.  The suites read a composite of
+translations as the join of their carrier indices ``ce.translations`` in
+``ce.lattice.join_table``, never as a composed map.  The kernel map matches it with the
 semilattice of finitely generated filters, whose reverse-inclusion order is
 an implicative semilattice extending the algebra (the minimal Brouwerian
 extension), and whose ideal lattice reproduces the filter lattice through
@@ -17,28 +19,10 @@ and the embedding ``principal``.
 
 from __future__ import annotations
 
-from .core import InvariantViolation, partial_meet, subset_key, subsets
+from .core import InvariantViolation, partial_meet, subset_key
 from .lattice import bits, inclusion_order
-from .multipliers import (
-    compose,
-    identity_map,
-    join_translation,
-    pointwise_meet,
-    translation,
-)
+from .multipliers import join_translation, pointwise_meet
 from .report import ReportBuilder, fmt, fset
-
-
-def composite_translation(alg, elems):
-    """Composition of the translations by the elements of the bitmask elems; identity for none.
-
-    The order of composition does not matter; the kernel is the filter
-    generated by the elements.
-    """
-    out = identity_map(alg)
-    for p in bits(elems):
-        out = compose(translation(alg, p), out)
-    return out
 
 
 def adjoint_semilattice(ce, fg):
@@ -84,9 +68,13 @@ def join_density_report(ctx):
     """
     b = ReportBuilder("join-density")
     alg, ce = ctx.alg, ctx.ce
+    join, at = ce.lattice.join_table, ce.translations
     fails = []
-    for f, k in zip(ce.carrier, ce.kernels):
-        if composite_translation(alg, k) != f:
+    for i, (f, k) in enumerate(zip(ce.carrier, ce.kernels)):
+        composite = ce.identity_index
+        for p in bits(k):
+            composite = join[composite][at[p]]
+        if composite != i:
             fails.append(fmt(map=f, kernel=fset(k)))
     b.check("translations-over-kernel", fails, detail=f"{len(ce.carrier)} maps")
 
@@ -319,14 +307,18 @@ def fg_ideal_report(ctx):
         "hereditary",
         [fmt(f=f, g=g) for f, row in zip(carrier, leq) for g in fg if row[ce.index(g)] and f not in fg],
     )
-    imp = alg.imp
-    at = [ce.index(composite_translation(alg, p)) for p in subsets(alg.n)]
+    # for a subset p and q = {f(x) -> x : x in p}, the pair (composite over p,
+    # composite over q) is the join of the pairs (at[x], at[f(x) -> x]) over x in p:
+    # adding each x in turn to every subset so far gives the pairs of all 2^n subsets
+    imp, join, at = alg.imp, ce.lattice.join_table, ce.translations
     q_fails = []
-    for f, row in zip(carrier, leq):
-        for p in subsets(alg.n):
-            if row[at[p]]:
-                q = sum({1 << imp[f[x]][x] for x in bits(p)})
-                if carrier[at[q]] != f:
-                    q_fails.append(fmt(map=f, p=fset(p), q=fset(q)))
+    for i, (f, row) in enumerate(zip(carrier, leq)):
+        pairs = {(ce.identity_index, ce.identity_index)}
+        for x in alg.elements:
+            p_join, q_join = join[at[x]], join[at[imp[f[x]][x]]]
+            pairs |= {(p_join[u], q_join[v]) for u, v in pairs}
+        for p_at, q_at in sorted(pairs):
+            if row[p_at] and q_at != i:
+                q_fails.append(fmt(map=f, composite=carrier[p_at], q_composite=carrier[q_at]))
     b.check("explicit-generators-below-composite", q_fails)
     return b.done()

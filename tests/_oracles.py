@@ -16,6 +16,7 @@ from hilbertalg import (
     compatible_meet,
     compose,
     fixpoints,
+    identity_map,
     is_closure_endomorphism,
     is_endomorphism,
     is_filter,
@@ -24,6 +25,7 @@ from hilbertalg import (
     is_relative_subsemilattice,
     is_subalgebra,
     kernel,
+    translation,
 )
 from hilbertalg.core import subset_key, subsets
 from hilbertalg.enumeration import _relabellings, unlabelled_posets
@@ -373,6 +375,35 @@ def isotone_kernel_special_scan(ctx):
             fails.append(fmt(map=f, isotone=iso, kernel_filter=ker, special=spe, closure=ce))
     b.check("three-way-equivalence", fails, detail=f"{len(carrier)} multipliers")
     return b.done()
+
+
+def composite_translation(alg, elems):
+    """Composition of the translations by the elements of the bitmask elems; identity for none.
+
+    The order of composition does not matter; the kernel is the filter
+    generated by the elements.  The reference for the joins of
+    ``ce.translations`` that ``join-density`` and ``finitely-generated-ideal`` read.
+    """
+    out = identity_map(alg)
+    for p in bits(elems):
+        out = compose(translation(alg, p), out)
+    return out
+
+
+def explicit_generators_scan(ctx):
+    """The failures of ``explicit-generators-below-composite`` by a scan of every
+    subset p, as (f, p, q) in scan order: f is below the composite over p and
+    the composite over q = {f(x) -> x : x in p} is not f."""
+    alg, imp = ctx.alg, ctx.alg.imp
+    composites = [composite_translation(alg, p) for p in subsets(alg.n)]
+    fails = []
+    for f in ctx.ce.carrier:
+        for p, c in enumerate(composites):
+            if pointwise_leq_scan(alg, f, c):
+                q = mask(imp[f[x]][x] for x in bits(p))
+                if composites[q] != f:
+                    fails.append((f, p, q))
+    return fails
 
 
 def adjoint_ideals_brute(adj):

@@ -1,8 +1,10 @@
 from copy import copy
+from functools import reduce
 
 import pytest
 
 from hilbertalg import (
+    AlgebraClass,
     InvariantViolation,
     Structures,
     FiniteLattice,
@@ -10,7 +12,6 @@ from hilbertalg import (
     all_filters,
     compact_elements,
     compose,
-    composite_translation,
     constant_one,
     filter_generated,
     identity_map,
@@ -26,8 +27,18 @@ from hilbertalg.adjoint import (
     filter_ideal_bridge_report,
     join_density_report,
 )
+from hilbertalg.lattice import bits
+from hilbertalg.report import fmt
 
-from _oracles import adjoint_ideals_brute, all_subsets, mask, pointwise_leq_scan, subtraction
+from _oracles import (
+    adjoint_ideals_brute,
+    all_subsets,
+    composite_translation,
+    explicit_generators_scan,
+    mask,
+    pointwise_leq_scan,
+    subtraction,
+)
 
 
 def test_composite_translation_basics(tarski3, algebras4):
@@ -54,6 +65,16 @@ def test_composite_translation_determined_by_filter(algebras4):
                 assert (
                     composite_translation(alg, p) == composite_translation(alg, q)
                 ) == same
+
+
+def test_composites_of_translations_are_joins_of_their_indices(catalog5):
+    # the fold of join-density: from the identity, join ce.translations[x] for each x of p
+    for entry in catalog5:
+        alg, ce = entry.algebra, Structures(entry.algebra).ce
+        join, at = ce.lattice.join_table, ce.translations
+        for p in range(1 << alg.n):
+            joined = reduce(lambda i, x: join[i][at[x]], bits(p), ce.identity_index)
+            assert joined == ce.index(composite_translation(alg, p)), (alg.n, p)
 
 
 def test_join_density(algebras4):
@@ -234,3 +255,47 @@ def test_fg_ideal_report(catalog4, godel3):
         ],
     }
     assert set(vars(ctx)) == {"alg", "flags"}
+
+
+def _boolean(n):
+    top = (1 << n) - 1
+    return validate_hilbert([[(top & ~a) | b for b in range(top + 1)] for a in range(top + 1)], top)
+
+
+def test_explicit_generators_fail_where_the_subset_scan_fails(algebras6, monkeypatch):
+    # the precondition is forced on every algebra of size <= 6; the report joins pairs of
+    # translation indices, the scan composes maps over all 2^n subsets p, and each
+    # (f, composite over p, composite over q) the scan finds is one witness of the report
+    witnesses = []
+
+    def recording(**kw):
+        if "q_composite" in kw:
+            witnesses.append((kw["map"], kw["composite"], kw["q_composite"]))
+        return fmt(**kw)
+
+    monkeypatch.setattr("hilbertalg.adjoint.fmt", recording)
+    failing = []  # (maps, subsets, pairs) of each algebra that fails
+    for alg in algebras6:
+        ctx = Structures(alg)
+        implication = ctx.flags.implication_algebra
+        ctx.flags = AlgebraClass(True, ctx.flags.implicative_semilattice)
+        witnesses.clear()
+        (check,) = [c for c in fg_ideal_report(ctx).checks if c.name == "explicit-generators-below-composite"]
+        scan = explicit_generators_scan(ctx)
+        pairs = sorted(
+            {(f, composite_translation(alg, p), composite_translation(alg, q)) for f, p, q in scan}
+        )
+        assert witnesses == pairs
+        assert (check.status == "pass") == implication == (not scan)
+        if scan:
+            assert check.witness == fmt(map=pairs[0][0], composite=pairs[0][1], q_composite=pairs[0][2])
+            assert check.detail == f"{len(pairs)} failing instance(s)"
+            failing.append((len({f for f, _, _ in scan}), len(scan), len(pairs)))
+    assert (len(failing), *map(sum, zip(*failing))) == (116, 601, 10804, 2796)
+
+
+def test_fg_ideal_report_passes_on_larger_implication_algebras():
+    flat7 = validate_hilbert([[6 if x == y or y == 6 else y for y in range(7)] for x in range(7)], 6)
+    for alg in (flat7, _boolean(3), _boolean(4)):
+        report = fg_ideal_report(Structures(alg))
+        assert [c.status for c in report.checks] == ["pass", "pass"], report.as_dict()
