@@ -257,11 +257,11 @@ def special_witness(alg, members):
     the members v, and ``sources[b][b]``; the first a, then the first b,
     whose masks are disjoint is the witness.
     """
-    src = alg.sources
-    fixing = [(b, src[b][b]) for b in bits(members)]
+    src, ms = alg.sources, bits(members)
+    fixing = [(b, src[b][b]) for b in ms]
     for a, col in enumerate(src):
         lands = 0
-        for v in bits(members):
+        for v in ms:
             lands |= col[v]
         for b, fix in fixing:
             if not lands & fix:
@@ -324,12 +324,11 @@ def least_implication_misses(alg, maps, sets):
     ``sources[y][one]`` of every member y.
     """
     down = [col[alg.one] for col in alg.sources]
-    # values[a]: the bitmask of the x -> a
-    values = [sum(1 << v for v, xs in enumerate(col) if xs) for col in alg.sources]
+    translates = alg.translates
     misses = []
     for f, r in zip(maps, sets):
         for a in alg.elements:
-            low = lands = r & values[a]
+            low = lands = r & translates[a]
             for y in bits(lands):
                 low &= down[y]
             if low != 1 << f[a]:
@@ -630,7 +629,8 @@ def fixpoint_embedding_report(ctx):
     alpha_fails = []
     for s in ctx.special_subsets:
         if s:
-            if not all(s >> alg.imp[p][x] & 1 for p in alg.elements for x in bits(s)):
+            ms = bits(s)
+            if not all(s >> alg.imp[p][x] & 1 for p in alg.elements for x in ms):
                 alpha_fails.append(fmt(subset=fset(s), reason="not translation closed"))
             elif not is_subalgebra(alg, s):
                 alpha_fails.append(fmt(subset=fset(s), reason="not a subalgebra"))

@@ -18,7 +18,8 @@ once, on first use, from the up- and down-sets of the order as bitmasks;
 ``partial_meet``, ``partial_join`` and ``compatible_meet`` look them up.
 Every element subset is an int bitmask, bit x set iff x is a member.  The
 algebra also keeps, on first use, the mask tables ``preimages`` and
-``sources`` of its rows and columns, ``compatible_meet_pairs``, and, while
+``sources`` of its rows and columns, the mask ``translates[x]`` of the
+values p -> x of each column, ``compatible_meet_pairs``, and, while
 n <= 255, its table as ``flat`` bytes and its rows as 256-byte ``luts``:
 the kernels of ``filters``, ``closure`` and ``multipliers`` read them.
 
@@ -160,6 +161,12 @@ class FiniteHilbertAlgebra:
         return tuple(tuple(sum(1 << x for x in rng if imp[x][y] == v) for v in rng) for y in rng)
 
     @cached_property
+    def translates(self):
+        """translates[x]: the bitmask of the p -> x over every p, the values of column x."""
+        imp = self.imp
+        return tuple(sum(1 << v for v in {row[x] for row in imp}) for x in self.elements)
+
+    @cached_property
     def flat(self):
         """The table as n * n ``bytes``, x -> y at byte x * n + y; for n <= 255 only."""
         return b"".join(map(bytes, self.imp))
@@ -288,13 +295,8 @@ def is_subalgebra(alg, members):
     """True iff members contains the unit and is closed under implication."""
     if not members >> alg.one & 1:
         return False
-    imp = alg.imp
-    return all(members >> imp[x][y] & 1 for x in bits(members) for y in bits(members))
-
-
-def subsets(n):
-    """Every subset of range(n) as a bitmask, in binary counting order."""
-    return range(1 << n)
+    imp, ms = alg.imp, bits(members)
+    return all(members >> imp[x][y] & 1 for x in ms for y in ms)
 
 
 def generated(start, gens, op):
@@ -318,8 +320,9 @@ def subset_key(s):
 
 def is_relative_subsemilattice(alg, members):
     """True iff members is closed under existing compatible meets."""
-    for x in bits(members):
-        for y in bits(members):
+    ms = bits(members)
+    for x in ms:
+        for y in ms:
             m = compatible_meet(alg, x, y)
             if m is not None and not members >> m & 1:
                 return False

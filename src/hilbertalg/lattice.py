@@ -59,10 +59,6 @@ def inclusion_order(sets):
     return [[not a & ~b for b in sets] for a in sets]
 
 
-def is_partial_order(leq):
-    return _order_masks(leq) is not None
-
-
 def _order_masks(leq):
     """(up, down), the bitmasks of the elements above and below each element,
     or None unless the order matrix is a partial order."""

@@ -26,8 +26,9 @@ exception, so a ``NonMonomialFilterError``, ``NotClosureRetractError`` or
 call; no filter of a finite algebra raises the first, since each is
 finitely generated and so monomial.  Specialness is tested where it is
 read, never tabulated over every subset: ``special_subsets`` tests each
-subset, for the one suite that quantifies over them all
-(``fixpoint-embedding``), and ``retract_ce`` tests the subset it is given.
+union of translates (the only candidates), for the one suite that
+quantifies over them all (``fixpoint-embedding``), and ``retract_ce`` tests
+the subset it is given.
 So the re-checks inside ``ce_from_monomial_filter`` and ``ce_from_retract``
 run once for each filter or retract, however many suites read them, and so do
 ``monomial_max`` on each element and the least-above map of each retract:
@@ -48,6 +49,7 @@ bounded by the distinct tables a process meets.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
+from operator import or_
 
 from .adjoint import adjoint_semilattice, minimal_brouwerian_extension
 from .closure import (
@@ -61,7 +63,7 @@ from .closure import (
     is_special,
     search_endomorphisms,
 )
-from .core import classify, subset_key, subsets
+from .core import classify, generated, subset_key
 from .filters import all_filters
 from .multipliers import all_multipliers
 
@@ -112,8 +114,16 @@ class Structures:
 
     @cached_property
     def special_subsets(self):
-        """Every special subset, the empty one included, in binary counting order."""
-        return [s for s in subsets(self.alg.n) if is_special(self.alg, s)]
+        """Every special subset, the empty one included, in binary counting order.
+
+        A special S is closed under translations: for b in S and any q,
+        specialness at a = q -> b gives a p with p -> b = b and
+        p -> (q -> b) in S, and by exchange p -> (q -> b) = q -> (p -> b) = q -> b.
+        As x = 1 -> x, S is the union of ``translates[x]`` over its members x;
+        so only those unions are tested.
+        """
+        alg = self.alg
+        return [s for s in sorted(generated(0, alg.translates, or_)) if is_special(alg, s)]
 
     @cached_property
     def retracts(self):

@@ -27,7 +27,8 @@ from hilbertalg import (
     kernel,
     translation,
 )
-from hilbertalg.core import subset_key, subsets
+from hilbertalg.closure import is_special
+from hilbertalg.core import subset_key
 from hilbertalg.enumeration import _relabellings, unlabelled_posets
 from hilbertalg.lattice import bits, isomorphism, refine
 from hilbertalg.report import ReportBuilder, fmt
@@ -395,7 +396,7 @@ def explicit_generators_scan(ctx):
     subset p, as (f, p, q) in scan order: f is below the composite over p and
     the composite over q = {f(x) -> x : x in p} is not f."""
     alg, imp = ctx.alg, ctx.alg.imp
-    composites = [composite_translation(alg, p) for p in subsets(alg.n)]
+    composites = [composite_translation(alg, p) for p in range(1 << alg.n)]
     fails = []
     for f in ctx.ce.carrier:
         for p, c in enumerate(composites):
@@ -716,6 +717,11 @@ def special_witness_scan(alg, members):
     return None
 
 
+def special_subsets_scan(alg):
+    """Every special subset, by ``is_special`` on each of the 2^n masks in order."""
+    return [s for s in range(1 << alg.n) if is_special(alg, s)]
+
+
 def cross_meets_scan(alg, s, t):
     meets = alg.compatible_meet_table
     ys = list(bits(t))
@@ -995,7 +1001,7 @@ def subtraction(alg, f, g, carrier):
 
 def subalgebras(alg):
     """All subalgebras, smallest first."""
-    return sorted((s for s in subsets(alg.n) if is_subalgebra(alg, s)), key=subset_key)
+    return sorted((s for s in range(1 << alg.n) if is_subalgebra(alg, s)), key=subset_key)
 
 
 def block_from(alg, members, p):

@@ -1,7 +1,9 @@
 import gc
 import traceback
 import weakref
+from functools import reduce
 from itertools import product
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -48,6 +50,7 @@ from hilbertalg.closure import (
     monomial_roundtrip,
 )
 from hilbertalg.core import subset_key
+from hilbertalg.lattice import bits
 
 from test_kernels import flat_table
 from _oracles import (
@@ -62,6 +65,7 @@ from _oracles import (
     mask,
     peirce_map,
     quotient,
+    special_subsets_scan,
 )
 
 
@@ -407,6 +411,22 @@ def test_special_retract_scan(tarski3, catalog5):
         retracts = special_closure_retracts(alg, ctx.special_subsets)
         assert ctx.retracts == retracts, alg.imp
         assert set(retracts) == {fixpoints(alg, f) for f in ctx.ce.carrier}, alg.imp
+
+
+def test_special_subsets_are_the_special_unions_of_translates(algebras6, tarski3, godel3):
+    # the unions of translates hold every special subset: the list equals the scan of
+    # all 2^n masks, in the same order, and each special subset is the union of the
+    # translates of its members; translates[x] is the set of the p -> x
+    boolean = [[[(top & ~a) | b for b in range(top + 1)] for a in range(top + 1)] for top in (7, 15)]
+    others = [validate_hilbert(flat_table(n), n - 1) for n in (7, 8, 9)]
+    others += [validate_hilbert(table, len(table) - 1) for table in boolean]
+    for alg in [*algebras6, *others, tarski3, godel3]:
+        imp = alg.imp
+        assert alg.translates == tuple(mask(row[x] for row in imp) for x in alg.elements)
+        special = Structures(alg).special_subsets
+        assert special == special_subsets_scan(alg), alg.imp
+        for s in special:
+            assert reduce(or_, (alg.translates[x] for x in bits(s)), 0) == s, (alg.imp, s)
 
 
 def test_implication_extras(catalog4, godel3):
