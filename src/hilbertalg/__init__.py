@@ -49,8 +49,6 @@ _EXPORTS = {
     "axiom_violations": "core",
     "classify": "core",
     "compatible_meet": "core",
-    "is_relative_subsemilattice": "core",
-    "is_subalgebra": "core",
     "partial_join": "core",
     "partial_meet": "core",
     "validate_hilbert": "core",

@@ -19,6 +19,11 @@ The predicates the reports run most are kernels on the algebra's n x n
 tables.  ``special_witness``, ``cross_meets`` and ``least_implication_misses``
 are unions and intersections of masks: ``sources`` (the x with
 x -> y = v), the up- and down-sets, and ``compatible_meet_pairs``.
+Subset closure is a mask inclusion too: a special subset s is
+translation-closed when no ``translates[x] & ~s`` is set for x in s, and a
+fixpoint set r closed under compatible meets when ``cross_meets(alg, r, r)
+& ~r`` is 0.  ``_least_above`` is lazy, so ``ce_from_retract`` and
+``is_closure_retract`` stop at the first element with no least member above it.
 ``is_endomorphism`` compares the table translated through f with the
 table pulled back along f, as ``bytes`` through ``luts``, while n <= 255,
 and scans element by element above that; ``is_isotone`` is one loop over
@@ -45,14 +50,13 @@ multiplier, and ``ce_from_retract`` each subset it is given.
 from __future__ import annotations
 
 from functools import partial, reduce
-from operator import and_, eq, getitem, or_
+from itertools import takewhile
+from operator import and_, eq, getitem, is_not, or_
 
 from .core import (
     InvariantViolation,
     compatible_meet,
     generated,
-    is_relative_subsemilattice,
-    is_subalgebra,
     partial_join,
     subset_key,
 )
@@ -239,10 +243,10 @@ class NotSpecialError(ValueError):
 
 
 def _least_above(alg, members):
-    """For each element, the least member above it, or None where there is none."""
+    """For each element in turn, lazily, the least member above it, or None
+    where there is none; a caller can stop at the first None."""
     up = [row[alg.one] for row in alg.preimages]
-    least = _Least(up)
-    return [least[u & members] for u in up]
+    return map(_Least(up).__getitem__, map(members.__and__, up))
 
 
 def is_closure_retract(alg, members):
@@ -285,13 +289,12 @@ def ce_from_retract(alg, members):
     least member above it.  Domain errors carry the offending element or
     pair.
     """
-    least = _least_above(alg, members)
-    if None in least:
-        raise NotClosureRetractError(least.index(None))
+    f = tuple(takewhile(partial(is_not, None), _least_above(alg, members)))
+    if len(f) < alg.n:
+        raise NotClosureRetractError(len(f))
     pair = special_witness(alg, members)
     if pair is not None:
         raise NotSpecialError(pair)
-    f = tuple(least)
     if not is_closure_endomorphism(alg, f) or fixpoints(alg, f) != members:
         raise InvariantViolation(
             f"minima over {fset(members)} do not form a closure endomorphism"
@@ -446,7 +449,7 @@ def ce_structure_report(ctx):
 
     b.check(
         "fixpoints-relative-subsemilattice",
-        [fmt(map=f) for f, r in zip(carrier, fixes) if not is_relative_subsemilattice(alg, r)],
+        [fmt(map=f) for f, r in zip(carrier, fixes) if cross_meets(alg, r, r) & ~r],
     )
     return b.done()
 
@@ -626,13 +629,13 @@ def fixpoint_embedding_report(ctx):
         [fmt(map=f) for f, r in zip(carrier, fixes) if ctx.retract_ce(r) != f],
     )
 
-    alpha_fails = []
+    # translates[y] holds every x -> y, so a translation-closed s is a subalgebra once it holds the unit
+    translates, alpha_fails = alg.translates, []
     for s in ctx.special_subsets:
         if s:
-            ms = bits(s)
-            if not all(s >> alg.imp[p][x] & 1 for p in alg.elements for x in ms):
+            if any(translates[x] & ~s for x in bits(s)):
                 alpha_fails.append(fmt(subset=fset(s), reason="not translation closed"))
-            elif not is_subalgebra(alg, s):
+            elif not s >> alg.one & 1:
                 alpha_fails.append(fmt(subset=fset(s), reason="not a subalgebra"))
     b.check("special-subsets-translation-closed", alpha_fails)
 

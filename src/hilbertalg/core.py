@@ -22,6 +22,11 @@ algebra also keeps, on first use, the mask tables ``preimages`` and
 values p -> x of each column, ``compatible_meet_pairs``, and, while
 n <= 255, its table as ``flat`` bytes and its rows as 256-byte ``luts``:
 the kernels of ``filters``, ``closure`` and ``multipliers`` read them.
+The reports read the closure of a subset s off those masks, not through
+a predicate: s is closed under translations when ``translates[x] & ~s``
+is 0 for each x in s, and then under implication once it holds the unit,
+and closed under compatible meets when ``closure.cross_meets(alg, s, s)
+& ~s`` is 0.
 
 The two re-checks that take O(n^3) steps are plain loops over single
 instances: ``axiom_violations`` lists every failed axiom instance, and
@@ -291,14 +296,6 @@ def compatible_meet(alg, x, y):
     return alg.compatible_meet_table[x][y]
 
 
-def is_subalgebra(alg, members):
-    """True iff members contains the unit and is closed under implication."""
-    if not members >> alg.one & 1:
-        return False
-    imp, ms = alg.imp, bits(members)
-    return all(members >> imp[x][y] & 1 for x in ms for y in ms)
-
-
 def generated(start, gens, op):
     """The set of values reachable from start by steps v -> op(v, g), g in gens."""
     seen = {start}
@@ -316,17 +313,6 @@ def generated(start, gens, op):
 def subset_key(s):
     """Sort key listing element subsets smallest first."""
     return (s.bit_count(), bits(s))
-
-
-def is_relative_subsemilattice(alg, members):
-    """True iff members is closed under existing compatible meets."""
-    ms = bits(members)
-    for x in ms:
-        for y in ms:
-            m = compatible_meet(alg, x, y)
-            if m is not None and not members >> m & 1:
-                return False
-    return True
 
 
 class AlgebraClass(NamedTuple):

@@ -22,16 +22,15 @@ from hilbertalg import (
     is_filter,
     is_isotone,
     is_multiplier,
-    is_relative_subsemilattice,
-    is_subalgebra,
     kernel,
     translation,
+    validate_hilbert,
 )
 from hilbertalg.closure import is_special
 from hilbertalg.core import subset_key
 from hilbertalg.enumeration import _relabellings, unlabelled_posets
 from hilbertalg.lattice import bits, isomorphism, refine
-from hilbertalg.report import ReportBuilder, fmt
+from hilbertalg.report import ReportBuilder, fmt, fset
 
 
 def all_subsets(n):
@@ -999,6 +998,38 @@ def subtraction(alg, f, g, carrier):
 # subsets and maps the tests name, as bitmasks and image tuples like the library's
 
 
+def is_subalgebra(alg, members):
+    """True iff members contains the unit and is closed under implication."""
+    if not members >> alg.one & 1:
+        return False
+    imp, ms = alg.imp, bits(members)
+    return all(members >> imp[x][y] & 1 for x in ms for y in ms)
+
+
+def is_relative_subsemilattice(alg, members):
+    """True iff members is closed under existing compatible meets."""
+    ms = bits(members)
+    for x in ms:
+        for y in ms:
+            m = compatible_meet(alg, x, y)
+            if m is not None and not members >> m & 1:
+                return False
+    return True
+
+
+def translation_closed_scan(alg, subsets):
+    """The witnesses of ``special-subsets-translation-closed`` over the given
+    subsets, with each p -> x of a member x tested on its own."""
+    fails = []
+    for s in subsets:
+        if s:
+            if not all(s >> alg.imp[p][x] & 1 for p in alg.elements for x in bits(s)):
+                fails.append(fmt(subset=fset(s), reason="not translation closed"))
+            elif not is_subalgebra(alg, s):
+                fails.append(fmt(subset=fset(s), reason="not a subalgebra"))
+    return fails
+
+
 def subalgebras(alg):
     """All subalgebras, smallest first."""
     return sorted((s for s in range(1 << alg.n) if is_subalgebra(alg, s)), key=subset_key)
@@ -1067,3 +1098,50 @@ def peirce_map(alg, p):
     """x |-> (x -> p) -> x; always a closure endomorphism."""
     imp = alg.imp
     return tuple(imp[imp[x][p]][x] for x in alg.elements)
+
+
+# ---------------------------------------------------------------------------
+# random algebras above the catalog's bound
+
+
+def random_extension_algebra(rng):
+    """(algebra, |O(P)|) for a random ->-subalgebra S of O(P), the down-sets
+    of a random poset P, drawn from ``rng`` alone.
+
+    P has 4 to 7 points, each pair i < j related with probability 0.3 and
+    the relation closed transitively.  S is the ->-closure of the
+    meet-irreducibles P \\ up(p), the top P and 0 to 3 random down-sets, with
+    a -> b = P \\ up(a \\ b); its members are indexed in increasing order as
+    masks, so the unit P is the last.  O(P) is then the minimal Brouwerian
+    extension of S, and the filters of S correspond to the down-sets of P.
+    """
+    k = rng.randint(4, 7)
+    top = (1 << k) - 1
+    below = [[rng.random() < 0.3 for _ in range(k)] for _ in range(k)]
+    up = [0] * k
+    for i in reversed(range(k)):
+        up[i] = 1 << i
+        for j in range(i + 1, k):
+            if below[i][j]:
+                up[i] |= up[j]
+
+    def imp(a, b):
+        above = 0
+        for i in bits(a & ~b):
+            above |= up[i]
+        return top & ~above
+
+    downsets = [d for d in range(top + 1) if not any(up[i] & d for i in bits(top & ~d))]
+    members = {top & ~u for u in up} | {top} | set(rng.sample(downsets, rng.randint(0, 3)))
+    frontier = list(members)
+    while frontier:
+        a = frontier.pop()
+        for b in list(members):
+            for c in (imp(a, b), imp(b, a)):
+                if c not in members:
+                    members.add(c)
+                    frontier.append(c)
+    s = sorted(members)
+    index = {d: i for i, d in enumerate(s)}
+    table = [[index[imp(a, b)] for b in s] for a in s]
+    return validate_hilbert(table, len(s) - 1), len(downsets)

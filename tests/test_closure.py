@@ -1,6 +1,7 @@
 import gc
 import traceback
 import weakref
+from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from hilbertalg import (
+    FiniteHilbertAlgebra,
+    InvariantViolation,
     NonMonomialFilterError,
     NotClosureRetractError,
     NotSpecialError,
@@ -37,7 +40,7 @@ from hilbertalg import (
     translation,
     validate_hilbert,
 )
-from hilbertalg import closure, structures
+from hilbertalg import closure, lattice, structures
 from hilbertalg.closure import (
     ce_structure_report,
     fixpoint_embedding_report,
@@ -62,10 +65,13 @@ from _oracles import (
     endomorphisms_bruteforce,
     filters_brute,
     is_monomial_scan,
+    is_relative_subsemilattice,
+    is_subalgebra,
     mask,
     peirce_map,
     quotient,
     special_subsets_scan,
+    translation_closed_scan,
 )
 
 
@@ -363,6 +369,29 @@ def test_retract_domain_errors(godel3, tarski3):
         ce_from_retract(godel3, mask([]))
 
 
+def test_ce_from_retract_stops_at_the_first_element_with_no_least_member_above(monkeypatch):
+    # on the flat 7-element algebra, 0 has the up-set {0, 6}, which misses {1}:
+    # one least-above lookup finds that, before the other six elements
+    lookups = []
+
+    class Counting(lattice._Least):
+        def __getitem__(self, common):
+            lookups.append(common)
+            return super().__getitem__(common)
+
+    monkeypatch.setattr(closure, "_Least", Counting)
+    alg = validate_hilbert(flat_table(7), 6)
+    with pytest.raises(NotClosureRetractError) as err:
+        ce_from_retract(alg, mask({1}))
+    assert err.value.element == 0
+    assert lookups == [0]
+    assert not is_closure_retract(alg, mask({1}))
+    assert lookups == [0, 0]
+    # a retract still takes one lookup per element
+    assert ce_from_retract(alg, mask(alg.elements)) == identity_map(alg)
+    assert len(lookups) == 2 + alg.n
+
+
 def test_retract_ce_raises_its_domain_errors_on_every_call(godel3, tarski3):
     # Structures.retract_ce keeps no error: each call raises a new one, carrying
     # the same element or pair as ce_from_retract, and nothing is cached
@@ -427,6 +456,96 @@ def test_special_subsets_are_the_special_unions_of_translates(algebras6, tarski3
         assert special == special_subsets_scan(alg), alg.imp
         for s in special:
             assert reduce(or_, (alg.translates[x] for x in bits(s)), 0) == s, (alg.imp, s)
+
+
+def one_cell_changes(table):
+    """Every copy of the table with one cell changed to another element."""
+    n = len(table)
+    for x, y in product(range(n), repeat=2):
+        for v in range(n):
+            if v != table[x][y]:
+                yield [[v if (i, j) == (x, y) else c for j, c in enumerate(row)] for i, row in enumerate(table)]
+
+
+def with_broken_copies(algebras4):
+    """Each algebra of size <= 4, then every one-cell change of those of size 3 and 4."""
+    for alg in algebras4:
+        yield alg, alg
+        if alg.n >= 3:
+            for table in one_cell_changes(alg.imp):
+                yield alg, FiniteHilbertAlgebra(table, alg.one)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the InvariantViolation it raises."""
+    try:
+        return fn(*args)
+    except InvariantViolation as e:
+        return f"raised: {e}"
+
+
+def test_subset_closure_masks_match_the_oracle_loops(algebras4):
+    # on every mask s: no translates[x] & ~s for x in s is the loop over each
+    # p -> x; a translation-closed s is a subalgebra exactly when it holds the
+    # unit; and cross_meets(s, s) within s is closure under compatible meets.
+    # Both sides of the last read the compatible-meet table, so they raise
+    # alike on a table that has none, except on the empty mask, where the
+    # loop reads no meet (no fixpoint set is empty)
+    counts = Counter()
+    for _, alg in with_broken_copies(algebras4):
+        imp, translates = alg.imp, alg.translates
+        meets = outcome(lambda: alg.compatible_meet_table)
+        counts["tables"] += 1
+        counts["tables without compatible meets"] += isinstance(meets, str)
+        for s in range(1 << alg.n):
+            closed = not any(translates[x] & ~s for x in bits(s))
+            assert closed == all(s >> imp[p][x] & 1 for p in alg.elements for x in bits(s)), (imp, s)
+            if closed:
+                assert bool(s >> alg.one & 1) == is_subalgebra(alg, s), (imp, s)
+                counts["closed, nonempty, not a subalgebra"] += s and not is_subalgebra(alg, s)
+            got = outcome(lambda: not cross_meets(alg, s, s) & ~s)
+            want = outcome(is_relative_subsemilattice, alg, s)
+            if s:
+                assert got == want, (imp, s)
+            else:
+                assert want is True and got == (meets if isinstance(meets, str) else True), imp
+            counts["masks"] += 1
+            counts["not translation closed"] += not closed
+            counts["not closed under meets"] += got is False
+    # 10 valid tables and 324 broken ones; only a broken table has a nonempty
+    # translation-closed subset without the unit
+    assert counts == {
+        "tables": 334,
+        "tables without compatible meets": 62,
+        "masks": 5014,
+        "not translation closed": 2874,
+        "closed, nonempty, not a subalgebra": 12,
+        "not closed under meets": 62,
+    }
+
+
+def test_fixpoint_embedding_checks_translation_closure_as_the_oracle_loop(algebras4):
+    # the report over a stand-in whose special subsets are every mask, on every
+    # algebra of size <= 4 and every one-cell change of size 3 and 4 (the other
+    # structures are the valid algebra's): its translation-closure check has
+    # the oracle loop's first witness and count
+    reasons = Counter()
+    for valid, alg in with_broken_copies(algebras4):
+        ctx = Structures(valid)
+        subsets = range(1 << alg.n)
+        stand_in = SimpleNamespace(
+            alg=alg,
+            special_subsets=subsets,
+            **{name: getattr(ctx, name) for name in ("ce", "filters", "cross_meets", "retracts", "retract_ce", "monomials")},
+        )
+        (check,) = [c for c in fixpoint_embedding_report(stand_in).checks if c.name == "special-subsets-translation-closed"]
+        want = translation_closed_scan(alg, subsets)
+        if want:
+            assert (check.witness, check.detail) == (want[0], f"{len(want)} failing instance(s)"), alg.imp
+        else:
+            assert check.status == "pass", alg.imp
+        reasons.update(w.split(" subset=")[0] for w in want)
+    assert reasons == {"reason=not translation closed": 2874, "reason=not a subalgebra": 12}
 
 
 def test_implication_extras(catalog4, godel3):

@@ -10,8 +10,6 @@ from hilbertalg import (
     axiom_violations,
     classify,
     compatible_meet,
-    is_relative_subsemilattice,
-    is_subalgebra,
     partial_join,
     partial_meet,
     validate_hilbert,
@@ -27,6 +25,8 @@ from _oracles import (
     frozenset_key,
     is_block,
     is_partial_order_scan,
+    is_relative_subsemilattice,
+    is_subalgebra,
     join_brute,
     mask,
     meet_brute,

@@ -19,6 +19,7 @@ from _oracles import (
     filters_brute,
     is_filter_via_bounds,
     is_monomial_scan,
+    is_relative_subsemilattice,
     lower_set,
     mask,
 )
@@ -174,8 +175,6 @@ def test_join_is_generated_union_and_distributive(algebras4):
 
 
 def test_filters_are_upward_closed_relative_subsemilattices(algebras4):
-    from hilbertalg import is_relative_subsemilattice
-
     for alg in algebras4:
         for f in every_filter(alg):
             assert is_relative_subsemilattice(alg, f)

@@ -15,7 +15,6 @@ from hilbertalg import (
     fixpoints,
     identity_map,
     is_multiplier,
-    is_subalgebra,
     join_translation,
     kernel,
     multiplier_calculus_report,
@@ -35,6 +34,7 @@ from test_kernels import flat_table
 from _oracles import (
     endomorphisms_propagated,
     is_block,
+    is_subalgebra,
     mask,
     multiplier_orbit,
     multipliers_brute,

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import pickle
+import random
 import signal
 import sys
 import time
@@ -19,6 +20,7 @@ from hilbertalg.suites import (
 )
 
 from test_golden import GOLDEN_DIR, run_cli
+from _oracles import random_extension_algebra
 
 
 @contextlib.contextmanager
@@ -530,3 +532,21 @@ def test_survey_alone_matches_the_survey_of_all_suites(size):
     for jobs in ("1", "2"):
         got = run_cli(["verify", "--enumerate", str(size), "--suite", "cross-survey", "--jobs", jobs], {})
         assert got == survey_only(full)
+
+
+# (seed, size, |O(P)|) of random_extension_algebra(random.Random(seed)): the
+# samples of 17 to 24 elements among seeds 0 to 299 (none has 22 to 24)
+RANDOM_EXTENSIONS = ((142, 19, 56), (147, 17, 24), (204, 20, 36), (227, 19, 48), (232, 21, 36))
+
+
+def test_random_extension_algebras_above_the_bound_pass_every_suite():
+    # random ->-subalgebras S of O(P), above the catalog's bound: all 14
+    # suites pass, and S has as many filters as P has down-sets
+    for seed, size, downsets in RANDOM_EXTENSIONS:
+        alg, ideals = random_extension_algebra(random.Random(seed))
+        assert (alg.n, ideals) == (size, downsets), seed
+        ctx = Structures(alg)
+        reports = run_algebra_suites(ctx, list(ALGEBRA_SUITES))
+        assert len(reports) == 14, seed
+        assert all(r.ok for r in reports), (seed, [r.as_dict() for r in reports if not r.ok])
+        assert len(ctx.filters) == ideals, seed
