@@ -30,7 +30,6 @@ _EXPORTS = {
     "ce_from_monomial_filter": "closure",
     "ce_from_retract": "closure",
     "cross_meets": "closure",
-    "finitely_generated_ce": "closure",
     "is_closure_endomorphism": "closure",
     "is_closure_operator": "closure",
     "is_closure_retract": "closure",

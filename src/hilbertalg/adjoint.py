@@ -6,11 +6,13 @@ closure endomorphisms, so ``adjoint_semilattice`` re-checks the closure
 endomorphism lattice and returns it: the join is composition and the
 subtraction is the lattice's residual.  The suites read a composite of
 translations as the join of their carrier indices ``ce.translations`` in
-``ce.lattice.join_table``, never as a composed map.  The kernel map matches it with the
-semilattice of finitely generated filters, whose reverse-inclusion order is
-an implicative semilattice extending the algebra (the minimal Brouwerian
-extension), and whose ideal lattice reproduces the filter lattice through
-the explicit map kernel i |-> down-set of i.  Over a finite algebra every
+``ce.lattice.join_table``, never as a composed map, and
+``Structures.finitely_generated`` is the ascending indices of those joins.
+The kernel map matches it with the semilattice of finitely generated
+filters, whose reverse-inclusion order is an implicative semilattice
+extending the algebra (the minimal Brouwerian extension), and whose ideal
+lattice reproduces the filter lattice through the explicit map
+kernel i |-> down-set of i.  Over a finite algebra every
 filter is finitely generated, so ``minimal_brouwerian_extension``
 re-checks the filter lattice and returns it: the meet is the filter join
 ``lattice.join_table``, implication the transposed ``lattice.residual_table``
@@ -28,10 +30,10 @@ from .report import ReportBuilder, fmt, fset
 def adjoint_semilattice(ce, fg):
     """Re-check that ce is the adjoint semilattice, and return it.
 
-    ce is the closure endomorphism lattice and fg the sorted finitely
-    generated closure endomorphisms of the same algebra.  The join is
-    ``ce.lattice.join_table`` (composition) and the subtraction
-    ``ce.lattice.residual_table``.  Checks: the carrier (composites of
+    ce is the closure endomorphism lattice and fg the ascending carrier
+    indices of the finitely generated closure endomorphisms of the same
+    algebra.  The join is ``ce.lattice.join_table`` (composition) and the
+    subtraction ``ce.lattice.residual_table``.  Checks: the carrier (composites of
     translations) is every closure endomorphism of a finite algebra; every
     subtraction exists; subtraction of translations follows the law
     (translation q) - (translation p) = translation (p -> q), compared on
@@ -39,7 +41,7 @@ def adjoint_semilattice(ce, fg):
     under subtraction.
     """
     alg = ce.alg
-    if list(ce.carrier) != fg:
+    if fg != list(range(len(ce.carrier))):
         raise InvariantViolation("finitely generated closure endomorphisms miss some")
     carrier = ce.carrier
     # sub[i][j] = carrier[i] - carrier[j], the least h with carrier[i] <= carrier[j] o h;
@@ -157,7 +159,7 @@ def compact_generation_report(ctx):
     fg = ctx.finitely_generated
     b.check(
         "compact-set-is-finitely-generated",
-        [] if [ce.carrier[i] for i in comp] == fg else [fmt(compact=len(comp), fg=len(fg))],
+        [] if comp == fg else [fmt(compact=len(comp), fg=len(fg))],
     )
     return b.done()
 
@@ -302,10 +304,10 @@ def fg_ideal_report(ctx):
     alg, ce = ctx.alg, ctx.ce
     carrier, leq = ce.carrier, ce.lattice.leq
     # CeLattice re-checks that the carrier holds the translations and their composites
-    fg = set(ctx.finitely_generated)
+    fg = ctx.finitely_generated
     b.check(
         "hereditary",
-        [fmt(f=f, g=g) for f, row in zip(carrier, leq) for g in fg if row[ce.index(g)] and f not in fg],
+        [fmt(f=f, g=carrier[j]) for i, (f, row) in enumerate(zip(carrier, leq)) if i not in fg for j in fg if row[j]],
     )
     # for a subset p and q = {f(x) -> x : x in p}, the pair (composite over p,
     # composite over q) is the join of the pairs (at[x], at[f(x) -> x]) over x in p:

@@ -14,6 +14,8 @@ subsets are int bitmasks, so inclusion is ``not a & ~b``; the reports read
 each kernel and fixpoint set from ``CeLattice.kernels`` and ``fixes``,
 check each identification on its explicit map, never by an isomorphism
 search, and compare two closure endomorphisms by ``ce.lattice.leq``.
+No report composes translation maps: ``fixpoint_filter_report`` reads
+each fixpoint set from ``ce.fixes`` by carrier index.
 
 The predicates the reports run most are kernels on the algebra's n x n
 tables.  ``special_witness``, ``cross_meets`` and ``least_implication_misses``
@@ -56,7 +58,6 @@ from operator import and_, eq, getitem, is_not, or_
 from .core import (
     InvariantViolation,
     compatible_meet,
-    generated,
     partial_join,
     subset_key,
 )
@@ -64,9 +65,7 @@ from .filters import class_of, is_filter, monomial_max
 from .lattice import FiniteLattice, _Least, bits
 from .multipliers import (
     MapLattice,
-    compose,
     fixpoints,
-    identity_map,
     join_translation,
     kernel,
     map_plan,
@@ -155,12 +154,6 @@ class CeLattice(MapLattice):
 
 def all_closure_endos(alg, mult):
     return CeLattice(alg, mult)
-
-
-def finitely_generated_ce(alg):
-    """Closure endomorphisms that are finite compositions of translations."""
-    gens = [translation(alg, p) for p in alg.elements]
-    return sorted(generated(identity_map(alg), gens, compose))
 
 
 # ---------------------------------------------------------------------------
@@ -785,11 +778,11 @@ def fixpoint_filter_report(ctx):
     finitely generated ones, and from the translations alone.
     """
     b = ReportBuilder("fixpoint-filter-characterization")
-    alg, flags = ctx.alg, ctx.flags
+    alg, flags, ce = ctx.alg, ctx.flags, ctx.ce
     routes = {
-        "all": ctx.ce.fixes,
-        "finitely-generated": (fixpoints(alg, f) for f in ctx.finitely_generated),
-        "translations": (fixpoints(alg, translation(alg, p)) for p in alg.elements),
+        "all": ce.fixes,
+        "finitely-generated": (ce.fixes[i] for i in ctx.finitely_generated),
+        "translations": (ce.fixes[t] for t in ce.translations),
     }
     answers = {"implication-algebra": flags.implication_algebra}
     for name, fixes in routes.items():

@@ -28,6 +28,10 @@ is 0 for each x in s, and then under implication once it holds the unit,
 and closed under compatible meets when ``closure.cross_meets(alg, s, s)
 & ~s`` is 0.
 
+``joins`` closes a start value under a semilattice join with generators,
+one pass per generator: the filters, the unions of translates and the
+composites of translations are each such a closure.
+
 The two re-checks that take O(n^3) steps are plain loops over single
 instances: ``axiom_violations`` lists every failed axiom instance, and
 ``compatible_meet_table`` raises ``InvariantViolation`` at the first pair
@@ -296,18 +300,13 @@ def compatible_meet(alg, x, y):
     return alg.compatible_meet_table[x][y]
 
 
-def generated(start, gens, op):
-    """The set of values reachable from start by steps v -> op(v, g), g in gens."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = op(v, g)
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+def joins(start, gens, join):
+    """start joined with each subset of gens, one pass per generator; join
+    must be associative, commutative and idempotent, as a semilattice join is."""
+    found = {start}
+    for g in gens:
+        found |= {join(v, g) for v in found}
+    return found
 
 
 def subset_key(s):

@@ -2,7 +2,8 @@
 
 Filters and congruence classes are int bitmasks, bit x set iff x is a
 member.  The join of filters j and k is ``fl.join(j, k)``, the filter
-``fl.closure(j | k)``, and a ``FilterLattice`` fl closes each seed once.
+``fl.closure(j | k)``, and a ``FilterLattice`` fl closes each seed once;
+its carrier is ``core.joins`` of the principal filters under that join.
 The filter lattice is a ``multipliers.CarrierLattice``, the same re-checked
 carrier lattice as the closure endomorphism lattice, which it contains
 (by kernels) as the monomial filters.  Under reverse inclusion it is also
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from operator import and_
 
-from .core import InvariantViolation, generated, subset_key
+from .core import InvariantViolation, joins, subset_key
 from .lattice import bits, inclusion_order, masks
 from .multipliers import CarrierLattice
 
@@ -78,11 +79,11 @@ def _check_holds(seed, members):
 class FilterLattice(CarrierLattice):
     """All filters of an algebra, ordered by inclusion.
 
-    The carrier is found by closing the least filter under joins with
-    principal filters, which reaches every filter without scanning all
-    2^n subsets.  ``CarrierLattice`` re-checks the structural facts every
-    filter lattice has: bounds {1} and the universe, meet = intersection,
-    join = generated union, and distributivity.  ``closure(seed)`` is
+    The carrier is ``core.joins`` of the least filter with the principal
+    filters, which reaches every filter without scanning all 2^n subsets.
+    ``CarrierLattice`` re-checks the structural facts every filter lattice has:
+    bounds {1} and the universe, meet = intersection, join = generated union,
+    and distributivity.  ``closure(seed)`` is
     ``filter_generated(alg, seed)``, run once per seed; ``join(j, k)`` is
     ``closure(j | k)``.  After the lattice, construction re-checks that
     each seed closed so far lies in its closure, that every member of the
@@ -97,7 +98,7 @@ class FilterLattice(CarrierLattice):
         self.closure = closures.__getitem__
         principal = [self.closure(1 << x) for x in alg.elements]
         least, universe = 1 << alg.one, (1 << alg.n) - 1
-        found = generated(least, principal, self.join)
+        found = joins(least, principal, self.join)
         ops = ((self.join, "generated union"), (and_, "intersection"))
         carrier = sorted(found, key=subset_key)
         super().__init__(carrier, inclusion_order, ops, least, universe, "filters")

@@ -12,9 +12,11 @@ re-checked as the adjoint semilattice, and ``extension`` is the filter
 lattice ``filters`` itself, once re-checked as the minimal Brouwerian
 extension.  The element subsets the suites relate, as int bitmasks, are
 computed once too: ``ce.kernels``, ``ce.fixes`` and ``monomials``, the
-filters ``monomial_ce`` does not reject.  Every filter join the
-suites re-check is ``filters.join(j, k)``, and ``filters`` closes each
-seed once.
+filters ``monomial_ce`` does not reject, and so are the composites of
+translations, ``finitely_generated``: the indices ``core.joins`` reaches
+from the identity by ``ce.translations`` in ``ce.lattice.join_table``.
+Every filter join the suites re-check is ``filters.join(j, k)``, and
+``filters`` closes each seed once.
 
 The three correspondences of the closure endomorphism lattice are shared
 the same way, each a ``functools.cache`` built per ``Structures``, never in
@@ -59,11 +61,10 @@ from .closure import (
     ce_from_monomial_filter,
     ce_from_retract,
     cross_meets,
-    finitely_generated_ce,
     is_special,
     search_endomorphisms,
 )
-from .core import classify, generated, subset_key
+from .core import classify, joins, subset_key
 from .filters import all_filters
 from .multipliers import all_multipliers
 
@@ -110,7 +111,9 @@ class Structures:
 
     @cached_property
     def finitely_generated(self):
-        return finitely_generated_ce(self.alg)
+        """The composites of translations, as ascending indices of ``ce``."""
+        ce = self.ce
+        return sorted(joins(ce.identity_index, ce.translations, lambda i, t: ce.lattice.join_table[i][t]))
 
     @cached_property
     def special_subsets(self):
@@ -123,7 +126,7 @@ class Structures:
         so only those unions are tested.
         """
         alg = self.alg
-        return [s for s in sorted(generated(0, alg.translates, or_)) if is_special(alg, s)]
+        return [s for s in sorted(joins(0, alg.translates, or_)) if is_special(alg, s)]
 
     @cached_property
     def retracts(self):

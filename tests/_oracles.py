@@ -390,6 +390,28 @@ def composite_translation(alg, elems):
     return out
 
 
+def reachable(start, gens, op):
+    """Every value reachable from start by steps v -> op(v, g), g in gens, by a
+    worklist: the reference for ``core.joins``, which needs op to be a join."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = op(v, g)
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def finitely_generated_ce(alg):
+    """The composites of translations as maps, sorted: the reference for
+    ``Structures.finitely_generated``, which joins their carrier indices."""
+    gens = [translation(alg, p) for p in alg.elements]
+    return sorted(reachable(identity_map(alg), gens, compose))
+
+
 def explicit_generators_scan(ctx):
     """The failures of ``explicit-generators-below-composite`` by a scan of every
     subset p, as (f, p, q) in scan order: f is below the composite over p and

@@ -1,4 +1,5 @@
 import gc
+import random
 import traceback
 import weakref
 from collections import Counter
@@ -23,7 +24,6 @@ from hilbertalg import (
     compose,
     cross_meets,
     filter_generated,
-    finitely_generated_ce,
     fixpoints,
     identity_map,
     is_closure_endomorphism,
@@ -52,10 +52,11 @@ from hilbertalg.closure import (
     kernel_embedding_report,
     monomial_roundtrip,
 )
-from hilbertalg.core import subset_key
+from hilbertalg.core import joins, subset_key
 from hilbertalg.lattice import bits
 
 from test_kernels import flat_table
+from test_suites import RANDOM_EXTENSIONS
 from _oracles import (
     closure_endos_brute,
     embedding_count,
@@ -64,12 +65,15 @@ from _oracles import (
     endomorphisms_brute,
     endomorphisms_bruteforce,
     filters_brute,
+    finitely_generated_ce,
     is_monomial_scan,
     is_relative_subsemilattice,
     is_subalgebra,
     mask,
     peirce_map,
     quotient,
+    random_extension_algebra,
+    reachable,
     special_subsets_scan,
     translation_closed_scan,
 )
@@ -581,9 +585,54 @@ def test_fixpoint_filter_characterization(algebras4, godel3, tarski3):
         assert is_filter(tarski3, fixpoints(tarski3, f))
 
 
-def test_finitely_generated_closure_endos(algebras4):
-    for alg in algebras4:
-        assert finitely_generated_ce(alg) == list(Structures(alg).ce.carrier)
+def test_finitely_generated_closure_endos(algebras6):
+    # the joins of the translations' indices name the composites of translation
+    # maps, and over a finite algebra those are every closure endomorphism
+    boolean = [[[(top & ~a) | b for b in range(top + 1)] for a in range(top + 1)] for top in (7, 15)]
+    others = [validate_hilbert(table, len(table) - 1) for table in (flat_table(7), *boolean)]
+    for alg in [*algebras6, *others]:
+        ctx = Structures(alg)
+        ce = ctx.ce
+        got = [ce.carrier[i] for i in ctx.finitely_generated]
+        assert got == finitely_generated_ce(alg) == list(ce.carrier), alg.imp
+
+
+def join_closures(ctx):
+    """(name, start, gens, join) of each join closure the library takes on ctx."""
+    alg, fl, ce = ctx.alg, ctx.filters, ctx.ce
+    principal = [fl.closure(1 << x) for x in alg.elements]
+    join = ce.lattice.join_table
+    return [
+        ("filters", 1 << alg.one, principal, fl.join),
+        ("unions of translates", 0, alg.translates, or_),
+        ("finitely generated", ce.identity_index, ce.translations, lambda i, t: join[i][t]),
+    ]
+
+
+def join_closure_misses(fold, algebras):
+    """The (call site, table) pairs on which fold differs from the worklist."""
+    return [
+        (name, alg.imp)
+        for alg in algebras
+        for name, start, gens, join in join_closures(Structures(alg))
+        if fold(start, gens, join) != reachable(start, gens, join)
+    ]
+
+
+def test_joins_reach_what_the_worklist_reaches(catalog5):
+    # every call site of core.joins folds a semilattice join, so one pass per
+    # generator reaches what the worklist reaches; a fold that skips the first
+    # or the last generator does not
+    algebras = [e.algebra for e in catalog5]
+    algebras += [random_extension_algebra(random.Random(seed))[0] for seed, _, _ in RANDOM_EXTENSIONS]
+    assert join_closure_misses(joins, algebras) == []
+    sites = {"filters", "unions of translates", "finitely generated"}
+    skips_first = join_closure_misses(lambda start, gens, join: joins(start, gens[1:], join), algebras)
+    assert {name for name, _ in skips_first} == sites
+    # each of these algebras has its unit last, so the last generator of the
+    # other two sites, {1} or the identity, joins to nothing new
+    skips_last = join_closure_misses(lambda start, gens, join: joins(start, gens[:-1], join), algebras)
+    assert {name for name, _ in skips_last} == {"unions of translates"}
 
 
 def test_kernels_fixes_and_monomials_are_the_computed_subsets(catalog5):

@@ -91,6 +91,11 @@ def pair_collapses(alg, seed):
     return unit if seed == unit | 1 else filter_generated(alg, seed)
 
 
+def pair_grows(alg, seed):
+    """The generated filter, except that {0, unit} grows to the universe."""
+    return (1 << alg.n) - 1 if seed == 1 << alg.one | 1 else filter_generated(alg, seed)
+
+
 def universe_collapses(alg, seed):
     """The generated filter, except that the universe collapses to {unit}."""
     unit = 1 << alg.one
@@ -112,8 +117,10 @@ def not_least(alg, seed):
     [
         (never_closed, "filters not closed under generated union: 5"),
         (unit_grows, "filters: generated union is not the join"),
-        # the principal filter of 0, {0, 2}, is never reached from {2}
-        (pair_collapses, "filters: principal filter of 0 is not in the carrier: 5"),
+        # {2} joined with {0, 2} stays {2}, so the carrier {2}, {1, 2} lacks the universe
+        (pair_collapses, "filters: bounds are not 4 and 7"),
+        # {2} joined with {0, 2} grows to the universe, so {0, 2} is never reached
+        (pair_grows, "filters: principal filter of 0 is not in the carrier: 5"),
         # the carrier {2}, {0, 2}, {1, 2} has no top, so {0, 2} and {1, 2} have no join
         (universe_collapses, "filters: order is not a lattice: no unique join for (1, 2)"),
         # the carrier {2}, {0, 1, 2} passes every lattice re-check, but {0} closes to {2}

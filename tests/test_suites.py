@@ -291,7 +291,6 @@ BUILDERS = [
     "all_closure_endos",
     "all_filters",
     "search_endomorphisms",
-    "finitely_generated_ce",
     "adjoint_semilattice",
     "minimal_brouwerian_extension",
 ]
