@@ -21,7 +21,7 @@ The predicates the reports run most are kernels on the algebra's n x n
 tables.  ``special_witness``, ``cross_meets`` and ``least_implication_misses``
 are unions and intersections of masks: ``sources`` (the x with
 x -> y = v), the up- and down-sets, and ``compatible_meet_pairs``.
-Subset closure is a mask inclusion too: a special subset s is
+Subset closure is a mask inclusion too: a subset s is
 translation-closed when no ``translates[x] & ~s`` is set for x in s, and a
 fixpoint set r closed under compatible meets when ``cross_meets(alg, r, r)
 & ~r`` is 0.  ``_least_above`` is lazy, so ``ce_from_retract`` and
@@ -46,7 +46,7 @@ each class maximum, and of each special closure retract (``retract_ce``),
 which also gives each least-above image, and the cross meets of each pair
 of fixpoint sets (``cross_meets``).  Specialness is tested where a report
 reads it: ``isotone_kernel_special_report`` tests the fixpoint set of each
-multiplier, and ``ce_from_retract`` each subset it is given.
+multiplier, and ``ce_from_retract`` each closure retract it is given.
 """
 
 from __future__ import annotations
@@ -270,17 +270,17 @@ def is_special(alg, members):
     return special_witness(alg, members) is None
 
 
-def special_closure_retracts(alg, special):
-    """The closure retracts among the given special subsets, smallest first."""
-    return sorted((s for s in special if is_closure_retract(alg, s)), key=subset_key)
+def special_closure_retracts(alg, subsets):
+    """The special closure retracts among the given subsets, smallest first."""
+    return sorted((s for s in subsets if is_closure_retract(alg, s) and is_special(alg, s)), key=subset_key)
 
 
 def ce_from_retract(alg, members):
     """The closure endomorphism whose fixpoint set is the given subset.
 
-    members must be a special closure retract; each element is sent to the
-    least member above it.  Domain errors carry the offending element or
-    pair.
+    members may be any subset; each element is sent to the least member
+    above it.  ``NotClosureRetractError`` carries the first element with
+    none, and only then is ``NotSpecialError`` tested, with its pair.
     """
     f = tuple(takewhile(partial(is_not, None), _least_above(alg, members)))
     if len(f) < alg.n:
@@ -624,7 +624,7 @@ def fixpoint_embedding_report(ctx):
 
     # translates[y] holds every x -> y, so a translation-closed s is a subalgebra once it holds the unit
     translates, alpha_fails = alg.translates, []
-    for s in ctx.special_subsets:
+    for s in ctx.translate_unions:
         if s:
             if any(translates[x] & ~s for x in bits(s)):
                 alpha_fails.append(fmt(subset=fset(s), reason="not translation closed"))

@@ -26,11 +26,10 @@ a module: ``monomial_ce`` builds the closure endomorphism of each filter;
 exception, so a ``NonMonomialFilterError``, ``NotClosureRetractError`` or
 ``NotSpecialError`` is raised afresh, with its own traceback, on every
 call; no filter of a finite algebra raises the first, since each is
-finitely generated and so monomial.  Specialness is tested where it is
-read, never tabulated over every subset: ``special_subsets`` tests each
-union of translates (the only candidates), for the one suite that
-quantifies over them all (``fixpoint-embedding``), and ``retract_ce`` tests
-the subset it is given.
+finitely generated and so monomial.  Specialness is never tabulated over
+every subset: ``retracts`` hands ``retract_ce`` each union of translates
+(they hold every special subset), and ``retract_ce`` tests specialness only
+on the subsets that are closure retracts.
 So the re-checks inside ``ce_from_monomial_filter`` and ``ce_from_retract``
 run once for each filter or retract, however many suites read them, and so do
 ``monomial_max`` on each element and the least-above map of each retract:
@@ -57,11 +56,11 @@ from .adjoint import adjoint_semilattice, minimal_brouwerian_extension
 from .closure import (
     NonMonomialFilterError,
     NotClosureRetractError,
+    NotSpecialError,
     all_closure_endos,
     ce_from_monomial_filter,
     ce_from_retract,
     cross_meets,
-    is_special,
     search_endomorphisms,
 )
 from .core import classify, joins, subset_key
@@ -116,28 +115,27 @@ class Structures:
         return sorted(joins(ce.identity_index, ce.translations, lambda i, t: ce.lattice.join_table[i][t]))
 
     @cached_property
-    def special_subsets(self):
-        """Every special subset, the empty one included, in binary counting order.
+    def translate_unions(self):
+        """Every union of ``translates``, the empty one included, in binary
+        counting order; every special subset is one of them.
 
         A special S is closed under translations: for b in S and any q,
         specialness at a = q -> b gives a p with p -> b = b and
         p -> (q -> b) in S, and by exchange p -> (q -> b) = q -> (p -> b) = q -> b.
-        As x = 1 -> x, S is the union of ``translates[x]`` over its members x;
-        so only those unions are tested.
+        As x = 1 -> x, S is the union of ``translates[x]`` over its members x.
         """
-        alg = self.alg
-        return [s for s in sorted(joins(0, alg.translates, or_)) if is_special(alg, s)]
+        return sorted(joins(0, self.alg.translates, or_))
 
     @cached_property
     def retracts(self):
-        """The special closure retracts, smallest first: the special subsets
-        for which ``retract_ce`` does not raise ``NotClosureRetractError``."""
-        return sorted(filter(self._is_retract, self.special_subsets), key=subset_key)
+        """The special closure retracts, smallest first: the unions of
+        translates that ``retract_ce`` accepts."""
+        return sorted(filter(self._is_retract, self.translate_unions), key=subset_key)
 
     def _is_retract(self, s):
         try:
             self.retract_ce(s)
-        except NotClosureRetractError:
+        except (NotClosureRetractError, NotSpecialError):
             return False
         return True
 

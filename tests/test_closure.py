@@ -437,29 +437,45 @@ def test_fixpoint_embedding_report(algebras4):
 
 
 def test_special_retract_scan(tarski3, catalog5):
-    # Structures.retracts, the special subsets retract_ce accepts, is the
+    # Structures.retracts, the unions of translates retract_ce accepts, is the
     # scan's list in the same order, and the fixpoint sets of the carrier
     for alg in [tarski3, *(e.algebra for e in catalog5)]:
         ctx = Structures(alg)
-        retracts = special_closure_retracts(alg, ctx.special_subsets)
+        retracts = special_closure_retracts(alg, ctx.translate_unions)
         assert ctx.retracts == retracts, alg.imp
         assert set(retracts) == {fixpoints(alg, f) for f in ctx.ce.carrier}, alg.imp
 
 
 def test_special_subsets_are_the_special_unions_of_translates(algebras6, tarski3, godel3):
-    # the unions of translates hold every special subset: the list equals the scan of
-    # all 2^n masks, in the same order, and each special subset is the union of the
-    # translates of its members; translates[x] is the set of the p -> x
+    # the unions of translates hold every special subset: the special ones among
+    # them equal the scan of all 2^n masks, in the same order, and each special
+    # subset is the union of the translates of its members; translates[x] is the
+    # set of the p -> x
     boolean = [[[(top & ~a) | b for b in range(top + 1)] for a in range(top + 1)] for top in (7, 15)]
     others = [validate_hilbert(flat_table(n), n - 1) for n in (7, 8, 9)]
     others += [validate_hilbert(table, len(table) - 1) for table in boolean]
     for alg in [*algebras6, *others, tarski3, godel3]:
         imp = alg.imp
         assert alg.translates == tuple(mask(row[x] for row in imp) for x in alg.elements)
-        special = Structures(alg).special_subsets
+        special = [s for s in Structures(alg).translate_unions if is_special(alg, s)]
         assert special == special_subsets_scan(alg), alg.imp
         for s in special:
             assert reduce(or_, (alg.translates[x] for x in bits(s)), 0) == s, (alg.imp, s)
+
+
+def test_every_translate_is_closed_under_translations(algebras6, tarski3, godel3):
+    # for y = p -> x in translates[x], translates[y] lies in translates[x]: in the
+    # Brouwerian extension q -> (p -> x) = (q & p) -> x, and ((a -> x) -> x) -> x
+    # = a -> x, so q -> (p -> x) = r -> x with r = (q -> (p -> x)) -> x in the
+    # algebra; so every union of translates is translation-closed
+    boolean = [[[(top & ~a) | b for b in range(top + 1)] for a in range(top + 1)] for top in (7, 15, 31)]
+    others = [validate_hilbert(flat_table(n), n - 1) for n in (7, 8, 9)]
+    others += [validate_hilbert(table, len(table) - 1) for table in boolean]
+    others += [random_extension_algebra(random.Random(seed))[0] for seed, _, _ in RANDOM_EXTENSIONS]
+    for alg in [*algebras6, *others, tarski3, godel3]:
+        translates = alg.translates
+        for x, t in enumerate(translates):
+            assert all(not translates[y] & ~t for y in bits(t)), (alg.imp, x)
 
 
 def one_cell_changes(table):
@@ -529,7 +545,7 @@ def test_subset_closure_masks_match_the_oracle_loops(algebras4):
 
 
 def test_fixpoint_embedding_checks_translation_closure_as_the_oracle_loop(algebras4):
-    # the report over a stand-in whose special subsets are every mask, on every
+    # the report over a stand-in whose unions of translates are every mask, on every
     # algebra of size <= 4 and every one-cell change of size 3 and 4 (the other
     # structures are the valid algebra's): its translation-closure check has
     # the oracle loop's first witness and count
@@ -540,7 +556,7 @@ def test_fixpoint_embedding_checks_translation_closure_as_the_oracle_loop(algebr
         subsets = range(1 << alg.n)
         stand_in = SimpleNamespace(
             alg=alg,
-            special_subsets=subsets,
+            translate_unions=subsets,
             **{name: getattr(ctx, name) for name in ("ce", "filters", "cross_meets", "retracts", "retract_ce", "monomials")},
         )
         (check,) = [c for c in fixpoint_embedding_report(stand_in).checks if c.name == "special-subsets-translation-closed"]

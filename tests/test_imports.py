@@ -117,7 +117,7 @@ def test_the_readme_sketch_gives_the_values_its_comments_state():
     assert values["s.filters.closure(0b001)"] == 0b101
     assert values["s.filters.join(0b101, 0b110)"] == 0b111
     assert values["s.retracts"] == [0b100, 0b101, 0b110, 0b111]
-    assert values["special_closure_retracts(alg, s.special_subsets)"] == values["s.retracts"]
+    assert values["special_closure_retracts(alg, s.translate_unions)"] == values["s.retracts"]
     assert values["s.monomial_ce(0b101)"] == (2, 1, 2)
     assert values["s.cross_meets(0b101, 0b110)"] == 0b111
     assert values["fset(fixpoints(alg, f))"] == "{1,2}"

@@ -405,9 +405,9 @@ def test_class_maxima_are_computed_once_per_filter_and_element(monkeypatch, cata
 
 def test_least_above_images_are_computed_once_per_retract(monkeypatch, catalog5):
     # from a fresh Structures, the 14 suites build the least-above map of
-    # each special subset at most once, and only for ctx.retract_ce: the
-    # retracts are the special subsets it accepts, and every least-above
-    # image a suite compares is read from it
+    # each union of translates once, and only for ctx.retract_ce: the
+    # retracts are the unions it accepts, and every least-above image a
+    # suite compares is read from it
     seen = Counter()
     real = closure._least_above
 
@@ -424,7 +424,7 @@ def test_least_above_images_are_computed_once_per_retract(monkeypatch, catalog5)
         with monkeypatch.context() as m:
             m.setattr(closure, "_least_above", counting)
             assert all(r.ok for r in run_algebra_suites(ctx, list(ALGEBRA_SUITES))), alg.imp
-        assert set(seen) == set(ctx.special_subsets), alg.imp
+        assert set(seen) == set(ctx.translate_unions), alg.imp
         assert set(ctx.ce.fixes) == set(ctx.retracts), alg.imp
         assert max(seen.values()) == 1, alg.imp
 
@@ -549,3 +549,23 @@ def test_random_extension_algebras_above_the_bound_pass_every_suite():
         assert len(reports) == 14, seed
         assert all(r.ok for r in reports), (seed, [r.as_dict() for r in reports if not r.ok])
         assert len(ctx.filters) == ideals, seed
+
+
+def test_random_extension_algebras_have_the_predicted_lattice_sizes():
+    # S a ->-subalgebra of O(P) holding its meet-irreducibles: the filters,
+    # the special closure retracts and the closure endomorphisms each number
+    # |O(P)|, and S is an implicative semilattice exactly when S = O(P); seeds
+    # 0 to 99 give 99 algebras of at most 16 elements, and one of 38 (seed 25)
+    semilattices = []
+    for seed in range(100):
+        alg, ideals = random_extension_algebra(random.Random(seed))
+        if seed == 25:
+            assert alg.n == 38
+            continue
+        assert alg.n <= 16, seed
+        ctx = Structures(alg)
+        assert len(ctx.filters) == len(ctx.retracts) == len(ctx.ce.carrier) == ideals, seed
+        assert ctx.flags.implicative_semilattice == (alg.n == ideals), seed
+        if alg.n == ideals:
+            semilattices.append(seed)
+    assert semilattices == [42]
